@@ -34,7 +34,6 @@ from .catalog import (
 )
 from .chern import ChernPolynomial, power_sum_in_chern
 from .engine import (
-    GenusTable,
     check_duality,
     chi_minus_y,
     chi_vector,

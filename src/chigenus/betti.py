@@ -25,10 +25,12 @@ class InertiaTriple(NamedTuple):
 def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
     """Inertia of a symmetric rational matrix by congruence diagonalization.
 
-    Symmetric pivoting; a zero diagonal with a nonzero off-diagonal entry is
-    repaired by adding the partner row/column, which keeps the transform a
-    congruence and surfaces a usable pivot (the hyperbolic pair then
-    contributes one positive and one negative direction).
+    Symmetric pivoting; each pivot replaces the remaining block by its Schur
+    complement, and eliminated rows and columns are never read again. A zero
+    diagonal with a nonzero off-diagonal entry is repaired by adding the
+    partner row/column, which keeps the transform a congruence and surfaces
+    a usable pivot (the hyperbolic pair then contributes one positive and
+    one negative direction).
     """
     size = len(matrix)
     work = [[Fraction(v) for v in row] for row in matrix]
@@ -52,9 +54,9 @@ def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
                 zero += len(rows)
                 break
             r, s = pair
-            for t in range(size):
+            for t in rows:
                 work[r][t] += work[s][t]
-            for t in range(size):
+            for t in rows:
                 work[t][r] += work[t][s]
             k = r
         pivot = work[k][k]
@@ -67,10 +69,8 @@ def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
             if work[r][k] == 0:
                 continue
             factor = work[r][k] / pivot
-            for t in range(size):
+            for t in rows:
                 work[r][t] -= factor * work[k][t]
-            for t in range(size):
-                work[t][r] -= factor * work[t][k]
     return InertiaTriple(plus, minus, zero)
 
 

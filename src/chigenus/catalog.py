@@ -95,13 +95,16 @@ class ManifoldData:
     model: CohomologyModel | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        expected = set(partitions_of(self.dimension))
-        if set(self.chern_numbers) != expected:
-            missing = expected - set(self.chern_numbers)
-            extra = set(self.chern_numbers) - expected
+        expected = partitions_of(self.dimension)
+        given = set(self.chern_numbers)
+        if given != set(expected):
+            # counts plus a few examples: the error stays small in any dimension
+            missing = [p for p in expected if p not in given]
+            extra = sorted(given.difference(expected), reverse=True)
             raise ValueError(
                 f"Chern numbers must cover all partitions of {self.dimension}; "
-                f"missing {sorted(missing)}, extra {sorted(extra)}"
+                f"missing {len(missing)}, first {missing[:5]}; "
+                f"extra {len(extra)}, first {extra[:5]}"
             )
         self.chern_numbers = {p: Fraction(v) for p, v in self.chern_numbers.items()}
 

@@ -100,15 +100,6 @@ class ChernPolynomial:
             total = total + coeff * v
         return total
 
-    def at_y(self, value: int | Fraction) -> dict[Partition, Fraction]:
-        """Evaluate every coefficient at a point, dropping vanishing terms."""
-        out = {}
-        for part, coeff in self._terms.items():
-            c = coeff.evaluate(value)
-            if c != 0:
-                out[part] = c
-        return out
-
     def constant_coefficients(self) -> dict[Partition, Fraction]:
         """Coefficient map if every coefficient is a constant polynomial."""
         out = {}

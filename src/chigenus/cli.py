@@ -18,7 +18,6 @@ from typing import Any
 
 from . import betti as betti_mod
 from . import catalog, engine, inequalities, kexpansion, localization, serialize, verify
-from .serialize import SchemaError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -120,7 +119,7 @@ def _cmd_chi(args: argparse.Namespace) -> int:
         _emit(_rational(engine.specialize(manifold, args.at)))
         return EXIT_OK
     if manifold is None:
-        _emit(serialize.chern_to_json(engine.chi_y_chern_polynomial(n).chi_poly))
+        _emit(serialize.chern_to_json(engine.chi_y_chern_polynomial(n)))
         return EXIT_OK
     chi = engine.chi_vector(manifold)
     _emit({"chi": [[str(p), _rational(v)] for p, v in enumerate(chi)]})
@@ -272,18 +271,14 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     key = args.make
-    kind = key.partition(":")[0]
-    try:
-        if kind == "pnaction":
-            model = catalog.make_action(key)
-            _check_cap(model.n)
-            _emit(serialize.model_to_json(model))
-        else:
-            data = catalog.make_manifold(key)
-            _check_cap(data.dimension)
-            _emit(serialize.manifold_to_json(data))
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if key.partition(":")[0] == "pnaction":
+        model = catalog.make_action(key)
+        _check_cap(model.n)
+        _emit(serialize.model_to_json(model))
+    else:
+        data = catalog.make_manifold(key)
+        _check_cap(data.dimension)
+        _emit(serialize.manifold_to_json(data))
     return EXIT_OK
 
 
@@ -312,12 +307,13 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT_ERROR
     try:
         return _HANDLERS[args.command](args)
-    except (InputError, SchemaError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"genus: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
+        # only the internal cross-checks raise these: a failed mathematical check
         print(f"genus: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return EXIT_CHECK_FAILED
 
 
 def entry() -> None:

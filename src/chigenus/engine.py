@@ -10,7 +10,6 @@ in the graded monomial ring recovers the degree-n integrand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Protocol
@@ -26,14 +25,6 @@ class ManifoldLike(Protocol):
 
     dimension: int
     chern_numbers: dict[Partition, Fraction]
-
-
-@dataclass(frozen=True)
-class GenusTable:
-    """Grade-n Chern polynomial whose evaluation is the chi_y polynomial."""
-
-    n: int
-    chi_poly: ChernPolynomial
 
 
 SPECIAL_VALUES = {"euler": Fraction(-1), "todd": Fraction(0), "signature": Fraction(1)}
@@ -63,12 +54,13 @@ def normalized_series(order: int) -> TruncatedSeries:
     return num * den.inverse()
 
 
-_TABLE_CACHE: dict[int, GenusTable] = {}
+_TABLE_CACHE: dict[int, ChernPolynomial] = {}
 
 
-def chi_y_chern_polynomial(n: int) -> GenusTable:
+def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
     """Universal grade-n Chern polynomial of the chi_y genus.
 
+    Its evaluation on the Chern numbers of a manifold is the chi_y polynomial.
     Results are memoized per process; the computation is pure, so a racing
     recomputation is harmless.
     """
@@ -78,7 +70,7 @@ def chi_y_chern_polynomial(n: int) -> GenusTable:
     if cached is not None:
         return cached
     if n == 0:
-        table = GenusTable(0, ChernPolynomial.monomial((), 1))
+        table = ChernPolynomial.monomial((), 1)
         _TABLE_CACHE[0] = table
         return table
     log_series = normalized_series(n + 1).log()
@@ -89,18 +81,18 @@ def chi_y_chern_polynomial(n: int) -> GenusTable:
             continue
         for part, coeff in power_sum_in_chern(k, n).items():
             exponent[part] = exponent.get(part, YPolynomial.zero()) + coeff * ell
-    table = GenusTable(n, graded_part(graded_exponential(exponent, n), n))
+    table = graded_part(graded_exponential(exponent, n), n)
     _TABLE_CACHE[n] = table
     return table
 
 
-def evaluate_genus(table: GenusTable, manifold: ManifoldLike) -> YPolynomial:
+def evaluate_genus(table: ChernPolynomial, manifold: ManifoldLike) -> YPolynomial:
     """chi_y polynomial of a manifold: pair the table with its Chern numbers."""
-    if manifold.dimension != table.n:
+    if manifold.dimension != table.grade:
         raise ValueError(
-            f"dimension mismatch: table is for n={table.n}, manifold has n={manifold.dimension}"
+            f"dimension mismatch: table is for n={table.grade}, manifold has n={manifold.dimension}"
         )
-    return table.chi_poly.evaluate(manifold.chern_numbers)
+    return table.evaluate(manifold.chern_numbers)
 
 
 def genus_polynomial(manifold: ManifoldLike) -> YPolynomial:

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .chern import ChernPolynomial
 from .engine import chi_y_chern_polynomial
+from .linalg import solve
 from .partitions import Partition
 from .series import TruncatedSeries
 from .ypoly import YPolynomial
@@ -36,7 +37,7 @@ def k_coefficients(n: int) -> KTable:
         raise ValueError("need n >= 1")
     table = chi_y_chern_polynomial(n)
     buckets: list[dict[Partition, Fraction]] = [{} for _ in range(n + 1)]
-    for part, coeff in table.chi_poly.items():
+    for part, coeff in table.items():
         for j, value in enumerate(coeff.taylor_about(-1)):
             if value == 0:
                 continue
@@ -209,45 +210,12 @@ def odd_k_span_check(n: int) -> SpanReport:
         for part in sorted(support, reverse=True):
             rows.append([b.coefficient(part).constant_value() for b in basis])
             rhs.append(target.coefficient(part).constant_value())
-        solution = _solve_exact(rows, rhs)
+        solution = solve(rows, rhs)
         if solution is None:
             checks.append(SpanCheck(odd, False))
         else:
             checks.append(SpanCheck(odd, True, tuple(solution)))
     return SpanReport(n, tuple(checks))
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve an overdetermined rational system; None when inconsistent.
-
-    Gaussian elimination on the augmented matrix; free variables are set to
-    zero, so any consistent system yields one explicit solution.
-    """
-    if not rows:
-        return []
-    cols = len(rows[0])
-    aug = [row + [b] for row, b in zip(rows, rhs)]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        pivot_of_col[c] = r
-        r += 1
-    if any(all(v == 0 for v in row[:-1]) and row[-1] != 0 for row in aug):
-        return None
-    solution = [Fraction(0)] * cols
-    for c, row_index in pivot_of_col.items():
-        solution[c] = aug[row_index][-1]
-    return solution
 
 
 def eulerian_polynomials(up_to: int) -> list[YPolynomial]:

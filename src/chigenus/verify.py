@@ -1,8 +1,10 @@
 """The built-in verification battery behind ``genus verify-paper``.
 
 Each check recomputes a published identity or bound from scratch and
-compares exactly; the table is deterministic, so two runs of the command
-produce byte-identical output.
+compares exactly. A check returns ``None`` when it passes and otherwise a
+short witness naming the failing instance, such as ``"n=6 j=3"``. The
+computation is deterministic, so two runs of the command produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,41 +15,57 @@ from itertools import permutations
 from typing import Any, Callable
 
 from . import betti as betti_mod
-from . import catalog, engine, inequalities, kexpansion, localization
+from . import catalog, engine, inequalities, kexpansion, linalg, localization
 from .ypoly import YPolynomial
 
 
-def _check_k_closed_forms() -> bool:
-    return all(kexpansion.verify_closed_forms(n).all_match for n in range(4, 9))
+def _check_k_closed_forms() -> str | None:
+    for n in range(4, 9):
+        report = kexpansion.verify_closed_forms(n)
+        checked = [c.j for c in report.checks]
+        if checked != [0, 1, 2, 3, 4]:
+            return f"n={n} checked j={checked}"
+        for c in report.checks:
+            if not c.matches:
+                return f"n={n} j={c.j}"
+    return None
 
 
-def _check_projective_genus() -> bool:
+def _check_projective_genus() -> str | None:
     for n in range(1, 11):
         expected = YPolynomial({p: (-1) ** p for p in range(n + 1)})
         if engine.genus_polynomial(catalog.projective_space(n)) != expected:
-            return False
-    return True
+            return f"n={n}"
+    return None
 
 
-def _check_duality() -> bool:
-    return all(
-        engine.check_duality(data)
-        for _, data in catalog.standard_catalog()
-        if data.dimension <= 8
-    )
+def _check_duality() -> str | None:
+    for key, data in catalog.standard_catalog():
+        if data.dimension > 8:
+            return f"{key} has dimension {data.dimension} > 8"
+        if not engine.check_duality(data):
+            return key
+    return None
 
 
-def _check_inequality_optimality() -> bool:
+def _check_inequality_optimality() -> str | None:
     for n in range(1, 9):
         reports = inequalities.check_inequalities(catalog.projective_space(n), 1)
-        if not all(r.holds and r.equality and r.lhs == r.rhs for r in reports):
-            return False
+        if len(reports) != n // 2 + 1:
+            return f"n={n} has {len(reports)} reports"
+        for r in reports:
+            if not (r.holds and r.equality and r.lhs == r.rhs):
+                return f"n={n} i={r.index}"
+            if r.equality_witness != tuple(range(2 * r.index, n + 1)):
+                return f"n={n} i={r.index} witness {r.equality_witness}"
     p2 = inequalities.check_inequalities(catalog.projective_space(2), 1)[1]
-    return p2.lhs == 12 and p2.rhs == 12 and p2.rhs == 2 * 1 * 2 * 3
+    if (p2.lhs, p2.rhs) != (12, 2 * (2 - 1) * 2 * (2 + 1)):
+        return f"n=2 i=1 reads {p2.lhs} >= {p2.rhs}"
+    return None
 
 
-def _check_binomial_transform() -> bool:
-    for _, data in catalog.standard_catalog():
+def _check_binomial_transform() -> str | None:
+    for key, data in catalog.standard_catalog():
         if data.dimension < 1:
             continue
         chi = engine.chi_vector(data)
@@ -56,53 +74,57 @@ def _check_binomial_transform() -> bool:
             poly.evaluate(data.chern_numbers).constant_value() for poly in table.k_polys
         ]
         if kexpansion.binomial_transform(chi) != evaluated:
-            return False
-    return True
+            return key
+    return None
 
 
-def _check_localization() -> bool:
+def _check_localization() -> str | None:
     for n in range(1, 7):
         action = catalog.standard_pn_action(n)
         genus_route = engine.chi_minus_y(catalog.projective_space(n))
         if localization.localized_chi_minus_y(action) != genus_route:
-            return False
+            return f"n={n} genus"
         expected = YPolynomial({2 * i: 1 for i in range(n + 1)})
         if localization.novikov_polynomial(action) != expected:
-            return False
-    return True
+            return f"n={n} Novikov polynomial"
+    return None
 
 
-def _check_signature_chain() -> bool:
+def _check_signature_chain() -> str | None:
     for k in (1, 2, 3):
-        if localization.localized_signature(catalog.standard_pn_action(2 * k)) != 1:
-            return False
-    for _, action in catalog.standard_actions():
+        signature = localization.localized_signature(catalog.standard_pn_action(2 * k))
+        if signature != 1:
+            return f"n={2 * k} signature {signature}"
+    for key, action in catalog.standard_actions():
         report = localization.signature_identity_check(action)
-        if report.applicable and not report.holds:
-            return False
+        if not report.applicable:
+            return f"{key} identity not applicable"
+        if not report.holds:
+            return f"{key} identity fails"
         chi = localization.localized_chi_minus_y(action)
         if chi.evaluate(-1) != localization.localized_signature(action):
-            return False
-    return True
+            return f"{key} y=-1"
+    return None
 
 
-def _check_k3() -> bool:
+def _check_k3() -> str | None:
     k3 = catalog.hypersurface(2, 4)
     if engine.chi_vector(k3) != [Fraction(2), Fraction(-20), Fraction(2)]:
-        return False
+        return "chi-vector"
     if engine.chi_minus_y(k3) != YPolynomial({0: 2, 1: 20, 2: 2}):
-        return False
-    if engine.specialize(k3, "todd") != 2:
-        return False
-    if engine.specialize(k3, "signature") != -16:
-        return False
-    if engine.specialize(k3, "euler") != 24:
-        return False
+        return "modified genus"
+    for at, expected in (("todd", 2), ("signature", -16), ("euler", 24)):
+        if engine.specialize(k3, at) != expected:
+            return at
     profile = k3.betti
-    assert profile is not None
-    if betti_mod.signature_alternating(profile):
-        return False
-    return True
+    if profile is None or profile.betti != (1, 0, 22, 0, 1):
+        return "Betti numbers"
+    report = betti_mod.betti_inequality_check(profile)
+    if betti_mod.signature_alternating(profile) or report.alternating:
+        return "signature-alternating"
+    if (report.b_plus, report.b_minus) != (3, 19):
+        return f"b+={report.b_plus} b-={report.b_minus}"
+    return None
 
 
 def _brute_force_eulerian(i: int) -> YPolynomial:
@@ -113,120 +135,41 @@ def _brute_force_eulerian(i: int) -> YPolynomial:
     return YPolynomial(counts)
 
 
-def _check_eulerian() -> bool:
+def _check_eulerian() -> str | None:
     if not kexpansion.eulerian_identity_check(8):
-        return False
+        return "order 8"
     polys = kexpansion.eulerian_polynomials(6)
-    return all(polys[i - 1] == _brute_force_eulerian(i) for i in range(1, 7))
+    for i in range(1, 7):
+        if polys[i - 1] != _brute_force_eulerian(i):
+            return f"i={i}"
+    return None
 
 
 def _random_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
 
-def _random_profile(rng: random.Random) -> betti_mod.BettiProfile:
-    """A random connected Poincare-dual signature-alternating profile.
-
-    b^+ and b^- are chosen first; one free even Betti number is then
-    adjusted so the alternating sum reproduces the signature. In dimension 4
-    the constraints force b^+ = 1.
-    """
-    m = rng.randint(1, 4)
-    b_plus = 1 if m == 1 else rng.randint(1, 5)
-    b_minus = rng.randint(0, 5)
-    sigma = b_plus - b_minus
-    middle = b_plus + b_minus
-    # required value of sum_{j=1}^{m-1} (-1)^j E_j, with E_j = b_{2j}
-    target = (sigma - (-1) ** m * middle) // 2 - 1
-    lower = [1] + [rng.randint(0, 6) for _ in range(m - 1)]
-    if m == 1:
-        if target != 0:
-            raise AssertionError("dimension-4 alternating profiles force b_plus = 1")
-    else:
-        current = sum((-1) ** j * lower[j] for j in range(1, m))
-        delta = target - current
-        if delta > 0:
-            if m >= 3:
-                lower[2] += delta
-            elif lower[1] >= delta:
-                lower[1] -= delta
-            else:
-                return _random_profile(rng)
-        elif delta < 0:
-            lower[1] += -delta
-    even = lower + [middle] + list(reversed(lower))
-    betti = []
-    for j, value in enumerate(even):
-        betti.append(value)
-        if j < len(even) - 1:
-            betti.append(0)
-    return betti_mod.BettiProfile(4 * m, tuple(betti), sigma)
+def random_symmetric(rng: random.Random, size: int) -> list[list[Fraction]]:
+    """A symmetric matrix with entries p/q, -4 <= p <= 4 and 1 <= q <= 3."""
+    matrix = [[Fraction(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            matrix[i][j] = matrix[j][i] = _random_rational(rng)
+    return matrix
 
 
-def _check_inertia_suite() -> bool:
-    rng = random.Random(20240517)
-    for _ in range(100):
-        size = rng.randint(1, 5)
-        base = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(i, size):
-                value = _random_rational(rng)
-                base[i][j] = value
-                base[j][i] = value
-        reference = betti_mod.inertia(base)
-        transform = _random_invertible(rng, size)
-        congruent = _congruence(base, transform)
-        if betti_mod.inertia(congruent) != reference:
-            return False
-    for triple, expected in (
-        (betti_mod.InertiaTriple(1, 5, 0), (True, False)),
-        (betti_mod.InertiaTriple(3, 0, 0), (False, True)),
-        (betti_mod.InertiaTriple(1, 0, 0), (True, True)),
-    ):
-        if tuple(betti_mod.cs_classification(triple)) != expected:
-            return False
-    for _ in range(50):
-        profile = _random_profile(rng)
-        report = betti_mod.betti_inequality_check(profile)
-        status = betti_mod.cs_classification(
-            betti_mod.InertiaTriple(report.b_plus, report.b_minus, 0)
-        )
-        if report.upper.equality != status.reverse_cs:
-            return False
-        if report.lower.equality != status.cs:
-            return False
-    return True
-
-
-def _random_invertible(rng: random.Random, size: int) -> list[list[Fraction]]:
+def random_invertible(rng: random.Random, size: int) -> list[list[Fraction]]:
+    """An invertible matrix with entries drawn as in :func:`random_symmetric`."""
     while True:
         matrix = [[_random_rational(rng) for _ in range(size)] for _ in range(size)]
-        if _determinant(matrix) != 0:
+        if linalg.rank(matrix) == size:
             return matrix
 
 
-def _determinant(matrix: list[list[Fraction]]) -> Fraction:
-    size = len(matrix)
-    work = [row[:] for row in matrix]
-    det = Fraction(1)
-    for c in range(size):
-        pivot = next((r for r in range(c, size) if work[r][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            det = -det
-        det *= work[c][c]
-        inv = 1 / work[c][c]
-        for r in range(c + 1, size):
-            factor = work[r][c] * inv
-            work[r] = [v - factor * w for v, w in zip(work[r], work[c])]
-    return det
-
-
-def _congruence(
+def congruent(
     matrix: list[list[Fraction]], transform: list[list[Fraction]]
 ) -> list[list[Fraction]]:
+    """The congruent matrix transform^T * matrix * transform."""
     size = len(matrix)
     middle = [
         [sum(transform[k][i] * matrix[k][j] for k in range(size)) for j in range(size)]
@@ -238,7 +181,71 @@ def _congruence(
     ]
 
 
-CHECKS: tuple[tuple[str, str, Callable[[], bool]], ...] = (
+def random_alternating_profile(rng: random.Random) -> betti_mod.BettiProfile:
+    """A random connected Poincare-dual signature-alternating profile.
+
+    The dimension is 4m with 1 <= m <= 4. b^+ and b^- are chosen first; one
+    free even Betti number is then adjusted so the alternating sum
+    reproduces the signature. In dimension 4 the constraints force b^+ = 1.
+    """
+    m = rng.randint(1, 4)
+    b_plus = 1 if m == 1 else rng.randint(1, 5)
+    b_minus = rng.randint(0, 5)
+    sigma = b_plus - b_minus
+    middle = b_plus + b_minus
+    # required value of sum_{j=1}^{m-1} (-1)^j E_j, with E_j = b_{2j}
+    target = (sigma - (-1) ** m * middle) // 2 - 1
+    lower = [1] + [rng.randint(0, 6) for _ in range(m - 1)]
+    if m > 1:
+        current = sum((-1) ** j * lower[j] for j in range(1, m))
+        delta = target - current
+        if delta > 0:
+            if m >= 3:
+                lower[2] += delta
+            elif lower[1] >= delta:
+                lower[1] -= delta
+            else:
+                return random_alternating_profile(rng)
+        elif delta < 0:
+            lower[1] += -delta
+    even = lower + [middle] + list(reversed(lower))
+    betti = []
+    for j, value in enumerate(even):
+        betti.append(value)
+        if j < len(even) - 1:
+            betti.append(0)
+    return betti_mod.BettiProfile(4 * m, tuple(betti), sigma)
+
+
+def _check_inertia_suite() -> str | None:
+    rng = random.Random(20240517)
+    for trial in range(100):
+        size = rng.randint(1, 5)
+        base = random_symmetric(rng, size)
+        transform = random_invertible(rng, size)
+        if betti_mod.inertia(congruent(base, transform)) != betti_mod.inertia(base):
+            return f"congruence trial {trial} size={size}"
+    for triple, expected in (
+        (betti_mod.InertiaTriple(1, 5, 0), (True, False)),
+        (betti_mod.InertiaTriple(3, 0, 0), (False, True)),
+        (betti_mod.InertiaTriple(1, 0, 0), (True, True)),
+    ):
+        if tuple(betti_mod.cs_classification(triple)) != expected:
+            return f"classification of {tuple(triple)}"
+    for _ in range(50):
+        profile = random_alternating_profile(rng)
+        report = betti_mod.betti_inequality_check(profile)
+        if not (betti_mod.signature_alternating(profile) and report.alternating):
+            return f"profile {profile.betti} sigma={profile.sigma} not alternating"
+        status = betti_mod.cs_classification(
+            betti_mod.InertiaTriple(report.b_plus, report.b_minus, 0)
+        )
+        if report.upper.equality != status.reverse_cs or report.lower.equality != status.cs:
+            return f"profile {profile.betti} sigma={profile.sigma}"
+    return None
+
+
+CHECKS: tuple[tuple[str, str, Callable[[], str | None]], ...] = (
     (
         "k-closed-forms",
         "computed K_0..K_4 match their closed forms for n = 4..8",
@@ -295,5 +302,5 @@ CHECKS: tuple[tuple[str, str, Callable[[], bool]], ...] = (
 def run_all() -> list[dict[str, Any]]:
     results = []
     for key, statement, check in CHECKS:
-        results.append({"key": key, "statement": statement, "pass": bool(check())})
+        results.append({"key": key, "statement": statement, "pass": check() is None})
     return results

@@ -1,205 +1,103 @@
-"""End-to-end acceptance battery.
+"""End-to-end acceptance battery: the ten checks behind ``genus verify-paper``.
 
-One test per criterion; each prints a PASS line once its exact assertions
-hold (run with ``pytest -s`` to see them). Everything here is exact
-rational arithmetic; there are no tolerances anywhere.
+One test per criterion runs its ``verify.CHECKS`` entry, which returns
+``None`` on success or a witness naming the failing instance; the witness
+is the failure message. Each test prints a PASS line once its check holds
+(run with ``pytest -s`` to see them). Everything is exact rational
+arithmetic; there are no tolerances anywhere.
 """
 
-import random
 from fractions import Fraction
-from itertools import permutations
 
-from chigenus.betti import (
-    BettiProfile,
-    InertiaTriple,
-    betti_inequality_check,
-    cs_classification,
-    inertia,
-    signature_alternating,
-)
-from chigenus.catalog import (
-    hypersurface,
-    projective_space,
-    standard_actions,
-    standard_catalog,
-    standard_pn_action,
-)
-from chigenus.engine import (
-    check_duality,
-    chi_minus_y,
-    chi_vector,
-    genus_polynomial,
-    specialize,
-)
-from chigenus.inequalities import check_inequalities
-from chigenus.kexpansion import (
-    binomial_transform,
-    eulerian_identity_check,
-    eulerian_polynomials,
-    k_coefficients,
-    verify_closed_forms,
-)
-from chigenus.localization import (
-    localized_chi_minus_y,
-    localized_signature,
-    novikov_polynomial,
-    signature_identity_check,
-)
+import pytest
+
+from chigenus import betti, catalog, engine, inequalities, kexpansion, localization, verify
+from chigenus.chern import ChernPolynomial
 from chigenus.ypoly import YPolynomial
 
-from test_betti import congruent, random_invertible, random_symmetric
 
-
-def done(k: int, text: str) -> None:
-    print(f"ACCEPTANCE {k}: PASS - {text}")
+def accept(k: int, key: str) -> None:
+    statement, check = {c[0]: c[1:] for c in verify.CHECKS}[key]
+    witness = check()
+    assert witness is None, f"{key}: {witness}"
+    print(f"ACCEPTANCE {k}: PASS - {statement}")
 
 
 def test_acceptance_1_k_formula_reproduction():
-    for n in range(4, 9):
-        report = verify_closed_forms(n)
-        assert report.all_match, (n, report)
-        assert [c.j for c in report.checks] == [0, 1, 2, 3, 4]
-    done(1, "K_0..K_4 closed forms reproduced coefficient-by-coefficient for n = 4..8")
+    accept(1, "k-closed-forms")
 
 
 def test_acceptance_2_projective_space_genus():
-    for n in range(1, 11):
-        expected = YPolynomial({p: (-1) ** p for p in range(n + 1)})
-        assert genus_polynomial(projective_space(n)) == expected, n
-    done(2, "genus of P^n equals the alternating geometric polynomial for n <= 10")
+    accept(2, "projective-genus")
 
 
 def test_acceptance_3_duality():
-    checked = 0
-    for key, data in standard_catalog():
-        if data.dimension <= 8:
-            assert check_duality(data), key
-            checked += 1
-    assert checked == len(standard_catalog())
-    done(3, f"chi^p = (-1)^n chi^(n-p) on all {checked} catalog manifolds of dimension <= 8")
+    accept(3, "duality")
 
 
 def test_acceptance_4_inequality_optimality():
-    for n in range(1, 9):
-        reports = check_inequalities(projective_space(n), 1)
-        assert len(reports) == n // 2 + 1
-        for r in reports:
-            assert r.holds and r.equality and r.lhs == r.rhs, (n, r)
-            assert r.equality_witness == tuple(range(2 * r.index, n + 1))
-    surface = check_inequalities(projective_space(2), 1)[1]
-    assert surface.lhs == 12 and surface.rhs == 12
-    assert surface.rhs == 2 * (2 - 1) * 2 * (2 + 1)
-    done(4, "P^n attains equality in every inequality; cleared i=1 case reads 12 >= 12")
+    accept(4, "inequality-optimality")
 
 
 def test_acceptance_5_binomial_transform():
-    for key, data in standard_catalog():
-        table = k_coefficients(data.dimension)
-        evaluated = [
-            poly.evaluate(data.chern_numbers).constant_value() for poly in table.k_polys
-        ]
-        assert binomial_transform(chi_vector(data)) == evaluated, key
-    done(5, "binomial transform of the chi-vector equals every evaluated K_j on the catalog")
+    accept(5, "binomial-transform")
 
 
 def test_acceptance_6_localization_oracle():
-    for n in range(1, 7):
-        action = standard_pn_action(n)
-        assert localized_chi_minus_y(action) == chi_minus_y(projective_space(n)), n
-        assert novikov_polynomial(action) == YPolynomial({2 * i: 1 for i in range(n + 1)}), n
-    done(6, "localization over P^n fixed points matches the genus route and Betti numbers, n <= 6")
+    accept(6, "localization")
 
 
 def test_acceptance_7_signature_chain():
-    for k in (1, 2, 3):
-        assert localized_signature(standard_pn_action(2 * k)) == 1, k
-    for key, action in standard_actions():
-        report = signature_identity_check(action)
-        assert report.applicable, key
-        assert report.holds, key
-        assert localized_chi_minus_y(action).evaluate(-1) == localized_signature(action), key
-    done(7, "signature 1 for P^(2k) actions; alternating-sum identity and y=-1 specialization hold")
+    accept(7, "signature-chain")
 
 
 def test_acceptance_8_quartic_surface_cross_check():
-    k3 = hypersurface(2, 4)
-    assert chi_vector(k3) == [Fraction(2), Fraction(-20), Fraction(2)]
-    assert chi_minus_y(k3) == YPolynomial({0: 2, 1: 20, 2: 2})
-    assert specialize(k3, "todd") == 2
-    assert specialize(k3, "signature") == -16
-    assert specialize(k3, "euler") == 24
-    profile = k3.betti
-    assert profile is not None and profile.betti == (1, 0, 22, 0, 1)
-    assert not signature_alternating(profile)  # 1 - 22 + 1 != -16
-    report = betti_inequality_check(profile)
-    assert not report.alternating
-    assert (report.b_plus, report.b_minus) == (3, 19)
-    done(8, "quartic surface: modified genus (2, 20, 2), Todd 2, signature -16, Euler 24, not alternating")
+    accept(8, "k3-cross-check")
 
 
 def test_acceptance_9_eulerian_identity():
-    assert eulerian_identity_check(8)
-    polys = eulerian_polynomials(6)
-    for i in range(1, 7):
-        counts: dict[int, int] = {}
-        for perm in permutations(range(i)):
-            d = sum(1 for a, b in zip(perm, perm[1:]) if a > b)
-            counts[d] = counts.get(d, 0) + 1
-        assert polys[i - 1] == YPolynomial(counts), i
-    done(9, "Eulerian generating identity at order 8; polynomials brute-forced over S_i for i <= 6")
+    accept(9, "eulerian-identity")
 
 
 def test_acceptance_10_inertia_property_suite():
-    rng = random.Random(90210)
-    for _ in range(100):
-        size = rng.randint(1, 5)
-        matrix = random_symmetric(rng, size)
-        transform = random_invertible(rng, size)
-        assert inertia(congruent(matrix, transform)) == inertia(matrix)
-
-    assert cs_classification(InertiaTriple(1, 5, 0)) == (True, False)
-    assert cs_classification(InertiaTriple(3, 0, 0)) == (False, True)
-    assert cs_classification(InertiaTriple(1, 0, 0)) == (True, True)
-
-    produced = 0
-    while produced < 50:
-        profile = _random_alternating_profile(rng)
-        report = betti_inequality_check(profile)
-        assert report.alternating
-        status = cs_classification(InertiaTriple(report.b_plus, report.b_minus, 0))
-        assert report.upper.equality == status.reverse_cs, profile
-        assert report.lower.equality == status.cs, profile
-        produced += 1
-    done(10, "Sylvester invariance (100 congruences), CS criteria, and 50 consistent profiles agree")
+    accept(10, "inertia-suite")
 
 
-def _random_alternating_profile(rng: random.Random) -> BettiProfile:
-    """Connected, Poincare-dual, signature-alternating; dimension 4m <= 16."""
-    m = rng.randint(1, 4)
-    b_plus = 1 if m == 1 else rng.randint(1, 5)
-    b_minus = rng.randint(0, 5)
-    sigma = b_plus - b_minus
-    middle = b_plus + b_minus
-    target = (sigma - (-1) ** m * middle) // 2 - 1
-    lower = [1] + [rng.randint(0, 6) for _ in range(m - 1)]
-    if m > 1:
-        current = sum((-1) ** j * lower[j] for j in range(1, m))
-        delta = target - current
-        if delta > 0:
-            if m >= 3:
-                lower[2] += delta
-            elif lower[1] >= delta:
-                lower[1] -= delta
-            else:
-                return _random_alternating_profile(rng)
-        elif delta < 0:
-            lower[1] += -delta
-    even = lower + [middle] + list(reversed(lower))
-    betti = []
-    for j, value in enumerate(even):
-        betti.append(value)
-        if j + 1 < len(even):
-            betti.append(0)
-    profile = BettiProfile(4 * m, tuple(betti), sigma)
-    assert signature_alternating(profile)
-    return profile
+def _diagonal_inertia(matrix):
+    """Sign counts of the diagonal alone, which congruence does not preserve."""
+    diag = [matrix[i][i] for i in range(len(matrix))]
+    return betti.InertiaTriple(
+        sum(1 for d in diag if d > 0), sum(1 for d in diag if d < 0), sum(1 for d in diag if d == 0)
+    )
+
+
+# One package function per check, replaced by a wrong one the check must catch.
+BREAKAGES = {
+    "k-closed-forms": (kexpansion, "closed_form_k", lambda j, n: ChernPolynomial.zero(n)),
+    "projective-genus": (catalog, "projective_space", lambda n: catalog.hypersurface(n, 2)),
+    "duality": (engine, "chi_vector", lambda m: [Fraction(1)] + [Fraction(0)] * m.dimension),
+    "inequality-optimality": (
+        inequalities,
+        "chi_vector",
+        lambda m: [Fraction(0)] * (m.dimension + 1),
+    ),
+    "binomial-transform": (kexpansion, "binomial_transform", lambda chi: list(chi)),
+    "localization": (localization, "novikov_polynomial", lambda model: YPolynomial.one()),
+    "signature-chain": (localization, "localized_signature", lambda model: 0),
+    "k3-cross-check": (catalog, "hypersurface", lambda n, d: catalog.projective_space(n)),
+    "eulerian-identity": (
+        kexpansion,
+        "eulerian_polynomials",
+        lambda up_to: [YPolynomial.one()] * up_to,
+    ),
+    "inertia-suite": (betti, "inertia", _diagonal_inertia),
+}
+
+
+@pytest.mark.parametrize("key", [c[0] for c in verify.CHECKS])
+def test_check_returns_witness_when_broken(monkeypatch, key):
+    module, name, wrong = BREAKAGES[key]
+    monkeypatch.setattr(module, name, wrong)
+    check = {c[0]: c[2] for c in verify.CHECKS}[key]
+    witness = check()
+    assert isinstance(witness, str) and witness, witness

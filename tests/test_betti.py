@@ -15,6 +15,7 @@ from chigenus.betti import (
     tolman_unimodality_report,
 )
 from chigenus.catalog import projective_space
+from chigenus.verify import congruent, random_invertible, random_symmetric
 
 
 def test_inertia_of_diagonal_matrices():
@@ -33,11 +34,15 @@ def test_inertia_of_diagonal_matrices():
             sum(1 for d in diag if d == 0),
         )
         assert inertia(matrix) == expected
+        transform = random_invertible(rng, len(diag))
+        assert inertia(congruent(matrix, transform)) == expected, (diag, transform)
 
 
 def test_hyperbolic_pair():
     assert inertia([[0, 1], [1, 0]]) == InertiaTriple(1, 1, 0)
     assert inertia([[0, 0, 2], [0, 0, 0], [2, 0, 0]]) == InertiaTriple(1, 1, 1)
+    # the zero diagonal appears only in the Schur complement of the first pivot
+    assert inertia([[1, 1, 0], [1, 1, 1], [0, 1, 0]]) == InertiaTriple(2, 1, 0)
 
 
 def test_inertia_rejects_bad_input():
@@ -45,46 +50,6 @@ def test_inertia_rejects_bad_input():
         inertia([[0, 1], [2, 0]])
     with pytest.raises(ValueError, match="square"):
         inertia([[0, 1]])
-
-
-def random_symmetric(rng: random.Random, size: int) -> list[list[Fraction]]:
-    matrix = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i, size):
-            value = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-            matrix[i][j] = matrix[j][i] = value
-    return matrix
-
-
-def random_invertible(rng: random.Random, size: int) -> list[list[Fraction]]:
-    while True:
-        candidate = [
-            [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(size)]
-            for _ in range(size)
-        ]
-        # invertibility via row reduction
-        work = [row[:] for row in candidate]
-        ok = True
-        for c in range(size):
-            pivot = next((r for r in range(c, size) if work[r][c] != 0), None)
-            if pivot is None:
-                ok = False
-                break
-            work[c], work[pivot] = work[pivot], work[c]
-            for r in range(c + 1, size):
-                factor = work[r][c] / work[c][c]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[c])]
-        if ok:
-            return candidate
-
-
-def congruent(matrix, transform):
-    size = len(matrix)
-    rows = range(size)
-    middle = [
-        [sum(transform[k][i] * matrix[k][j] for k in rows) for j in rows] for i in rows
-    ]
-    return [[sum(middle[i][k] * transform[k][j] for k in rows) for j in rows] for i in rows]
 
 
 def test_sylvester_invariance():

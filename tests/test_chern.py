@@ -108,8 +108,3 @@ def test_graded_exponential_matches_series_exp():
 def test_graded_exponential_rejects_constant_term():
     with pytest.raises(ValueError):
         graded_exponential({(): YPolynomial.one()}, 3)
-
-
-def test_at_y():
-    poly = ChernPolynomial(2, {(2,): YPolynomial({0: 1, 1: 1}), (1, 1): YPolynomial({1: -1})})
-    assert poly.at_y(-1) == {(1, 1): Fraction(1)}

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from chigenus import verify
+from chigenus import engine, verify
+from chigenus.ypoly import YPolynomial
 from chigenus.cli import main
 
 
@@ -45,6 +46,13 @@ def test_chi_specialized(capsys, p2_file):
     for at, expected in (("euler", '"3"'), ("todd", '"1"'), ("signature", '"1"')):
         code, out, _ = run(capsys, ["chi", "--manifold", p2_file, "--at", at])
         assert code == 0 and out.strip() == expected
+
+
+def test_failed_cross_check_is_a_check_failure(capsys, monkeypatch, p2_file):
+    monkeypatch.setattr(engine, "genus_polynomial", lambda manifold: YPolynomial({0: 4}))
+    code, out, err = run(capsys, ["chi", "--manifold", p2_file, "--at", "euler"])
+    assert code == 1 and out == ""
+    assert "Euler specialization 4 disagrees with top Chern number 3" in err
 
 
 def test_chi_dimension_mismatch(capsys, p2_file):
@@ -174,7 +182,7 @@ def test_verify_paper_passes_and_reproduces(capsys):
 
 
 def test_verify_paper_reports_failure(capsys, monkeypatch):
-    broken = (("always-false", "synthetic failing check", lambda: False),)
+    broken = (("always-false", "synthetic failing check", lambda: "n=0"),)
     monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + broken)
     code, out, _ = run(capsys, ["verify-paper"])
     assert code == 1
@@ -202,6 +210,13 @@ def test_unknown_command(capsys):
 def test_missing_file(capsys):
     code, _, err = run(capsys, ["ineq", "--manifold", "/nonexistent.json"])
     assert code == 2 and "cannot read" in err
+
+
+def test_missing_partitions_error_is_bounded(capsys, tmp_path):
+    bad = write(tmp_path, "d40.json", {"dimension": 40, "chernNumbers": []})
+    code, out, err = run(capsys, ["ineq", "--manifold", bad])
+    assert code == 2 and out == ""
+    assert "cover all partitions" in err and len(err.encode()) < 1024
 
 
 def test_malformed_json_names_field(capsys, tmp_path):

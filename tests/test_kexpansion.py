@@ -41,7 +41,7 @@ def test_k2_surface_case():
 def test_reassembly_identity():
     for n in range(1, 11):
         table = k_coefficients(n)
-        assert reassemble(table) == chi_y_chern_polynomial(n).chi_poly, n
+        assert reassemble(table) == chi_y_chern_polynomial(n), n
 
 
 def test_closed_forms_small_and_large():

@@ -34,7 +34,7 @@ def test_ypoly_round_trip():
 
 
 def test_chern_round_trip():
-    poly = chi_y_chern_polynomial(3).chi_poly
+    poly = chi_y_chern_polynomial(3)
     encoded = serialize.chern_to_json(poly)
     again = serialize.chern_from_json(encoded)
     assert again == poly
