@@ -262,6 +262,21 @@ def make_manifold(key: str) -> ManifoldData:
     raise ValueError(f"unknown catalog key {key!r}")
 
 
+def key_dimension(key: str) -> int:
+    """Complex dimension named by a manifold or action key, read without building it.
+
+    ``pn:N``, ``hyp:N:D`` and ``pnaction:N[:...]`` name dimension N; a
+    ``product:`` key names the sum over its factors. The rest of the key is
+    validated only when it is built.
+    """
+    kind, _, rest = key.partition(":")
+    if kind in ("pn", "hyp", "pnaction"):
+        return _int(rest.partition(":")[0], key)
+    if kind == "product":
+        return sum(key_dimension(factor) for factor in _split_factors(rest))
+    raise ValueError(f"unknown catalog key {key!r}")
+
+
 def _split_factors(rest: str) -> list[str]:
     """Split ``pn:1,hyp:2:4`` into factor keys.
 

@@ -4,13 +4,14 @@ A monomial c_{l_1} * ... * c_{l_k} is indexed by the partition
 (l_1 >= ... >= l_k); a :class:`ChernPolynomial` is a homogeneous linear
 combination of such monomials with coefficients in Q[y]. The module also
 provides the power sums of the Chern roots in this basis (Newton's
-identities) and truncated product/exponential helpers for inhomogeneous
-intermediate values.
+identities) and the truncated exponential of inhomogeneous intermediate
+values, both computed on integer coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Mapping, Union
 
 from .partitions import Partition, merge, weight
@@ -122,6 +123,27 @@ class ChernPolynomial:
         return " + ".join(chunks)
 
 
+def integer_power_sums(up_to: int, n: int) -> list[dict[Partition, int]]:
+    """p_0..p_up_to of the Chern roots, each a map partition -> integer coefficient.
+
+    Newton's identities p_m = (-1)^(m-1) m c_m + sum_{i<m} (-1)^(i-1) c_i p_{m-i}
+    over the elementary symmetric basis, with c_j = 0 for j > n (so up_to may
+    exceed n). One pass builds every p_m; p_0 is left empty.
+    """
+    sums: list[dict[Partition, int]] = [{}]
+    for m in range(1, up_to + 1):
+        acc: dict[Partition, int] = {}
+        if m <= n:
+            acc[(m,)] = m if m % 2 else -m
+        for i in range(1, min(m, n + 1)):
+            sign = 1 if i % 2 else -1
+            for part, coeff in sums[m - i].items():
+                key = merge((i,), part)
+                acc[key] = acc.get(key, 0) + sign * coeff
+        sums.append({p: c for p, c in acc.items() if c})
+    return sums
+
+
 def power_sum_in_chern(k: int, n: int) -> ChernPolynomial:
     """The k-th power sum of the Chern roots as a degree-k Chern polynomial.
 
@@ -132,65 +154,67 @@ def power_sum_in_chern(k: int, n: int) -> ChernPolynomial:
         raise ValueError("power sum index must be positive")
     if n < 0:
         raise ValueError("number of classes must be non-negative")
-
-    def elem(i: int) -> ChernPolynomial:
-        if i <= n:
-            return ChernPolynomial.monomial((i,))
-        return ChernPolynomial.zero(i)
-
-    sums: list[ChernPolynomial] = [ChernPolynomial.zero(0)]  # placeholder for p_0
-    for m in range(1, k + 1):
-        sign = 1 if (m - 1) % 2 == 0 else -1
-        acc = elem(m).scale(sign * m)
-        for i in range(1, m):
-            term = elem(i) * sums[m - i]
-            acc = acc + term.scale(1 if (i - 1) % 2 == 0 else -1)
-        sums.append(acc)
-    return sums[k]
-
-
-def graded_product(a: GradedTerms, b: GradedTerms, cap: int) -> GradedTerms:
-    """Product of two inhomogeneous combinations, discarding weight > cap."""
-    out: GradedTerms = {}
-    for pa, ca in a.items():
-        wa = weight(pa)
-        for pb, cb in b.items():
-            if wa + weight(pb) > cap:
-                continue
-            key = merge(pa, pb)
-            out[key] = out.get(key, YPolynomial.zero()) + ca * cb
-    return {p: c for p, c in out.items() if not c.is_zero()}
+    return ChernPolynomial(k, integer_power_sums(k, n)[k])
 
 
 def graded_exponential(a: GradedTerms, cap: int) -> GradedTerms:
     """exp of a combination with no weight-0 part, truncated at weight cap.
 
     Uses the grading derivative: if E = exp(A) then m*E_m is the weight-m
-    part of (sum_k k*A_k) * E, giving a recurrence over weight buckets that
-    divides by integers only.
+    part of (sum_k k*A_k) * E. The recurrence runs on dense lists of Python
+    ints, indexed by y-degree. With D the lcm of every denominator in A, the
+    weight-k part is held as D*A_k and the weight-m bucket as S_m*E_m, where
+    S_m = m! * D^m; then
+
+        S_m E_m = sum_k k * D^(k-1) * (m-1)!/(m-k)! * (D A_k) * (S_{m-k} E_{m-k})
+
+    has integer terms only. Weights add, so a product never exceeds the cap
+    and none is tested against it. Each output coefficient is made as one
+    ``Fraction``, the numerator over S_m.
     """
     if () in a:
         raise ValueError("exponential requires vanishing constant term")
-    buckets: list[GradedTerms] = [dict() for _ in range(cap + 1)]
-    for part, coeff in a.items():
+    d = lcm(*(value.denominator for poly in a.values() for _, value in poly.items()))
+    scaled: list[list[tuple[Partition, list[int]]]] = [[] for _ in range(cap + 1)]
+    for part, poly in a.items():
         w = weight(part)
-        if w <= cap:
-            buckets[w][part] = coeff
-    exp_buckets: list[GradedTerms] = [dict() for _ in range(cap + 1)]
-    exp_buckets[0] = {(): YPolynomial.one()}
+        if w <= cap and not poly.is_zero():
+            dense = [0] * (poly.degree + 1)
+            for degree, value in poly.items():
+                dense[degree] = value.numerator * (d // value.denominator)
+            scaled[w].append((part, dense))
+    exp_scaled: list[dict[Partition, list[int]]] = [{(): [1]}]
     for m in range(1, cap + 1):
-        acc: GradedTerms = {}
+        acc: dict[Partition, list[int]] = {}
         for k in range(1, m + 1):
-            if not buckets[k]:
+            if not scaled[k]:
                 continue
-            piece = graded_product(buckets[k], exp_buckets[m - k], cap)
-            ratio = Fraction(k, m)
-            for part, coeff in piece.items():
-                acc[part] = acc.get(part, YPolynomial.zero()) + coeff * ratio
-        exp_buckets[m] = {p: c for p, c in acc.items() if not c.is_zero()}
+            factor = k * d ** (k - 1) * (factorial(m - 1) // factorial(m - k))
+            for pa, ca in scaled[k]:
+                fa = [factor * x for x in ca]
+                for pb, cb in exp_scaled[m - k].items():
+                    key = merge(pa, pb)
+                    size = len(fa) + len(cb) - 1
+                    out = acc.setdefault(key, [])
+                    if len(out) < size:
+                        out.extend([0] * (size - len(out)))
+                    for i, x in enumerate(fa):
+                        if x:
+                            for j, v in enumerate(cb):
+                                out[i + j] += x * v
+        for coeffs in acc.values():
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+        exp_scaled.append({p: c for p, c in acc.items() if c})
     combined: GradedTerms = {}
-    for bucket in exp_buckets:
-        combined.update(bucket)
+    scale = 1
+    for m, bucket in enumerate(exp_scaled):
+        if m:
+            scale *= m * d
+        for part, coeffs in bucket.items():
+            combined[part] = YPolynomial(
+                {degree: Fraction(c, scale) for degree, c in enumerate(coeffs) if c}
+            )
     return combined
 
 

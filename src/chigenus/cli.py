@@ -271,14 +271,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     key = args.make
+    _check_cap(catalog.key_dimension(key))
     if key.partition(":")[0] == "pnaction":
-        model = catalog.make_action(key)
-        _check_cap(model.n)
-        _emit(serialize.model_to_json(model))
+        _emit(serialize.model_to_json(catalog.make_action(key)))
     else:
-        data = catalog.make_manifold(key)
-        _check_cap(data.dimension)
-        _emit(serialize.manifold_to_json(data))
+        _emit(serialize.manifold_to_json(catalog.make_manifold(key)))
     return EXIT_OK
 
 

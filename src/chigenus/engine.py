@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Protocol
 
-from .chern import ChernPolynomial, GradedTerms, graded_exponential, graded_part, power_sum_in_chern
+from .chern import ChernPolynomial, GradedTerms, graded_exponential, graded_part, integer_power_sums
 from .partitions import Partition
 from .series import TruncatedSeries
 from .ypoly import YPolynomial
@@ -61,8 +61,11 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
     """Universal grade-n Chern polynomial of the chi_y genus.
 
     Its evaluation on the Chern numbers of a manifold is the chi_y polynomial.
-    Results are memoized per process; the computation is pure, so a racing
-    recomputation is harmless.
+    The power sums p_1..p_n are built once, on integer coefficients, and
+    weighted by the x^k coefficients of log Q; the exponential then runs on
+    integers scaled by S_m = m! * D^m (see :func:`~chigenus.chern.graded_exponential`).
+    Results are memoized per n for the life of the process; the computation
+    is pure, so a racing recomputation is harmless.
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
@@ -74,13 +77,15 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
         _TABLE_CACHE[0] = table
         return table
     log_series = normalized_series(n + 1).log()
+    sums = integer_power_sums(n, n)
     exponent: GradedTerms = {}
     for k in range(1, n + 1):
         ell = log_series.coefficient(k)
         if ell.is_zero():
             continue
-        for part, coeff in power_sum_in_chern(k, n).items():
-            exponent[part] = exponent.get(part, YPolynomial.zero()) + coeff * ell
+        # p_k has weight k, so the pieces for different k never share a partition
+        for part, coeff in sums[k].items():
+            exponent[part] = ell * coeff
     table = graded_part(graded_exponential(exponent, n), n)
     _TABLE_CACHE[n] = table
     return table

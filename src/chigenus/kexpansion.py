@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .chern import ChernPolynomial
@@ -31,21 +31,39 @@ class KTable:
     k_polys: tuple[ChernPolynomial, ...]
 
 
+_K_CACHE: dict[int, KTable] = {}
+
+
 def k_coefficients(n: int) -> KTable:
-    """Expand the universal genus polynomial in powers of (y + 1)."""
+    """Expand the universal genus polynomial in powers of (y + 1).
+
+    Each coefficient of the table is put over its own common denominator q,
+    as (1/q) * sum_d v_d y^d with integers v_d; the numerator of its K_j part
+    is then sum_d v_d * C(d, j) * (-1)^(d - j), so the shift to y = -1 runs
+    on ints and each K coefficient is made as one ``Fraction``. Results are
+    memoized per n for the life of the process, like the tables themselves.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
+    cached = _K_CACHE.get(n)
+    if cached is not None:
+        return cached
     table = chi_y_chern_polynomial(n)
     buckets: list[dict[Partition, Fraction]] = [{} for _ in range(n + 1)]
     for part, coeff in table.items():
-        for j, value in enumerate(coeff.taylor_about(-1)):
-            if value == 0:
+        terms = coeff.items()
+        q = lcm(*(value.denominator for _, value in terms))
+        numerators = [(d, value.numerator * (q // value.denominator)) for d, value in terms]
+        for j in range(coeff.degree + 1):
+            total = sum(v * comb(d, j) * (-1) ** (d - j) for d, v in numerators if d >= j)
+            if total == 0:
                 continue
             if j > n:
                 raise ArithmeticError(f"coefficient of {part} has y-degree above {n}")
-            buckets[j][part] = buckets[j].get(part, Fraction(0)) + value
-    polys = tuple(ChernPolynomial(n, bucket) for bucket in buckets)
-    return KTable(n, polys)
+            buckets[j][part] = Fraction(total, q)
+    result = KTable(n, tuple(ChernPolynomial(n, bucket) for bucket in buckets))
+    _K_CACHE[n] = result
+    return result
 
 
 def reassemble(table: KTable) -> ChernPolynomial:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -9,7 +10,6 @@ from chigenus.chern import (
     ChernPolynomial,
     graded_exponential,
     graded_part,
-    graded_product,
     power_sum_in_chern,
 )
 from chigenus.partitions import partitions_of
@@ -84,25 +84,33 @@ def test_canonical_term_order():
     assert [p for p, _ in poly.items()] == [(4,), (2, 2), (1, 1, 1, 1)]
 
 
-def test_graded_product_truncates():
-    a = {(1,): YPolynomial.one()}
-    b = {(2,): YPolynomial.one(), (2, 1): YPolynomial.one()}
-    out = graded_product(a, b, 3)
-    assert out == {(2, 1): YPolynomial.one()}
-
-
 def test_graded_exponential_matches_series_exp():
     # exp(t*c_1) truncated: weight-m part must be c_1^m t^m / m!
     t = YPolynomial.variable()
     result = graded_exponential({(1,): t}, 4)
-    from math import factorial
-
     for m in range(5):
         part = graded_part(result, m)
         expected = ChernPolynomial(
             m, {tuple([1] * m): YPolynomial({m: Fraction(1, factorial(m))})}
         )
         assert part == expected
+
+
+def test_graded_exponential_clears_unlike_denominators():
+    # exp(a*c_1 + b*c_2): weight-m part is sum_{i+2j=m} a^i b^j / (i! j!) on (2^j, 1^i)
+    a = YPolynomial({0: Fraction(1, 3), 2: Fraction(-5, 7)})
+    b = YPolynomial({1: Fraction(2, 5), 3: Fraction(1, 4)})
+    cap = 6
+    result = graded_exponential({(1,): a, (2,): b}, cap)
+    for m in range(cap + 1):
+        expected = {
+            (2,) * j + (1,) * (m - 2 * j): a ** (m - 2 * j)
+            * b**j
+            * Fraction(1, factorial(m - 2 * j) * factorial(j))
+            for j in range(m // 2 + 1)
+        }
+        assert graded_part(result, m) == ChernPolynomial(m, expected), m
+    assert all(sum(part) <= cap for part in result)
 
 
 def test_graded_exponential_rejects_constant_term():

@@ -1,10 +1,12 @@
 """Command-line behavior: payload formats, exit codes, reproducibility."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from chigenus import engine, verify
+from chigenus import catalog, engine, verify
 from chigenus.ypoly import YPolynomial
 from chigenus.cli import main
 
@@ -199,6 +201,27 @@ def test_degree_cap(capsys, monkeypatch):
     monkeypatch.setenv("GENUS_MAX_N", "4")
     code, _, err = run(capsys, ["catalog", "--make", "pn:8"])
     assert code == 2 and "GENUS_MAX_N" in err
+
+
+def test_over_cap_catalog_key_is_rejected_before_building(capsys, monkeypatch):
+    def build(n):
+        raise AssertionError(f"built P^{n}")
+
+    monkeypatch.setattr(catalog, "projective_space", build)
+    for key in ("pn:40", "product:pn:30,pn:10", "hyp:13:2", "pnaction:40"):
+        code, out, err = run(capsys, ["catalog", "--make", key])
+        assert code == 2 and out == "" and "exceeds GENUS_MAX_N=12" in err, key
+
+
+DIGESTS = json.loads((Path(__file__).parent.parent / "perfbench" / "digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", ["chi", "kcoeffs"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_symbolic_output_is_byte_identical(capsys, command, n):
+    code, out, _ = run(capsys, [command, "--n", str(n)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"{command} --n {n}"]
 
 
 def test_unknown_command(capsys):

@@ -18,6 +18,7 @@ from chigenus.engine import (
     normalized_series,
     specialize,
 )
+from chigenus.linalg import rank
 from chigenus.partitions import partitions_of
 from chigenus.ypoly import YPolynomial
 
@@ -159,6 +160,30 @@ def test_multiplicativity_on_products():
     for a, b in pairs:
         combined = genus_polynomial(product(a, b))
         assert combined == genus_polynomial(a) * genus_polynomial(b)
+
+
+def test_cobordism_basis_oracle():
+    """The table is chi_y in dimensions 1..6, not just on the instances checked.
+
+    The products P^lambda, lambda a partition of n, have independent Chern
+    number vectors (rank p(n)), so they span every linear functional on the
+    Chern numbers; the table agrees with chi_y on each of them, and chi_y is
+    multiplicative with chi_y(P^k) = sum_p (-y)^p.
+    """
+    spaces = {k: projective_space(k) for k in range(1, 7)}
+    for n in range(1, 7):
+        table = chi_y_chern_polynomial(n)
+        basis = partitions_of(n)
+        rows = []
+        for lam in basis:
+            data = spaces[lam[0]]
+            expected = YPolynomial({p: (-1) ** p for p in range(lam[0] + 1)})
+            for k in lam[1:]:
+                data = product(data, spaces[k])
+                expected = expected * YPolynomial({p: (-1) ** p for p in range(k + 1)})
+            assert evaluate_genus(table, data) == expected, lam
+            rows.append([data.chern_numbers[mu] for mu in basis])
+        assert rank(rows) == len(basis), n
 
 
 def test_split_manifold_oracle():

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from chigenus import kexpansion
 from chigenus.catalog import point, projective_space, standard_catalog
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import chi_vector, chi_y_chern_polynomial
@@ -163,6 +164,19 @@ def test_eulerian_identity():
 def test_k_coefficients_requires_positive_n():
     with pytest.raises(ValueError):
         k_coefficients(0)
+
+
+def test_k_coefficients_are_memoized_per_n():
+    assert k_coefficients(5) is k_coefficients(5)
+    assert k_coefficients(5) is not k_coefficients(4)
+
+
+def test_k_coefficients_reject_a_table_of_excess_y_degree(monkeypatch):
+    table = ChernPolynomial(2, {(2,): YPolynomial({3: Fraction(1, 2)}), (1, 1): 1})
+    monkeypatch.setattr(kexpansion, "_K_CACHE", {})
+    monkeypatch.setattr(kexpansion, "chi_y_chern_polynomial", lambda n: table)
+    with pytest.raises(ArithmeticError, match="y-degree above 2"):
+        k_coefficients(2)
 
 
 def test_span_check_requires_n_at_least_three():
