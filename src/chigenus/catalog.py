@@ -4,6 +4,12 @@ The evaluation model behind every entry is a truncated polynomial ring
 Q[h_1..h_k]/(h_i^{n_i+1}) with a prescribed integral of the fundamental
 monomial. Chern numbers are obtained by expanding the total Chern class and
 integrating; no floating point, no division.
+
+Tuples are built from lists, never from generators: CPython sizes a tuple
+built from a generator by resizing it, and each such tuple joins the
+interpreter's free list for its final length when it dies, so a hot loop of
+them fills those lists (up to 2000 tuples per length) and the process keeps
+that memory.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ class CohomologyModel:
         out: PolyDict = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ma, mb))
+                key = tuple([x + y for x, y in zip(ma, mb)])
                 if any(e > o for e, o in zip(key, self.orders)):
                     continue
                 out[key] = out.get(key, Fraction(0)) + ca * cb
@@ -60,7 +66,7 @@ class CohomologyModel:
     def chern_numbers(self, n: int) -> dict[Partition, Fraction]:
         numbers = {}
         for part in partitions_of(n):
-            product: PolyDict = {tuple(0 for _ in self.orders): Fraction(1)}
+            product: PolyDict = {(0,) * len(self.orders): Fraction(1)}
             for i in part:
                 product = self.multiply(product, self.chern_component(i))
             numbers[part] = self.integrate(product)
@@ -68,7 +74,7 @@ class CohomologyModel:
 
     def tensor(self, other: "CohomologyModel") -> "CohomologyModel":
         """Model of a product: disjoint generators, multiplied integrals."""
-        names = tuple(f"h{i + 1}" for i in range(len(self.orders) + len(other.orders)))
+        names = tuple([f"h{i + 1}" for i in range(len(self.orders) + len(other.orders))])
         orders = self.orders + other.orders
         chern: PolyDict = {}
         for ma, ca in self.total_chern.items():
@@ -124,7 +130,7 @@ def projective_space(n: int) -> ManifoldData:
         raise ValueError("need n >= 1")
     total: PolyDict = {(j,): Fraction(comb(n + 1, j)) for j in range(n + 1)}
     model = CohomologyModel(("h",), (n,), Fraction(1), total)
-    betti = tuple(1 if i % 2 == 0 else 0 for i in range(2 * n + 1))
+    betti = tuple([1 if i % 2 == 0 else 0 for i in range(2 * n + 1)])
     data = ManifoldData(
         n,
         model.chern_numbers(n),
@@ -213,7 +219,7 @@ def standard_pn_action(n: int, exponents: tuple[int, ...] | None = None) -> Fixe
         raise ValueError("exponents must be pairwise distinct")
     components = []
     for j, a_j in enumerate(exponents):
-        weights = tuple(a_i - a_j for i, a_i in enumerate(exponents) if i != j)
+        weights = tuple([a_i - a_j for i, a_i in enumerate(exponents) if i != j])
         components.append(FixedComponent(complex_dim=0, weights=weights))
     return FixedPointModel(n, tuple(components), hamiltonian=True)
 

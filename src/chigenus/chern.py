@@ -2,16 +2,23 @@
 
 A monomial c_{l_1} * ... * c_{l_k} is indexed by the partition
 (l_1 >= ... >= l_k); a :class:`ChernPolynomial` is a homogeneous linear
-combination of such monomials with coefficients in Q[y]. The module also
-provides the power sums of the Chern roots in this basis (Newton's
-identities) and the truncated exponential of inhomogeneous intermediate
-values, both computed on integer coefficients.
+combination of such monomials with coefficients in Q[y]. Evaluation on
+Chern numbers runs on integers: on its first evaluation a polynomial keeps
+a cleared form, one lcm denominator D of all its coefficients and the
+integers D * coefficient in one dense column per y-degree, and every
+evaluation is a dot product of those columns with the cleared numerators
+of the values.
+
+The module also provides the power sums of the Chern roots in this basis
+(Newton's identities) and the truncated exponential of inhomogeneous
+intermediate values, both computed on integer coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, lcm
+from operator import mul
 from typing import Mapping, Union
 
 from .partitions import Partition, merge, weight
@@ -26,7 +33,7 @@ GradedTerms = dict[Partition, YPolynomial]
 class ChernPolynomial:
     """Homogeneous combination of Chern monomials of a fixed total grade."""
 
-    __slots__ = ("grade", "_terms")
+    __slots__ = ("grade", "_terms", "_cleared")
 
     def __init__(self, grade: int, terms: Mapping[Partition, Scalar] | None = None) -> None:
         if grade < 0:
@@ -44,6 +51,7 @@ class ChernPolynomial:
                     clean[part] = poly
         self.grade = grade
         self._terms = clean
+        self._cleared: tuple[int, tuple[Partition, ...], list[list[int]]] | None = None
 
     @classmethod
     def zero(cls, grade: int) -> "ChernPolynomial":
@@ -90,16 +98,40 @@ class ChernPolynomial:
                 out[key] = out.get(key, YPolynomial.zero()) + prod
         return ChernPolynomial(self.grade + other.grade, out)
 
-    def evaluate(self, values: Mapping[Partition, Fraction]) -> YPolynomial:
-        """Substitute numbers for the monomials: sum of coeff(y) * values[p]."""
-        total = YPolynomial.zero()
-        for part, coeff in self._terms.items():
-            try:
-                v = values[part]
-            except KeyError:
-                raise ValueError(f"missing Chern number for partition {list(part)}") from None
-            total = total + coeff * v
-        return total
+    def evaluate(self, values: Mapping[Partition, Fraction | int]) -> YPolynomial:
+        """Substitute numbers for the monomials: sum of coeff(y) * values[p].
+
+        The sum runs on Python ints over the cleared form, built on the first
+        call and kept: D, the lcm of the denominators of every coefficient,
+        and for each y-degree d the column of D * coeff_p[d] over the
+        partitions p. With E the lcm of the denominators of the values read,
+        the y^d coefficient is sum_p column_d[p] * (E * values[p]) / (D * E),
+        made as one ``Fraction``.
+        """
+        if self._cleared is None:
+            self._cleared = self._clear()
+        d, parts, columns = self._cleared
+        try:
+            picked = [values[part] for part in parts]
+        except KeyError as exc:
+            raise ValueError(f"missing Chern number for partition {list(exc.args[0])}") from None
+        # a list, not a generator: CPython sizes the argument tuple of f(*generator) by
+        # resizing, and each such tuple ends in the interpreter's free list for its length
+        e = lcm(*[v.denominator for v in picked])
+        scaled = [v.numerator * (e // v.denominator) for v in picked]
+        totals = [sum(map(mul, column, scaled)) for column in columns]
+        return YPolynomial({degree: Fraction(t, d * e) for degree, t in enumerate(totals) if t})
+
+    def _clear(self) -> tuple[int, tuple[Partition, ...], list[list[int]]]:
+        """The cleared form: D, the partitions in term order, one int column per y-degree."""
+        terms = self._terms
+        d = lcm(*[value.denominator for poly in terms.values() for _, value in poly.items()])
+        width = max((poly.degree for poly in terms.values()), default=-1) + 1
+        columns = [[0] * len(terms) for _ in range(width)]
+        for i, poly in enumerate(terms.values()):
+            for degree, value in poly.items():
+                columns[degree][i] = value.numerator * (d // value.denominator)
+        return d, tuple(terms), columns
 
     def constant_coefficients(self) -> dict[Partition, Fraction]:
         """Coefficient map if every coefficient is a constant polynomial."""

@@ -56,6 +56,15 @@ def _load_json(path: str) -> Any:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _load_manifold(path: str) -> catalog.ManifoldData:
+    """A manifold document; an over-cap dimension is rejected before the Chern numbers are read."""
+    obj = _load_json(path)
+    dimension = obj.get("dimension") if isinstance(obj, dict) else None
+    if isinstance(dimension, int) and dimension >= 0:
+        _check_cap(dimension)
+    return serialize.manifold_from_json(obj)
+
+
 def _emit(payload: Any) -> None:
     print(serialize.dumps(payload))
 
@@ -104,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_chi(args: argparse.Namespace) -> int:
     manifold = None
     if args.manifold is not None:
-        manifold = serialize.manifold_from_json(_load_json(args.manifold))
+        manifold = _load_manifold(args.manifold)
     n = args.n
     if n is None:
         if manifold is None:
@@ -163,8 +172,7 @@ def _cmd_kcoeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_ineq(args: argparse.Namespace) -> int:
-    manifold = serialize.manifold_from_json(_load_json(args.manifold))
-    _check_cap(manifold.dimension)
+    manifold = _load_manifold(args.manifold)
     reports = inequalities.check_inequalities(manifold, args.epsilon)
     _emit(
         [

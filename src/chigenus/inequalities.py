@@ -83,6 +83,36 @@ def _clearing_factor(poly: ChernPolynomial) -> int:
     return lcm(*denominators) if denominators else 1
 
 
+_BOUND_CACHE: dict[int, tuple[tuple[ChernPolynomial, int, Fraction], ...]] = {}
+
+
+def _bounds(n: int) -> tuple[tuple[ChernPolynomial, int, Fraction], ...]:
+    """(K_{2i}, its clearing factor, its cleared value on P^n) for i = 0..n//2.
+
+    These depend on n only, so they are memoized per n like the K-tables.
+    The i = 1 right-hand side is cross-checked against 2(n-1)n(n+1) as it
+    is computed; an n that fails the check is not memoized.
+    """
+    cached = _BOUND_CACHE.get(n)
+    if cached is not None:
+        return cached
+    table = k_coefficients(n)
+    binomials = projective_chern_numbers(n)
+    bounds = []
+    for i in range(n // 2 + 1):
+        k_poly = table.k_polys[2 * i]
+        scale = _clearing_factor(k_poly)
+        rhs = k_poly.evaluate(binomials).constant_value() * scale
+        if i == 1 and rhs != 2 * (n - 1) * n * (n + 1):
+            raise ArithmeticError(
+                f"cleared i=1 bound {rhs} disagrees with 2(n-1)n(n+1) = {2 * (n - 1) * n * (n + 1)}"
+            )
+        bounds.append((k_poly, scale, rhs))
+    result = tuple(bounds)
+    _BOUND_CACHE[n] = result
+    return result
+
+
 def check_inequalities(manifold: ManifoldLike, epsilon: int = 1) -> list[InequalityReport]:
     """Evaluate every inequality on a manifold, detecting equality cases."""
     _validate_epsilon(epsilon)
@@ -93,18 +123,9 @@ def check_inequalities(manifold: ManifoldLike, epsilon: int = 1) -> list[Inequal
     chi = chi_vector(manifold)
     positivity = positivity_predicate(chi)
     hypothesis = positivity.chi_positive if epsilon == 1 else positivity.signed_chi_positive
-    table = k_coefficients(n)
-    binomials = projective_chern_numbers(n)
     reports = []
-    for i in range(n // 2 + 1):
-        k_poly = table.k_polys[2 * i]
-        scale = _clearing_factor(k_poly)
+    for i, (k_poly, scale, rhs) in enumerate(_bounds(n)):
         lhs = sign * k_poly.evaluate(manifold.chern_numbers).constant_value() * scale
-        rhs = k_poly.evaluate(binomials).constant_value() * scale
-        if i == 1 and rhs != 2 * (n - 1) * n * (n + 1):
-            raise ArithmeticError(
-                f"cleared i=1 bound {rhs} disagrees with 2(n-1)n(n+1) = {2 * (n - 1) * n * (n + 1)}"
-            )
         witness = tuple(range(2 * i, n + 1))
         equality = all(chi[p] == sign * (-1) ** p for p in witness)
         reports.append(

@@ -81,11 +81,6 @@ class TruncatedSeries:
         f = factor if isinstance(factor, YPolynomial) else YPolynomial.constant(factor)
         return TruncatedSeries([c * f for c in self._coeffs], self.order)
 
-    def scale_x(self, factor: Scalar) -> "TruncatedSeries":
-        """Substitute x -> factor * x."""
-        t = Fraction(factor)
-        return TruncatedSeries([c * t**k for k, c in enumerate(self._coeffs)], self.order)
-
     def log(self) -> "TruncatedSeries":
         """Formal logarithm; requires constant coefficient exactly 1.
 

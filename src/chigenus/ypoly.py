@@ -8,7 +8,6 @@ an empty map and prints as ``"0"``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -150,19 +149,6 @@ class YPolynomial:
         if k < 0:
             raise ValueError("cannot shift to negative degrees")
         return YPolynomial({d + k: v for d, v in self._coeffs.items()})
-
-    def taylor_about(self, center: Scalar) -> list[Fraction]:
-        """Coefficients of the expansion in powers of (y - center).
-
-        The returned list always has length ``degree + 1`` (length 1 for the
-        zero polynomial) and satisfies p(y) = sum_j out[j] * (y - center)**j.
-        """
-        a = Fraction(center)
-        out = [Fraction(0)] * (max(self.degree, 0) + 1)
-        for d, v in self._coeffs.items():
-            for j in range(d + 1):
-                out[j] += v * comb(d, j) * a ** (d - j)
-        return out
 
     def coefficients_dense(self, length: int | None = None) -> list[Fraction]:
         """Dense coefficient list for degrees 0..length-1 (default degree+1)."""

@@ -79,6 +79,73 @@ def test_evaluate_missing_partition():
         poly.evaluate({(1, 1): Fraction(1)})
 
 
+def random_chern_polynomial(rng: random.Random, grade: int) -> ChernPolynomial:
+    """Coefficients of y-degree up to 4 over unlike denominators, on some of the partitions."""
+    terms = {}
+    for part in partitions_of(grade):
+        if rng.random() < 0.7:
+            denominators = [rng.choice((1, 2, 3, 4, 5, 7, 9, 12)) for _ in range(rng.randint(1, 5))]
+            terms[part] = YPolynomial(
+                {d: Fraction(rng.randint(-30, 30), q) for d, q in enumerate(denominators)}
+            )
+    return ChernPolynomial(grade, terms)
+
+
+def random_chern_numbers(rng: random.Random, grade: int) -> dict:
+    """A mix of ints, fractional Fractions, zeros and negatives."""
+    values = {}
+    for part in partitions_of(grade):
+        kind = rng.randrange(4)
+        if kind == 0:
+            values[part] = rng.randint(-50, 50)
+        elif kind == 1:
+            values[part] = Fraction(rng.randint(-50, 50), rng.choice((2, 3, 6, 8, 11, 25)))
+        elif kind == 2:
+            values[part] = 0 if rng.random() < 0.5 else Fraction(0)
+        else:
+            values[part] = -rng.randint(1, 50)
+    return values
+
+
+def plain_sum(poly: ChernPolynomial, values: dict) -> YPolynomial:
+    """sum_p coeff_p(y) * values[p] on Fractions, term by term."""
+    acc: dict[int, Fraction] = {}
+    for part, coeff in poly.items():
+        for degree, c in coeff.items():
+            acc[degree] = acc.get(degree, Fraction(0)) + c * values[part]
+    return YPolynomial(acc)
+
+
+def test_evaluate_matches_the_plain_fraction_sum():
+    rng = random.Random(41)
+    for _ in range(200):
+        grade = rng.randint(0, 6)
+        poly = random_chern_polynomial(rng, grade)
+        for _ in range(3):  # repeat evaluations reuse the cleared form
+            values = random_chern_numbers(rng, grade)
+            result = poly.evaluate(values)
+            assert result == plain_sum(poly, values), (poly, values)
+            assert all(type(c) is Fraction for _, c in result.items())
+
+
+def test_evaluate_edge_cases():
+    assert ChernPolynomial.zero(3).evaluate({}) == YPolynomial.zero()
+    assert ChernPolynomial.zero(2).evaluate({(2,): Fraction(5), (1, 1): 3}) == YPolynomial.zero()
+    poly = ChernPolynomial(
+        2, {(2,): YPolynomial({0: Fraction(1, 6), 2: Fraction(-3, 4)}), (1, 1): Fraction(5, 9)}
+    )
+    values = {(2,): Fraction(3, 2), (1, 1): -4}
+    expected = YPolynomial({0: Fraction(1, 4) - Fraction(20, 9), 2: Fraction(-9, 8)})
+    assert poly.evaluate(values) == expected
+    # keys the polynomial does not use are ignored
+    assert poly.evaluate({**values, (3,): Fraction(1, 7), (1,): 2}) == expected
+    assert poly.evaluate(values) == expected
+    # all-zero values give the zero polynomial
+    assert poly.evaluate({(2,): 0, (1, 1): Fraction(0)}) == YPolynomial.zero()
+    with pytest.raises(ValueError, match=r"^missing Chern number for partition \[1, 1\]$"):
+        poly.evaluate({(2,): Fraction(1)})
+
+
 def test_canonical_term_order():
     poly = ChernPolynomial(4, {(1, 1, 1, 1): 1, (4,): 1, (2, 2): 1})
     assert [p for p, _ in poly.items()] == [(4,), (2, 2), (1, 1, 1, 1)]

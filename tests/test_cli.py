@@ -235,11 +235,28 @@ def test_missing_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
-def test_missing_partitions_error_is_bounded(capsys, tmp_path):
+def test_missing_partitions_error_is_bounded(capsys, monkeypatch, tmp_path):
+    # under the cap, the dimension-40 document reaches the partition check
+    monkeypatch.setenv("GENUS_MAX_N", "40")
     bad = write(tmp_path, "d40.json", {"dimension": 40, "chernNumbers": []})
     code, out, err = run(capsys, ["ineq", "--manifold", bad])
     assert code == 2 and out == ""
     assert "cover all partitions" in err and len(err.encode()) < 1024
+
+
+def test_over_cap_manifold_is_rejected_before_building(capsys, monkeypatch, tmp_path):
+    def listing(n):
+        raise AssertionError(f"listed the partitions of {n}")
+
+    monkeypatch.setattr(catalog, "partitions_of", listing)
+    bad = write(tmp_path, "d40.json", {"dimension": 40, "chernNumbers": []})
+    for argv in (
+        ["ineq", "--manifold", bad],
+        ["chi", "--manifold", bad],
+        ["chi", "--manifold", bad, "--n", "3"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and err == "genus: degree 40 exceeds GENUS_MAX_N=12\n", argv
 
 
 def test_malformed_json_names_field(capsys, tmp_path):

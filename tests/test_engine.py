@@ -20,6 +20,7 @@ from chigenus.engine import (
 )
 from chigenus.linalg import rank
 from chigenus.partitions import partitions_of
+from chigenus.series import TruncatedSeries
 from chigenus.ypoly import YPolynomial
 
 from test_chern import substitute_roots
@@ -194,9 +195,12 @@ def test_split_manifold_oracle():
         roots = [rng.randint(-3, 3) for _ in range(n)]
         table = chi_y_chern_polynomial(n)
         via_table = substitute_roots(table, roots)
-        direct = normalized_series(n + 1).scale_x(roots[0])
-        for r in roots[1:]:
-            direct = direct * normalized_series(n + 1).scale_x(r)
+        series = normalized_series(n + 1)
+        direct = None
+        for r in roots:
+            # Q(r * x): the x^k coefficient times r^k
+            scaled = TruncatedSeries([series.coefficient(k) * r**k for k in range(n + 1)], n + 1)
+            direct = scaled if direct is None else direct * scaled
         assert via_table == direct.coefficient(n), roots
 
 

@@ -1,9 +1,11 @@
 """Inequality reports, positivity predicates, and the curvature bound."""
 
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
+from chigenus import inequalities
 from chigenus.catalog import ManifoldData, hypersurface, projective_space
 from chigenus.chern import ChernPolynomial
 from chigenus.inequalities import (
@@ -13,6 +15,7 @@ from chigenus.inequalities import (
     positivity_predicate,
     projective_chern_numbers,
 )
+from chigenus.kexpansion import KTable, k_coefficients
 
 
 def test_a0_is_top_class():
@@ -73,6 +76,35 @@ def test_quartic_surface_strict():
     r0 = reports[0]
     assert (r0.lhs, r0.rhs) == (24, 3)
     assert r0.holds and not r0.equality and r0.hypothesis_met
+
+
+def test_projective_bounds_match_the_direct_formula():
+    # scale = lcm of the K_{2i} denominators, rhs = scale * sum_p coeff_p * prod C(n+1, lambda)
+    for n in range(1, 13):
+        reports = check_inequalities(projective_space(n), 1)
+        for report, k_poly in zip(reports, k_coefficients(n).k_polys[::2], strict=True):
+            coefficients = k_poly.constant_coefficients()
+            scale = lcm(*(c.denominator for c in coefficients.values()))
+            total = Fraction(0)
+            for part, c in coefficients.items():
+                value = Fraction(1)
+                for lam in part:
+                    value *= comb(n + 1, lam)
+                total += c * value
+            assert (report.scale, report.rhs) == (scale, total * scale), (n, report.index)
+            assert report.lhs == report.rhs and report.equality, (n, report.index)
+
+
+def test_broken_k_table_trips_the_cleared_bound_check(monkeypatch):
+    # K_2 + c_3 on P^3: 12 * (3/2 * 4 + 1/12 * 4 * 6) = 96 instead of 48
+    good = k_coefficients(3)
+    wrong = good.k_polys[2] + ChernPolynomial.monomial((3,))
+    broken = KTable(3, good.k_polys[:2] + (wrong,) + good.k_polys[3:])
+    monkeypatch.setattr(inequalities, "_BOUND_CACHE", {})
+    monkeypatch.setattr(inequalities, "k_coefficients", lambda n: broken)
+    with pytest.raises(ArithmeticError, match=r"cleared i=1 bound 96 disagrees with .* = 48"):
+        check_inequalities(projective_space(3), 1)
+    assert 3 not in inequalities._BOUND_CACHE
 
 
 def test_rhs_agrees_with_catalog_integration():

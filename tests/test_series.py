@@ -148,7 +148,3 @@ def test_independent_inversion_oracle():
         for k in range(6):
             assert inv.coefficient(k) == YPolynomial.constant(quotient[k])
 
-
-def test_scale_x():
-    series = TruncatedSeries([1, 1, 1], 3).scale_x(2)
-    assert series == TruncatedSeries([1, 2, 4], 3)

@@ -54,23 +54,6 @@ def test_evaluation_is_a_homomorphism():
         assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
 
 
-def test_taylor_expansion_reassembles():
-    rng = random.Random(13)
-    shift = YPolynomial({0: 1, 1: 1})  # y + 1
-    for _ in range(50):
-        p = random_poly(rng)
-        coeffs = p.taylor_about(-1)
-        total = YPolynomial.zero()
-        for j, c in enumerate(coeffs):
-            total = total + shift**j * c
-        assert total == p
-
-
-def test_taylor_about_zero_is_identity():
-    p = YPolynomial({0: 2, 3: Fraction(-1, 2)})
-    assert p.taylor_about(0) == [Fraction(2), Fraction(0), Fraction(0), Fraction(-1, 2)]
-
-
 def test_stretch_and_negate():
     p = YPolynomial({0: 1, 1: 2, 2: 3})
     assert p.stretch(2) == YPolynomial({0: 1, 2: 2, 4: 3})
