@@ -60,7 +60,7 @@ def _load_manifold(path: str) -> catalog.ManifoldData:
     """A manifold document; an over-cap dimension is rejected before the Chern numbers are read."""
     obj = _load_json(path)
     dimension = obj.get("dimension") if isinstance(obj, dict) else None
-    if isinstance(dimension, int) and dimension >= 0:
+    if serialize.is_json_int(dimension) and dimension >= 0:
         _check_cap(dimension)
     return serialize.manifold_from_json(obj)
 

@@ -6,6 +6,13 @@ We never manipulate the roots themselves: the logarithm of the series turns
 the product into a sum over power sums of the roots, each power sum is
 rewritten in the c_i via Newton's identities, and a truncated exponential
 in the graded monomial ring recovers the degree-n integrand.
+
+The logarithm is taken in closed form (Hirzebruch, *Topological Methods in
+Algebraic Geometry*, section 1.8): its x^j coefficient is
+beta_j (1+y)^j + (-1)^j y A_{j-1}(-y) / j!, with A_k the Eulerian
+polynomials and beta_j = -A_{j-1}(-1) / (2^j (2^j - 1) j!) for j >= 2, so
+the Eulerian triangle is its only ingredient. :func:`normalized_series`
+builds Q itself, as the reference route the tests check this against.
 """
 
 from __future__ import annotations
@@ -54,6 +61,49 @@ def normalized_series(order: int) -> TruncatedSeries:
     return num * den.inverse()
 
 
+def eulerian_polynomials(up_to: int) -> list[YPolynomial]:
+    """P_1..P_up_to via the descent-count triangle.
+
+    a(m, k) = (k+1) a(m-1, k) + (m-k) a(m-1, k-1): appending the letter m to
+    a permutation either preserves or creates a descent. P_m has degree
+    m - 1, positive palindromic coefficients, and total mass m!.
+    """
+    if up_to < 1:
+        raise ValueError("need at least one polynomial")
+    rows = [[1]]
+    for m in range(2, up_to + 1):
+        prev = rows[-1]
+        row = []
+        for k in range(m):
+            keep = (k + 1) * prev[k] if k < len(prev) else 0
+            create = (m - k) * prev[k - 1] if 0 <= k - 1 < len(prev) else 0
+            row.append(keep + create)
+        rows.append(row)
+    return [YPolynomial({k: v for k, v in enumerate(row)}) for row in rows]
+
+
+def log_q_coefficients(n: int) -> list[YPolynomial]:
+    """The x^1..x^n coefficients of log Q, in closed form.
+
+    With u = x(1+y), log Q = log(u / (1 - e^{-u})) + log((1 + y e^{-u}) / (1 + y)).
+    The first term gives beta_j (1+y)^j, with beta_1 = 1/2 and
+    beta_j = -A_{j-1}(-1) / (2^j (2^j - 1) j!) = -B_j / (j j!) for j >= 2
+    (zero for odd j >= 3); the second gives (-1)^j y A_{j-1}(-y) / j!, A_0 = 1.
+    """
+    eulerian = [YPolynomial.one()] + eulerian_polynomials(n)
+    one_plus_y = YPolynomial({0: 1, 1: 1})
+    out = []
+    for j in range(1, n + 1):
+        a = eulerian[j - 1]
+        if j == 1:
+            beta = Fraction(1, 2)
+        else:
+            beta = -a.evaluate(-1) / (2**j * (2**j - 1) * factorial(j))
+        tail = a.negate_y().shift_degree(1) * Fraction((-1) ** j, factorial(j))
+        out.append(one_plus_y**j * beta + tail)
+    return out
+
+
 _TABLE_CACHE: dict[int, ChernPolynomial] = {}
 
 
@@ -62,7 +112,9 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
 
     Its evaluation on the Chern numbers of a manifold is the chi_y polynomial.
     The power sums p_1..p_n are built once, on integer coefficients, and
-    weighted by the x^k coefficients of log Q; the exponential then runs on
+    weighted by the x^k coefficients of log Q in the closed form of
+    Hirzebruch section 1.8 (:func:`log_q_coefficients`, with beta_j read off
+    A_{j-1}(-1)), so no series arithmetic runs; the exponential then runs on
     integers scaled by S_m = m! * D^m (see :func:`~chigenus.chern.graded_exponential`).
     Results are memoized per n for the life of the process; the computation
     is pure, so a racing recomputation is harmless.
@@ -76,13 +128,9 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
         table = ChernPolynomial.monomial((), 1)
         _TABLE_CACHE[0] = table
         return table
-    log_series = normalized_series(n + 1).log()
     sums = integer_power_sums(n, n)
     exponent: GradedTerms = {}
-    for k in range(1, n + 1):
-        ell = log_series.coefficient(k)
-        if ell.is_zero():
-            continue
+    for k, ell in enumerate(log_q_coefficients(n), start=1):
         # p_k has weight k, so the pieces for different k never share a partition
         for part, coeff in sums[k].items():
             exponent[part] = ell * coeff

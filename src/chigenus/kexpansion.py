@@ -5,7 +5,8 @@ K_0..K_n; K_0 is the top Chern class and the even K_{2i} carry the
 inequality content. This module computes the K_j by exact re-expansion of
 the universal genus polynomial, checks the classical closed forms for
 K_0..K_4, implements the binomial transform between the chi^p and the K_j,
-and generates the Eulerian polynomials that encode the reciprocal series.
+and checks that the Eulerian polynomials (built in :mod:`chigenus.engine`)
+encode the reciprocal series.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import comb, factorial, lcm
 from typing import Sequence
 
 from .chern import ChernPolynomial
-from .engine import chi_y_chern_polynomial
+from .engine import chi_y_chern_polynomial, eulerian_polynomials
 from .linalg import solve
 from .partitions import Partition
 from .series import TruncatedSeries
@@ -234,27 +235,6 @@ def odd_k_span_check(n: int) -> SpanReport:
         else:
             checks.append(SpanCheck(odd, True, tuple(solution)))
     return SpanReport(n, tuple(checks))
-
-
-def eulerian_polynomials(up_to: int) -> list[YPolynomial]:
-    """P_1..P_up_to via the descent-count triangle.
-
-    a(m, k) = (k+1) a(m-1, k) + (m-k) a(m-1, k-1): appending the letter m to
-    a permutation either preserves or creates a descent. P_m has degree
-    m - 1, positive palindromic coefficients, and total mass m!.
-    """
-    if up_to < 1:
-        raise ValueError("need at least one polynomial")
-    rows = [[1]]
-    for m in range(2, up_to + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(m):
-            keep = (k + 1) * prev[k] if k < len(prev) else 0
-            create = (m - k) * prev[k - 1] if 0 <= k - 1 < len(prev) else 0
-            row.append(keep + create)
-        rows.append(row)
-    return [YPolynomial({k: v for k, v in enumerate(row)}) for row in rows]
 
 
 def eulerian_identity_check(order: int) -> bool:

@@ -29,6 +29,11 @@ class SchemaError(ValueError):
         self.field = field
 
 
+def is_json_int(value: Any) -> bool:
+    """Whether a decoded JSON value is an integer; ``true``/``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def dumps(payload: Any) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
@@ -65,7 +70,7 @@ def ypoly_from_json(obj: Any, field: str = "poly") -> YPolynomial:
 
 
 def partition_from_json(obj: Any, field: str = "partition") -> Partition:
-    if not isinstance(obj, list) or not all(isinstance(p, int) for p in obj):
+    if not isinstance(obj, list) or not all(is_json_int(p) for p in obj):
         raise SchemaError(field, "expected an array of integers")
     try:
         return as_partition(obj)
@@ -85,7 +90,7 @@ def chern_from_json(obj: Any, field: str = "chern") -> ChernPolynomial:
     if not isinstance(obj, dict) or "grade" not in obj or "terms" not in obj:
         raise SchemaError(field, "expected an object with grade and terms")
     grade = obj["grade"]
-    if not isinstance(grade, int) or grade < 0:
+    if not is_json_int(grade) or grade < 0:
         raise SchemaError(f"{field}.grade", "expected a non-negative integer")
     terms = {}
     for idx, entry in enumerate(obj["terms"]):
@@ -113,13 +118,13 @@ def profile_from_json(obj: Any, field: str = "profile") -> BettiProfile:
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected an object")
     dim = obj.get("dim")
-    if not isinstance(dim, int):
+    if not is_json_int(dim):
         raise SchemaError(f"{field}.dim", "expected an integer")
     betti = obj.get("betti")
-    if not isinstance(betti, list) or not all(isinstance(b, int) for b in betti):
+    if not isinstance(betti, list) or not all(is_json_int(b) for b in betti):
         raise SchemaError(f"{field}.betti", "expected an array of integers")
     sigma = obj.get("sigma")
-    if sigma is not None and not isinstance(sigma, int):
+    if sigma is not None and not is_json_int(sigma):
         raise SchemaError(f"{field}.sigma", "expected an integer")
     try:
         return BettiProfile(dim, tuple(betti), sigma)
@@ -146,24 +151,24 @@ def component_from_json(obj: Any, field: str) -> FixedComponent:
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected an object")
     r = obj.get("complexDim", 0)
-    if not isinstance(r, int) or r < 0:
+    if not is_json_int(r) or r < 0:
         raise SchemaError(f"{field}.complexDim", "expected a non-negative integer")
     weights = obj.get("weights")
     if weights is not None:
-        if not isinstance(weights, list) or not all(isinstance(w, int) for w in weights):
+        if not isinstance(weights, list) or not all(is_json_int(w) for w in weights):
             raise SchemaError(f"{field}.weights", "expected an array of integers")
         if any(w == 0 for w in weights):
             raise SchemaError(f"{field}.weights", "rotation weights must be nonzero")
     d_f = obj.get("dF")
-    if d_f is not None and not isinstance(d_f, int):
+    if d_f is not None and not is_json_int(d_f):
         raise SchemaError(f"{field}.dF", "expected an integer")
     betti = obj.get("betti")
     if betti is not None and (
-        not isinstance(betti, list) or not all(isinstance(b, int) for b in betti)
+        not isinstance(betti, list) or not all(is_json_int(b) for b in betti)
     ):
         raise SchemaError(f"{field}.betti", "expected an array of integers")
     signature = obj.get("signature")
-    if signature is not None and not isinstance(signature, int):
+    if signature is not None and not is_json_int(signature):
         raise SchemaError(f"{field}.signature", "expected an integer")
     chi = obj.get("chiMinusY")
     chi_poly = ypoly_from_json(chi, f"{field}.chiMinusY") if chi is not None else None
@@ -192,7 +197,7 @@ def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected an object")
     n = obj.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not is_json_int(n) or n < 0:
         raise SchemaError(f"{field}.n", "expected a non-negative integer")
     hamiltonian = obj.get("hamiltonian", False)
     if not isinstance(hamiltonian, bool):
@@ -240,7 +245,7 @@ def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected an object")
     dimension = obj.get("dimension")
-    if not isinstance(dimension, int) or dimension < 0:
+    if not is_json_int(dimension) or dimension < 0:
         raise SchemaError(f"{field}.dimension", "expected a non-negative integer")
     raw = obj.get("chernNumbers")
     if not isinstance(raw, list):

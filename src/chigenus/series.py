@@ -1,11 +1,14 @@
-"""Truncated formal power series in one variable x over Q[y].
+"""Truncated formal power series in one variable x over Q[y]: a reference route.
 
 A series of order N stores the coefficients of x^0 .. x^(N-1) as
 :class:`~chigenus.ypoly.YPolynomial` values and silently discards anything
-of higher order. Logarithm and exponential are computed by the standard
-derivative recurrences, which only ever divide by integers, so coefficients
-stay inside Q[y]: no intermediate requires division by a non-constant
-polynomial in y.
+of higher order. The genus table takes log Q in closed form (see
+:mod:`chigenus.engine`); this module is the reference route that the tests
+check that closed form against, and the product that
+:func:`~chigenus.kexpansion.eulerian_identity_check` needs. It is kept
+because the benchmark's tracer (``perfbench/tracing.py``) names
+``TruncatedSeries.log`` and ``engine.normalized_series``. The logarithm's
+derivative recurrence only divides by integers, so coefficients stay in Q[y].
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .ypoly import Scalar, YPolynomial
+from .ypoly import YPolynomial
 
 Coefficient = Union[YPolynomial, int, Fraction]
 
@@ -33,36 +36,14 @@ class TruncatedSeries:
         self.order = order
         self._coeffs = polys
 
-    @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([YPolynomial.one()], order)
-
     def coefficient(self, k: int) -> YPolynomial:
         if not 0 <= k < self.order:
             raise IndexError(f"coefficient x^{k} outside truncation order {self.order}")
         return self._coeffs[k]
 
-    def coefficients(self) -> list[YPolynomial]:
-        return list(self._coeffs)
-
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} != {other.order}")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries([a + b for a, b in zip(self._coeffs, other._coeffs)], self.order)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
-        return TruncatedSeries([a - b for a, b in zip(self._coeffs, other._coeffs)], self.order)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-a for a in self._coeffs], self.order)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated at the common order."""
@@ -76,10 +57,6 @@ class TruncatedSeries:
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(out, self.order)
-
-    def scale(self, factor: Coefficient) -> "TruncatedSeries":
-        f = factor if isinstance(factor, YPolynomial) else YPolynomial.constant(factor)
-        return TruncatedSeries([c * f for c in self._coeffs], self.order)
 
     def log(self) -> "TruncatedSeries":
         """Formal logarithm; requires constant coefficient exactly 1.
@@ -96,24 +73,6 @@ class TruncatedSeries:
                 acc = acc - b[j] * a[m - j] * Fraction(j, m)
             b[m] = acc
         return TruncatedSeries(b, self.order)
-
-    def exp(self) -> "TruncatedSeries":
-        """Formal exponential; requires constant coefficient exactly 0.
-
-        From e' = a' * e one gets e_m = (1/m) * sum_{j<=m} j a_j e_{m-j}.
-        """
-        if not self._coeffs[0].is_zero():
-            raise ValueError("exp requires constant coefficient 0")
-        a = self._coeffs
-        e = [YPolynomial.zero() for _ in range(self.order)]
-        e[0] = YPolynomial.one()
-        for m in range(1, self.order):
-            acc = YPolynomial.zero()
-            for j in range(1, m + 1):
-                if not a[j].is_zero():
-                    acc = acc + a[j] * e[m - j] * Fraction(j, m)
-            e[m] = acc
-        return TruncatedSeries(e, self.order)
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires constant coefficient exactly 1."""
@@ -135,6 +94,3 @@ class TruncatedSeries:
             return NotImplemented
         return self.order == other.order and self._coeffs == other._coeffs
 
-    def __repr__(self) -> str:
-        body = " + ".join(f"({c})*x^{k}" for k, c in enumerate(self._coeffs) if not c.is_zero())
-        return body or "0"

@@ -1,12 +1,13 @@
 """Command-line behavior: payload formats, exit codes, reproducibility."""
 
+import copy
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from chigenus import catalog, engine, verify
+from chigenus import catalog, engine, serialize, verify
 from chigenus.ypoly import YPolynomial
 from chigenus.cli import main
 
@@ -216,12 +217,14 @@ def test_over_cap_catalog_key_is_rejected_before_building(capsys, monkeypatch):
 DIGESTS = json.loads((Path(__file__).parent.parent / "perfbench" / "digests.json").read_text())
 
 
-@pytest.mark.parametrize("command", ["chi", "kcoeffs"])
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("command", ["chi", "kcoeffs", "kcoeffs --verify"])
+@pytest.mark.parametrize("n", range(1, 13))
 def test_symbolic_output_is_byte_identical(capsys, command, n):
-    code, out, _ = run(capsys, [command, "--n", str(n)])
+    name, *flags = command.split()
+    argv = [name, "--n", str(n), *flags]
+    code, out, _ = run(capsys, argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"{command} --n {n}"]
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[" ".join(argv)]
 
 
 def test_unknown_command(capsys):
@@ -257,6 +260,45 @@ def test_over_cap_manifold_is_rejected_before_building(capsys, monkeypatch, tmp_
     ):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "" and err == "genus: degree 40 exceeds GENUS_MAX_N=12\n", argv
+
+
+def _with(doc, path, value):
+    """A deep copy of doc with the entry at path set to value."""
+    doc = copy.deepcopy(doc)
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return doc
+
+
+# the documents of `catalog --make pn:1`, its action and a P^2 Betti profile
+P1 = serialize.manifold_to_json(catalog.projective_space(1))
+P1_ACTION = P1["action"]
+P2_PROFILE = serialize.profile_to_json(catalog.projective_space(2).betti)
+
+# field -> command, option, a document that is valid once its true/false reads as 1/0
+BOOLEAN_DOCS = {
+    "dimension": ("ineq", "--manifold", _with(P1, ["dimension"], True)),
+    "partition": ("ineq", "--manifold", _with(P1, ["chernNumbers", 0, "partition"], [True])),
+    "n": ("localize", "--model", _with(P1_ACTION, ["n"], True)),
+    "complexDim": ("localize", "--model", _with(P1_ACTION, ["components", 0, "complexDim"], False)),
+    "weights": ("localize", "--model", _with(P1_ACTION, ["components", 0, "weights"], [True])),
+    "dF": ("localize", "--model", _with(P1_ACTION, ["components", 1], {"complexDim": 0, "dF": True})),
+    "component-betti": ("localize", "--model", _with(P1_ACTION, ["components", 0, "betti"], [True])),
+    "signature": ("localize", "--model", _with(P1_ACTION, ["components", 0, "signature"], True)),
+    "dim": ("betti", "--profile", {"dim": False, "betti": [1]}),
+    "betti": ("betti", "--profile", _with(P2_PROFILE, ["betti", 2], True)),
+    "sigma": ("betti", "--profile", _with(P2_PROFILE, ["sigma"], True)),
+}
+
+
+@pytest.mark.parametrize("field", BOOLEAN_DOCS)
+def test_json_booleans_are_not_integers(capsys, tmp_path, field):
+    command, option, doc = BOOLEAN_DOCS[field]
+    code, out, err = run(capsys, [command, option, write(tmp_path, "doc.json", doc)])
+    assert code == 2 and out == "" and len(err.encode()) < 1024, err
+    assert "expected a" in err and "integer" in err, err
 
 
 def test_malformed_json_names_field(capsys, tmp_path):

@@ -1,10 +1,12 @@
 """The genus engine against hand expansions and brute-force root products."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from chigenus import engine
 from chigenus.catalog import hypersurface, point, product, projective_space
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import (
@@ -15,15 +17,18 @@ from chigenus.engine import (
     duality_holds,
     evaluate_genus,
     genus_polynomial,
+    log_q_coefficients,
     normalized_series,
     specialize,
 )
 from chigenus.linalg import rank
 from chigenus.partitions import partitions_of
+from chigenus.serialize import chern_to_json, dumps
 from chigenus.series import TruncatedSeries
 from chigenus.ypoly import YPolynomial
 
 from test_chern import substitute_roots
+from test_cli import DIGESTS
 from test_series import bernoulli_plus
 
 
@@ -66,6 +71,26 @@ def test_series_log_at_y_zero_starts_with_half():
     log_series = normalized_series(5).log()
     assert log_series.coefficient(0).is_zero()
     assert log_series.coefficient(1).evaluate(0) == Fraction(1, 2)
+
+
+def test_closed_form_log_matches_the_series_log():
+    # truncating a series keeps its lower coefficients, so one log serves every n
+    series = normalized_series(17).log()
+    for n in range(1, 17):
+        assert log_q_coefficients(n) == [series.coefficient(k) for k in range(1, n + 1)], n
+
+
+def test_table_build_uses_no_series(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the table build used the series route")
+
+    monkeypatch.setattr(engine, "normalized_series", refuse)
+    monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
+    monkeypatch.setattr(TruncatedSeries, "log", refuse)
+    monkeypatch.setattr(engine, "_TABLE_CACHE", {})
+    for n in range(1, 13):
+        out = dumps(chern_to_json(chi_y_chern_polynomial(n))) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[f"chi --n {n}"], n
 
 
 def test_table_point():

@@ -47,6 +47,13 @@ def test_chern_schema_checks_weight():
         serialize.chern_from_json(bad)
 
 
+def test_chern_grade_rejects_booleans():
+    # no command reads a Chern polynomial, so the grade is checked here and not in test_cli
+    doc = {"grade": True, "terms": [{"partition": [1], "coeff": {"0": "1"}}]}
+    with pytest.raises(SchemaError, match=r"^chern\.grade: "):
+        serialize.chern_from_json(doc)
+
+
 def test_duplicate_partitions_rejected():
     term = {"partition": [2], "coeff": {"0": "1"}}
     with pytest.raises(SchemaError, match="duplicate"):
