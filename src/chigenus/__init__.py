@@ -20,7 +20,6 @@ from .betti import (
     tolman_unimodality_report,
 )
 from .catalog import (
-    CohomologyModel,
     ManifoldData,
     hypersurface,
     make_action,

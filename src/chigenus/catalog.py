@@ -1,9 +1,16 @@
 """Built-in manifolds with exact Chern numbers and circle-action data.
 
-The evaluation model behind every entry is a truncated polynomial ring
-Q[h_1..h_k]/(h_i^{n_i+1}) with a prescribed integral of the fundamental
-monomial. Chern numbers are obtained by expanding the total Chern class and
-integrating; no floating point, no division.
+Chern numbers come from the total Chern class. P^n and the hypersurfaces
+have cohomology Q[h]/(h^{n+1}) with the integral of h^n equal to the degree
+d, so for c = sum_j a_j h^j the number c_lambda is d * prod_i a_{lambda_i}
+(:func:`one_generator_chern_numbers`). A product takes its numbers from its
+factors' numbers by the Whitney product formula (:func:`product`), so any
+two manifolds multiply, whether built here or loaded from JSON. No floating
+point, no division.
+
+:class:`CohomologyModel` integrates in a truncated polynomial ring instead.
+It is the independent reference the tests compare against; no other module
+of the package calls it.
 
 Tuples are built from lists, never from generators: CPython sizes a tuple
 built from a generator by resizing it, and each such tuple joins the
@@ -14,14 +21,14 @@ that memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .betti import BettiProfile
 from .engine import genus_polynomial
 from .localization import FixedComponent, FixedPointModel
-from .partitions import Partition, partitions_of
+from .partitions import Partition, merge, partitions_of
 
 Monomial = tuple[int, ...]
 PolyDict = dict[Monomial, Fraction]
@@ -34,6 +41,9 @@ class CohomologyModel:
     Generators sit in cohomological degree 2; ``total_chern`` is a
     polynomial in them. Only the fundamental monomial h_1^{o_1}...h_k^{o_k}
     has a nonzero integral.
+
+    A reference route only: the catalog's numbers come from the total Chern
+    class directly, and no other module of the package calls this class.
     """
 
     names: tuple[str, ...]
@@ -72,16 +82,6 @@ class CohomologyModel:
             numbers[part] = self.integrate(product)
         return numbers
 
-    def tensor(self, other: "CohomologyModel") -> "CohomologyModel":
-        """Model of a product: disjoint generators, multiplied integrals."""
-        names = tuple([f"h{i + 1}" for i in range(len(self.orders) + len(other.orders))])
-        orders = self.orders + other.orders
-        chern: PolyDict = {}
-        for ma, ca in self.total_chern.items():
-            for mb, cb in other.total_chern.items():
-                chern[ma + mb] = ca * cb
-        return CohomologyModel(names, orders, self.top_integral * other.top_integral, chern)
-
 
 @dataclass
 class ManifoldData:
@@ -98,7 +98,6 @@ class ManifoldData:
     hamiltonian_s1: bool | None = None
     betti: BettiProfile | None = None
     action: FixedPointModel | None = None
-    model: CohomologyModel | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         expected = partitions_of(self.dimension)
@@ -124,19 +123,31 @@ def point() -> ManifoldData:
     )
 
 
+def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Partition, Fraction]:
+    """c_lambda of an n-fold with cohomology Q[h]/(h^{n+1}) and integral of h^n equal to ``degree``.
+
+    ``total_chern`` lists a_0..a_n, the total Chern class being
+    sum_j a_j h^j; then c_lambda = degree * prod_i a_{lambda_i}.
+    """
+    numbers = {}
+    for part in partitions_of(len(total_chern) - 1):
+        value = degree
+        for i in part:
+            value *= total_chern[i]
+        numbers[part] = Fraction(value)
+    return numbers
+
+
 def projective_space(n: int) -> ManifoldData:
-    """P^n: ring Q[h]/(h^{n+1}), integral of h^n is 1, Chern class (1+h)^{n+1}."""
+    """P^n: cohomology Q[h]/(h^{n+1}), integral of h^n is 1, Chern class (1+h)^{n+1}."""
     if n < 1:
         raise ValueError("need n >= 1")
-    total: PolyDict = {(j,): Fraction(comb(n + 1, j)) for j in range(n + 1)}
-    model = CohomologyModel(("h",), (n,), Fraction(1), total)
     betti = tuple([1 if i % 2 == 0 else 0 for i in range(2 * n + 1)])
     data = ManifoldData(
         n,
-        model.chern_numbers(n),
+        one_generator_chern_numbers([comb(n + 1, j) for j in range(n + 1)], 1),
         pure_type=True,
         hamiltonian_s1=True,
-        model=model,
     )
     data.betti = BettiProfile(2 * n, betti, int(genus_polynomial(data).evaluate(1)))
     data.action = standard_pn_action(n, tuple(range(n + 1)))
@@ -144,22 +155,40 @@ def projective_space(n: int) -> ManifoldData:
 
 
 def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
-    """Product manifold; both factors must carry cohomology models."""
-    if a.model is None or b.model is None:
-        raise ValueError("product factors need cohomology models")
-    model = a.model.tensor(b.model)
+    """The product manifold A x B, from the Chern numbers of its factors."""
     n = a.dimension + b.dimension
     data = ManifoldData(
         n,
-        model.chern_numbers(n),
+        {part: _whitney(a, b, part) for part in partitions_of(n)},
         pure_type=_both(a.pure_type, b.pure_type),
         kahler_hyperbolic=_both(a.kahler_hyperbolic, b.kahler_hyperbolic),
-        model=model,
     )
     if a.betti is not None and b.betti is not None:
         betti = _convolve(a.betti.betti, b.betti.betti)
         data.betti = BettiProfile(2 * n, betti, int(genus_polynomial(data).evaluate(1)))
     return data
+
+
+def _whitney(a: ManifoldData, b: ManifoldData, part: Partition) -> Fraction:
+    """c_part[A x B] by the Whitney product formula.
+
+    c_k(A x B) = sum_{s+t=k} c_s(A) c_t(B) and the integral over A x B
+    factors, so c_part is the sum, over the ways to write each part
+    lambda_i = s_i + t_i with sum s_i = dim A, of c_{sort(s)}[A] c_{sort(t)}[B]
+    (zero parts dropped). Splits are merged as the parts are read, keyed on
+    the partial pair (s, t) with its number of ways.
+    """
+    ways: dict[tuple[Partition, Partition], int] = {((), ()): 1}
+    for p in part:
+        step: dict[tuple[Partition, Partition], int] = {}
+        for (s, t), count in ways.items():
+            room_s = a.dimension - sum(s)
+            room_t = b.dimension - sum(t)
+            for i in range(max(0, p - room_t), min(p, room_s) + 1):
+                key = (merge(s, (i,)) if i else s, merge(t, (p - i,)) if i < p else t)
+                step[key] = step.get(key, 0) + count
+        ways = step
+    return sum([count * a.chern_numbers[s] * b.chern_numbers[t] for (s, t), count in ways.items()])
 
 
 def _both(x: bool | None, y: bool | None) -> bool | None:
@@ -188,15 +217,8 @@ def hypersurface(n: int, d: int) -> ManifoldData:
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
-    total: PolyDict = {}
-    for j in range(n + 1):
-        coeff = sum(
-            Fraction(comb(n + 2, i)) * (-d) ** (j - i) for i in range(j + 1)
-        )
-        if coeff != 0:
-            total[(j,)] = Fraction(coeff)
-    model = CohomologyModel(("h",), (n,), Fraction(d), total)
-    data = ManifoldData(n, model.chern_numbers(n), model=model)
+    total = [sum([comb(n + 2, i) * (-d) ** (j - i) for i in range(j + 1)]) for j in range(n + 1)]
+    data = ManifoldData(n, one_generator_chern_numbers(total, d))
     euler = int(data.chern_numbers[(n,)])
     betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
     betti[n] = euler - n if n % 2 == 0 else (n + 1) - euler

@@ -25,6 +25,9 @@ EXIT_INPUT_ERROR = 2
 
 DEFAULT_MAX_N = 12
 
+# at most 4 UTF-8 bytes a character, so a cut message stays under 1 KiB of stderr
+_MAX_MESSAGE_CHARS = 200
+
 
 class InputError(Exception):
     pass
@@ -304,6 +307,14 @@ _HANDLERS = {
 }
 
 
+def _report(exc: Exception) -> None:
+    """Print an error message, cut to _MAX_MESSAGE_CHARS: some echo their input."""
+    message = str(exc)
+    if len(message) > _MAX_MESSAGE_CHARS:
+        message = f"{message[:_MAX_MESSAGE_CHARS]}... ({len(message)} characters)"
+    print(f"genus: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -313,11 +324,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except (InputError, ValueError) as exc:
-        print(f"genus: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_INPUT_ERROR
     except ArithmeticError as exc:
         # only the internal cross-checks raise these: a failed mathematical check
-        print(f"genus: {exc}", file=sys.stderr)
+        _report(exc)
         return EXIT_CHECK_FAILED
 
 

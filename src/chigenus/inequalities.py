@@ -15,10 +15,11 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import NamedTuple, Sequence
 
+from .catalog import one_generator_chern_numbers
 from .chern import ChernPolynomial
 from .engine import ManifoldLike, chi_vector
 from .kexpansion import k_coefficients
-from .partitions import Partition, partitions_of
+from .partitions import Partition
 
 
 def _validate_epsilon(epsilon: int) -> None:
@@ -67,17 +68,6 @@ class InequalityReport:
     hypothesis_met: bool
 
 
-def projective_chern_numbers(n: int) -> dict[Partition, Fraction]:
-    """c_lambda[P^n] as products of binomial coefficients."""
-    out = {}
-    for part in partitions_of(n):
-        value = Fraction(1)
-        for lam in part:
-            value *= comb(n + 1, lam)
-        out[part] = value
-    return out
-
-
 def _clearing_factor(poly: ChernPolynomial) -> int:
     denominators = [c.denominator for c in poly.constant_coefficients().values()]
     return lcm(*denominators) if denominators else 1
@@ -97,12 +87,12 @@ def _bounds(n: int) -> tuple[tuple[ChernPolynomial, int, Fraction], ...]:
     if cached is not None:
         return cached
     table = k_coefficients(n)
-    binomials = projective_chern_numbers(n)
+    projective = one_generator_chern_numbers([comb(n + 1, j) for j in range(n + 1)], 1)
     bounds = []
     for i in range(n // 2 + 1):
         k_poly = table.k_polys[2 * i]
         scale = _clearing_factor(k_poly)
-        rhs = k_poly.evaluate(binomials).constant_value() * scale
+        rhs = k_poly.evaluate(projective).constant_value() * scale
         if i == 1 and rhs != 2 * (n - 1) * n * (n + 1):
             raise ArithmeticError(
                 f"cleared i=1 bound {rhs} disagrees with 2(n-1)n(n+1) = {2 * (n - 1) * n * (n + 1)}"

@@ -43,11 +43,12 @@ def format_rational(value: Fraction | int) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_DEGREE_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 def parse_rational(text: Any, field: str = "value") -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(field, f"expected 'p' or 'p/q' with q > 0, got {text!r}")
     return Fraction(text)
 
@@ -61,11 +62,9 @@ def ypoly_from_json(obj: Any, field: str = "poly") -> YPolynomial:
         raise SchemaError(field, "expected an object mapping degree to coefficient")
     coeffs = {}
     for key, value in obj.items():
-        try:
-            degree = int(key)
-        except ValueError:
-            raise SchemaError(field, f"bad degree {key!r}") from None
-        coeffs[degree] = parse_rational(value, f"{field}[{key}]")
+        if not _DEGREE_RE.fullmatch(key):
+            raise SchemaError(field, f"bad degree {key!r}")
+        coeffs[int(key)] = parse_rational(value, f"{field}[{key}]")
     return YPolynomial(coeffs)
 
 

@@ -1,11 +1,16 @@
 """Catalog constructions: Chern numbers, Betti profiles, circle actions."""
 
+import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
+from chigenus import catalog, serialize
 from chigenus.catalog import (
+    CATALOG_KEYS,
+    CohomologyModel,
     hypersurface,
     make_action,
     make_manifold,
@@ -56,11 +61,12 @@ def test_product_line_with_plane():
     assert p1p2.chern_numbers[(3,)] == 6  # Euler count 2 * 3
 
 
-def test_product_needs_models():
-    bare = point()
-    assert bare.model is None
-    with pytest.raises(ValueError, match="models"):
-        product(bare, projective_space(1))
+def test_product_takes_any_two_manifolds():
+    p2 = projective_space(2)
+    assert product(point(), p2).chern_numbers == p2.chern_numbers
+    text = serialize.dumps(serialize.manifold_to_json(hypersurface(2, 4)))
+    k3 = serialize.manifold_from_json(json.loads(text))
+    assert product(k3, projective_space(1)) == make_manifold("product:hyp:2:4,pn:1")
 
 
 def test_product_betti_profile_is_kuenneth():
@@ -178,3 +184,62 @@ def test_manifold_data_requires_all_partitions():
 
     with pytest.raises(ValueError, match="cover all partitions"):
         ManifoldData(2, {(2,): Fraction(24)})
+
+
+def _hypersurface_chern_class(n, d):
+    """(1+h)^{n+2} (1+dh)^{-1} mod h^{n+1}, by long division."""
+    total = []
+    for j in range(n + 1):
+        total.append(comb(n + 2, j) - d * (total[j - 1] if j else 0))
+    return total
+
+
+def _ring_model(key):
+    """The truncated-ring model of a pn:, hyp: or product: key, tensoring the factors' rings."""
+    kind, _, rest = key.partition(":")
+    if kind == "product":
+        orders, top, chern = (), Fraction(1), {(): Fraction(1)}
+        for factor in rest.split(","):
+            model = _ring_model(factor)
+            orders += model.orders
+            top *= model.top_integral
+            factor_chern = model.total_chern.items()
+            chern = {ma + mb: ca * cb for ma, ca in chern.items() for mb, cb in factor_chern}
+        names = tuple([f"h{i + 1}" for i in range(len(orders))])
+        return CohomologyModel(names, orders, top, chern)
+    if kind == "pn":
+        n, d = int(rest), 1
+        total = [comb(n + 1, j) for j in range(n + 1)]
+    else:
+        n, d = map(int, rest.split(":"))
+        total = _hypersurface_chern_class(n, d)
+    chern = {(j,): Fraction(a) for j, a in enumerate(total) if a}
+    return CohomologyModel(("h",), (n,), Fraction(d), chern)
+
+
+# one projective space and one hypersurface with nonzero c_1 per factor dimension
+_FACTORS = [f"pn:{n}" for n in range(1, 7)] + [f"hyp:{n}:{n + 3}" for n in range(1, 7)]
+_PRODUCTS = [
+    "product:" + ",".join(factors)
+    for size in (2, 3)
+    for factors in combinations_with_replacement(_FACTORS, size)
+    if catalog.key_dimension("product:" + ",".join(factors)) <= 8
+]
+
+
+def test_catalog_chern_numbers_match_the_ring_model():
+    keys = [f"pn:{n}" for n in range(1, 13)]
+    keys += [f"hyp:{n}:{d}" for n in range(1, 7) for d in range(1, 7)]
+    for key in keys + _PRODUCTS:
+        data = make_manifold(key)
+        assert data.chern_numbers == _ring_model(key).chern_numbers(data.dimension), key
+
+
+def test_catalog_uses_no_ring_model(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the catalog integrated in the ring model")
+
+    monkeypatch.setattr(CohomologyModel, "chern_numbers", refuse)
+    monkeypatch.setattr(CohomologyModel, "multiply", refuse)
+    for key in CATALOG_KEYS:
+        assert make_manifold(key).dimension == catalog.key_dimension(key)

@@ -227,6 +227,39 @@ def test_symbolic_output_is_byte_identical(capsys, command, n):
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[" ".join(argv)]
 
 
+# SHA-256 of `catalog --make KEY` stdout for every built-in key and two further products
+CATALOG_DIGESTS = {
+    "pn:1": "d2b24d7fea7e9ba68a5188cb66b5569133712eac448d8b6ea126e2c754fffa22",
+    "pn:2": "697d8fe4eac5229fb527c7edd74a0ac123d88c229ec6f59341cc5d9099eb983e",
+    "pn:3": "ae279f8ad74acd9efb67d4a80d3fd4d79448f4f2b39660b7ed42c3ac0ed8ef0e",
+    "pn:4": "2ccfdc87825eb53edb2add875f8c399db8554c744bfa6098aa93d36d525f65c8",
+    "pn:5": "200645901182d4b1cc2f2615f881989d7e9dfdeb1acf560faf1dcea2fcee6332",
+    "pn:6": "2b8ddda21bf7ba41f35e25affa401d5c0233d6ba8a9f11514e9d55791e83d784",
+    "pn:7": "284d40d545ddcbdf4a5062fc4e9a72939a3aa0ba7c096e1fcbd3a373f5f032d5",
+    "pn:8": "384928e83a94f0e5e465ce8e928407b63f9b57f5389b1353ca7b84201fda1a0c",
+    "hyp:1:3": "21203532a1430c2c397354776c1a492ade479c0aa26419f66cb7e56a21376b31",
+    "hyp:2:1": "0cca032e8951fe1725af5f7f6f67e2ba80823e964dee6a433128f6e487961818",
+    "hyp:2:2": "4b50037ee00e0ea9a95d55d6d0a51b9dc4cc973c29502798366e12b0650a965f",
+    "hyp:2:4": "c7019d539ce08297de3731d963b0f16a8f31a8bb46f85f9462c9018eb1c3c9b4",
+    "hyp:3:5": "5ebbf1c07f29751f42f1cba75ef2830194eb188f763db8e96d6897a533a31470",
+    "hyp:4:6": "f738a0d3d09c453ecd6e2fba5f58bb6a1b684fbbd5e0795318fdc3e389f88c4f",
+    "product:pn:1,pn:1": "53ce9b9ae4ed4b571d925d0636e917a3ac4a4c1b5bd0aa2a64c4ca7bc435c215",
+    "product:pn:1,pn:2": "07df2f3801a842a09c40f377c0c5f709b20f68f70ca65285b4751d4eb4b58d9d",
+    "product:pn:1,pn:3": "4ee4182df6b4b919ec07660a569435f153f6bd68e3c6ace88b37d0988e9546c3",
+    "product:pn:2,pn:2": "d339d5b44006d021cea814d391c72d6a4a056d46a378b997b008d0ca83b3e5de",
+    "product:pn:1,pn:1,pn:1": "55d5765ce586f917bc0bc900ad7a8abd3bb218eba714c78db2778e806b70e3f7",
+    "product:hyp:2:4,pn:2": "4f1aacd65042d07d1d68edfb3024d6c46e89e8f38cf41fce4a0a113749232c15",
+    "product:pn:3,pn:3,pn:2": "8f917264c0877a8ec4f94a5b1ccec33195ebda9ee87cac3f3fd029033e5768cb",
+}
+
+
+@pytest.mark.parametrize("key", catalog.CATALOG_KEYS + ("product:hyp:2:4,pn:2", "product:pn:3,pn:3,pn:2"))
+def test_catalog_output_is_byte_identical(capsys, key):
+    code, out, _ = run(capsys, ["catalog", "--make", key])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_DIGESTS[key]
+
+
 def test_unknown_command(capsys):
     code, out, err = run(capsys, ["nonsense"])
     assert code == 2 and out == ""
@@ -245,6 +278,34 @@ def test_missing_partitions_error_is_bounded(capsys, monkeypatch, tmp_path):
     code, out, err = run(capsys, ["ineq", "--manifold", bad])
     assert code == 2 and out == ""
     assert "cover all partitions" in err and len(err.encode()) < 1024
+
+
+# input -> command line, and the text its cut message must start with
+LONG_INPUTS = {
+    "zero-parts": (
+        ["chi", "--manifold"],
+        {"dimension": 1, "chernNumbers": [{"partition": [0] * 200_000, "value": "2"}]},
+        "manifold.chernNumbers[0].partition: partition parts must be positive",
+    ),
+    "rational": (["betti", "--form"], [["1/" + "0" * 100_000]], "form[0][0]: expected 'p' or 'p/q'"),
+    "degree": (
+        ["localize", "--model"],
+        {"n": 1, "components": [{"weights": [1], "chiMinusY": {"x" * 100_000: "1"}}, {"weights": [-1]}]},
+        "model.components[0].chiMinusY: bad degree",
+    ),
+    "catalog-int": (["catalog", "--make", "pn:" + "x" * 100_000], None, "malformed catalog key"),
+    "catalog-factor": (["catalog", "--make", "product:" + "q" * 100_000], None, "product factors must be"),
+}
+
+
+@pytest.mark.parametrize("case", LONG_INPUTS)
+def test_long_input_error_is_bounded(capsys, tmp_path, case):
+    argv, doc, lead = LONG_INPUTS[case]
+    if doc is not None:
+        argv = argv + [write(tmp_path, "doc.json", doc)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("genus: " + lead) and len(err.encode()) < 1024, err[:300]
 
 
 def test_over_cap_manifold_is_rejected_before_building(capsys, monkeypatch, tmp_path):
@@ -305,3 +366,20 @@ def test_malformed_json_names_field(capsys, tmp_path):
     bad = write(tmp_path, "bad.json", {"dimension": 2, "chernNumbers": "nope"})
     code, _, err = run(capsys, ["ineq", "--manifold", bad])
     assert code == 2 and "chernNumbers" in err
+
+
+@pytest.mark.parametrize("value", ["1\n", "\u0663"])
+def test_rational_needs_ascii_digits_only(capsys, tmp_path, value):
+    code, out, err = run(capsys, ["betti", "--form", write(tmp_path, "form.json", [[value]])])
+    assert code == 2 and out == "" and err.startswith("genus: form[0][0]:"), err
+
+
+@pytest.mark.parametrize(
+    "degrees", [{"0_0": "1"}, {" 0": "1"}, {"+1": "1"}, {"01": "1"}, {"-1": "1"}, {"0_0": "1", " 0": "2"}]
+)
+def test_degree_keys_must_be_canonical(capsys, tmp_path, degrees):
+    code, _, _ = run(capsys, ["localize", "--model", write(tmp_path, "ok.json", P1_ACTION)])
+    assert code == 0
+    doc = _with(P1_ACTION, ["components", 0, "chiMinusY"], degrees)
+    code, out, err = run(capsys, ["localize", "--model", write(tmp_path, "doc.json", doc)])
+    assert code == 2 and out == "" and err.startswith("genus: model.components[0].chiMinusY: bad degree"), err

@@ -6,14 +6,13 @@ from math import comb, lcm
 import pytest
 
 from chigenus import inequalities
-from chigenus.catalog import ManifoldData, hypersurface, projective_space
+from chigenus.catalog import CohomologyModel, ManifoldData, hypersurface, projective_space
 from chigenus.chern import ChernPolynomial
 from chigenus.inequalities import (
     a_polynomial,
     check_inequalities,
     miyaoka_yau_check,
     positivity_predicate,
-    projective_chern_numbers,
 )
 from chigenus.kexpansion import KTable, k_coefficients
 
@@ -108,9 +107,12 @@ def test_broken_k_table_trips_the_cleared_bound_check(monkeypatch):
 
 
 def test_rhs_agrees_with_catalog_integration():
-    # substituting binomials must equal integrating over the catalog model
+    # each right-hand side is K_{2i} on P^n integrated in the ring Q[h]/(h^{n+1})
     for n in range(1, 9):
-        assert projective_chern_numbers(n) == projective_space(n).chern_numbers
+        total = {(j,): Fraction(comb(n + 1, j)) for j in range(n + 1)}
+        numbers = CohomologyModel(("h",), (n,), Fraction(1), total).chern_numbers(n)
+        for k_poly, scale, rhs in inequalities._bounds(n):
+            assert rhs == k_poly.evaluate(numbers).constant_value() * scale, n
 
 
 def test_failed_hypothesis_is_flagged_not_rejected():
