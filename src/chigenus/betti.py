@@ -7,12 +7,20 @@ the even Betti numbers obey two families of inequalities whose equality
 cases are exactly b^+ = 1 and b^- = 0, the same conditions that
 characterize the reverse and direct Cauchy-Schwarz property of the middle
 cohomology pairing.
+
+The inertia is computed on integers: one common denominator scales the
+form (a positive scaling is a congruence), and a fraction-free symmetric
+elimination keeps the remaining block equal to the previous pivot times the
+true Schur complement, so each pivot's sign is its own sign times the
+previous pivot's. Every division in it is exact: by Sylvester's identity
+every entry is a minor of the scaled form, up to unimodular congruences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 
@@ -23,25 +31,40 @@ class InertiaTriple(NamedTuple):
 
 
 def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
-    """Inertia of a symmetric rational matrix by congruence diagonalization.
+    """Inertia of a symmetric rational matrix by fraction-free congruence diagonalization.
 
-    Symmetric pivoting; each pivot replaces the remaining block by its Schur
-    complement, and eliminated rows and columns are never read again. A zero
+    All denominators are cleared with one common multiple; scaling by a
+    positive number is a congruence, so the inertia is unchanged and every
+    later step runs on Python integers. Symmetric pivoting then eliminates
+    one row and column at a time (Bareiss 1968): with ``prev`` the previous
+    pivot (1 before the first), the remaining block is updated by
+    ``w[r][t] = (p * w[r][t] - w[r][k] * w[k][t]) / prev``, and eliminated
+    rows and columns are never read again.
+
+    The remaining block is always ``prev`` times the true Schur complement,
+    so it has the same zero pattern, and the true pivot has the sign of
+    ``p * prev``. The division is exact: by Sylvester's identity each entry
+    is a minor of an integer matrix congruent to the scaled input. A zero
     diagonal with a nonzero off-diagonal entry is repaired by adding the
-    partner row/column, which keeps the transform a congruence and surfaces
-    a usable pivot (the hyperbolic pair then contributes one positive and
-    one negative direction).
+    partner row/column; that is a unimodular congruence on rows not yet
+    eliminated, so the entries stay minors of an integer matrix, and it
+    surfaces a usable pivot (the hyperbolic pair then contributes one
+    positive and one negative direction). A nonzero remainder would break
+    that invariant and raises ``ArithmeticError``.
     """
     size = len(matrix)
-    work = [[Fraction(v) for v in row] for row in matrix]
-    for row in work:
+    exact = [[Fraction(v) for v in row] for row in matrix]
+    for row in exact:
         if len(row) != size:
             raise ValueError("matrix must be square")
+    scale = lcm(*(v.denominator for row in exact for v in row))
+    work = [[v.numerator * (scale // v.denominator) for v in row] for row in exact]
     for i in range(size):
         for j in range(i + 1, size):
             if work[i][j] != work[j][i]:
                 raise ValueError("matrix must be symmetric")
     plus = minus = zero = 0
+    prev = 1
     rows = list(range(size))
     while rows:
         k = next((r for r in rows if work[r][r] != 0), None)
@@ -60,17 +83,21 @@ def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
                 work[t][r] += work[t][s]
             k = r
         pivot = work[k][k]
-        if pivot > 0:
+        if (pivot > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
         rows.remove(k)
-        for r in rows:
-            if work[r][k] == 0:
-                continue
-            factor = work[r][k] / pivot
-            for t in rows:
-                work[r][t] -= factor * work[k][t]
+        pivot_row = work[k]
+        for i, r in enumerate(rows):
+            row = work[r]
+            factor = row[k]
+            for t in rows[i:]:
+                entry, remainder = divmod(pivot * row[t] - factor * pivot_row[t], prev)
+                if remainder:
+                    raise ArithmeticError("fraction-free elimination left a remainder")
+                row[t] = work[t][r] = entry
+        prev = pivot
     return InertiaTriple(plus, minus, zero)
 
 

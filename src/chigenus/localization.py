@@ -6,11 +6,18 @@ component carries the rotation weights on its normal bundle (all nonzero);
 the count d_F of negative weights drives every formula here: the modified
 genus localizes as sum_F chi_{-y}(F) y^{d_F}, the Novikov numbers as
 sum_F P_y(F) y^{2 d_F}, and the signature as sum_F sigma(F) (-1)^{d_F}.
+
+Each localized polynomial is built in one pass: every component's shifted
+coefficients are added into one degree -> coefficient map, and the
+polynomial is normalized once, so a sum over c components costs O(c) scalar
+additions. Betti numbers are integers, so the Novikov polynomial is summed
+on integers throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .ypoly import YPolynomial
@@ -75,11 +82,6 @@ class FixedComponent:
         self.signature = signature
         self.chi_minus_y = chi_minus_y
 
-    def poincare_polynomial(self) -> YPolynomial:
-        if self.betti is None:
-            raise ValueError("component has no Betti numbers")
-        return YPolynomial({i: b for i, b in enumerate(self.betti)})
-
     def is_isolated(self) -> bool:
         return self.complex_dim == 0
 
@@ -126,12 +128,14 @@ class FixedPointModel:
 
 def localized_chi_minus_y(model: FixedPointModel) -> YPolynomial:
     """chi_{-y} of the total space: sum over components of chi_{-y}(F) y^{d_F}."""
-    total = YPolynomial.zero()
+    coeffs: dict[int, Fraction] = {}
     for comp in model.components:
         if comp.chi_minus_y is None:
             raise ValueError("positive-dimensional component lacks its modified genus")
-        total = total + comp.chi_minus_y.shift_degree(comp.d_f)
-    return total
+        for degree, value in comp.chi_minus_y.items():
+            key = degree + comp.d_f
+            coeffs[key] = coeffs.get(key, 0) + value
+    return YPolynomial(coeffs)
 
 
 def novikov_polynomial(model: FixedPointModel) -> YPolynomial:
@@ -139,10 +143,13 @@ def novikov_polynomial(model: FixedPointModel) -> YPolynomial:
 
     For a Hamiltonian action these are the Betti numbers of the total space.
     """
-    total = YPolynomial.zero()
+    coeffs: dict[int, int] = {}
     for comp in model.components:
-        total = total + comp.poincare_polynomial().shift_degree(2 * comp.d_f)
-    return total
+        if comp.betti is None:
+            raise ValueError("component has no Betti numbers")
+        for degree, b in enumerate(comp.betti, 2 * comp.d_f):
+            coeffs[degree] = coeffs.get(degree, 0) + b
+    return YPolynomial(coeffs)
 
 
 def localized_signature(model: FixedPointModel) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from .betti import BettiProfile
@@ -43,14 +44,23 @@ def format_rational(value: Fraction | int) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
+_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(/[1-9][0-9]*)?")
 _DEGREE_RE = re.compile(r"0|[1-9][0-9]*")
 
 
 def parse_rational(text: Any, field: str = "value") -> Fraction:
+    """A rational as the writers emit it: canonical numerator, lowest terms, q > 1."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(field, f"expected 'p' or 'p/q' with q > 0, got {text!r}")
-    return Fraction(text)
+    numerator, _, denominator = text.partition("/")
+    try:
+        p = int(numerator)
+        q = int(denominator) if denominator else 1
+    except ValueError:  # over the interpreter's limit on digits converted to int
+        raise SchemaError(field, f"too many digits ({len(text)} characters)") from None
+    if denominator and (q == 1 or gcd(p, q) != 1):
+        raise SchemaError(field, f"expected lowest terms with q > 1, got {text!r}")
+    return Fraction(p, q)
 
 
 def ypoly_to_json(poly: YPolynomial) -> dict[str, str]:
@@ -64,7 +74,12 @@ def ypoly_from_json(obj: Any, field: str = "poly") -> YPolynomial:
     for key, value in obj.items():
         if not _DEGREE_RE.fullmatch(key):
             raise SchemaError(field, f"bad degree {key!r}")
-        coeffs[int(key)] = parse_rational(value, f"{field}[{key}]")
+        try:
+            degree = int(key)
+        except ValueError:  # over the interpreter's limit on digits converted to int
+            message = f"degree has too many digits ({len(key)} characters)"
+            raise SchemaError(field, message) from None
+        coeffs[degree] = parse_rational(value, f"{field}[{key}]")
     return YPolynomial(coeffs)
 
 

@@ -1,0 +1,84 @@
+"""Reference routes on Fraction/YPolynomial arithmetic, kept for tests to compare against.
+
+These are the straightforward forms of the integer code in ``chigenus.betti``
+and ``chigenus.localization``: Schur-complement elimination over the
+rationals, and polynomial sums built one component at a time.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from chigenus.betti import InertiaTriple
+from chigenus.localization import FixedPointModel
+from chigenus.ypoly import YPolynomial
+
+
+def fraction_inertia(matrix) -> InertiaTriple:
+    """Inertia by congruence diagonalization over the rationals.
+
+    Same pivot choice and hyperbolic repair as ``chigenus.betti.inertia``;
+    each pivot replaces the remaining block by its true Schur complement, so
+    a pivot's sign is read off directly.
+    """
+    size = len(matrix)
+    work = [[Fraction(v) for v in row] for row in matrix]
+    for row in work:
+        if len(row) != size:
+            raise ValueError("matrix must be square")
+    for i in range(size):
+        for j in range(i + 1, size):
+            if work[i][j] != work[j][i]:
+                raise ValueError("matrix must be symmetric")
+    plus = minus = zero = 0
+    rows = list(range(size))
+    while rows:
+        k = next((r for r in rows if work[r][r] != 0), None)
+        if k is None:
+            pair = next(
+                ((r, s) for r in rows for s in rows if r != s and work[r][s] != 0),
+                None,
+            )
+            if pair is None:
+                zero += len(rows)
+                break
+            r, s = pair
+            for t in rows:
+                work[r][t] += work[s][t]
+            for t in rows:
+                work[t][r] += work[t][s]
+            k = r
+        pivot = work[k][k]
+        if pivot > 0:
+            plus += 1
+        else:
+            minus += 1
+        rows.remove(k)
+        for r in rows:
+            if work[r][k] == 0:
+                continue
+            factor = work[r][k] / pivot
+            for t in rows:
+                work[r][t] -= factor * work[k][t]
+    return InertiaTriple(plus, minus, zero)
+
+
+def reference_chi_minus_y(model: FixedPointModel) -> YPolynomial:
+    """sum_F chi_{-y}(F) y^{d_F}, adding one shifted polynomial per component."""
+    total = YPolynomial.zero()
+    for comp in model.components:
+        if comp.chi_minus_y is None:
+            raise ValueError("positive-dimensional component lacks its modified genus")
+        total = total + comp.chi_minus_y.shift_degree(comp.d_f)
+    return total
+
+
+def reference_novikov_polynomial(model: FixedPointModel) -> YPolynomial:
+    """sum_F P_y(F) y^{2 d_F}, adding one shifted Poincare polynomial per component."""
+    total = YPolynomial.zero()
+    for comp in model.components:
+        if comp.betti is None:
+            raise ValueError("component has no Betti numbers")
+        poincare = YPolynomial({i: b for i, b in enumerate(comp.betti)})
+        total = total + poincare.shift_degree(2 * comp.d_f)
+    return total

@@ -16,6 +16,7 @@ from chigenus.betti import (
 )
 from chigenus.catalog import projective_space
 from chigenus.verify import congruent, random_invertible, random_symmetric
+from oracles import fraction_inertia
 
 
 def test_inertia_of_diagonal_matrices():
@@ -43,6 +44,52 @@ def test_hyperbolic_pair():
     assert inertia([[0, 0, 2], [0, 0, 0], [2, 0, 0]]) == InertiaTriple(1, 1, 1)
     # the zero diagonal appears only in the Schur complement of the first pivot
     assert inertia([[1, 1, 0], [1, 1, 1], [0, 1, 0]]) == InertiaTriple(2, 1, 0)
+
+
+def sparse_symmetric(rng, size, zero_diagonal):
+    """About half the entries zero, denominators up to 12, whole entries as int."""
+    matrix = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            if (i == j and zero_diagonal) or rng.random() < 0.5:
+                continue
+            value = Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+            matrix[i][j] = matrix[j][i] = int(value) if value.denominator == 1 else value
+    return matrix
+
+
+def test_inertia_matches_fraction_oracle():
+    rng = random.Random(8)
+    for trial in range(650):
+        size = trial % 13
+        # an all-zero diagonal makes the first step a hyperbolic repair
+        matrix = sparse_symmetric(rng, size, zero_diagonal=trial % 3 == 0)
+        assert inertia(matrix) == fraction_inertia(matrix), matrix
+
+
+def test_inertia_of_large_congruent_forms():
+    rng = random.Random(24)
+    for size in range(1, 25):
+        signs = [rng.choice((1, -1, 0)) for _ in range(size)]
+        diag = [Fraction(s * rng.randint(1, 5), rng.randint(1, 12)) for s in signs]
+        base = [[diag[i] if i == j else 0 for j in range(size)] for i in range(size)]
+        # P = L U with L unit lower-triangular and U of unit-modulus diagonal
+        lower = [
+            [1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(size)]
+            for i in range(size)
+        ]
+        upper = [
+            [rng.choice((1, -1)) if i == j else rng.randint(-2, 2) if j > i else 0
+             for j in range(size)]
+            for i in range(size)
+        ]
+        transform = [
+            [sum(lower[i][k] * upper[k][j] for k in range(size)) for j in range(size)]
+            for i in range(size)
+        ]
+        form = congruent(base, transform)
+        expected = InertiaTriple(signs.count(1), signs.count(-1), signs.count(0))
+        assert inertia(form) == fraction_inertia(form) == expected, size
 
 
 def test_inertia_rejects_bad_input():

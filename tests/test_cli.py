@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -306,6 +307,34 @@ def test_long_input_error_is_bounded(capsys, tmp_path, case):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("genus: " + lead) and len(err.encode()) < 1024, err[:300]
+
+
+def test_leading_zeros_in_a_form_are_rejected(capsys, tmp_path):
+    form = write(tmp_path, "form.json", [["007", "0"], ["0", "-0"]])
+    code, out, err = run(capsys, ["betti", "--form", form])
+    assert code == 2 and out == ""
+    assert err == "genus: form[0][0]: expected 'p' or 'p/q' with q > 0, got '007'\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on digits converted to int"
+)
+@pytest.mark.parametrize(
+    "argv, doc, lead",
+    [
+        (["betti", "--form"], [["1" * 5000]], "form[0][0]: too many digits"),
+        (["betti", "--form"], [["1/" + "3" * 5000]], "form[0][0]: too many digits"),
+        (
+            ["localize", "--model"],
+            {"n": 1, "components": [{"weights": [1], "chiMinusY": {"1" * 5000: "1"}}, {"weights": [-1]}]},
+            "model.components[0].chiMinusY: degree has too many digits",
+        ),
+    ],
+)
+def test_digits_over_the_conversion_limit_name_the_field(capsys, tmp_path, argv, doc, lead):
+    code, out, err = run(capsys, argv + [write(tmp_path, "doc.json", doc)])
+    assert code == 2 and out == ""
+    assert err.startswith("genus: " + lead) and "set_int_max_str_digits" not in err, err[:300]
 
 
 def test_over_cap_manifold_is_rejected_before_building(capsys, monkeypatch, tmp_path):

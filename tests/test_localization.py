@@ -1,5 +1,7 @@
 """Fixed-point localization of the genus, Novikov polynomial, and signature."""
 
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from chigenus.localization import (
     signature_identity_check,
 )
 from chigenus.ypoly import YPolynomial
+from oracles import reference_chi_minus_y, reference_novikov_polynomial
 
 
 def isolated(weights=None, d_f=None):
@@ -222,3 +225,43 @@ def test_missing_data_errors():
     model2 = FixedPointModel(2, [bare, isolated(weights=(1, 2))])
     with pytest.raises(ValueError, match="Betti"):
         novikov_polynomial(model2)
+
+
+def random_component(rng, n):
+    """A component of random dimension with Fraction genus coefficients and Betti numbers."""
+    r = rng.randint(0, n)
+    d_f = rng.randint(0, n - r)
+    half = [rng.randint(0, 4) for _ in range(r + 1)]
+    betti = half + half[-2::-1]
+    if rng.random() < 0.5:
+        betti = [Fraction(b) for b in betti]
+    chi = YPolynomial({p: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for p in range(r + 1)})
+    return FixedComponent(complex_dim=r, d_f=d_f, betti=betti, chi_minus_y=chi)
+
+
+def test_one_pass_sums_match_reference_route():
+    rng = random.Random(60)
+    for _ in range(200):
+        n = rng.randint(0, 8)
+        model = FixedPointModel(n, [random_component(rng, n) for _ in range(rng.randint(1, 6))])
+        assert localized_chi_minus_y(model) == reference_chi_minus_y(model)
+        assert novikov_polynomial(model) == reference_novikov_polynomial(model)
+    for n in range(1, 13):
+        model = standard_pn_action(n)
+        assert localized_chi_minus_y(model) == reference_chi_minus_y(model)
+        assert novikov_polynomial(model) == reference_novikov_polynomial(model)
+
+
+def test_one_pass_sums_keep_reference_errors():
+    no_genus = FixedComponent(complex_dim=1, weights=(1,), betti=(1, 0, 1))
+    no_betti = FixedComponent(complex_dim=1, weights=(1,), chi_minus_y=YPolynomial.one())
+    for comp, route, reference in (
+        (no_genus, localized_chi_minus_y, reference_chi_minus_y),
+        (no_betti, novikov_polynomial, reference_novikov_polynomial),
+    ):
+        model = FixedPointModel(2, [isolated(weights=(1, 2)), comp])
+        with pytest.raises(ValueError) as got:
+            route(model)
+        with pytest.raises(ValueError) as want:
+            reference(model)
+        assert str(got.value) == str(want.value)

@@ -1,0 +1,88 @@
+"""Property tests: rational strings, inertia against its oracle, the form reader on any JSON."""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from chigenus import serialize  # noqa: E402
+from chigenus.betti import inertia  # noqa: E402
+from chigenus.cli import main  # noqa: E402
+from oracles import fraction_inertia  # noqa: E402
+
+
+@given(st.from_regex(serialize._RATIONAL_RE, fullmatch=True))
+def test_accepted_rational_strings_round_trip(text):
+    try:
+        value = serialize.parse_rational(text)
+    except serialize.SchemaError:
+        # the pattern admits p/q not in lowest terms; only those are refused
+        assert serialize.format_rational(Fraction(text)) != text
+        return
+    assert serialize.format_rational(value) == text
+
+
+@given(st.fractions())
+def test_written_rationals_read_back(value):
+    assert serialize.parse_rational(serialize.format_rational(value)) == value
+
+
+@st.composite
+def symmetric_matrices(draw):
+    size = draw(st.integers(0, 8))
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-20, 20),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    )
+    upper = {(i, j): draw(entry) for i in range(size) for j in range(i, size)}
+    return [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]
+
+
+@settings(deadline=None)
+@given(symmetric_matrices())
+def test_inertia_matches_fraction_oracle(matrix):
+    assert inertia(matrix) == fraction_inertia(matrix)
+
+
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+    | st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True)
+)
+_json = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.one_of(_json, st.lists(st.lists(_leaves, max_size=4), max_size=4)))
+def test_form_reader_handles_any_json(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "form.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["betti", "--form", path])
+    if code == 0:
+        assert "inertia" in json.loads(out.getvalue()) and err.getvalue() == ""
+    else:
+        message = err.getvalue()
+        assert code == 2 and out.getvalue() == ""
+        assert message.startswith("genus: ") and message.count("\n") == 1
+        assert len(message.encode()) < 1024 and "Traceback" not in message

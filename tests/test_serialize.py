@@ -26,6 +26,15 @@ def test_rational_strings():
         serialize.parse_rational("1/0")
 
 
+def test_rational_strings_must_be_canonical():
+    # the writers never emit these, so the readers refuse them
+    for text in ("-0", "007", "-01/3", "00", "0/3", "3/1", "4/2", "-6/4"):
+        with pytest.raises(SchemaError, match="entry"):
+            serialize.parse_rational(text, "entry")
+    assert serialize.parse_rational("0") == 0
+    assert serialize.parse_rational("-10/3") == Fraction(-10, 3)
+
+
 def test_ypoly_round_trip():
     poly = YPolynomial({0: Fraction(1, 12), 3: Fraction(-5)})
     encoded = serialize.ypoly_to_json(poly)
