@@ -6,73 +6,102 @@ the resulting Chern number inequalities with equality detection, localizes
 genus, Novikov polynomial, and signature over the fixed points of a circle
 action, and classifies intersection forms by their inertia. Every number is
 a ``fractions.Fraction``; there is no floating point anywhere.
+
+The names below resolve lazily (PEP 562): ``import chigenus`` loads no
+submodule, and ``chigenus.inertia`` or ``from chigenus import inertia``
+imports only the submodule that defines it, so a ``genus`` process pays
+only for the modules its subcommand runs.
 """
 
-from .betti import (
-    BettiInequalityReport,
-    BettiProfile,
-    InertiaTriple,
-    UnimodalityReport,
-    betti_inequality_check,
-    cs_classification,
-    inertia,
-    signature_alternating,
-    tolman_unimodality_report,
-)
-from .catalog import (
-    ManifoldData,
-    hypersurface,
-    make_action,
-    make_manifold,
-    point,
-    product,
-    projective_space,
-    standard_actions,
-    standard_catalog,
-    standard_pn_action,
-)
-from .chern import ChernPolynomial, power_sum_in_chern
-from .engine import (
-    check_duality,
-    chi_minus_y,
-    chi_vector,
-    chi_y_chern_polynomial,
-    duality_holds,
-    evaluate_genus,
-    genus_polynomial,
-    normalized_series,
-    specialize,
-)
-from .inequalities import (
-    InequalityReport,
-    a_polynomial,
-    check_inequalities,
-    miyaoka_yau_check,
-    positivity_predicate,
-)
-from .kexpansion import (
-    KTable,
-    binomial_transform,
-    closed_form_k,
-    eulerian_identity_check,
-    eulerian_polynomials,
-    k_coefficients,
-    odd_k_span_check,
-    reassemble,
-    verify_closed_forms,
-)
-from .localization import (
-    FixedComponent,
-    FixedPointModel,
-    consistency_isolated,
-    localized_chi_minus_y,
-    localized_signature,
-    negative_weight_count,
-    novikov_polynomial,
-    signature_identity_check,
-)
-from .partitions import Partition, partitions_of
-from .series import TruncatedSeries
-from .ypoly import YPolynomial
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "betti": (
+        "BettiInequalityReport",
+        "BettiProfile",
+        "InertiaTriple",
+        "UnimodalityReport",
+        "betti_inequality_check",
+        "cs_classification",
+        "inertia",
+        "signature_alternating",
+        "tolman_unimodality_report",
+    ),
+    "catalog": (
+        "ManifoldData",
+        "hypersurface",
+        "make_action",
+        "make_manifold",
+        "point",
+        "product",
+        "projective_space",
+        "standard_actions",
+        "standard_catalog",
+        "standard_pn_action",
+    ),
+    "chern": ("ChernPolynomial", "power_sum_in_chern"),
+    "engine": (
+        "check_duality",
+        "chi_minus_y",
+        "chi_vector",
+        "chi_y_chern_polynomial",
+        "duality_holds",
+        "evaluate_genus",
+        "genus_polynomial",
+        "normalized_series",
+        "specialize",
+    ),
+    "inequalities": (
+        "InequalityReport",
+        "a_polynomial",
+        "check_inequalities",
+        "miyaoka_yau_check",
+        "positivity_predicate",
+    ),
+    "kexpansion": (
+        "KTable",
+        "binomial_transform",
+        "closed_form_k",
+        "eulerian_identity_check",
+        "eulerian_polynomials",
+        "k_coefficients",
+        "odd_k_span_check",
+        "reassemble",
+        "verify_closed_forms",
+    ),
+    "localization": (
+        "FixedComponent",
+        "FixedPointModel",
+        "consistency_isolated",
+        "localized_chi_minus_y",
+        "localized_signature",
+        "negative_weight_count",
+        "novikov_polynomial",
+        "signature_identity_check",
+    ),
+    "partitions": ("Partition", "partitions_of"),
+    "series": ("TruncatedSeries",),
+    "ypoly": ("YPolynomial",),
+}
+
+# exported name -> the submodule that defines it
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# submodules reachable as attributes after a bare ``import chigenus``
+_SUBMODULES = frozenset(_EXPORTS) | {"linalg", "verify"}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    if name in _SOURCE:
+        return getattr(import_module(f".{_SOURCE[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

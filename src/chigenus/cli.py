@@ -4,6 +4,11 @@ Machine-readable JSON goes to stdout, diagnostics to stderr, and the exit
 code separates input problems (2) from mathematical check failures (1).
 The environment variable GENUS_MAX_N (default 12) caps the symbolic degree
 so a typo cannot start an enormous expansion.
+
+Only ``serialize`` is imported with this module. Each subcommand imports the
+modules it runs, after it has checked its input and the cap, so a process
+spends its start-up on what it executes and a rejected input loads nothing
+heavy.
 """
 
 from __future__ import annotations
@@ -12,12 +17,13 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from . import betti as betti_mod
-from . import catalog, engine, inequalities, kexpansion, localization, serialize, verify
+from . import serialize
+
+if TYPE_CHECKING:
+    from .catalog import ManifoldData
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -52,14 +58,18 @@ def _check_cap(n: int) -> None:
 def _load_json(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            text = handle.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except ValueError:  # an integer literal over the interpreter's limit on digits converted
+        raise InputError(f"{path} holds a number with too many digits") from None
 
 
-def _load_manifold(path: str) -> catalog.ManifoldData:
+def _load_manifold(path: str) -> ManifoldData:
     """A manifold document; an over-cap dimension is rejected before the Chern numbers are read."""
     obj = _load_json(path)
     dimension = obj.get("dimension") if isinstance(obj, dict) else None
@@ -125,9 +135,11 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     if manifold is not None and manifold.dimension != n:
         raise InputError(f"--n {n} does not match manifold dimension {manifold.dimension}")
     _check_cap(n)
+    if args.at is not None and manifold is None:
+        raise InputError("--at needs --manifold")
+    from . import engine
+
     if args.at is not None:
-        if manifold is None:
-            raise InputError("--at needs --manifold")
         _emit(_rational(engine.specialize(manifold, args.at)))
         return EXIT_OK
     if manifold is None:
@@ -142,6 +154,8 @@ def _cmd_kcoeffs(args: argparse.Namespace) -> int:
     _check_cap(args.n)
     if args.n < 1:
         raise InputError("kcoeffs needs --n >= 1")
+    from . import kexpansion
+
     table = kexpansion.k_coefficients(args.n)
     payload: dict[str, Any] = {
         "n": args.n,
@@ -176,6 +190,8 @@ def _cmd_kcoeffs(args: argparse.Namespace) -> int:
 
 def _cmd_ineq(args: argparse.Namespace) -> int:
     manifold = _load_manifold(args.manifold)
+    from . import inequalities
+
     reports = inequalities.check_inequalities(manifold, args.epsilon)
     _emit(
         [
@@ -198,6 +214,8 @@ def _cmd_ineq(args: argparse.Namespace) -> int:
 def _cmd_localize(args: argparse.Namespace) -> int:
     model = serialize.model_from_json(_load_json(args.model))
     _check_cap(model.n)
+    from . import localization
+
     payload: dict[str, Any] = {
         "chiMinusY": serialize.ypoly_to_json(localization.localized_chi_minus_y(model)),
         "novikov": serialize.ypoly_to_json(localization.novikov_polynomial(model)),
@@ -222,6 +240,10 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 def _cmd_betti(args: argparse.Namespace) -> int:
     if args.profile is None and args.form is None:
         raise InputError("betti needs --profile and/or --form")
+    from dataclasses import asdict
+
+    from . import betti as betti_mod
+
     payload: dict[str, Any] = {}
     triple = None
     if args.form is not None:
@@ -267,6 +289,8 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
+    from . import catalog
+
     if args.list:
         _emit(
             {
@@ -291,6 +315,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(_: argparse.Namespace) -> int:
+    from . import verify
+
     results = verify.run_all()
     _emit(results)
     return EXIT_OK if all(r["pass"] for r in results) else EXIT_CHECK_FAILED

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from .chern import ChernPolynomial, GradedTerms, graded_exponential, graded_part, integer_power_sums
 from .partitions import Partition
-from .series import TruncatedSeries
 from .ypoly import YPolynomial
+
+if TYPE_CHECKING:
+    from .series import TruncatedSeries
 
 
 class ManifoldLike(Protocol):
@@ -48,6 +50,8 @@ def normalized_series(order: int) -> TruncatedSeries:
     """
     if order < 1:
         raise ValueError("order must be at least 1")
+    from .series import TruncatedSeries
+
     one_plus_y = YPolynomial({0: 1, 1: 1})
     y = YPolynomial.variable()
     numerator = [YPolynomial.one()]

@@ -20,7 +20,6 @@ from .chern import ChernPolynomial
 from .engine import chi_y_chern_polynomial, eulerian_polynomials
 from .linalg import solve
 from .partitions import Partition
-from .series import TruncatedSeries
 from .ypoly import YPolynomial
 
 
@@ -249,6 +248,8 @@ def eulerian_identity_check(order: int) -> bool:
         raise ValueError("order must be positive")
     if order > 12:
         raise ValueError("order capped at 12")
+    from .series import TruncatedSeries
+
     one_minus_y = YPolynomial({0: 1, 1: -1})
     y = YPolynomial.variable()
     # e^{x(1-y)} truncated: x^k coefficient (1-y)^k / k!

@@ -4,6 +4,9 @@ Rationals travel as strings ("p/q", or "p" when the denominator is 1) so
 no consumer can lose precision; partitions as arrays of integers; y-
 polynomials as degree -> coefficient objects. Readers accept exactly what
 the writers emit, and re-emission is byte-identical.
+
+The classes a reader builds are imported inside that reader, so loading
+this module loads no ``betti``, ``catalog`` or ``localization`` code.
 """
 
 from __future__ import annotations
@@ -12,14 +15,16 @@ import json
 import re
 from fractions import Fraction
 from math import gcd
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .betti import BettiProfile
-from .catalog import ManifoldData
-from .localization import FixedComponent, FixedPointModel
 from .partitions import Partition, as_partition, weight
 from .chern import ChernPolynomial
 from .ypoly import YPolynomial
+
+if TYPE_CHECKING:
+    from .betti import BettiProfile
+    from .catalog import ManifoldData
+    from .localization import FixedComponent, FixedPointModel
 
 
 class SchemaError(ValueError):
@@ -140,6 +145,8 @@ def profile_from_json(obj: Any, field: str = "profile") -> BettiProfile:
     sigma = obj.get("sigma")
     if sigma is not None and not is_json_int(sigma):
         raise SchemaError(f"{field}.sigma", "expected an integer")
+    from .betti import BettiProfile
+
     try:
         return BettiProfile(dim, tuple(betti), sigma)
     except ValueError as exc:
@@ -186,6 +193,8 @@ def component_from_json(obj: Any, field: str) -> FixedComponent:
         raise SchemaError(f"{field}.signature", "expected an integer")
     chi = obj.get("chiMinusY")
     chi_poly = ypoly_from_json(chi, f"{field}.chiMinusY") if chi is not None else None
+    from .localization import FixedComponent
+
     try:
         return FixedComponent(
             complex_dim=r,
@@ -222,6 +231,8 @@ def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
     components = [
         component_from_json(entry, f"{field}.components[{i}]") for i, entry in enumerate(raw)
     ]
+    from .localization import FixedPointModel
+
     try:
         return FixedPointModel(n, components, hamiltonian)
     except ValueError as exc:
@@ -284,6 +295,8 @@ def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
             kwargs[attr] = flags[json_key]
     betti = obj.get("betti")
     action = obj.get("action")
+    from .catalog import ManifoldData
+
     try:
         return ManifoldData(
             dimension,

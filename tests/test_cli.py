@@ -329,12 +329,27 @@ def test_leading_zeros_in_a_form_are_rejected(capsys, tmp_path):
             {"n": 1, "components": [{"weights": [1], "chiMinusY": {"1" * 5000: "1"}}, {"weights": [-1]}]},
             "model.components[0].chiMinusY: degree has too many digits",
         ),
+        # unquoted numbers fail in the JSON decoder itself, so the message names the file
+        pytest.param(
+            ["betti", "--form"],
+            "[[" + "1" * 5000 + "]]",
+            "{path} holds a number with too many digits",
+            id="unquoted-form-entry",
+        ),
+        pytest.param(
+            ["localize", "--model"],
+            '{"n": ' + "1" * 5000 + ', "components": []}',
+            "{path} holds a number with too many digits",
+            id="unquoted-model-n",
+        ),
     ],
 )
 def test_digits_over_the_conversion_limit_name_the_field(capsys, tmp_path, argv, doc, lead):
-    code, out, err = run(capsys, argv + [write(tmp_path, "doc.json", doc)])
-    assert code == 2 and out == ""
-    assert err.startswith("genus: " + lead) and "set_int_max_str_digits" not in err, err[:300]
+    path = write(tmp_path, "doc.json", doc)
+    code, out, err = run(capsys, argv + [path])
+    assert code == 2 and out == "" and len(err.encode()) < 1024
+    assert err.startswith("genus: " + lead.format(path=path)), err[:300]
+    assert "set_int_max_str_digits" not in err, err[:300]
 
 
 def test_over_cap_manifold_is_rejected_before_building(capsys, monkeypatch, tmp_path):

@@ -1,0 +1,107 @@
+"""What a process imports: the lazy package namespace and the per-subcommand CLI imports.
+
+Each check that counts modules runs in a fresh interpreter, because this
+test process has long since imported the whole package.
+"""
+
+import importlib
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import chigenus
+
+ROOT = Path(__file__).parent.parent
+
+# Runs genus in-process and prints, after its output, the modules the run added.
+PROBE = """
+import json, sys
+before = set(sys.modules)
+from chigenus import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
+"""
+
+
+def python(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return done.stdout
+
+
+def loaded_by(argv):
+    report = json.loads(python(PROBE, *argv).splitlines()[-1])
+    return report["code"], set(report["loaded"])
+
+
+DOCUMENTS = {
+    "form": [["0", "1"], ["1", "0"]],
+    "model": {"n": 1, "components": [{"weights": [1]}, {"weights": [-1]}]},
+    "d40": {"dimension": 40, "chernNumbers": []},
+}
+
+
+# argv (with {name} for a document) -> exit code, modules the run must not load
+IMPORT_CASES = {
+    "chi": (
+        ["chi", "--n", "3"],
+        0,
+        [f"chigenus.{m}" for m in ("catalog", "betti", "localization", "kexpansion", "inequalities")]
+        + ["chigenus.verify", "chigenus.series", "dataclasses"],
+    ),
+    "betti-form": (["betti", "--form", "{form}"], 0, ["chigenus.engine"]),
+    "localize": (["localize", "--model", "{model}"], 0, ["chigenus.engine"]),
+    "chi-over-cap": (["chi", "--n", "13"], 2, ["chigenus.engine", "chigenus.inequalities"]),
+    "ineq-over-cap": (["ineq", "--manifold", "{d40}"], 2, ["chigenus.engine", "chigenus.inequalities"]),
+}
+
+
+@pytest.mark.parametrize("case", IMPORT_CASES)
+def test_a_subcommand_loads_only_what_it_runs(tmp_path, case):
+    argv, expected_code, absent = IMPORT_CASES[case]
+    paths = {}
+    for name, doc in DOCUMENTS.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    code, loaded = loaded_by([arg.format(**paths) for arg in argv])
+    assert code == expected_code
+    assert not loaded & set(absent), sorted(loaded & set(absent))
+
+
+def test_bare_import_loads_no_submodule():
+    out = python(
+        "import sys, chigenus\n"
+        "print(sorted(m for m in sys.modules if m.startswith('chigenus.')))\n"
+        "print(chigenus.engine.__name__, chigenus.chi_vector.__module__)"
+    )
+    assert out.splitlines() == ["[]", "chigenus.engine chigenus.engine"]
+
+
+def test_readme_api_example_runs_in_a_fresh_process():
+    block = re.search(r"## Python API\n\n```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    python(block.group(1))
+
+
+def test_every_export_is_its_submodule_object():
+    for name in chigenus.__all__:
+        home = importlib.import_module(f"chigenus.{chigenus._SOURCE[name]}")
+        assert getattr(chigenus, name) is getattr(home, name), name
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        chigenus.no_such_name
+
+
+def test_dir_lists_the_exports():
+    listed = dir(chigenus)
+    assert set(chigenus.__all__) <= set(listed)
+    assert "__version__" in listed and listed == sorted(listed)
