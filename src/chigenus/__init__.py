@@ -4,8 +4,9 @@ The package computes the Hirzebruch genus of an almost-complex manifold as
 a universal polynomial in Chern classes, expands it at y = -1, evaluates
 the resulting Chern number inequalities with equality detection, localizes
 genus, Novikov polynomial, and signature over the fixed points of a circle
-action, and classifies intersection forms by their inertia. Every number is
-a ``fractions.Fraction``; there is no floating point anywhere.
+action, and classifies intersection forms by their inertia. Every result is
+an exact rational, and the hot paths run on Python integers over one common
+denominator; there is no floating point anywhere.
 
 The names below resolve lazily (PEP 562): ``import chigenus`` loads no
 submodule, and ``chigenus.inertia`` or ``from chigenus import inertia``
@@ -55,7 +56,6 @@ _EXPORTS = {
     ),
     "inequalities": (
         "InequalityReport",
-        "a_polynomial",
         "check_inequalities",
         "miyaoka_yau_check",
         "positivity_predicate",
@@ -68,7 +68,6 @@ _EXPORTS = {
         "eulerian_polynomials",
         "k_coefficients",
         "odd_k_span_check",
-        "reassemble",
         "verify_closed_forms",
     ),
     "localization": (

@@ -33,6 +33,8 @@ class InertiaTriple(NamedTuple):
 def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
     """Inertia of a symmetric rational matrix by fraction-free congruence diagonalization.
 
+    Entries must be ``int`` or ``Fraction``, whose numerators and
+    denominators are read as they are; any other type raises ``ValueError``.
     All denominators are cleared with one common multiple; scaling by a
     positive number is a congruence, so the inertia is unchanged and every
     later step runs on Python integers. Symmetric pivoting then eliminates
@@ -53,12 +55,13 @@ def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
     that invariant and raises ``ArithmeticError``.
     """
     size = len(matrix)
-    exact = [[Fraction(v) for v in row] for row in matrix]
-    for row in exact:
+    for row in matrix:
         if len(row) != size:
             raise ValueError("matrix must be square")
-    scale = lcm(*(v.denominator for row in exact for v in row))
-    work = [[v.numerator * (scale // v.denominator) for v in row] for row in exact]
+        if not all(isinstance(v, (int, Fraction)) for v in row):
+            raise ValueError("matrix entries must be int or Fraction")
+    scale = lcm(*[v.denominator for row in matrix for v in row])
+    work = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
     for i in range(size):
         for j in range(i + 1, size):
             if work[i][j] != work[j][i]:

@@ -21,6 +21,7 @@ that memory.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -311,8 +312,10 @@ def _split_factors(rest: str) -> list[str]:
     Factor keys (``pn:N``, ``hyp:N:D``) never contain commas, so a plain
     split suffices; nested products are not part of the grammar.
     """
-    factors = [chunk for chunk in rest.split(",") if chunk]
+    factors = rest.split(",") if rest else []
     for factor in factors:
+        if not factor:
+            raise ValueError(f"empty product factor in {rest!r}")
         if factor.partition(":")[0] not in ("pn", "hyp"):
             raise ValueError(f"product factors must be pn or hyp keys, got {factor!r}")
     return factors
@@ -341,8 +344,14 @@ def standard_actions() -> list[tuple[str, FixedPointModel]]:
     return [(key, make_action(key)) for key in ACTION_KEYS]
 
 
+_KEY_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+
 def _int(text: str, key: str) -> int:
+    """An integer field of a key: ASCII digits, an optional minus sign, no leading zero."""
+    if not _KEY_INT.fullmatch(text):
+        raise ValueError(f"malformed catalog key {key!r}")
     try:
         return int(text)
-    except ValueError:
+    except ValueError:  # over the interpreter's limit on digits converted to int
         raise ValueError(f"malformed catalog key {key!r}") from None

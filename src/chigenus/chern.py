@@ -2,22 +2,24 @@
 
 A monomial c_{l_1} * ... * c_{l_k} is indexed by the partition
 (l_1 >= ... >= l_k); a :class:`ChernPolynomial` is a homogeneous linear
-combination of such monomials with coefficients in Q[y]. Evaluation on
-Chern numbers runs on integers: on its first evaluation a polynomial keeps
-a cleared form, one lcm denominator D of all its coefficients and the
-integers D * coefficient in one dense column per y-degree, and every
-evaluation is a dot product of those columns with the cleared numerators
+combination of such monomials with coefficients in Q[y], held in one
+cleared integer form: a denominator D, the lcm of the reduced coefficient
+denominators, over one column of ints per y-degree. Evaluation on Chern
+numbers is then a dot product of those columns with the cleared numerators
 of the values.
 
 The module also provides the power sums of the Chern roots in this basis
-(Newton's identities) and the truncated exponential of inhomogeneous
-intermediate values, both computed on integer coefficients.
+(Newton's identities) and the truncated exponential of an inhomogeneous
+combination, both computed on integer coefficients. Denominators are
+cleared in one place (:func:`_clear`), for the constructor and for the
+exponential's input alike, and the exponential hands its integer result to
+the cleared form without making a ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Mapping, Union
 
@@ -26,19 +28,40 @@ from .ypoly import YPolynomial
 
 Scalar = Union[int, Fraction, YPolynomial]
 
-# Inhomogeneous linear combinations, used for intermediates only.
+# Inhomogeneous linear combinations: the input of graded_exponential.
 GradedTerms = dict[Partition, YPolynomial]
 
 
-class ChernPolynomial:
-    """Homogeneous combination of Chern monomials of a fixed total grade."""
+def _clear(polys: Mapping[Partition, YPolynomial]) -> tuple[int, dict[Partition, list[int]]]:
+    """D, the lcm of every coefficient denominator, and each polynomial as the dense row D * coeff."""
+    d = lcm(*[value.denominator for poly in polys.values() for _, value in poly.items()])
+    rows = {}
+    for part, poly in polys.items():
+        row = [0] * (poly.degree + 1)
+        for degree, value in poly.items():
+            row[degree] = value.numerator * (d // value.denominator)
+        rows[part] = row
+    return d, rows
 
-    __slots__ = ("grade", "_terms", "_cleared")
+
+class ChernPolynomial:
+    """Homogeneous combination of Chern monomials of a fixed total grade.
+
+    The polynomial is held in one cleared integer form: ``denominator`` D,
+    the lcm of the reduced denominators of its coefficients (1 for the zero
+    polynomial); ``partitions``, those with a nonzero coefficient, in
+    reverse-lexicographic order; and ``columns``, one tuple of ints per
+    y-degree, with ``columns[d][i]`` equal to D times the y^d coefficient of
+    ``partitions[i]``. Trailing all-zero degrees are dropped, so equal
+    polynomials have equal forms.
+    """
+
+    __slots__ = ("grade", "denominator", "partitions", "columns")
 
     def __init__(self, grade: int, terms: Mapping[Partition, Scalar] | None = None) -> None:
         if grade < 0:
             raise ValueError("grade must be non-negative")
-        clean: GradedTerms = {}
+        polys: dict[Partition, YPolynomial] = {}
         if terms:
             for part, coeff in terms.items():
                 part = tuple(part)
@@ -46,107 +69,80 @@ class ChernPolynomial:
                     raise ValueError(f"partition {part} does not have weight {grade}")
                 if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
                     raise ValueError(f"partition {part} is not sorted non-increasingly")
-                poly = coeff if isinstance(coeff, YPolynomial) else YPolynomial.constant(coeff)
-                if not poly.is_zero():
-                    clean[part] = poly
-        self.grade = grade
-        self._terms = clean
-        self._cleared: tuple[int, tuple[Partition, ...], list[list[int]]] | None = None
+                polys[part] = coeff if isinstance(coeff, YPolynomial) else YPolynomial.constant(coeff)
+        self._store(grade, *_clear(polys))
 
     @classmethod
-    def zero(cls, grade: int) -> "ChernPolynomial":
-        return cls(grade)
+    def _from_rows(cls, grade: int, scale: int, rows: Mapping[Partition, list[int]]) -> "ChernPolynomial":
+        """The polynomial sum_p (sum_d rows[p][d] y^d) / scale, for partitions of weight grade.
+
+        ``scale`` may be any common multiple of the denominators: the form is
+        divided by the gcd of ``scale`` and every entry, which leaves the lcm
+        of the reduced denominators.
+        """
+        poly = cls.__new__(cls)
+        poly._store(grade, scale, rows)
+        return poly
+
+    def _store(self, grade: int, scale: int, rows: Mapping[Partition, list[int]]) -> None:
+        parts = sorted([part for part, row in rows.items() if any(row)], reverse=True)
+        width = max([len(rows[part]) for part in parts], default=0)
+        columns = [[rows[p][d] if d < len(rows[p]) else 0 for p in parts] for d in range(width)]
+        while columns and not any(columns[-1]):
+            columns.pop()
+        g = gcd(scale, *[x for column in columns for x in column])
+        self.grade = grade
+        self.denominator = scale // g
+        self.partitions = tuple(parts)
+        self.columns = tuple(tuple([x // g for x in column]) for column in columns)
 
     @classmethod
     def monomial(cls, partition: Partition, coeff: Scalar = 1) -> "ChernPolynomial":
         return cls(weight(partition), {tuple(partition): coeff})
 
     def items(self) -> list[tuple[Partition, YPolynomial]]:
-        """Terms in canonical (reverse-lexicographic) partition order."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
+        """Terms in canonical (reverse-lexicographic) partition order, read off the columns."""
+        d = self.denominator
+        return [
+            (part, YPolynomial({k: Fraction(c[i], d) for k, c in enumerate(self.columns) if c[i]}))
+            for i, part in enumerate(self.partitions)
+        ]
 
-    def coefficient(self, partition: Partition) -> YPolynomial:
-        return self._terms.get(tuple(partition), YPolynomial.zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        if self.grade != other.grade:
-            raise ValueError(f"grade mismatch: {self.grade} != {other.grade}")
-        merged = dict(self._terms)
-        for part, poly in other._terms.items():
-            merged[part] = merged.get(part, YPolynomial.zero()) + poly
-        return ChernPolynomial(self.grade, merged)
-
-    def __sub__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "ChernPolynomial":
-        return ChernPolynomial(self.grade, {p: -c for p, c in self._terms.items()})
-
-    def scale(self, factor: Scalar) -> "ChernPolynomial":
-        f = factor if isinstance(factor, YPolynomial) else YPolynomial.constant(factor)
-        return ChernPolynomial(self.grade, {p: c * f for p, c in self._terms.items()})
-
-    def __mul__(self, other: "ChernPolynomial") -> "ChernPolynomial":
-        out: GradedTerms = {}
-        for pa, ca in self._terms.items():
-            for pb, cb in other._terms.items():
-                key = merge(pa, pb)
-                prod = ca * cb
-                out[key] = out.get(key, YPolynomial.zero()) + prod
-        return ChernPolynomial(self.grade + other.grade, out)
+    def __len__(self) -> int:
+        return len(self.partitions)
 
     def evaluate(self, values: Mapping[Partition, Fraction | int]) -> YPolynomial:
         """Substitute numbers for the monomials: sum of coeff(y) * values[p].
 
-        The sum runs on Python ints over the cleared form, built on the first
-        call and kept: D, the lcm of the denominators of every coefficient,
-        and for each y-degree d the column of D * coeff_p[d] over the
-        partitions p. With E the lcm of the denominators of the values read,
-        the y^d coefficient is sum_p column_d[p] * (E * values[p]) / (D * E),
-        made as one ``Fraction``.
+        The sum runs on Python ints over the cleared form. With E the lcm of
+        the denominators of the values read, the y^d coefficient is
+        sum_i columns[d][i] * (E * values[partitions[i]]) / (D * E), made as
+        one ``Fraction``.
         """
-        if self._cleared is None:
-            self._cleared = self._clear()
-        d, parts, columns = self._cleared
         try:
-            picked = [values[part] for part in parts]
+            picked = [values[part] for part in self.partitions]
         except KeyError as exc:
             raise ValueError(f"missing Chern number for partition {list(exc.args[0])}") from None
         # a list, not a generator: CPython sizes the argument tuple of f(*generator) by
         # resizing, and each such tuple ends in the interpreter's free list for its length
         e = lcm(*[v.denominator for v in picked])
         scaled = [v.numerator * (e // v.denominator) for v in picked]
-        totals = [sum(map(mul, column, scaled)) for column in columns]
-        return YPolynomial({degree: Fraction(t, d * e) for degree, t in enumerate(totals) if t})
-
-    def _clear(self) -> tuple[int, tuple[Partition, ...], list[list[int]]]:
-        """The cleared form: D, the partitions in term order, one int column per y-degree."""
-        terms = self._terms
-        d = lcm(*[value.denominator for poly in terms.values() for _, value in poly.items()])
-        width = max((poly.degree for poly in terms.values()), default=-1) + 1
-        columns = [[0] * len(terms) for _ in range(width)]
-        for i, poly in enumerate(terms.values()):
-            for degree, value in poly.items():
-                columns[degree][i] = value.numerator * (d // value.denominator)
-        return d, tuple(terms), columns
-
-    def constant_coefficients(self) -> dict[Partition, Fraction]:
-        """Coefficient map if every coefficient is a constant polynomial."""
-        out = {}
-        for part, coeff in self._terms.items():
-            out[part] = coeff.constant_value()
-        return out
+        de = self.denominator * e
+        totals = [sum(map(mul, column, scaled)) for column in self.columns]
+        return YPolynomial({degree: Fraction(t, de) for degree, t in enumerate(totals) if t})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChernPolynomial):
             return NotImplemented
-        return self.grade == other.grade and self._terms == other._terms
+        return (
+            self.grade == other.grade
+            and self.denominator == other.denominator
+            and self.partitions == other.partitions
+            and self.columns == other.columns
+        )
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self.partitions:
             return "0"
         chunks = []
         for part, coeff in self.items():
@@ -189,8 +185,8 @@ def power_sum_in_chern(k: int, n: int) -> ChernPolynomial:
     return ChernPolynomial(k, integer_power_sums(k, n)[k])
 
 
-def graded_exponential(a: GradedTerms, cap: int) -> GradedTerms:
-    """exp of a combination with no weight-0 part, truncated at weight cap.
+def graded_exponential(a: GradedTerms, cap: int) -> ChernPolynomial:
+    """The weight-cap part of exp of a combination with no weight-0 part.
 
     Uses the grading derivative: if E = exp(A) then m*E_m is the weight-m
     part of (sum_k k*A_k) * E. The recurrence runs on dense lists of Python
@@ -201,20 +197,17 @@ def graded_exponential(a: GradedTerms, cap: int) -> GradedTerms:
         S_m E_m = sum_k k * D^(k-1) * (m-1)!/(m-k)! * (D A_k) * (S_{m-k} E_{m-k})
 
     has integer terms only. Weights add, so a product never exceeds the cap
-    and none is tested against it. Each output coefficient is made as one
-    ``Fraction``, the numerator over S_m.
+    and none is tested against it. The weight-cap bucket becomes the cleared
+    form over S_cap directly; no lower weight is ever made a ``Fraction``.
     """
     if () in a:
         raise ValueError("exponential requires vanishing constant term")
-    d = lcm(*(value.denominator for poly in a.values() for _, value in poly.items()))
+    d, rows = _clear(a)
     scaled: list[list[tuple[Partition, list[int]]]] = [[] for _ in range(cap + 1)]
-    for part, poly in a.items():
+    for part, row in rows.items():
         w = weight(part)
-        if w <= cap and not poly.is_zero():
-            dense = [0] * (poly.degree + 1)
-            for degree, value in poly.items():
-                dense[degree] = value.numerator * (d // value.denominator)
-            scaled[w].append((part, dense))
+        if w <= cap and row:
+            scaled[w].append((part, row))
     exp_scaled: list[dict[Partition, list[int]]] = [{(): [1]}]
     for m in range(1, cap + 1):
         acc: dict[Partition, list[int]] = {}
@@ -238,18 +231,4 @@ def graded_exponential(a: GradedTerms, cap: int) -> GradedTerms:
             while coeffs and not coeffs[-1]:
                 coeffs.pop()
         exp_scaled.append({p: c for p, c in acc.items() if c})
-    combined: GradedTerms = {}
-    scale = 1
-    for m, bucket in enumerate(exp_scaled):
-        if m:
-            scale *= m * d
-        for part, coeffs in bucket.items():
-            combined[part] = YPolynomial(
-                {degree: Fraction(c, scale) for degree, c in enumerate(coeffs) if c}
-            )
-    return combined
-
-
-def graded_part(a: GradedTerms, grade: int) -> ChernPolynomial:
-    """Extract the homogeneous piece of the given weight."""
-    return ChernPolynomial(grade, {p: c for p, c in a.items() if weight(p) == grade})
+    return ChernPolynomial._from_rows(cap, factorial(cap) * d**cap, exp_scaled[cap])

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import factorial
 from typing import TYPE_CHECKING, Protocol
 
-from .chern import ChernPolynomial, GradedTerms, graded_exponential, graded_part, integer_power_sums
+from .chern import ChernPolynomial, GradedTerms, graded_exponential, integer_power_sums
 from .partitions import Partition
 from .ypoly import YPolynomial
 
@@ -119,7 +119,8 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
     weighted by the x^k coefficients of log Q in the closed form of
     Hirzebruch section 1.8 (:func:`log_q_coefficients`, with beta_j read off
     A_{j-1}(-1)), so no series arithmetic runs; the exponential then runs on
-    integers scaled by S_m = m! * D^m (see :func:`~chigenus.chern.graded_exponential`).
+    integers scaled by S_m = m! * D^m and returns its weight-n bucket as the
+    table's cleared form (see :func:`~chigenus.chern.graded_exponential`).
     Results are memoized per n for the life of the process; the computation
     is pure, so a racing recomputation is harmless.
     """
@@ -138,7 +139,7 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
         # p_k has weight k, so the pieces for different k never share a partition
         for part, coeff in sums[k].items():
             exponent[part] = ell * coeff
-    table = graded_part(graded_exponential(exponent, n), n)
+    table = graded_exponential(exponent, n)
     _TABLE_CACHE[n] = table
     return table
 

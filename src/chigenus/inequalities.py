@@ -4,7 +4,8 @@ A manifold whose modified genus has positive (resp. signed-positive)
 coefficients satisfies floor(n/2) + 1 inequalities: for each i, the Chern
 number combination eps^n K_{2i} is at least its value on P^n, with equality
 exactly when chi^p = eps^n (-1)^p for all p >= 2i. Reports use the cleared
-integer form (denominators multiplied out), so the i = 0 line reads
+integer form: both sides are multiplied by the denominator D of K_{2i}'s
+cleared form (reported as ``scale``), so the i = 0 line reads
 eps^n c_n >= n + 1 and the i = 1 line has right-hand side 2(n-1)n(n+1).
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .catalog import one_generator_chern_numbers
@@ -25,14 +26,6 @@ from .partitions import Partition
 def _validate_epsilon(epsilon: int) -> None:
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 (chi-positive) or -1 (signed chi-positive)")
-
-
-def a_polynomial(i: int, n: int, epsilon: int = 1) -> ChernPolynomial:
-    """The i-th inequality polynomial: eps^n * K_{2i}."""
-    _validate_epsilon(epsilon)
-    if not 0 <= i <= n // 2:
-        raise ValueError(f"index {i} outside 0..{n // 2}")
-    return k_coefficients(n).k_polys[2 * i].scale(Fraction(epsilon) ** n)
 
 
 class PositivityResult(NamedTuple):
@@ -68,16 +61,11 @@ class InequalityReport:
     hypothesis_met: bool
 
 
-def _clearing_factor(poly: ChernPolynomial) -> int:
-    denominators = [c.denominator for c in poly.constant_coefficients().values()]
-    return lcm(*denominators) if denominators else 1
-
-
 _BOUND_CACHE: dict[int, tuple[tuple[ChernPolynomial, int, Fraction], ...]] = {}
 
 
 def _bounds(n: int) -> tuple[tuple[ChernPolynomial, int, Fraction], ...]:
-    """(K_{2i}, its clearing factor, its cleared value on P^n) for i = 0..n//2.
+    """(K_{2i}, its denominator, its cleared value on P^n) for i = 0..n//2.
 
     These depend on n only, so they are memoized per n like the K-tables.
     The i = 1 right-hand side is cross-checked against 2(n-1)n(n+1) as it
@@ -91,7 +79,7 @@ def _bounds(n: int) -> tuple[tuple[ChernPolynomial, int, Fraction], ...]:
     bounds = []
     for i in range(n // 2 + 1):
         k_poly = table.k_polys[2 * i]
-        scale = _clearing_factor(k_poly)
+        scale = k_poly.denominator
         rhs = k_poly.evaluate(projective).constant_value() * scale
         if i == 1 and rhs != 2 * (n - 1) * n * (n + 1):
             raise ArithmeticError(

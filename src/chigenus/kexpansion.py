@@ -2,18 +2,19 @@
 
 Writing chi_y(M) = sum_j K_j(M) * (y+1)^j defines Chern polynomials
 K_0..K_n; K_0 is the top Chern class and the even K_{2i} carry the
-inequality content. This module computes the K_j by exact re-expansion of
-the universal genus polynomial, checks the classical closed forms for
-K_0..K_4, implements the binomial transform between the chi^p and the K_j,
-and checks that the Eulerian polynomials (built in :mod:`chigenus.engine`)
-encode the reciprocal series.
+inequality content. This module computes the K_j by one binomial
+transform of the universal genus polynomial's integer columns over its
+denominator, so each K_j comes out in the same cleared form. It also checks
+the classical closed forms for K_0..K_4, implements the binomial transform
+between the chi^p and the K_j, and checks that the Eulerian polynomials
+(built in :mod:`chigenus.engine`) encode the reciprocal series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import Sequence
 
 from .chern import ChernPolynomial
@@ -37,11 +38,12 @@ _K_CACHE: dict[int, KTable] = {}
 def k_coefficients(n: int) -> KTable:
     """Expand the universal genus polynomial in powers of (y + 1).
 
-    Each coefficient of the table is put over its own common denominator q,
-    as (1/q) * sum_d v_d y^d with integers v_d; the numerator of its K_j part
-    is then sum_d v_d * C(d, j) * (-1)^(d - j), so the shift to y = -1 runs
-    on ints and each K coefficient is made as one ``Fraction``. Results are
-    memoized per n for the life of the process, like the tables themselves.
+    The table is held as integer columns over one denominator D (see
+    :class:`~chigenus.chern.ChernPolynomial`), so the shift to y = -1 is a
+    binomial transform of those columns on ints: the K_j column is
+    sum_{d >= j} C(d, j) * (-1)^(d - j) * column_d, over the same D. Results
+    are memoized per n for the life of the process, like the tables
+    themselves.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -49,30 +51,19 @@ def k_coefficients(n: int) -> KTable:
     if cached is not None:
         return cached
     table = chi_y_chern_polynomial(n)
-    buckets: list[dict[Partition, Fraction]] = [{} for _ in range(n + 1)]
-    for part, coeff in table.items():
-        terms = coeff.items()
-        q = lcm(*(value.denominator for _, value in terms))
-        numerators = [(d, value.numerator * (q // value.denominator)) for d, value in terms]
-        for j in range(coeff.degree + 1):
-            total = sum(v * comb(d, j) * (-1) ** (d - j) for d, v in numerators if d >= j)
-            if total == 0:
-                continue
-            if j > n:
-                raise ArithmeticError(f"coefficient of {part} has y-degree above {n}")
-            buckets[j][part] = Fraction(total, q)
-    result = KTable(n, tuple(ChernPolynomial(n, bucket) for bucket in buckets))
+    parts, columns = table.partitions, table.columns
+    if len(columns) > n + 1:
+        excess = columns[n + 1 :]
+        i = next(i for i in range(len(parts)) if any(column[i] for column in excess))
+        raise ArithmeticError(f"coefficient of {parts[i]} has y-degree above {n}")
+    k_polys = []
+    for j in range(n + 1):
+        weights = [(comb(d, j) * (-1) ** (d - j), columns[d]) for d in range(j, len(columns))]
+        rows = {part: [sum(w * column[i] for w, column in weights)] for i, part in enumerate(parts)}
+        k_polys.append(ChernPolynomial._from_rows(n, table.denominator, rows))
+    result = KTable(n, tuple(k_polys))
     _K_CACHE[n] = result
     return result
-
-
-def reassemble(table: KTable) -> ChernPolynomial:
-    """sum_j K_j * (y+1)^j; must equal the genus polynomial identically."""
-    one_plus_y = YPolynomial({0: 1, 1: 1})
-    total = ChernPolynomial.zero(table.n)
-    for j, poly in enumerate(table.k_polys):
-        total = total + poly.scale(one_plus_y**j)
-    return total
 
 
 def _chern_monomial(indices: Sequence[int], n: int) -> Partition | None:
@@ -170,14 +161,8 @@ def verify_closed_forms(n: int) -> ClosedFormReport:
     return ClosedFormReport(n, tuple(checks))
 
 
-def binomial_transform(chi: Sequence[Fraction | int], epsilon: int = 1) -> list[Fraction]:
-    """K_0..K_n from the chi-vector: K_j = sum_{p>=j} (-1)^{p-j} chi^p C(p, j).
-
-    The global sign epsilon appears on both sides of the defining identity,
-    so the returned values do not depend on it; it is validated only.
-    """
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 or -1")
+def binomial_transform(chi: Sequence[Fraction | int]) -> list[Fraction]:
+    """K_0..K_n from the chi-vector: K_j = sum_{p>=j} (-1)^{p-j} chi^p C(p, j)."""
     n = len(chi) - 1
     out = []
     for j in range(n + 1):
@@ -214,20 +199,22 @@ def odd_k_span_check(n: int) -> SpanReport:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    table = k_coefficients(n)
+    # read each K's terms off its columns once, not once per partition of the support
+    constants = [
+        {part: coeff.constant_value() for part, coeff in poly.items()}
+        for poly in k_coefficients(n).k_polys
+    ]
     checks = []
     for i in range(0, (n - 1) // 2 + 1):
         odd = 2 * i + 1
-        basis = [table.k_polys[2 * j] for j in range(i + 1)]
-        target = table.k_polys[odd]
-        support: set[Partition] = set()
-        for poly in basis + [target]:
-            support.update(p for p, _ in poly.items())
+        basis = constants[0 : 2 * i + 1 : 2]
+        target = constants[odd]
+        support = set(target).union(*basis)
         rows = []
         rhs = []
         for part in sorted(support, reverse=True):
-            rows.append([b.coefficient(part).constant_value() for b in basis])
-            rhs.append(target.coefficient(part).constant_value())
+            rows.append([b.get(part, Fraction(0)) for b in basis])
+            rhs.append(target.get(part, Fraction(0)))
         solution = solve(rows, rhs)
         if solution is None:
             checks.append(SpanCheck(odd, False))

@@ -2,9 +2,9 @@
 
 Each check recomputes a published identity or bound from scratch and
 compares exactly. A check returns ``None`` when it passes and otherwise a
-short witness naming the failing instance, such as ``"n=6 j=3"``. The
-computation is deterministic, so two runs of the command produce
-byte-identical output.
+short witness naming the failing instance, such as ``"n=6 j=3"``, which
+``genus verify-paper`` writes to stderr. The computation is deterministic,
+so two runs of the command produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
-from typing import Any, Callable
+from typing import Callable
 
 from . import betti as betti_mod
 from . import catalog, engine, inequalities, kexpansion, linalg, localization
@@ -297,10 +297,3 @@ CHECKS: tuple[tuple[str, str, Callable[[], str | None]], ...] = (
         _check_inertia_suite,
     ),
 )
-
-
-def run_all() -> list[dict[str, Any]]:
-    results = []
-    for key, statement, check in CHECKS:
-        results.append({"key": key, "statement": statement, "pass": check() is None})
-    return results

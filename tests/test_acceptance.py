@@ -73,7 +73,7 @@ def _diagonal_inertia(matrix):
 
 # One package function per check, replaced by a wrong one the check must catch.
 BREAKAGES = {
-    "k-closed-forms": (kexpansion, "closed_form_k", lambda j, n: ChernPolynomial.zero(n)),
+    "k-closed-forms": (kexpansion, "closed_form_k", lambda j, n: ChernPolynomial(n)),
     "projective-genus": (catalog, "projective_space", lambda n: catalog.hypersurface(n, 2)),
     "duality": (engine, "chi_vector", lambda m: [Fraction(1)] + [Fraction(0)] * m.dimension),
     "inequality-optimality": (

@@ -99,6 +99,12 @@ def test_inertia_rejects_bad_input():
         inertia([[0, 1]])
 
 
+@pytest.mark.parametrize("entry", [0.5, "1/2"])
+def test_inertia_rejects_entries_that_are_not_int_or_fraction(entry):
+    with pytest.raises(ValueError, match="int or Fraction"):
+        inertia([[Fraction(1), entry], [entry, 2]])
+
+
 def test_sylvester_invariance():
     rng = random.Random(100)
     for _ in range(100):

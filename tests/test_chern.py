@@ -2,14 +2,13 @@
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
 from chigenus.chern import (
     ChernPolynomial,
     graded_exponential,
-    graded_part,
     power_sum_in_chern,
 )
 from chigenus.partitions import partitions_of
@@ -65,12 +64,6 @@ def test_homogeneity_enforced():
         ChernPolynomial(2, {(1,): 1})
     with pytest.raises(ValueError):
         ChernPolynomial(3, {(1, 2): 1})  # not sorted
-
-
-def test_monomial_product():
-    a = ChernPolynomial.monomial((2, 1))
-    b = ChernPolynomial.monomial((3,))
-    assert a * b == ChernPolynomial.monomial((3, 2, 1))
 
 
 def test_evaluate_missing_partition():
@@ -129,8 +122,8 @@ def test_evaluate_matches_the_plain_fraction_sum():
 
 
 def test_evaluate_edge_cases():
-    assert ChernPolynomial.zero(3).evaluate({}) == YPolynomial.zero()
-    assert ChernPolynomial.zero(2).evaluate({(2,): Fraction(5), (1, 1): 3}) == YPolynomial.zero()
+    assert ChernPolynomial(3).evaluate({}) == YPolynomial.zero()
+    assert ChernPolynomial(2).evaluate({(2,): Fraction(5), (1, 1): 3}) == YPolynomial.zero()
     poly = ChernPolynomial(
         2, {(2,): YPolynomial({0: Fraction(1, 6), 2: Fraction(-3, 4)}), (1, 1): Fraction(5, 9)}
     )
@@ -146,6 +139,28 @@ def test_evaluate_edge_cases():
         poly.evaluate({(2,): Fraction(1)})
 
 
+def test_cleared_form_is_canonical():
+    rng = random.Random(7)
+    for _ in range(100):
+        grade = rng.randint(0, 6)
+        poly = random_chern_polynomial(rng, grade)
+        denominators = [c.denominator for _, coeff in poly.items() for _, c in coeff.items()]
+        assert poly.denominator == lcm(*denominators)
+        assert len(poly) == len(poly.items())
+        assert ChernPolynomial(grade, dict(poly.items())) == poly
+        # integer rows over a larger common multiple, padded with zeros, clear to the same form
+        k = rng.randint(2, 40)
+        rows = {
+            part: [k * int(c * poly.denominator) for c in coeff.coefficients_dense()] + [0] * 2
+            for part, coeff in poly.items()
+        }
+        rows.update({part: [0, 0] for part in partitions_of(grade) if part not in rows})
+        assert ChernPolynomial._from_rows(grade, k * poly.denominator, rows) == poly
+    zero = ChernPolynomial(4, {(4,): 0, (2, 2): YPolynomial.zero()})
+    assert (zero.denominator, zero.partitions, zero.columns, len(zero)) == (1, (), (), 0)
+    assert ChernPolynomial._from_rows(4, 360, {(4,): [0, 0]}) == zero
+
+
 def test_canonical_term_order():
     poly = ChernPolynomial(4, {(1, 1, 1, 1): 1, (4,): 1, (2, 2): 1})
     assert [p for p, _ in poly.items()] == [(4,), (2, 2), (1, 1, 1, 1)]
@@ -154,9 +169,8 @@ def test_canonical_term_order():
 def test_graded_exponential_matches_series_exp():
     # exp(t*c_1) truncated: weight-m part must be c_1^m t^m / m!
     t = YPolynomial.variable()
-    result = graded_exponential({(1,): t}, 4)
     for m in range(5):
-        part = graded_part(result, m)
+        part = graded_exponential({(1,): t}, m)
         expected = ChernPolynomial(
             m, {tuple([1] * m): YPolynomial({m: Fraction(1, factorial(m))})}
         )
@@ -167,17 +181,14 @@ def test_graded_exponential_clears_unlike_denominators():
     # exp(a*c_1 + b*c_2): weight-m part is sum_{i+2j=m} a^i b^j / (i! j!) on (2^j, 1^i)
     a = YPolynomial({0: Fraction(1, 3), 2: Fraction(-5, 7)})
     b = YPolynomial({1: Fraction(2, 5), 3: Fraction(1, 4)})
-    cap = 6
-    result = graded_exponential({(1,): a, (2,): b}, cap)
-    for m in range(cap + 1):
+    for m in range(7):
         expected = {
             (2,) * j + (1,) * (m - 2 * j): a ** (m - 2 * j)
             * b**j
             * Fraction(1, factorial(m - 2 * j) * factorial(j))
             for j in range(m // 2 + 1)
         }
-        assert graded_part(result, m) == ChernPolynomial(m, expected), m
-    assert all(sum(part) <= cap for part in result)
+        assert graded_exponential({(1,): a, (2,): b}, m) == ChernPolynomial(m, expected), m
 
 
 def test_graded_exponential_rejects_constant_term():

@@ -186,12 +186,18 @@ def test_verify_paper_passes_and_reproduces(capsys):
 
 
 def test_verify_paper_reports_failure(capsys, monkeypatch):
-    broken = (("always-false", "synthetic failing check", lambda: "n=0"),)
+    broken = (
+        ("always-false", "synthetic failing check", lambda: "n=0"),
+        ("long-witness", "synthetic failing check", lambda: "x" * 100_000),
+    )
     monkeypatch.setattr(verify, "CHECKS", verify.CHECKS + broken)
-    code, out, _ = run(capsys, ["verify-paper"])
+    code, out, err = run(capsys, ["verify-paper"])
     assert code == 1
     results = json.loads(out)
-    assert results[-1]["pass"] is False
+    assert [r["pass"] for r in results[-2:]] == [False, False]
+    first, second = err.splitlines()
+    assert first == "genus: verify-paper: always-false: n=0"
+    assert second.startswith("genus: verify-paper: long-witness: xxx") and len(second) < 300
 
 
 def test_degree_cap(capsys, monkeypatch):
@@ -203,6 +209,17 @@ def test_degree_cap(capsys, monkeypatch):
     monkeypatch.setenv("GENUS_MAX_N", "4")
     code, _, err = run(capsys, ["catalog", "--make", "pn:8"])
     assert code == 2 and "GENUS_MAX_N" in err
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["pn: 3", "pn:+3", "pn:\u0663", "pn:03", "pn:3_0", "product:pn:1,,pn:1", "product:pn:1,pn:1,"],
+)
+def test_catalog_key_integers_are_ascii_and_canonical(capsys, key):
+    code, out, err = run(capsys, ["catalog", "--make", key])
+    assert code == 2 and out == ""
+    assert "catalog key" in err or "empty product factor" in err
+    assert len(err.encode()) < 1024
 
 
 def test_over_cap_catalog_key_is_rejected_before_building(capsys, monkeypatch):

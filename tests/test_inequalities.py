@@ -1,5 +1,6 @@
 """Inequality reports, positivity predicates, and the curvature bound."""
 
+import random
 from fractions import Fraction
 from math import comb, lcm
 
@@ -9,37 +10,47 @@ from chigenus import inequalities
 from chigenus.catalog import CohomologyModel, ManifoldData, hypersurface, projective_space
 from chigenus.chern import ChernPolynomial
 from chigenus.inequalities import (
-    a_polynomial,
     check_inequalities,
     miyaoka_yau_check,
     positivity_predicate,
 )
 from chigenus.kexpansion import KTable, k_coefficients
+from chigenus.partitions import partitions_of
+
+
+def synthetic(n: int, seed: int) -> ManifoldData:
+    """Arbitrary integer Chern numbers on every partition of n."""
+    rng = random.Random(seed)
+    return ManifoldData(n, {part: Fraction(rng.randint(-40, 40)) for part in partitions_of(n)})
 
 
 def test_a0_is_top_class():
+    # eps^n K_0 = eps^n c_n, already cleared
     for n in (1, 2, 5):
-        assert a_polynomial(0, n, 1) == ChernPolynomial.monomial((n,))
+        m = synthetic(n, n)
+        for epsilon in (1, -1):
+            r0 = check_inequalities(m, epsilon)[0]
+            assert (r0.lhs, r0.scale) == (epsilon**n * m.chern_numbers[(n,)], 1)
 
 
 def test_a1_surface():
-    expected = ChernPolynomial(2, {(2,): Fraction(1, 12), (1, 1): Fraction(1, 12)})
-    assert a_polynomial(1, 2, 1) == expected
+    # K_2 at n = 2 is (c_2 + c_1^2) / 12, reported times 12
+    m = synthetic(2, 12)
+    c = m.chern_numbers
+    for epsilon in (1, -1):
+        r1 = check_inequalities(m, epsilon)[1]
+        assert (r1.lhs, r1.scale) == (c[(2,)] + c[(1, 1)], 12)
 
 
 def test_a1_threefold_signed():
-    # (-1)^3 K_2 at n = 3: -(1/12)(6 c_3 + c_1 c_2)
-    expected = ChernPolynomial(3, {(3,): Fraction(-1, 2), (2, 1): Fraction(-1, 12)})
-    assert a_polynomial(1, 3, -1) == expected
-
-
-def test_index_range_enforced():
+    # (-1)^3 K_2 at n = 3: -(1/12)(6 c_3 + c_1 c_2), reported times 12
+    m = synthetic(3, 3)
+    c = m.chern_numbers
+    r1 = check_inequalities(m, -1)[1]
+    assert (r1.lhs, r1.scale) == (-(6 * c[(3,)] + c[(2, 1)]), 12)
+    assert check_inequalities(m, 1)[1].lhs == -r1.lhs
     with pytest.raises(ValueError):
-        a_polynomial(2, 3)
-    with pytest.raises(ValueError):
-        a_polynomial(-1, 3)
-    with pytest.raises(ValueError):
-        a_polynomial(0, 3, epsilon=2)
+        check_inequalities(m, 2)
 
 
 def test_projective_spaces_attain_every_equality():
@@ -82,7 +93,7 @@ def test_projective_bounds_match_the_direct_formula():
     for n in range(1, 13):
         reports = check_inequalities(projective_space(n), 1)
         for report, k_poly in zip(reports, k_coefficients(n).k_polys[::2], strict=True):
-            coefficients = k_poly.constant_coefficients()
+            coefficients = {part: c.constant_value() for part, c in k_poly.items()}
             scale = lcm(*(c.denominator for c in coefficients.values()))
             total = Fraction(0)
             for part, c in coefficients.items():
@@ -97,7 +108,9 @@ def test_projective_bounds_match_the_direct_formula():
 def test_broken_k_table_trips_the_cleared_bound_check(monkeypatch):
     # K_2 + c_3 on P^3: 12 * (3/2 * 4 + 1/12 * 4 * 6) = 96 instead of 48
     good = k_coefficients(3)
-    wrong = good.k_polys[2] + ChernPolynomial.monomial((3,))
+    terms = {part: c.constant_value() for part, c in good.k_polys[2].items()}
+    terms[(3,)] = terms.get((3,), 0) + 1
+    wrong = ChernPolynomial(3, terms)
     broken = KTable(3, good.k_polys[:2] + (wrong,) + good.k_polys[3:])
     monkeypatch.setattr(inequalities, "_BOUND_CACHE", {})
     monkeypatch.setattr(inequalities, "k_coefficients", lambda n: broken)
