@@ -89,7 +89,7 @@ _EXPORTS = {
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 # submodules reachable as attributes after a bare ``import chigenus``
-_SUBMODULES = frozenset(_EXPORTS) | {"linalg", "verify"}
+_SUBMODULES = frozenset(_EXPORTS) | {"verify"}
 
 __all__ = sorted(_SOURCE)
 

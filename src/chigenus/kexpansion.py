@@ -5,9 +5,11 @@ K_0..K_n; K_0 is the top Chern class and the even K_{2i} carry the
 inequality content. This module computes the K_j by one binomial
 transform of the universal genus polynomial's integer columns over its
 denominator, so each K_j comes out in the same cleared form. It also checks
-the classical closed forms for K_0..K_4, implements the binomial transform
-between the chi^p and the K_j, and checks that the Eulerian polynomials
-(built in :mod:`chigenus.engine`) encode the reciprocal series.
+the classical closed forms for K_0..K_4, writes each odd K_j as the
+combination of the even ones that Serre duality fixes and checks it on the
+table, implements the binomial transform between the chi^p and the K_j, and
+checks that the Eulerian polynomials (built in :mod:`chigenus.engine`)
+encode the reciprocal series.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Sequence
 
 from .chern import ChernPolynomial
 from .engine import chi_y_chern_polynomial, eulerian_polynomials
-from .linalg import solve
 from .partitions import Partition
 from .ypoly import YPolynomial
 
@@ -191,35 +192,37 @@ class SpanReport:
 
 
 def odd_k_span_check(n: int) -> SpanReport:
-    """Exhibit each K_{2i+1} as a combination of K_0, K_2, ..., K_{2i}.
+    """Write each K_{2i+1} as a combination of K_0, K_2, ..., K_{2i} and check it.
 
-    Solved exactly over the partition basis; a failure would mean the odd
-    coefficients carry information beyond the even ones, which the theory
-    forbids.
+    Serre duality, chi^p = (-1)^n chi^{n-p}, reads sum_j K_j t^j =
+    (-1)^n sum_l K_l t^l (t - 1)^{n-l} with t = 1 + y, so for odd j
+    2 K_j = -sum_{l<j} C(n-l, j-l) K_l. Substituting the lower odd K's
+    gives each odd K as an explicit rational combination of the even ones
+    (K_1 = -(n/2) K_0 first), which is then checked on every partition of
+    the universal table; a failure would mean the table breaks duality.
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    # read each K's terms off its columns once, not once per partition of the support
-    constants = [
-        {part: coeff.constant_value() for part, coeff in poly.items()}
+    # read each K's terms off its cleared column once, not once per combination
+    values = [
+        {part: Fraction(c, poly.denominator) for part, c in zip(poly.partitions, poly.columns[0])}
         for poly in k_coefficients(n).k_polys
     ]
+    # lower_odd[l][k]: coefficient of K_{2k} in the odd K_l
+    lower_odd: dict[int, list[Fraction]] = {}
     checks = []
-    for i in range(0, (n - 1) // 2 + 1):
-        odd = 2 * i + 1
-        basis = constants[0 : 2 * i + 1 : 2]
-        target = constants[odd]
-        support = set(target).union(*basis)
-        rows = []
-        rhs = []
-        for part in sorted(support, reverse=True):
-            rows.append([b.get(part, Fraction(0)) for b in basis])
-            rhs.append(target.get(part, Fraction(0)))
-        solution = solve(rows, rhs)
-        if solution is None:
-            checks.append(SpanCheck(odd, False))
-        else:
-            checks.append(SpanCheck(odd, True, tuple(solution)))
+    for j in range(1, n + 1, 2):
+        combination = [Fraction(-comb(n - l, j - l), 2) for l in range(0, j, 2)]
+        for l, lower in lower_odd.items():
+            for k, c in enumerate(lower):
+                combination[k] -= comb(n - l, j - l) * c / 2
+        lower_odd[j] = combination
+        combined: dict[Partition, Fraction] = {}
+        for c, even in zip(combination, values[0::2]):
+            for part, v in even.items():
+                combined[part] = combined.get(part, 0) + c * v
+        in_span = {part: v for part, v in combined.items() if v} == values[j]
+        checks.append(SpanCheck(j, True, tuple(combination)) if in_span else SpanCheck(j, False))
     return SpanReport(n, tuple(checks))
 
 

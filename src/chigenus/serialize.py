@@ -98,10 +98,17 @@ def partition_from_json(obj: Any, field: str = "partition") -> Partition:
 
 
 def chern_to_json(poly: ChernPolynomial) -> dict[str, Any]:
-    terms = [
-        {"partition": list(part), "coeff": ypoly_to_json(coeff)}
-        for part, coeff in poly.items()
-    ]
+    """Each coefficient formatted as ``format_rational`` would, straight from the cleared columns."""
+    d = poly.denominator
+    terms = []
+    for i, part in enumerate(poly.partitions):
+        coeff = {}
+        for degree, column in enumerate(poly.columns):
+            c = column[i]
+            if c:
+                g = gcd(c, d)
+                coeff[str(degree)] = str(c // g) if g == d else f"{c // g}/{d // g}"
+        terms.append({"partition": list(part), "coeff": coeff})
     return {"grade": poly.grade, "terms": terms}
 
 

@@ -4,7 +4,10 @@ Each check recomputes a published identity or bound from scratch and
 compares exactly. A check returns ``None`` when it passes and otherwise a
 short witness naming the failing instance, such as ``"n=6 j=3"``, which
 ``genus verify-paper`` writes to stderr. The computation is deterministic,
-so two runs of the command produce byte-identical output.
+so two runs of the command produce byte-identical output: the inertia
+suite draws its matrices from a seeded stream and decides invertibility by
+the exact :func:`chigenus.betti.rank`, so its draws and witnesses depend
+only on the seed.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from itertools import permutations
 from typing import Callable
 
 from . import betti as betti_mod
-from . import catalog, engine, inequalities, kexpansion, linalg, localization
+from . import catalog, engine, inequalities, kexpansion, localization
 from .ypoly import YPolynomial
 
 
@@ -159,11 +162,17 @@ def random_symmetric(rng: random.Random, size: int) -> list[list[Fraction]]:
 
 
 def random_invertible(rng: random.Random, size: int) -> list[list[Fraction]]:
-    """An invertible matrix with entries drawn as in :func:`random_symmetric`."""
-    while True:
+    """An invertible matrix with entries drawn as in :func:`random_symmetric`.
+
+    Singular draws are redrawn. The rank comes from the elimination the
+    inertia suite tests, so a broken one could reject every draw: after 100
+    draws this raises ``ArithmeticError`` instead of looping.
+    """
+    for _ in range(100):
         matrix = [[_random_rational(rng) for _ in range(size)] for _ in range(size)]
-        if linalg.rank(matrix) == size:
+        if betti_mod.rank(matrix) == size:
             return matrix
+    raise ArithmeticError(f"no invertible {size}x{size} draw in 100")
 
 
 def congruent(
@@ -222,7 +231,10 @@ def _check_inertia_suite() -> str | None:
     for trial in range(100):
         size = rng.randint(1, 5)
         base = random_symmetric(rng, size)
-        transform = random_invertible(rng, size)
+        try:
+            transform = random_invertible(rng, size)
+        except ArithmeticError:
+            return f"congruence trial {trial} size={size}: no invertible draw"
         if betti_mod.inertia(congruent(base, transform)) != betti_mod.inertia(base):
             return f"congruence trial {trial} size={size}"
     for triple, expected in (

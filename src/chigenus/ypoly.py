@@ -46,10 +46,6 @@ class YPolynomial:
         return cls({0: value})
 
     @classmethod
-    def monomial(cls, degree: int, coeff: Scalar = 1) -> "YPolynomial":
-        return cls({degree: coeff})
-
-    @classmethod
     def variable(cls) -> "YPolynomial":
         return cls({1: 1})
 

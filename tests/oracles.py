@@ -1,8 +1,8 @@
 """Reference routes on Fraction/YPolynomial arithmetic, kept for tests to compare against.
 
 These are the straightforward forms of the integer code in ``chigenus.betti``
-and ``chigenus.localization``: Schur-complement elimination over the
-rationals, and polynomial sums built one component at a time.
+and ``chigenus.localization``: Schur-complement elimination and Gauss-Jordan
+rank over the rationals, and polynomial sums built one component at a time.
 """
 
 from __future__ import annotations
@@ -61,6 +61,26 @@ def fraction_inertia(matrix) -> InertiaTriple:
             for t in rows:
                 work[r][t] -= factor * work[k][t]
     return InertiaTriple(plus, minus, zero)
+
+
+def fraction_rank(matrix) -> int:
+    """Number of pivots of a rational matrix by Gauss-Jordan elimination."""
+    work = [[Fraction(v) for v in row] for row in matrix]
+    cols = len(work[0]) if work else 0
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        inv = 1 / work[r][c]
+        work[r] = [v * inv for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c] != 0:
+                factor = work[i][c]
+                work[i] = [v - factor * w for v, w in zip(work[i], work[r])]
+        r += 1
+    return r
 
 
 def reference_chi_minus_y(model: FixedPointModel) -> YPolynomial:

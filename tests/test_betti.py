@@ -11,12 +11,13 @@ from chigenus.betti import (
     betti_inequality_check,
     cs_classification,
     inertia,
+    rank,
     signature_alternating,
     tolman_unimodality_report,
 )
 from chigenus.catalog import projective_space
 from chigenus.verify import congruent, random_invertible, random_symmetric
-from oracles import fraction_inertia
+from oracles import fraction_inertia, fraction_rank
 
 
 def test_inertia_of_diagonal_matrices():
@@ -103,6 +104,16 @@ def test_inertia_rejects_bad_input():
 def test_inertia_rejects_entries_that_are_not_int_or_fraction(entry):
     with pytest.raises(ValueError, match="int or Fraction"):
         inertia([[Fraction(1), entry], [entry, 2]])
+
+
+def test_rank():
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[0, 1], [1, 0]]) == 2
+    assert rank([[0, 0], [0, 0]]) == 0
+    assert rank([[Fraction(1, 2), 1, 0], [1, 2, 1]]) == 2
+    assert rank([]) == 0
+    with pytest.raises(ValueError, match="equal length"):
+        rank([[1, 2], [3]])
 
 
 def test_sylvester_invariance():

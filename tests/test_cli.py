@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from chigenus import catalog, engine, serialize, verify
+from chigenus import catalog, engine, kexpansion, serialize, verify
+from chigenus.chern import ChernPolynomial
 from chigenus.ypoly import YPolynomial
 from chigenus.cli import main
 
@@ -77,6 +78,27 @@ def test_kcoeffs_verify(capsys):
     assert doc["oddSpan"]["allInSpan"] is True
     assert len(doc["k"]) == 5
     assert doc["k"][0]["terms"] == [{"partition": [4], "coeff": {"0": "1"}}]
+
+
+def test_kcoeffs_verify_reports_an_odd_k_outside_the_span(capsys, monkeypatch):
+    # c_1^6 added to K_5 breaks the combination of K_0, K_2, K_4 that duality fixes
+    n, odd = 6, 5
+    table = kexpansion.k_coefficients(n)
+    terms = dict(table.k_polys[odd].items())
+    ones = (1,) * n
+    terms[ones] = terms.get(ones, 0) + 1
+    k_polys = list(table.k_polys)
+    k_polys[odd] = ChernPolynomial(n, terms)
+    monkeypatch.setitem(kexpansion._K_CACHE, n, kexpansion.KTable(n, tuple(k_polys)))
+    report = kexpansion.odd_k_span_check(n)
+    assert [(c.odd_index, c.in_span) for c in report.checks] == [(1, True), (3, True), (5, False)]
+    assert report.checks[2].combination == ()
+    code, out, _ = run(capsys, ["kcoeffs", "--n", str(n), "--verify"])
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["closedForms"]["allMatch"] is True
+    assert doc["oddSpan"]["allInSpan"] is False
+    assert doc["oddSpan"]["checks"][2] == {"j": 5, "inSpan": False, "combination": []}
 
 
 def test_ineq_reports(capsys, p2_file):

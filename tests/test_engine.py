@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from chigenus import engine
+from chigenus.betti import rank
 from chigenus.catalog import hypersurface, point, product, projective_space
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import (
@@ -21,7 +22,6 @@ from chigenus.engine import (
     normalized_series,
     specialize,
 )
-from chigenus.linalg import rank
 from chigenus.partitions import partitions_of
 from chigenus.serialize import chern_to_json, dumps
 from chigenus.series import TruncatedSeries

@@ -98,7 +98,7 @@ def test_point_transform():
 
 
 def test_odd_span_membership():
-    for n in (3, 4, 5, 7):
+    for n in range(3, 13):
         report = odd_k_span_check(n)
         assert report.all_in_span, (n, report)
         table = k_coefficients(n)

@@ -1,4 +1,4 @@
-"""Property tests: rational strings, inertia against its oracle, the form reader on any JSON."""
+"""Property tests: rational strings, inertia and rank against their oracles, the form reader on any JSON."""
 
 import contextlib
 import io
@@ -11,12 +11,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from chigenus import serialize  # noqa: E402
-from chigenus.betti import inertia  # noqa: E402
+from chigenus.betti import inertia, rank  # noqa: E402
 from chigenus.cli import main  # noqa: E402
-from oracles import fraction_inertia  # noqa: E402
+from oracles import fraction_inertia, fraction_rank  # noqa: E402
 
 
 @given(st.from_regex(serialize._RATIONAL_RE, fullmatch=True))
@@ -35,15 +35,17 @@ def test_written_rationals_read_back(value):
     assert serialize.parse_rational(serialize.format_rational(value)) == value
 
 
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
 @st.composite
 def symmetric_matrices(draw):
     size = draw(st.integers(0, 8))
-    entry = st.one_of(
-        st.just(0),
-        st.integers(-20, 20),
-        st.fractions(min_value=-20, max_value=20, max_denominator=12),
-    )
-    upper = {(i, j): draw(entry) for i in range(size) for j in range(i, size)}
+    upper = {(i, j): draw(ENTRIES) for i in range(size) for j in range(i, size)}
     return [[upper[min(i, j), max(i, j)] for j in range(size)] for i in range(size)]
 
 
@@ -51,6 +53,21 @@ def symmetric_matrices(draw):
 @given(symmetric_matrices())
 def test_inertia_matches_fraction_oracle(matrix):
     assert inertia(matrix) == fraction_inertia(matrix)
+
+
+@st.composite
+def rectangular_matrices(draw):
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    return [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(deadline=None)
+@given(rectangular_matrices())
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[0, Fraction(3, 4), -2, 5]])
+@example([[0, 0, 0, 0]])
+def test_rank_matches_fraction_oracle(matrix):
+    assert rank(matrix) == fraction_rank(matrix)
 
 
 _leaves = (
