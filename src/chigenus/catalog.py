@@ -21,7 +21,6 @@ that memory.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -30,6 +29,7 @@ from .betti import BettiProfile
 from .engine import genus_polynomial
 from .localization import FixedComponent, FixedPointModel
 from .partitions import Partition, merge, partitions_of
+from .serialize import key_factors, key_int
 
 Monomial = tuple[int, ...]
 PolyDict = dict[Monomial, Fraction]
@@ -276,12 +276,12 @@ def make_manifold(key: str) -> ManifoldData:
     """Build a manifold from a catalog key such as ``pn:3`` or ``hyp:2:4``."""
     kind, _, rest = key.partition(":")
     if kind == "pn":
-        return projective_space(_int(rest, key))
+        return projective_space(key_int(rest, key))
     if kind == "hyp":
         n_text, _, d_text = rest.partition(":")
-        return hypersurface(_int(n_text, key), _int(d_text, key))
+        return hypersurface(key_int(n_text, key), key_int(d_text, key))
     if kind == "product":
-        factors = _split_factors(rest)
+        factors = key_factors(rest)
         if len(factors) < 2:
             raise ValueError(f"product needs at least two factors: {key!r}")
         data = make_manifold(factors[0])
@@ -291,45 +291,15 @@ def make_manifold(key: str) -> ManifoldData:
     raise ValueError(f"unknown catalog key {key!r}")
 
 
-def key_dimension(key: str) -> int:
-    """Complex dimension named by a manifold or action key, read without building it.
-
-    ``pn:N``, ``hyp:N:D`` and ``pnaction:N[:...]`` name dimension N; a
-    ``product:`` key names the sum over its factors. The rest of the key is
-    validated only when it is built.
-    """
-    kind, _, rest = key.partition(":")
-    if kind in ("pn", "hyp", "pnaction"):
-        return _int(rest.partition(":")[0], key)
-    if kind == "product":
-        return sum(key_dimension(factor) for factor in _split_factors(rest))
-    raise ValueError(f"unknown catalog key {key!r}")
-
-
-def _split_factors(rest: str) -> list[str]:
-    """Split ``pn:1,hyp:2:4`` into factor keys.
-
-    Factor keys (``pn:N``, ``hyp:N:D``) never contain commas, so a plain
-    split suffices; nested products are not part of the grammar.
-    """
-    factors = rest.split(",") if rest else []
-    for factor in factors:
-        if not factor:
-            raise ValueError(f"empty product factor in {rest!r}")
-        if factor.partition(":")[0] not in ("pn", "hyp"):
-            raise ValueError(f"product factors must be pn or hyp keys, got {factor!r}")
-    return factors
-
-
 def make_action(key: str) -> FixedPointModel:
     """Build a fixed-point model from a key like ``pnaction:2:0,1,2``."""
     kind, _, rest = key.partition(":")
     if kind != "pnaction":
         raise ValueError(f"unknown action key {key!r}")
     n_text, _, exp_text = rest.partition(":")
-    n = _int(n_text, key)
+    n = key_int(n_text, key)
     if exp_text:
-        exponents = tuple(_int(t, key) for t in exp_text.split(","))
+        exponents = tuple(key_int(t, key) for t in exp_text.split(","))
     else:
         exponents = None
     return standard_pn_action(n, exponents)
@@ -342,16 +312,3 @@ def standard_catalog() -> list[tuple[str, ManifoldData]]:
 
 def standard_actions() -> list[tuple[str, FixedPointModel]]:
     return [(key, make_action(key)) for key in ACTION_KEYS]
-
-
-_KEY_INT = re.compile(r"0|-?[1-9][0-9]*")
-
-
-def _int(text: str, key: str) -> int:
-    """An integer field of a key: ASCII digits, an optional minus sign, no leading zero."""
-    if not _KEY_INT.fullmatch(text):
-        raise ValueError(f"malformed catalog key {key!r}")
-    try:
-        return int(text)
-    except ValueError:  # over the interpreter's limit on digits converted to int
-        raise ValueError(f"malformed catalog key {key!r}") from None

@@ -10,16 +10,18 @@ of the values.
 
 The module also provides the power sums of the Chern roots in this basis
 (Newton's identities) and the truncated exponential of an inhomogeneous
-combination, both computed on integer coefficients. Denominators are
-cleared in one place (:func:`_clear`), for the constructor and for the
-exponential's input alike, and the exponential hands its integer result to
-the cleared form without making a ``Fraction``.
+combination, both computed on integer coefficients. The exponential takes
+its exponent factored, one piece l_k(y) p_k(c) per weight k with l_k an
+integer row over a denominator and p_k an integer Chern polynomial, holds
+each weight of the result as integer rows over its own reduced scale, and
+hands the top weight to the cleared form without making a ``Fraction`` or a
+``YPolynomial``. The constructor clears its denominators in :func:`_clear`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Union
 
@@ -28,8 +30,10 @@ from .ypoly import YPolynomial
 
 Scalar = Union[int, Fraction, YPolynomial]
 
-# Inhomogeneous linear combinations: the input of graded_exponential.
-GradedTerms = dict[Partition, YPolynomial]
+# One weight-k piece l(y) * p(c) of the input of graded_exponential: l as a
+# positive denominator over an integer row indexed by y-degree, p as integer
+# coefficients on partitions of weight k.
+Piece = tuple[int, list[int], Mapping[Partition, int]]
 
 
 def _clear(polys: Mapping[Partition, YPolynomial]) -> tuple[int, dict[Partition, list[int]]]:
@@ -185,50 +189,58 @@ def power_sum_in_chern(k: int, n: int) -> ChernPolynomial:
     return ChernPolynomial(k, integer_power_sums(k, n)[k])
 
 
-def graded_exponential(a: GradedTerms, cap: int) -> ChernPolynomial:
-    """The weight-cap part of exp of a combination with no weight-0 part.
+def graded_exponential(pieces: Mapping[int, Piece], cap: int) -> ChernPolynomial:
+    """The weight-cap part of exp(sum_k l_k(y) p_k(c)), with pieces[k] = l_k p_k of weight k.
 
     Uses the grading derivative: if E = exp(A) then m*E_m is the weight-m
     part of (sum_k k*A_k) * E. The recurrence runs on dense lists of Python
-    ints, indexed by y-degree. With D the lcm of every denominator in A, the
-    weight-k part is held as D*A_k and the weight-m bucket as S_m*E_m, where
-    S_m = m! * D^m; then
+    ints, indexed by y-degree. Each weight m is held as integer rows R_m
+    over its own scale s_m, E_m = R_m / s_m, with s_0 = 1 and R_0 = 1. With
+    l_k = row_k / d_k and L = m * lcm_k(d_k * s_{m-k}),
 
-        S_m E_m = sum_k k * D^(k-1) * (m-1)!/(m-k)! * (D A_k) * (S_{m-k} E_{m-k})
+        L E_m = sum_k k * L / (m d_k s_{m-k}) * row_k * p_k * R_{m-k}
 
-    has integer terms only. Weights add, so a product never exceeds the cap
-    and none is tested against it. The weight-cap bucket becomes the cleared
-    form over S_cap directly; no lower weight is ever made a ``Fraction``.
+    has integer terms only. A piece is factored, so row_k is convolved with
+    each row of R_{m-k} once and the result is added into every partition of
+    p_k with its integer coefficient. R_m and L are then divided by their
+    gcd, which keeps every scale near the true denominator of its weight.
+    Weights add, so a product never exceeds the cap and none is tested
+    against it. The weight-cap rows become the cleared form directly; no
+    ``Fraction`` or ``YPolynomial`` is made.
     """
-    if () in a:
+    if 0 in pieces:
         raise ValueError("exponential requires vanishing constant term")
-    d, rows = _clear(a)
-    scaled: list[list[tuple[Partition, list[int]]]] = [[] for _ in range(cap + 1)]
-    for part, row in rows.items():
-        w = weight(part)
-        if w <= cap and row:
-            scaled[w].append((part, row))
-    exp_scaled: list[dict[Partition, list[int]]] = [{(): [1]}]
+    buckets: list[tuple[int, dict[Partition, list[int]]]] = [(1, {(): [1]})]
     for m in range(1, cap + 1):
+        used = [(k, den, row, chern) for k, (den, row, chern) in pieces.items() if k <= m]
+        scale = m * lcm(*[den * buckets[m - k][0] for k, den, _, _ in used])
         acc: dict[Partition, list[int]] = {}
-        for k in range(1, m + 1):
-            if not scaled[k]:
-                continue
-            factor = k * d ** (k - 1) * (factorial(m - 1) // factorial(m - k))
-            for pa, ca in scaled[k]:
-                fa = [factor * x for x in ca]
-                for pb, cb in exp_scaled[m - k].items():
+        for k, den, row, chern in used:
+            s, bucket = buckets[m - k]
+            factor = k * scale // (m * den * s)
+            fa = [factor * x for x in row]
+            for pb, cb in bucket.items():
+                conv = [0] * (len(fa) + len(cb) - 1)
+                for i, x in enumerate(fa):
+                    if x:
+                        for j, v in enumerate(cb, i):
+                            conv[j] += x * v
+                for pa, c in chern.items():
                     key = merge(pa, pb)
-                    size = len(fa) + len(cb) - 1
-                    out = acc.setdefault(key, [])
-                    if len(out) < size:
-                        out.extend([0] * (size - len(out)))
-                    for i, x in enumerate(fa):
-                        if x:
-                            for j, v in enumerate(cb):
-                                out[i + j] += x * v
-        for coeffs in acc.values():
-            while coeffs and not coeffs[-1]:
-                coeffs.pop()
-        exp_scaled.append({p: c for p, c in acc.items() if c})
-    return ChernPolynomial._from_rows(cap, factorial(cap) * d**cap, exp_scaled[cap])
+                    out = acc.get(key)
+                    if out is None:
+                        acc[key] = [c * v for v in conv]
+                    else:
+                        if len(out) < len(conv):
+                            out.extend([0] * (len(conv) - len(out)))
+                        for i, v in enumerate(conv):
+                            out[i] += c * v
+        rows = {}
+        for part, out in acc.items():
+            while out and not out[-1]:
+                out.pop()
+            if out:
+                rows[part] = out
+        g = gcd(scale, *[x for out in rows.values() for x in out])
+        buckets.append((scale // g, {part: [x // g for x in out] for part, out in rows.items()}))
+    return ChernPolynomial._from_rows(cap, *buckets[cap])

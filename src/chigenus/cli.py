@@ -289,9 +289,9 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
-    from . import catalog
-
     if args.list:
+        from . import catalog
+
         _emit(
             {
                 "manifolds": list(catalog.CATALOG_KEYS),
@@ -306,7 +306,9 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     key = args.make
-    _check_cap(catalog.key_dimension(key))
+    _check_cap(serialize.key_dimension(key))
+    from . import catalog
+
     if key.partition(":")[0] == "pnaction":
         _emit(serialize.model_to_json(catalog.make_action(key)))
     else:

@@ -3,7 +3,10 @@
 Rationals travel as strings ("p/q", or "p" when the denominator is 1) so
 no consumer can lose precision; partitions as arrays of integers; y-
 polynomials as degree -> coefficient objects. Readers accept exactly what
-the writers emit, and re-emission is byte-identical.
+the writers emit, and re-emission is byte-identical. Catalog keys
+(``pn:N``, ``hyp:N:D``, ``product:...``, ``pnaction:N[:...]``) share the
+integer grammar of the rationals' numerators; :func:`key_dimension` reads a
+key's dimension without loading the catalog.
 
 The classes a reader builds are imported inside that reader, so loading
 this module loads no ``betti``, ``catalog`` or ``localization`` code.
@@ -49,8 +52,10 @@ def format_rational(value: Fraction | int) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-_RATIONAL_RE = re.compile(r"(0|-?[1-9][0-9]*)(/[1-9][0-9]*)?")
+_INT = r"0|-?[1-9][0-9]*"
+_RATIONAL_RE = re.compile(rf"({_INT})(/[1-9][0-9]*)?")
 _DEGREE_RE = re.compile(r"0|[1-9][0-9]*")
+_KEY_INT_RE = re.compile(_INT)
 
 
 def parse_rational(text: Any, field: str = "value") -> Fraction:
@@ -66,6 +71,46 @@ def parse_rational(text: Any, field: str = "value") -> Fraction:
     if denominator and (q == 1 or gcd(p, q) != 1):
         raise SchemaError(field, f"expected lowest terms with q > 1, got {text!r}")
     return Fraction(p, q)
+
+
+def key_int(text: str, key: str) -> int:
+    """An integer field of a catalog key: ASCII digits, an optional minus sign, no leading zero."""
+    if not _KEY_INT_RE.fullmatch(text):
+        raise ValueError(f"malformed catalog key {key!r}")
+    try:
+        return int(text)
+    except ValueError:  # over the interpreter's limit on digits converted to int
+        raise ValueError(f"malformed catalog key {key!r}") from None
+
+
+def key_factors(rest: str) -> list[str]:
+    """Split ``pn:1,hyp:2:4`` into factor keys.
+
+    Factor keys (``pn:N``, ``hyp:N:D``) never contain commas, so a plain
+    split suffices; nested products are not part of the grammar.
+    """
+    factors = rest.split(",") if rest else []
+    for factor in factors:
+        if not factor:
+            raise ValueError(f"empty product factor in {rest!r}")
+        if factor.partition(":")[0] not in ("pn", "hyp"):
+            raise ValueError(f"product factors must be pn or hyp keys, got {factor!r}")
+    return factors
+
+
+def key_dimension(key: str) -> int:
+    """Complex dimension named by a catalog manifold or action key, read without building it.
+
+    ``pn:N``, ``hyp:N:D`` and ``pnaction:N[:...]`` name dimension N; a
+    ``product:`` key names the sum over its factors. The rest of the key is
+    validated only when ``chigenus.catalog`` builds it.
+    """
+    kind, _, rest = key.partition(":")
+    if kind in ("pn", "hyp", "pnaction"):
+        return key_int(rest.partition(":")[0], key)
+    if kind == "product":
+        return sum(key_dimension(factor) for factor in key_factors(rest))
+    raise ValueError(f"unknown catalog key {key!r}")
 
 
 def ypoly_to_json(poly: YPolynomial) -> dict[str, str]:

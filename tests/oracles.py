@@ -1,8 +1,9 @@
 """Reference routes on Fraction/YPolynomial arithmetic, kept for tests to compare against.
 
-These are the straightforward forms of the integer code in ``chigenus.betti``
-and ``chigenus.localization``: Schur-complement elimination and Gauss-Jordan
-rank over the rationals, and polynomial sums built one component at a time.
+These are the straightforward forms of the integer code in ``chigenus.betti``,
+``chigenus.localization`` and ``chigenus.chern``: Schur-complement elimination
+and Gauss-Jordan rank over the rationals, polynomial sums built one component
+at a time, and the graded exponential on ``YPolynomial`` coefficients.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from chigenus.betti import InertiaTriple
+from chigenus.chern import ChernPolynomial
 from chigenus.localization import FixedPointModel
+from chigenus.partitions import Partition, merge, weight
 from chigenus.ypoly import YPolynomial
 
 
@@ -102,3 +105,21 @@ def reference_novikov_polynomial(model: FixedPointModel) -> YPolynomial:
         poincare = YPolynomial({i: b for i, b in enumerate(comp.betti)})
         total = total + poincare.shift_degree(2 * comp.d_f)
     return total
+
+
+def reference_graded_exponential(a: dict[Partition, YPolynomial], cap: int) -> ChernPolynomial:
+    """The weight-cap part of exp(A) by m E_m = sum_k k A_k E_{m-k}, term by term on YPolynomials."""
+    if () in a:
+        raise ValueError("exponential requires vanishing constant term")
+    exp: list[dict[Partition, YPolynomial]] = [{(): YPolynomial.one()}]
+    for m in range(1, cap + 1):
+        acc: dict[Partition, YPolynomial] = {}
+        for pa, ca in a.items():
+            k = weight(pa)
+            if k > m:
+                continue
+            for pb, cb in exp[m - k].items():
+                key = merge(pa, pb)
+                acc[key] = acc.get(key, YPolynomial.zero()) + ca * cb * Fraction(k, m)
+        exp.append(acc)
+    return ChernPolynomial(cap, exp[cap])

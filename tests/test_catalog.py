@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from chigenus import catalog, serialize
+from chigenus import serialize
 from chigenus.catalog import (
     CATALOG_KEYS,
     CohomologyModel,
@@ -223,7 +223,7 @@ _PRODUCTS = [
     "product:" + ",".join(factors)
     for size in (2, 3)
     for factors in combinations_with_replacement(_FACTORS, size)
-    if catalog.key_dimension("product:" + ",".join(factors)) <= 8
+    if serialize.key_dimension("product:" + ",".join(factors)) <= 8
 ]
 
 
@@ -242,4 +242,4 @@ def test_catalog_uses_no_ring_model(monkeypatch):
     monkeypatch.setattr(CohomologyModel, "chern_numbers", refuse)
     monkeypatch.setattr(CohomologyModel, "multiply", refuse)
     for key in CATALOG_KEYS:
-        assert make_manifold(key).dimension == catalog.key_dimension(key)
+        assert make_manifold(key).dimension == serialize.key_dimension(key)

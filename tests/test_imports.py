@@ -61,6 +61,7 @@ IMPORT_CASES = {
     "localize": (["localize", "--model", "{model}"], 0, ["chigenus.engine"]),
     "chi-over-cap": (["chi", "--n", "13"], 2, ["chigenus.engine", "chigenus.inequalities"]),
     "ineq-over-cap": (["ineq", "--manifold", "{d40}"], 2, ["chigenus.engine", "chigenus.inequalities"]),
+    "catalog-over-cap": (["catalog", "--make", "pn:13"], 2, ["chigenus.catalog", "chigenus.engine"]),
 }
 
 

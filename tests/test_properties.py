@@ -1,4 +1,4 @@
-"""Property tests: rational strings, inertia and rank against their oracles, the form reader on any JSON."""
+"""Property tests: rational strings, inertia, rank and the graded exponential against their oracles, the form reader on any JSON."""
 
 import contextlib
 import io
@@ -15,8 +15,11 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from chigenus import serialize  # noqa: E402
 from chigenus.betti import inertia, rank  # noqa: E402
+from chigenus.chern import graded_exponential  # noqa: E402
 from chigenus.cli import main  # noqa: E402
-from oracles import fraction_inertia, fraction_rank  # noqa: E402
+from chigenus.partitions import partitions_of  # noqa: E402
+from chigenus.ypoly import YPolynomial  # noqa: E402
+from oracles import fraction_inertia, fraction_rank, reference_graded_exponential  # noqa: E402
 
 
 @given(st.from_regex(serialize._RATIONAL_RE, fullmatch=True))
@@ -68,6 +71,39 @@ def rectangular_matrices(draw):
 @example([[0, 0, 0, 0]])
 def test_rank_matches_fraction_oracle(matrix):
     assert rank(matrix) == fraction_rank(matrix)
+
+
+@st.composite
+def exponent_pieces(draw):
+    """A cap <= 6 and factored pieces l_k(y) p_k(c) for some weights up to one past it.
+
+    Denominators differ from piece to piece and need not be reduced against
+    their rows; a row may be empty or all zeros, and p_k may skip partitions
+    or give them a zero coefficient.
+    """
+    cap = draw(st.integers(0, 6))
+    pieces = {}
+    for k in range(1, cap + 2):
+        if draw(st.booleans()):
+            den = draw(st.sampled_from((1, 2, 3, 4, 6, 7, 12, 30)))
+            row = draw(st.lists(st.integers(-9, 9), max_size=4))
+            chern = {part: draw(st.integers(-5, 5)) for part in partitions_of(k) if draw(st.booleans())}
+            pieces[k] = (den, row, chern)
+    return pieces, cap
+
+
+@settings(deadline=None)
+@given(exponent_pieces())
+@example(({1: (2, [1, -1], {(1,): 1}), 3: (6, [0, 0], {(3,): 2, (1, 1, 1): 1})}, 4))
+@example(({2: (4, [2, 0, 6], {(2,): 1, (1, 1): -2}), 4: (3, [1], {(4,): 0})}, 6))
+def test_graded_exponential_matches_the_ypolynomial_oracle(drawn):
+    pieces, cap = drawn
+    expanded = {}
+    for den, row, chern in pieces.values():
+        ell = YPolynomial({i: Fraction(c, den) for i, c in enumerate(row)})
+        for part, c in chern.items():
+            expanded[part] = ell * c
+    assert graded_exponential(pieces, cap) == reference_graded_exponential(expanded, cap)
 
 
 _leaves = (
