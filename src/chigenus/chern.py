@@ -11,11 +11,11 @@ of the values.
 The module also provides the power sums of the Chern roots in this basis
 (Newton's identities) and the truncated exponential of an inhomogeneous
 combination, both computed on integer coefficients. The exponential takes
-its exponent factored, one piece l_k(y) p_k(c) per weight k with l_k an
-integer row over a denominator and p_k an integer Chern polynomial, holds
-each weight of the result as integer rows over its own reduced scale, and
-hands the top weight to the cleared form without making a ``Fraction`` or a
-``YPolynomial``. The constructor clears its denominators in :func:`_clear`.
+its exponent factored, one piece l_k(y) p_k(c) per weight k with l_k a
+:class:`~chigenus.ypoly.YPolynomial` and p_k an integer Chern polynomial,
+reads each l_k's integer row over its denominator, holds each weight of the
+result as integer rows over its own reduced scale, and hands the top weight
+to the cleared form.
 """
 
 from __future__ import annotations
@@ -31,21 +31,8 @@ from .ypoly import YPolynomial
 Scalar = Union[int, Fraction, YPolynomial]
 
 # One weight-k piece l(y) * p(c) of the input of graded_exponential: l as a
-# positive denominator over an integer row indexed by y-degree, p as integer
-# coefficients on partitions of weight k.
-Piece = tuple[int, list[int], Mapping[Partition, int]]
-
-
-def _clear(polys: Mapping[Partition, YPolynomial]) -> tuple[int, dict[Partition, list[int]]]:
-    """D, the lcm of every coefficient denominator, and each polynomial as the dense row D * coeff."""
-    d = lcm(*[value.denominator for poly in polys.values() for _, value in poly.items()])
-    rows = {}
-    for part, poly in polys.items():
-        row = [0] * (poly.degree + 1)
-        for degree, value in poly.items():
-            row[degree] = value.numerator * (d // value.denominator)
-        rows[part] = row
-    return d, rows
+# y-polynomial, p as integer coefficients on partitions of weight k.
+Piece = tuple[YPolynomial, Mapping[Partition, int]]
 
 
 class ChernPolynomial:
@@ -74,7 +61,9 @@ class ChernPolynomial:
                 if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
                     raise ValueError(f"partition {part} is not sorted non-increasingly")
                 polys[part] = coeff if isinstance(coeff, YPolynomial) else YPolynomial.constant(coeff)
-        self._store(grade, *_clear(polys))
+        d = lcm(*[poly.denominator for poly in polys.values()])
+        rows = {part: [c * (d // poly.denominator) for c in poly.row] for part, poly in polys.items()}
+        self._store(grade, d, rows)
 
     @classmethod
     def _from_rows(cls, grade: int, scale: int, rows: Mapping[Partition, list[int]]) -> "ChernPolynomial":
@@ -108,7 +97,7 @@ class ChernPolynomial:
         """Terms in canonical (reverse-lexicographic) partition order, read off the columns."""
         d = self.denominator
         return [
-            (part, YPolynomial({k: Fraction(c[i], d) for k, c in enumerate(self.columns) if c[i]}))
+            (part, YPolynomial.from_row(d, [column[i] for column in self.columns]))
             for i, part in enumerate(self.partitions)
         ]
 
@@ -120,8 +109,8 @@ class ChernPolynomial:
 
         The sum runs on Python ints over the cleared form. With E the lcm of
         the denominators of the values read, the y^d coefficient is
-        sum_i columns[d][i] * (E * values[partitions[i]]) / (D * E), made as
-        one ``Fraction``.
+        sum_i columns[d][i] * (E * values[partitions[i]]) / (D * E), so the
+        result is one integer row over D * E.
         """
         try:
             picked = [values[part] for part in self.partitions]
@@ -131,9 +120,8 @@ class ChernPolynomial:
         # resizing, and each such tuple ends in the interpreter's free list for its length
         e = lcm(*[v.denominator for v in picked])
         scaled = [v.numerator * (e // v.denominator) for v in picked]
-        de = self.denominator * e
         totals = [sum(map(mul, column, scaled)) for column in self.columns]
-        return YPolynomial({degree: Fraction(t, de) for degree, t in enumerate(totals) if t})
+        return YPolynomial.from_row(self.denominator * e, totals)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ChernPolynomial):
@@ -196,7 +184,8 @@ def graded_exponential(pieces: Mapping[int, Piece], cap: int) -> ChernPolynomial
     part of (sum_k k*A_k) * E. The recurrence runs on dense lists of Python
     ints, indexed by y-degree. Each weight m is held as integer rows R_m
     over its own scale s_m, E_m = R_m / s_m, with s_0 = 1 and R_0 = 1. With
-    l_k = row_k / d_k and L = m * lcm_k(d_k * s_{m-k}),
+    l_k = row_k / d_k (its ``row`` over its ``denominator``) and
+    L = m * lcm_k(d_k * s_{m-k}),
 
         L E_m = sum_k k * L / (m d_k s_{m-k}) * row_k * p_k * R_{m-k}
 
@@ -205,14 +194,13 @@ def graded_exponential(pieces: Mapping[int, Piece], cap: int) -> ChernPolynomial
     p_k with its integer coefficient. R_m and L are then divided by their
     gcd, which keeps every scale near the true denominator of its weight.
     Weights add, so a product never exceeds the cap and none is tested
-    against it. The weight-cap rows become the cleared form directly; no
-    ``Fraction`` or ``YPolynomial`` is made.
+    against it. The weight-cap rows become the cleared form directly.
     """
     if 0 in pieces:
         raise ValueError("exponential requires vanishing constant term")
     buckets: list[tuple[int, dict[Partition, list[int]]]] = [(1, {(): [1]})]
     for m in range(1, cap + 1):
-        used = [(k, den, row, chern) for k, (den, row, chern) in pieces.items() if k <= m]
+        used = [(k, ell.denominator, ell.row, c) for k, (ell, c) in pieces.items() if k <= m]
         scale = m * lcm(*[den * buckets[m - k][0] for k, den, _, _ in used])
         acc: dict[Partition, list[int]] = {}
         for k, den, row, chern in used:

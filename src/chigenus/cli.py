@@ -18,12 +18,9 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any
+from typing import Any, Callable
 
 from . import serialize
-
-if TYPE_CHECKING:
-    from .catalog import ManifoldData
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,13 +66,13 @@ def _load_json(path: str) -> Any:
         raise InputError(f"{path} holds a number with too many digits") from None
 
 
-def _load_manifold(path: str) -> ManifoldData:
-    """A manifold document; an over-cap dimension is rejected before the Chern numbers are read."""
+def _load_capped(path: str, key: str, reader: Callable[[Any], Any]) -> Any:
+    """A document whose degree ``key`` is checked against the cap before ``reader`` reads the rest."""
     obj = _load_json(path)
-    dimension = obj.get("dimension") if isinstance(obj, dict) else None
-    if serialize.is_json_int(dimension) and dimension >= 0:
-        _check_cap(dimension)
-    return serialize.manifold_from_json(obj)
+    degree = obj.get(key) if isinstance(obj, dict) else None
+    if serialize.is_json_int(degree) and degree >= 0:
+        _check_cap(degree)
+    return reader(obj)
 
 
 def _emit(payload: Any) -> None:
@@ -126,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_chi(args: argparse.Namespace) -> int:
     manifold = None
     if args.manifold is not None:
-        manifold = _load_manifold(args.manifold)
+        manifold = _load_capped(args.manifold, "dimension", serialize.manifold_from_json)
     n = args.n
     if n is None:
         if manifold is None:
@@ -189,7 +186,7 @@ def _cmd_kcoeffs(args: argparse.Namespace) -> int:
 
 
 def _cmd_ineq(args: argparse.Namespace) -> int:
-    manifold = _load_manifold(args.manifold)
+    manifold = _load_capped(args.manifold, "dimension", serialize.manifold_from_json)
     from . import inequalities
 
     reports = inequalities.check_inequalities(manifold, args.epsilon)
@@ -212,8 +209,7 @@ def _cmd_ineq(args: argparse.Namespace) -> int:
 
 
 def _cmd_localize(args: argparse.Namespace) -> int:
-    model = serialize.model_from_json(_load_json(args.model))
-    _check_cap(model.n)
+    model = _load_capped(args.model, "n", serialize.model_from_json)
     from . import localization
 
     payload: dict[str, Any] = {
@@ -354,6 +350,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT_ERROR
+    # argparse reads "--option=--" as an empty list, not as a value
+    if [] in vars(args).values():
+        _report("an option was given '--' in place of its value")
+        return EXIT_INPUT_ERROR
     try:
         return _HANDLERS[args.command](args)
     except (InputError, ValueError) as exc:

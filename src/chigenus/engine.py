@@ -12,18 +12,17 @@ Algebraic Geometry*, section 1.8): its x^j coefficient is
 l_j(y) = beta_j (1+y)^j + (-1)^j y A_{j-1}(-y) / j!, with A_k the Eulerian
 polynomials and beta_j = -A_{j-1}(-1) / (2^j (2^j - 1) j!) for j >= 2, so
 one integer Eulerian triangle is its only ingredient. The build runs on
-ints only: each l_j is an integer row over a denominator, each power sum
-p_j an integer Chern polynomial, and the exponential takes the exponent
-factored as the pieces l_j p_j and keeps every weight over its own reduced
-scale. :func:`eulerian_polynomials` and :func:`log_q_coefficients` are
-``YPolynomial`` views of the same rows, and :func:`normalized_series` builds
-Q itself, as the reference route the tests check them against.
+ints only: each l_j is a ``YPolynomial``, an integer row over a
+denominator, each power sum p_j an integer Chern polynomial, and the
+exponential takes the exponent factored as the pieces l_j p_j and keeps
+every weight over its own reduced scale. :func:`normalized_series` builds Q
+itself, as the reference route the tests check the closed form against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial
 from typing import TYPE_CHECKING, Protocol
 
 from .chern import ChernPolynomial, graded_exponential, integer_power_sums
@@ -70,55 +69,24 @@ def normalized_series(order: int) -> TruncatedSeries:
     return num * den.inverse()
 
 
-def _eulerian_rows(up_to: int) -> list[list[int]]:
-    """A_0..A_up_to as integer coefficient rows, via the descent-count triangle.
-
-    a(m, k) = (k+1) a(m-1, k) + (m-k) a(m-1, k-1): appending the letter m to
-    a permutation either preserves or creates a descent.
-    """
-    rows = [[1]]
-    for m in range(1, up_to + 1):
-        prev = rows[-1]
-        row = []
-        for k in range(m):
-            keep = (k + 1) * prev[k] if k < len(prev) else 0
-            create = (m - k) * prev[k - 1] if 0 <= k - 1 < len(prev) else 0
-            row.append(keep + create)
-        rows.append(row)
-    return rows
-
-
 def eulerian_polynomials(up_to: int) -> list[YPolynomial]:
     """P_1..P_up_to, the descent-count polynomials.
 
     P_m has degree m - 1, positive palindromic coefficients, and total mass m!.
+    The rows come from the descent-count triangle
+    a(m, k) = (k+1) a(m-1, k) + (m-k) a(m-1, k-1): appending the letter m to
+    a permutation either preserves or creates a descent.
     """
     if up_to < 1:
         raise ValueError("need at least one polynomial")
-    return [YPolynomial(dict(enumerate(row))) for row in _eulerian_rows(up_to)[1:]]
-
-
-def _log_q_rows(n: int) -> list[tuple[int, list[int]]]:
-    """l_1..l_n, the x^j coefficients of log Q, each as (denominator, integer row by y-degree).
-
-    Over den = 2^j (2^j - 1) j!, beta_j is den/2 at j = 1 and -A_{j-1}(-1)
-    after; the tail's y^(i+1) coefficient is (-1)^(j+i) a(j-1, i) den/j!.
-    Each pair is reduced by the gcd of its entries and trailing zeros dropped.
-    """
-    eulerian = _eulerian_rows(max(n - 1, 0))
-    out = []
-    for j in range(1, n + 1):
-        a = eulerian[j - 1]
-        den = 2**j * (2**j - 1) * factorial(j)
-        beta = den // 2 if j == 1 else sum(a[1::2]) - sum(a[::2])
-        row = [beta * comb(j, i) for i in range(j + 1)]
-        for i, c in enumerate(a):
-            row[i + 1] += (-1) ** (j + i) * c * (den // factorial(j))
-        while not row[-1]:
-            row.pop()
-        g = gcd(den, *row)
-        out.append((den // g, [c // g for c in row]))
-    return out
+    polys = []
+    prev = [1]
+    for m in range(1, up_to + 1):
+        padded = [0, *prev, 0]
+        row = [(k + 1) * padded[k + 1] + (m - k) * padded[k] for k in range(m)]
+        polys.append(YPolynomial.from_row(1, row))
+        prev = row
+    return polys
 
 
 def log_q_coefficients(n: int) -> list[YPolynomial]:
@@ -128,11 +96,21 @@ def log_q_coefficients(n: int) -> list[YPolynomial]:
     The first term gives beta_j (1+y)^j, with beta_1 = 1/2 and
     beta_j = -A_{j-1}(-1) / (2^j (2^j - 1) j!) = -B_j / (j j!) for j >= 2
     (zero for odd j >= 3); the second gives (-1)^j y A_{j-1}(-y) / j!, A_0 = 1.
-    These are views of the integer rows the table is built from.
+    Over den = 2^j (2^j - 1) j!, beta_j is den/2 at j = 1 and -A_{j-1}(-1)
+    after, and the tail's y^(i+1) coefficient is (-1)^(j+i) a(j-1, i) den/j!,
+    so each l_j is built as one integer row over den.
     """
-    return [
-        YPolynomial({i: Fraction(c, den) for i, c in enumerate(row)}) for den, row in _log_q_rows(n)
-    ]
+    eulerian = [(1,)] + [p.row for p in eulerian_polynomials(max(n - 1, 1))]
+    out = []
+    for j in range(1, n + 1):
+        a = eulerian[j - 1]
+        den = 2**j * (2**j - 1) * factorial(j)
+        beta = den // 2 if j == 1 else sum(a[1::2]) - sum(a[::2])
+        row = [beta * comb(j, i) for i in range(j + 1)]
+        for i, c in enumerate(a):
+            row[i + 1] += (-1) ** (j + i) * c * (den // factorial(j))
+        out.append(YPolynomial.from_row(den, row))
+    return out
 
 
 _TABLE_CACHE: dict[int, ChernPolynomial] = {}
@@ -144,8 +122,8 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
     Its evaluation on the Chern numbers of a manifold is the chi_y polynomial.
     The power sums p_1..p_n are built once, on integer coefficients, and
     paired with the x^k coefficients l_k of log Q in the closed form of
-    Hirzebruch section 1.8, as (denominator, integer row) pairs, so no
-    series, ``Fraction`` or ``YPolynomial`` arithmetic runs. The exponential
+    Hirzebruch section 1.8, each an integer row over a denominator, so no
+    series or ``Fraction`` arithmetic runs. The exponential
     of sum_k l_k p_k keeps each weight m as integer rows over its own scale,
     reduced by their gcd, and returns its weight-n bucket as the table's
     cleared form (see :func:`~chigenus.chern.graded_exponential`).
@@ -158,7 +136,7 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
     if cached is not None:
         return cached
     sums = integer_power_sums(n, n)
-    pieces = {k: (den, row, sums[k]) for k, (den, row) in enumerate(_log_q_rows(n), start=1)}
+    pieces = {k: (ell, sums[k]) for k, ell in enumerate(log_q_coefficients(n), start=1)}
     table = graded_exponential(pieces, n)
     _TABLE_CACHE[n] = table
     return table

@@ -232,28 +232,25 @@ def eulerian_identity_check(order: int) -> bool:
     The claim is (e^{x(1-y)} - 1) / (1 - y e^{x(1-y)}) = sum P_i(y) x^i / i!.
     The denominator's constant term 1 - y is not invertible over Q[y], so
     the quotient is checked in cross-multiplied form, which determines it
-    uniquely in the integral domain Q[y][[x]].
+    uniquely in the integral domain Q[y][[x]]. Each series is the list of
+    its x^0..x^(order-1) coefficients, and the product is their Cauchy
+    product truncated at the same order.
     """
     if order < 1:
         raise ValueError("order must be positive")
     if order > 12:
         raise ValueError("order capped at 12")
-    from .series import TruncatedSeries
-
     one_minus_y = YPolynomial({0: 1, 1: -1})
     y = YPolynomial.variable()
     # e^{x(1-y)} truncated: x^k coefficient (1-y)^k / k!
     exp_coeffs = [one_minus_y**k * Fraction(1, factorial(k)) for k in range(order)]
-    lhs = TruncatedSeries(
-        [YPolynomial.zero()] + exp_coeffs[1:], order
-    )  # e^{x(1-y)} - 1
-    denominator = TruncatedSeries(
-        [YPolynomial.one() - y * exp_coeffs[0]] + [-(y * c) for c in exp_coeffs[1:]], order
-    )  # 1 - y e^{x(1-y)}
+    lhs = [YPolynomial.zero()] + exp_coeffs[1:]  # e^{x(1-y)} - 1
+    denominator = [-(y * c) for c in exp_coeffs]  # 1 - y e^{x(1-y)}
+    denominator[0] = denominator[0] + 1
     polys = eulerian_polynomials(max(order - 1, 1))
-    gen = TruncatedSeries(
-        [YPolynomial.zero()]
-        + [polys[i - 1] * Fraction(1, factorial(i)) for i in range(1, order)],
-        order,
-    )
-    return denominator * gen == lhs
+    gen = [YPolynomial.zero()] + [polys[i - 1] * Fraction(1, factorial(i)) for i in range(1, order)]
+    product = [
+        sum((denominator[i] * gen[m - i] for i in range(m + 1)), YPolynomial.zero())
+        for m in range(order)
+    ]
+    return product == lhs

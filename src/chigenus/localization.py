@@ -8,16 +8,16 @@ genus localizes as sum_F chi_{-y}(F) y^{d_F}, the Novikov numbers as
 sum_F P_y(F) y^{2 d_F}, and the signature as sum_F sigma(F) (-1)^{d_F}.
 
 Each localized polynomial is built in one pass: every component's shifted
-coefficients are added into one degree -> coefficient map, and the
-polynomial is normalized once, so a sum over c components costs O(c) scalar
-additions. Betti numbers are integers, so the Novikov polynomial is summed
-on integers throughout.
+integer row is scaled to the lcm of the components' denominators and added
+into one row, and the polynomial is normalized once, so a sum over c
+components costs O(c) integer additions. Betti numbers are integers, so the
+Novikov polynomial is summed over the denominator 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .ypoly import YPolynomial
@@ -79,6 +79,9 @@ class FixedComponent:
                 )
             if any(b < 0 for b in self.betti):
                 raise ValueError("Betti numbers must be non-negative")
+            if any(b != int(b) for b in self.betti):
+                raise ValueError("Betti numbers must be integers")
+            self.betti = tuple([int(b) for b in self.betti])
         self.signature = signature
         self.chi_minus_y = chi_minus_y
 
@@ -126,16 +129,24 @@ class FixedPointModel:
         return all(c.is_isolated() for c in self.components)
 
 
+def _shifted_sum(terms: list[tuple[int, int, Sequence[int]]]) -> YPolynomial:
+    """sum_t y^shift_t row_t / den_t, each row scaled to the lcm of the den_t and added into one."""
+    den = lcm(*[d for _, d, _ in terms])
+    total = [0] * max([shift + len(row) for shift, _, row in terms])
+    for shift, d, row in terms:
+        factor = den // d
+        for i, c in enumerate(row, shift):
+            total[i] += factor * c
+    return YPolynomial.from_row(den, total)
+
+
 def localized_chi_minus_y(model: FixedPointModel) -> YPolynomial:
     """chi_{-y} of the total space: sum over components of chi_{-y}(F) y^{d_F}."""
-    coeffs: dict[int, Fraction] = {}
-    for comp in model.components:
-        if comp.chi_minus_y is None:
-            raise ValueError("positive-dimensional component lacks its modified genus")
-        for degree, value in comp.chi_minus_y.items():
-            key = degree + comp.d_f
-            coeffs[key] = coeffs.get(key, 0) + value
-    return YPolynomial(coeffs)
+    if any(comp.chi_minus_y is None for comp in model.components):
+        raise ValueError("positive-dimensional component lacks its modified genus")
+    return _shifted_sum(
+        [(c.d_f, c.chi_minus_y.denominator, c.chi_minus_y.row) for c in model.components]
+    )
 
 
 def novikov_polynomial(model: FixedPointModel) -> YPolynomial:
@@ -143,13 +154,9 @@ def novikov_polynomial(model: FixedPointModel) -> YPolynomial:
 
     For a Hamiltonian action these are the Betti numbers of the total space.
     """
-    coeffs: dict[int, int] = {}
-    for comp in model.components:
-        if comp.betti is None:
-            raise ValueError("component has no Betti numbers")
-        for degree, b in enumerate(comp.betti, 2 * comp.d_f):
-            coeffs[degree] = coeffs.get(degree, 0) + b
-    return YPolynomial(coeffs)
+    if any(comp.betti is None for comp in model.components):
+        raise ValueError("component has no Betti numbers")
+    return _shifted_sum([(2 * c.d_f, 1, c.betti) for c in model.components])
 
 
 def localized_signature(model: FixedPointModel) -> int:
@@ -186,7 +193,7 @@ def consistency_isolated(model: FixedPointModel) -> IsolatedConsistencyReport:
         raise ValueError("all components must be isolated points")
     chi = localized_chi_minus_y(model)
     novikov = novikov_polynomial(model)
-    odd_vanish = all(d % 2 == 0 for d, _ in novikov.items())
+    odd_vanish = not any(novikov.row[1::2])
     matches = chi.stretch(2) == novikov
     positive = all(chi.coefficient(i) > 0 for i in range(model.n + 1))
     return IsolatedConsistencyReport(odd_vanish, matches, positive)
@@ -214,10 +221,8 @@ def signature_identity_check(model: FixedPointModel) -> SignatureIdentityReport:
     """Check sigma(M) = sum_i (-1)^i b_{2i}(xi) via both localizations."""
     applicable = all(_component_signature_alternating(c) for c in model.components)
     signature = localized_signature(model)
-    novikov = novikov_polynomial(model)
-    alternating = sum(
-        (-1) ** i * int(novikov.coefficient(2 * i)) for i in range(model.n + 1)
-    )
+    novikov = novikov_polynomial(model)  # over the denominator 1: its row holds the Novikov numbers
+    alternating = sum(novikov.row[0::4]) - sum(novikov.row[2::4])
     return SignatureIdentityReport(applicable, signature, alternating)
 
 

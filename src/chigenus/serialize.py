@@ -114,10 +114,21 @@ def key_dimension(key: str) -> int:
 
 
 def ypoly_to_json(poly: YPolynomial) -> dict[str, str]:
-    return {str(d): format_rational(c) for d, c in poly.items()}
+    """Each nonzero coefficient formatted as ``format_rational`` would, straight from the row."""
+    d = poly.denominator
+    out = {}
+    for degree, c in enumerate(poly.row):
+        if c:
+            g = gcd(c, d)
+            out[str(degree)] = str(c // g) if g == d else f"{c // g}/{d // g}"
+    return out
 
 
 def ypoly_from_json(obj: Any, field: str = "poly") -> YPolynomial:
+    return YPolynomial(_ypoly_terms(obj, field))
+
+
+def _ypoly_terms(obj: Any, field: str) -> dict[int, Fraction]:
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected an object mapping degree to coefficient")
     coeffs = {}
@@ -130,7 +141,7 @@ def ypoly_from_json(obj: Any, field: str = "poly") -> YPolynomial:
             message = f"degree has too many digits ({len(key)} characters)"
             raise SchemaError(field, message) from None
         coeffs[degree] = parse_rational(value, f"{field}[{key}]")
-    return YPolynomial(coeffs)
+    return coeffs
 
 
 def partition_from_json(obj: Any, field: str = "partition") -> Partition:
@@ -143,17 +154,7 @@ def partition_from_json(obj: Any, field: str = "partition") -> Partition:
 
 
 def chern_to_json(poly: ChernPolynomial) -> dict[str, Any]:
-    """Each coefficient formatted as ``format_rational`` would, straight from the cleared columns."""
-    d = poly.denominator
-    terms = []
-    for i, part in enumerate(poly.partitions):
-        coeff = {}
-        for degree, column in enumerate(poly.columns):
-            c = column[i]
-            if c:
-                g = gcd(c, d)
-                coeff[str(degree)] = str(c // g) if g == d else f"{c // g}/{d // g}"
-        terms.append({"partition": list(part), "coeff": coeff})
+    terms = [{"partition": list(part), "coeff": ypoly_to_json(coeff)} for part, coeff in poly.items()]
     return {"grade": poly.grade, "terms": terms}
 
 
@@ -244,7 +245,13 @@ def component_from_json(obj: Any, field: str) -> FixedComponent:
     if signature is not None and not is_json_int(signature):
         raise SchemaError(f"{field}.signature", "expected an integer")
     chi = obj.get("chiMinusY")
-    chi_poly = ypoly_from_json(chi, f"{field}.chiMinusY") if chi is not None else None
+    chi_poly = None
+    if chi is not None:
+        terms = _ypoly_terms(chi, f"{field}.chiMinusY")
+        top = max([d for d, c in terms.items() if c], default=0)
+        if top > r:  # refused before the polynomial's dense row is allocated
+            raise SchemaError(f"{field}.chiMinusY", f"degree {top} exceeds the component's dimension {r}")
+        chi_poly = YPolynomial(terms)
     from .localization import FixedComponent
 
     try:
@@ -280,6 +287,10 @@ def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
     raw = obj.get("components")
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{field}.components", "expected a nonempty array")
+    for entry in raw:
+        r = entry.get("complexDim") if isinstance(entry, dict) else None
+        if is_json_int(r) and r > n:  # before any component's polynomial of degree up to r is built
+            raise SchemaError(field, "component dimension exceeds the manifold's")
     components = [
         component_from_json(entry, f"{field}.components[{i}]") for i, entry in enumerate(raw)
     ]

@@ -3,9 +3,8 @@
 A series of order N stores the coefficients of x^0 .. x^(N-1) as
 :class:`~chigenus.ypoly.YPolynomial` values and silently discards anything
 of higher order. The genus table takes log Q in closed form (see
-:mod:`chigenus.engine`); this module is the reference route that the tests
-check that closed form against, and the product that
-:func:`~chigenus.kexpansion.eulerian_identity_check` needs. It is kept
+:mod:`chigenus.engine`), and no command loads this module: it is the
+reference route that the tests check that closed form against, kept
 because the benchmark's tracer (``perfbench/tracing.py``) names
 ``TruncatedSeries.log`` and ``engine.normalized_series``. The logarithm's
 derivative recurrence only divides by integers, so coefficients stay in Q[y].

@@ -1,45 +1,70 @@
-"""Sparse exact polynomials in the genus variable y.
+"""Exact polynomials in the genus variable y: one integer row over one denominator.
 
-Every coefficient is a ``fractions.Fraction``; nothing in the package ever
-rounds. Zero coefficients are never stored, so the zero polynomial carries
-an empty map and prints as ``"0"``.
+The y^d coefficient is ``row[d] / denominator``. The denominator is
+positive, it and the row have gcd 1 and the row has no trailing zero, so
+equal polynomials have equal forms; the zero polynomial is 1 over ``()``
+and prints as ``"0"``. Arithmetic runs on Python ints and coefficients are
+read out as ``fractions.Fraction`` values; nothing ever rounds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Union
+from itertools import zip_longest
+from math import gcd, lcm
+from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
 
 class YPolynomial:
-    """A polynomial in y over the rationals, stored degree -> coefficient.
+    """A polynomial in y over the rationals, ``sum_d row[d] y^d / denominator``.
 
     Instances are immutable by convention: every operation returns a new
-    object and ``_coeffs`` is never mutated after construction.
+    object and neither slot is rebound after construction.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("denominator", "row")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None) -> None:
-        clean: dict[int, Fraction] = {}
-        if coeffs:
-            for degree, value in coeffs.items():
-                if degree < 0:
-                    raise ValueError(f"negative degree {degree}")
-                q = Fraction(value)
-                if q != 0:
-                    clean[int(degree)] = q
-        self._coeffs = clean
+        """The polynomial sum_d coeffs[d] y^d, for rational coefficients."""
+        terms = {}
+        for degree, value in (coeffs or {}).items():
+            if degree < 0:
+                raise ValueError(f"negative degree {degree}")
+            q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+            if q:
+                terms[int(degree)] = q
+        den = lcm(*[q.denominator for q in terms.values()])
+        row = [0] * (max(terms, default=-1) + 1)
+        for degree, q in terms.items():
+            row[degree] = q.numerator * (den // q.denominator)
+        self._store(den, row)
+
+    @classmethod
+    def from_row(cls, denominator: int, row: Sequence[int]) -> "YPolynomial":
+        """sum_d row[d] y^d / denominator for any positive denominator, reduced to the canonical form."""
+        if denominator <= 0:
+            raise ValueError("denominator must be positive")
+        poly = cls.__new__(cls)
+        poly._store(denominator, row)
+        return poly
+
+    def _store(self, denominator: int, row: Sequence[int]) -> None:
+        end = len(row)
+        while end and not row[end - 1]:
+            end -= 1
+        g = gcd(denominator, *row[:end])
+        self.denominator = denominator // g
+        self.row = tuple([c // g for c in row[:end]])
 
     @classmethod
     def zero(cls) -> "YPolynomial":
-        return cls()
+        return cls.from_row(1, ())
 
     @classmethod
     def one(cls) -> "YPolynomial":
-        return cls({0: 1})
+        return cls.from_row(1, (1,))
 
     @classmethod
     def constant(cls, value: Scalar) -> "YPolynomial":
@@ -47,24 +72,26 @@ class YPolynomial:
 
     @classmethod
     def variable(cls) -> "YPolynomial":
-        return cls({1: 1})
+        return cls.from_row(1, (0, 1))
 
     def coefficient(self, degree: int) -> Fraction:
-        return self._coeffs.get(degree, Fraction(0))
+        inside = 0 <= degree < len(self.row)
+        return Fraction(self.row[degree] if inside else 0, self.denominator)
 
     def items(self) -> list[tuple[int, Fraction]]:
-        return sorted(self._coeffs.items())
+        """The nonzero coefficients as (degree, coefficient), by increasing degree."""
+        return [(d, Fraction(c, self.denominator)) for d, c in enumerate(self.row) if c]
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
-        return max(self._coeffs) if self._coeffs else -1
+        return len(self.row) - 1
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.row
 
     def is_constant(self) -> bool:
-        return not self._coeffs or set(self._coeffs) == {0}
+        return len(self.row) <= 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -73,15 +100,15 @@ class YPolynomial:
 
     def __add__(self, other: "YPolynomial | Scalar") -> "YPolynomial":
         other = _coerce(other)
-        merged = dict(self._coeffs)
-        for degree, value in other._coeffs.items():
-            merged[degree] = merged.get(degree, Fraction(0)) + value
-        return YPolynomial(merged)
+        den = lcm(self.denominator, other.denominator)
+        fa, fb = den // self.denominator, den // other.denominator
+        pairs = zip_longest(self.row, other.row, fillvalue=0)
+        return YPolynomial.from_row(den, [fa * a + fb * b for a, b in pairs])
 
     __radd__ = __add__
 
     def __neg__(self) -> "YPolynomial":
-        return YPolynomial({d: -v for d, v in self._coeffs.items()})
+        return YPolynomial.from_row(self.denominator, [-c for c in self.row])
 
     def __sub__(self, other: "YPolynomial | Scalar") -> "YPolynomial":
         return self + (-_coerce(other))
@@ -90,16 +117,13 @@ class YPolynomial:
         return _coerce(other) - self
 
     def __mul__(self, other: "YPolynomial | Scalar") -> "YPolynomial":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return YPolynomial()
-            return YPolynomial({d: v * other for d, v in self._coeffs.items()})
-        product: dict[int, Fraction] = {}
-        for da, va in self._coeffs.items():
-            for db, vb in other._coeffs.items():
-                d = da + db
-                product[d] = product.get(d, Fraction(0)) + va * vb
-        return YPolynomial(product)
+        other = _coerce(other)
+        product = [0] * max(len(self.row) + len(other.row) - 1, 0)
+        for i, x in enumerate(self.row):
+            if x:
+                for j, v in enumerate(other.row, i):
+                    product[j] += x * v
+        return YPolynomial.from_row(self.denominator * other.denominator, product)
 
     __rmul__ = __mul__
 
@@ -107,66 +131,57 @@ class YPolynomial:
         if exponent < 0:
             raise ValueError("negative exponent")
         result = YPolynomial.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        for _ in range(exponent):
+            result = result * self
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, YPolynomial):
-            return self._coeffs == other._coeffs
         if isinstance(other, (int, Fraction)):
-            return self._coeffs == YPolynomial.constant(other)._coeffs
+            other = YPolynomial.constant(other)
+        if isinstance(other, YPolynomial):
+            return self.denominator == other.denominator and self.row == other.row
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._coeffs.items())))
+        return hash((self.denominator, self.row))
 
     def evaluate(self, value: Scalar) -> Fraction:
+        """The value at y = p/q: sum_d row[d] p^d q^(deg-d) over denominator q^deg, one ``Fraction``."""
         point = Fraction(value)
-        return sum((v * point**d for d, v in self._coeffs.items()), Fraction(0))
+        p, q = point.numerator, point.denominator
+        total, scale = 0, 1
+        for c in reversed(self.row):
+            total = total * p + c * scale
+            scale *= q
+        return Fraction(total, self.denominator * q ** max(self.degree, 0))
 
     def negate_y(self) -> "YPolynomial":
         """Substitute y -> -y."""
-        return YPolynomial({d: v if d % 2 == 0 else -v for d, v in self._coeffs.items()})
+        row = [-c if d % 2 else c for d, c in enumerate(self.row)]
+        return YPolynomial.from_row(self.denominator, row)
 
     def stretch(self, factor: int) -> "YPolynomial":
         """Substitute y -> y**factor."""
         if factor <= 0:
             raise ValueError("stretch factor must be positive")
-        return YPolynomial({d * factor: v for d, v in self._coeffs.items()})
+        row = [0] * (factor * self.degree + 1)
+        row[::factor] = self.row
+        return YPolynomial.from_row(self.denominator, row)
 
     def shift_degree(self, k: int) -> "YPolynomial":
         """Multiply by y**k."""
         if k < 0:
             raise ValueError("cannot shift to negative degrees")
-        return YPolynomial({d + k: v for d, v in self._coeffs.items()})
+        return YPolynomial.from_row(self.denominator, (0,) * k + self.row)
 
     def coefficients_dense(self, length: int | None = None) -> list[Fraction]:
         """Dense coefficient list for degrees 0..length-1 (default degree+1)."""
-        size = (self.degree + 1) if length is None else length
-        dense = [Fraction(0)] * max(size, 0)
-        for d, v in self._coeffs.items():
-            if d < size:
-                dense[d] = v
-        return dense
+        size = len(self.row) if length is None else length
+        return [self.coefficient(d) for d in range(size)]
 
     def __repr__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        chunks = []
-        for d, v in self.items():
-            if d == 0:
-                chunks.append(str(v))
-            elif d == 1:
-                chunks.append(f"{v}*y")
-            else:
-                chunks.append(f"{v}*y^{d}")
-        return " + ".join(chunks)
+        chunks = [f"{v}*y^{d}" if d > 1 else f"{v}*y" if d else str(v) for d, v in self.items()]
+        return " + ".join(chunks) or "0"
 
 
 def _coerce(value: "YPolynomial | Scalar") -> YPolynomial:

@@ -169,7 +169,7 @@ def test_canonical_term_order():
 def test_graded_exponential_matches_series_exp():
     # exp(y*c_1) truncated: weight-m part must be c_1^m y^m / m!
     for m in range(5):
-        part = graded_exponential({1: (1, [0, 1], {(1,): 1})}, m)
+        part = graded_exponential({1: (YPolynomial.variable(), {(1,): 1})}, m)
         expected = ChernPolynomial(
             m, {tuple([1] * m): YPolynomial({m: Fraction(1, factorial(m))})}
         )
@@ -180,7 +180,7 @@ def test_graded_exponential_clears_unlike_denominators():
     # exp(a*c_1 + b*c_2): weight-m part is sum_{i+2j=m} a^i b^j / (i! j!) on (2^j, 1^i)
     a = YPolynomial({0: Fraction(1, 3), 2: Fraction(-5, 7)})
     b = YPolynomial({1: Fraction(2, 5), 3: Fraction(1, 4)})
-    pieces = {1: (21, [7, 0, -15], {(1,): 1}), 2: (20, [0, 8, 0, 5], {(2,): 1})}
+    pieces = {1: (a, {(1,): 1}), 2: (b, {(2,): 1})}
     for m in range(7):
         expected = {
             (2,) * j + (1,) * (m - 2 * j): a ** (m - 2 * j)
@@ -193,4 +193,4 @@ def test_graded_exponential_clears_unlike_denominators():
 
 def test_graded_exponential_rejects_constant_term():
     with pytest.raises(ValueError):
-        graded_exponential({0: (1, [1], {(): 1})}, 3)
+        graded_exponential({0: (YPolynomial.one(), {(): 1})}, 3)

@@ -300,6 +300,152 @@ def test_catalog_output_is_byte_identical(capsys, key):
     assert hashlib.sha256(out.encode()).hexdigest() == CATALOG_DIGESTS[key]
 
 
+# A model whose one-dimensional components carry rational modified genera;
+# their y^1 terms cancel in the sum and the y^2 term keeps denominator 4.
+RATIONAL_MODEL = {
+    "n": 3,
+    "components": [
+        {"weights": [1, 2, 3]},
+        {"complexDim": 1, "weights": [1, -2], "betti": [1, 0, 1], "signature": 0,
+         "chiMinusY": {"0": "-1/6", "1": "-3/4"}},
+        {"complexDim": 1, "weights": [2, 5], "betti": [1, 2, 1], "signature": 0,
+         "chiMinusY": {"0": "1/2", "1": "1/6"}},
+        {"weights": [-1, -2, -3]},
+    ],
+}
+
+REPORT_CASES = [
+    f"localize {key}{check}"
+    for key in catalog.ACTION_KEYS + ("rational",)
+    for check in ("", " --check mainapp4")
+] + [
+    f"{command} {key}{flags}"
+    for key in catalog.CATALOG_KEYS
+    for command, flags in (
+        ("chi", ""), ("chi", " --at signature"), ("ineq", " --epsilon 1"), ("ineq", " --epsilon -1")
+    )
+]
+
+# SHA-256 of stdout for each case: COMMAND KEY FLAGS runs COMMAND on the document
+# that `catalog --make KEY` writes (RATIONAL_MODEL for the key "rational")
+REPORT_DIGESTS = {
+    "localize pnaction:1:0,1": "45a739ef761533d69dd07084babdccd5be10b3db9627fd0c8f7afc4c5bfab9dc",
+    "localize pnaction:1:0,1 --check mainapp4": "49e150f78395b22d0882c2e9e89af93f9d5e5bf24b91f54b0ba61bc290825a36",
+    "localize pnaction:2:0,1,2": "c1d60a72873405900e1b25d49a7425d5cdbe243e92d5379224d8c46bae924095",
+    "localize pnaction:2:0,1,2 --check mainapp4": "7f2d74b2725fe5f3294207a109e1e6b6b66758a2cfc4038bd239b8980a23d6c9",
+    "localize pnaction:3:0,1,2,3": "23676199e9797b387e6e4472930398ffe3740d8010817211346f01e1b410de19",
+    "localize pnaction:3:0,1,2,3 --check mainapp4": "2b1cfaadd59770764698d90d94916852f2395f26dd57d75396d1854b5c3d1875",
+    "localize pnaction:4:0,1,2,3,4": "32472d74e3992b83bb6a8a709743b544fb743239688720217ebd6803bc525dfa",
+    "localize pnaction:4:0,1,2,3,4 --check mainapp4": "7073d695cf1597f2053704e5c1a2a8f54da71995f30301cadf8ece0a1a9ac278",
+    "localize pnaction:5:0,1,2,3,4,5": "c288fa9250f88b5feab5bf2934ccfd5d0df404877ca5ec26e2f25c47099bd2a9",
+    "localize pnaction:5:0,1,2,3,4,5 --check mainapp4": "5f8cae65ea7c90212768c1b7e80aef6636fe0369f081359a019e69d5945392bf",
+    "localize pnaction:6:0,1,2,3,4,5,6": "364a7a22d3f15af6604a56ed517e80616c6bb88b904eb3b0792cc42f105bf129",
+    "localize pnaction:6:0,1,2,3,4,5,6 --check mainapp4": "b1282c0f1e951f9100048dfaa041af76119294050b43d8cb6e90abc2621b7cbb",
+    "localize rational": "c5713c4c44b720ccc55be13582b76f9c55d53e866f6f620454e931b83c79b354",
+    "localize rational --check mainapp4": "f3579174c01568c1ac18694fd519f55db4452a340b760da9d1d41e82b95578a4",
+    "chi pn:1": "081c667c2afcc22d397f7ebc0f72bd5956932715f9a62e4d44d838fbf9e9d20f",
+    "chi pn:1 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
+    "ineq pn:1 --epsilon 1": "086ddd835d00cfb7746a84ab135f92d3b096c5fa43ff2db1a142843b96611b0e",
+    "ineq pn:1 --epsilon -1": "85a9a4fffe0a817f1993208bb5022a8da7da0ec6e2c87230c624117f3ad374c6",
+    "chi pn:2": "682c168d975431fcfd573e524b7dae3ee3ffc973a44de7980f79c7a7bc969941",
+    "chi pn:2 --at signature": "ee0ce7db9ce2f1d4d2e01f0e96d73fa2399a99d825d8a9898947539a8d8e1742",
+    "ineq pn:2 --epsilon 1": "06cd321fbd9790afce24210aa2037294150b73329326afda577175eca26d65a3",
+    "ineq pn:2 --epsilon -1": "06cd321fbd9790afce24210aa2037294150b73329326afda577175eca26d65a3",
+    "chi pn:3": "4ee03f5b17b1ebded3be5e02cb70031548f121e8dee1d919988c7d66eecc576a",
+    "chi pn:3 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
+    "ineq pn:3 --epsilon 1": "129dc5681f06c8b7cee1de27a78720af5e6fed32e1614daf1fe70e6673e667b5",
+    "ineq pn:3 --epsilon -1": "ae804d8076b27034e23b0f4ff2c672aff2f9bdefef7a382e2de2c0841a29a534",
+    "chi pn:4": "3e19e669cc45e5489245c9e6ff25db6fbd35973995498b092e404f7424e44f5b",
+    "chi pn:4 --at signature": "ee0ce7db9ce2f1d4d2e01f0e96d73fa2399a99d825d8a9898947539a8d8e1742",
+    "ineq pn:4 --epsilon 1": "0ddc70ffe7a80f261d76ccf8c6817b6b945b0028e93f0ac6a81e8696ad7abdb1",
+    "ineq pn:4 --epsilon -1": "0ddc70ffe7a80f261d76ccf8c6817b6b945b0028e93f0ac6a81e8696ad7abdb1",
+    "chi pn:5": "c2c6914215be020862dbd80f9fd858c298db8c74f833bf7c4c832f805f60da20",
+    "chi pn:5 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
+    "ineq pn:5 --epsilon 1": "a3e5d721ca252d84dc37738ab74e1f27f2706551a09e1d2a71dc2d6361c9bff8",
+    "ineq pn:5 --epsilon -1": "73b11f6ccff338a7f1e6e3b79659b1e1af9cf86bfbcd9bee7fe815aa9b3201dc",
+    "chi pn:6": "f2d2c113adea9fa63c42a457a14d77ea423505da061aac207e43bd8d21838561",
+    "chi pn:6 --at signature": "ee0ce7db9ce2f1d4d2e01f0e96d73fa2399a99d825d8a9898947539a8d8e1742",
+    "ineq pn:6 --epsilon 1": "b37db0de7dfd705529b34de9128ff815e2c9be22b26e5fe427a221933b6f0c78",
+    "ineq pn:6 --epsilon -1": "b37db0de7dfd705529b34de9128ff815e2c9be22b26e5fe427a221933b6f0c78",
+    "chi pn:7": "3e89063fc20990088cc8891c7fe3c7d7352bee3c3f84f05ef4c7df9bace3f7c1",
+    "chi pn:7 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
+    "ineq pn:7 --epsilon 1": "d513a04664141082cec53ad590b84fd8b8f69cd21d0450db12c663b4bb32fc65",
+    "ineq pn:7 --epsilon -1": "5b35a63597c1f9d82f22d81cf6c7aa6f7be21a2a6d33c3ba4ba634d4787ccfaa",
+    "chi pn:8": "2eb6d0f9bdf00db8424fbdbce484d6a66d3491f9c79c000bb12fade27deaeb42",
+    "chi pn:8 --at signature": "ee0ce7db9ce2f1d4d2e01f0e96d73fa2399a99d825d8a9898947539a8d8e1742",
+    "ineq pn:8 --epsilon 1": "3d127b2ae12b5f77e282363bbe9ec554e3ee17d92ad9c4a981fa07a667e2421a",
+    "ineq pn:8 --epsilon -1": "3d127b2ae12b5f77e282363bbe9ec554e3ee17d92ad9c4a981fa07a667e2421a",
+    "chi hyp:1:3": "60f5451988fd58043f5fc93be4329498ea43828832bf8f49a213082b8b1cfd9b",
+    "chi hyp:1:3 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
+    "ineq hyp:1:3 --epsilon 1": "5af8c2e3ad3e4997ee654f6c99fec89badcfad03d958426a614767f4ce52f2de",
+    "ineq hyp:1:3 --epsilon -1": "5af8c2e3ad3e4997ee654f6c99fec89badcfad03d958426a614767f4ce52f2de",
+    "chi hyp:2:1": "682c168d975431fcfd573e524b7dae3ee3ffc973a44de7980f79c7a7bc969941",
+    "chi hyp:2:1 --at signature": "ee0ce7db9ce2f1d4d2e01f0e96d73fa2399a99d825d8a9898947539a8d8e1742",
+    "ineq hyp:2:1 --epsilon 1": "06cd321fbd9790afce24210aa2037294150b73329326afda577175eca26d65a3",
+    "ineq hyp:2:1 --epsilon -1": "06cd321fbd9790afce24210aa2037294150b73329326afda577175eca26d65a3",
+    "chi hyp:2:2": "2bd2231f6e2f537d2a5c8493fa53da6da4525d79856bbfd9f15c4306f5e3e57b",
+    "chi hyp:2:2 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
+    "ineq hyp:2:2 --epsilon 1": "dea67b62ce37ec30ea182e32d92efe36ae32c04bfae5aa761e85075be74bfd24",
+    "ineq hyp:2:2 --epsilon -1": "dea67b62ce37ec30ea182e32d92efe36ae32c04bfae5aa761e85075be74bfd24",
+    "chi hyp:2:4": "adc7c5d360a6379345c857c4e71924363ffe3b7986026df889944eb4e5343f08",
+    "chi hyp:2:4 --at signature": "dc7337d58d481166e5b1174091eaa25ee36ee4a4d9edcd77be88864a31ba7ca0",
+    "ineq hyp:2:4 --epsilon 1": "f99d14102ce52c39cda910ee37bd41b543643b940df5713335c30c84e49b6f14",
+    "ineq hyp:2:4 --epsilon -1": "f99d14102ce52c39cda910ee37bd41b543643b940df5713335c30c84e49b6f14",
+    "chi hyp:3:5": "aba57c663175547f81fa432c2a6990e1848762eab5ec9571da2a964e3c5fdd78",
+    "chi hyp:3:5 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
+    "ineq hyp:3:5 --epsilon 1": "582fc1c81babd85e8b0d84e39ced7b43f6bb56c8d8a8bac337fdeecd977e0d3c",
+    "ineq hyp:3:5 --epsilon -1": "a2883df95b3c95a607cf459a26cd783d5d554d03f78b640c275d96724991cca5",
+    "chi hyp:4:6": "30258350b53034c3e0e02073d8f6e075512d3115f78e1e72fa73f44c30216462",
+    "chi hyp:4:6 --at signature": "c1fb847292b3bddd3807f4ba7bcd54d499f9d56c33d5bbb00cd7c1f2de0c23b6",
+    "ineq hyp:4:6 --epsilon 1": "b05fcb8f63119429c94a3bd10883b85109d0bb6b13c11fa95a1d565a744c6269",
+    "ineq hyp:4:6 --epsilon -1": "b05fcb8f63119429c94a3bd10883b85109d0bb6b13c11fa95a1d565a744c6269",
+    "chi product:pn:1,pn:1": "2bd2231f6e2f537d2a5c8493fa53da6da4525d79856bbfd9f15c4306f5e3e57b",
+    "chi product:pn:1,pn:1 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
+    "ineq product:pn:1,pn:1 --epsilon 1": "dea67b62ce37ec30ea182e32d92efe36ae32c04bfae5aa761e85075be74bfd24",
+    "ineq product:pn:1,pn:1 --epsilon -1": "dea67b62ce37ec30ea182e32d92efe36ae32c04bfae5aa761e85075be74bfd24",
+    "chi product:pn:1,pn:2": "edabadd7db5906e8252fc4537d02011b5a4482618db996112610da86aa64db41",
+    "chi product:pn:1,pn:2 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
+    "ineq product:pn:1,pn:2 --epsilon 1": "b615ebed0a38bed3a0cd8835aa4e0411cb48014b98fb1368376baabe4f78fc11",
+    "ineq product:pn:1,pn:2 --epsilon -1": "071dac6d4e25ff7e8a0fc2ac39bd258a4d09474babab26c335b40866e1d15a7e",
+    "chi product:pn:1,pn:3": "4603c7522afb5216cef3f52210ade5b66cc70b2f32936154c2ff833aeb7f4682",
+    "chi product:pn:1,pn:3 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
+    "ineq product:pn:1,pn:3 --epsilon 1": "410b14bb2e015205c9722ca5b74c21527c9256ff71986a65b402f5282b9d8565",
+    "ineq product:pn:1,pn:3 --epsilon -1": "410b14bb2e015205c9722ca5b74c21527c9256ff71986a65b402f5282b9d8565",
+    "chi product:pn:2,pn:2": "fc3cf6632661b4a38b55c7a1d5ed51f38650ea3ec47dd07cf00410bc55648e5b",
+    "chi product:pn:2,pn:2 --at signature": "ee0ce7db9ce2f1d4d2e01f0e96d73fa2399a99d825d8a9898947539a8d8e1742",
+    "ineq product:pn:2,pn:2 --epsilon 1": "70384788474954ad4e185cde340d311a0510a753bec6ef00f3edd1fbac2fd05e",
+    "ineq product:pn:2,pn:2 --epsilon -1": "70384788474954ad4e185cde340d311a0510a753bec6ef00f3edd1fbac2fd05e",
+    "chi product:pn:1,pn:1,pn:1": "8bf37b7f7ab74fece7e13698ac272c945426aa8402b8980d90476e503d6ebc47",
+    "chi product:pn:1,pn:1,pn:1 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
+    "ineq product:pn:1,pn:1,pn:1 --epsilon 1": "53437f8d1486f5fc7d7f14584b956d101101cdb8bb10db5ea2ffc0a02fa31ea2",
+    "ineq product:pn:1,pn:1,pn:1 --epsilon -1": "76467a5ec007ae56e9466246e54e955e4cea13fb157680bf967a42d6269f4591",
+}
+
+
+@pytest.mark.parametrize("case", REPORT_CASES)
+def test_report_output_is_byte_identical(capsys, tmp_path, case):
+    command, key, *flags = case.split()
+    if key == "rational":
+        path = write(tmp_path, "input.json", RATIONAL_MODEL)
+    else:
+        code, out, _ = run(capsys, ["catalog", "--make", key])
+        assert code == 0
+        path = write(tmp_path, "input.json", out)
+    option = "--model" if command == "localize" else "--manifold"
+    code, out, _ = run(capsys, [command, option, path, *flags])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[case]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["catalog", "--make=--"], ["chi", "--n=--"], ["localize", "--model=--"], ["ineq", "--manifold=--"]],
+)
+def test_double_dash_as_an_option_value_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err == "genus: an option was given '--' in place of its value\n"
+
+
 def test_unknown_command(capsys):
     code, out, err = run(capsys, ["nonsense"])
     assert code == 2 and out == ""
@@ -466,3 +612,29 @@ def test_degree_keys_must_be_canonical(capsys, tmp_path, degrees):
     doc = _with(P1_ACTION, ["components", 0, "chiMinusY"], degrees)
     code, out, err = run(capsys, ["localize", "--model", write(tmp_path, "doc.json", doc)])
     assert code == 2 and out == "" and err.startswith("genus: model.components[0].chiMinusY: bad degree"), err
+
+
+HUGE = 10**20  # a degree or dimension no dense row could hold
+
+
+def test_a_genus_above_its_component_dimension_is_refused_before_it_is_built(capsys, tmp_path):
+    doc = _with(P1_ACTION, ["components", 0, "chiMinusY"], {"0": "1", str(HUGE): "1"})
+    code, out, err = run(capsys, ["localize", "--model", write(tmp_path, "doc.json", doc)])
+    assert code == 2 and out == ""
+    field = "model.components[0].chiMinusY"
+    assert err == f"genus: {field}: degree {HUGE} exceeds the component's dimension 0\n"
+    # a zero coefficient names no degree
+    doc = _with(P1_ACTION, ["components", 0, "chiMinusY"], {"0": "1", str(HUGE): "0"})
+    code, out, _ = run(capsys, ["localize", "--model", write(tmp_path, "doc.json", doc)])
+    assert code == 0 and json.loads(out)["chiMinusY"] == {"0": "1", "1": "1"}
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(1, "model: component dimension exceeds the manifold's"), (HUGE, f"degree {HUGE} exceeds GENUS_MAX_N=12")],
+)
+def test_a_component_dimension_is_bounded_before_its_genus_is_read(capsys, tmp_path, n, message):
+    component = {"complexDim": HUGE, "dF": 0, "chiMinusY": {str(HUGE): "1"}}
+    doc = {"n": n, "components": [component]}
+    code, out, err = run(capsys, ["localize", "--model", write(tmp_path, "doc.json", doc)])
+    assert code == 2 and out == "" and err == f"genus: {message}\n"

@@ -62,6 +62,7 @@ IMPORT_CASES = {
     "chi-over-cap": (["chi", "--n", "13"], 2, ["chigenus.engine", "chigenus.inequalities"]),
     "ineq-over-cap": (["ineq", "--manifold", "{d40}"], 2, ["chigenus.engine", "chigenus.inequalities"]),
     "catalog-over-cap": (["catalog", "--make", "pn:13"], 2, ["chigenus.catalog", "chigenus.engine"]),
+    "verify-paper": (["verify-paper"], 0, ["chigenus.series"]),
 }
 
 

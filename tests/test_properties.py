@@ -1,4 +1,5 @@
-"""Property tests: rational strings, inertia, rank and the graded exponential against their oracles, the form reader on any JSON."""
+"""Property tests: rational strings, the y-polynomial form, inertia, rank and the graded
+exponential against their oracles, and the readers on any JSON or catalog key."""
 
 import contextlib
 import io
@@ -6,6 +7,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -36,6 +38,32 @@ def test_accepted_rational_strings_round_trip(text):
 @given(st.fractions())
 def test_written_rationals_read_back(value):
     assert serialize.parse_rational(serialize.format_rational(value)) == value
+
+
+_coefficient_maps = st.dictionaries(
+    st.integers(0, 7), st.fractions(min_value=-30, max_value=30, max_denominator=40), max_size=6
+)
+
+
+def assert_canonical(poly):
+    assert poly.denominator > 0
+    assert gcd(poly.denominator, *poly.row) == 1
+    assert not poly.row or poly.row[-1] != 0
+
+
+@given(_coefficient_maps, _coefficient_maps, st.integers(1, 60), st.integers(0, 3))
+def test_ypolynomial_form_is_canonical(a_map, b_map, k, pad):
+    a, b = YPolynomial(a_map), YPolynomial(b_map)
+    for coeffs, poly in ((a_map, a), (b_map, b)):
+        assert poly.items() == sorted((d, c) for d, c in coeffs.items() if c)
+    for poly in (a, b, a + b, a - b, a * b):
+        assert_canonical(poly)
+        # the same polynomial over a multiple of the denominator, with trailing zeros
+        scaled = YPolynomial.from_row(k * poly.denominator, [k * c for c in poly.row] + [0] * pad)
+        assert scaled == poly and hash(scaled) == hash(poly)
+        again = YPolynomial(dict(poly.items()))
+        assert again == poly and hash(again) == hash(poly)
+    assert hash(a + b) == hash(b + a) and hash((a - b) + b) == hash(a)
 
 
 ENTRIES = st.one_of(
@@ -77,9 +105,10 @@ def test_rank_matches_fraction_oracle(matrix):
 def exponent_pieces(draw):
     """A cap <= 6 and factored pieces l_k(y) p_k(c) for some weights up to one past it.
 
-    Denominators differ from piece to piece and need not be reduced against
-    their rows; a row may be empty or all zeros, and p_k may skip partitions
-    or give them a zero coefficient.
+    Each l_k is read from a row over a denominator that need not be reduced
+    against it, and denominators differ from piece to piece; a row may be
+    empty or all zeros, and p_k may skip partitions or give them a zero
+    coefficient.
     """
     cap = draw(st.integers(0, 6))
     pieces = {}
@@ -88,19 +117,22 @@ def exponent_pieces(draw):
             den = draw(st.sampled_from((1, 2, 3, 4, 6, 7, 12, 30)))
             row = draw(st.lists(st.integers(-9, 9), max_size=4))
             chern = {part: draw(st.integers(-5, 5)) for part in partitions_of(k) if draw(st.booleans())}
-            pieces[k] = (den, row, chern)
+            pieces[k] = (YPolynomial.from_row(den, row), chern)
     return pieces, cap
+
+
+def _piece(den, row, chern):
+    return YPolynomial.from_row(den, row), chern
 
 
 @settings(deadline=None)
 @given(exponent_pieces())
-@example(({1: (2, [1, -1], {(1,): 1}), 3: (6, [0, 0], {(3,): 2, (1, 1, 1): 1})}, 4))
-@example(({2: (4, [2, 0, 6], {(2,): 1, (1, 1): -2}), 4: (3, [1], {(4,): 0})}, 6))
+@example(({1: _piece(2, [1, -1], {(1,): 1}), 3: _piece(6, [0, 0], {(3,): 2, (1, 1, 1): 1})}, 4))
+@example(({2: _piece(4, [2, 0, 6], {(2,): 1, (1, 1): -2}), 4: _piece(3, [1], {(4,): 0})}, 6))
 def test_graded_exponential_matches_the_ypolynomial_oracle(drawn):
     pieces, cap = drawn
     expanded = {}
-    for den, row, chern in pieces.values():
-        ell = YPolynomial({i: Fraction(c, den) for i, c in enumerate(row)})
+    for ell, chern in pieces.values():
         for part, c in chern.items():
             expanded[part] = ell * c
     assert graded_exponential(pieces, cap) == reference_graded_exponential(expanded, cap)
@@ -114,28 +146,73 @@ _leaves = (
     | st.text(max_size=8)
     | st.from_regex(r"-?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True)
 )
+# the readers' own field names, so that objects get past the first lookup more often
+_fields = st.sampled_from(
+    ("n", "components", "complexDim", "weights", "dF", "betti", "signature", "chiMinusY", "hamiltonian")
+    + ("dim", "sigma", "dimension", "chernNumbers", "partition", "value", "0", "1", "2")
+)
 _json = st.recursive(
     _leaves,
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    | st.dictionaries(_fields | st.text(max_size=4), inner, max_size=4),
     max_leaves=24,
 )
+_documents = st.one_of(_json, st.lists(st.lists(_leaves, max_size=4), max_size=4))
+
+
+def run_genus(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_on_document(command, option, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        return run_genus([command, option, path])
+
+
+def assert_accepted_or_cleanly_rejected(code, out, err):
+    """Exit 0 with a JSON document on stdout, or exit 2 with one short stderr line and no traceback."""
+    if code == 0:
+        json.loads(out)
+        assert err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err.startswith("genus: ") and err.count("\n") == 1
+        assert len(err.encode()) < 1024 and "Traceback" not in err
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.one_of(_json, st.lists(st.lists(_leaves, max_size=4), max_size=4)))
+@given(_documents)
 def test_form_reader_handles_any_json(doc):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "form.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["betti", "--form", path])
+    code, out, err = run_on_document("betti", "--form", doc)
+    assert_accepted_or_cleanly_rejected(code, out, err)
     if code == 0:
-        assert "inertia" in json.loads(out.getvalue()) and err.getvalue() == ""
-    else:
-        message = err.getvalue()
-        assert code == 2 and out.getvalue() == ""
-        assert message.startswith("genus: ") and message.count("\n") == 1
-        assert len(message.encode()) < 1024 and "Traceback" not in message
+        assert "inertia" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("localize", "--model"), ("betti", "--profile"), ("chi", "--manifold"), ("ineq", "--manifold")],
+)
+@settings(deadline=None, max_examples=150)
+@given(doc=_documents)
+def test_document_readers_handle_any_json(command, option, doc):
+    assert_accepted_or_cleanly_rejected(*run_on_document(command, option, doc))
+
+
+_key_text = st.lists(
+    st.sampled_from(("pn", "hyp", "product", "pnaction", ":", ",", "-") + tuple("0123456789")),
+    max_size=12,
+).map("".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_key_text)
+def test_catalog_key_reader_handles_any_key(key):
+    # --make=KEY, so that a key starting with "-" reaches the key reader, not argparse
+    assert_accepted_or_cleanly_rejected(*run_genus(["catalog", f"--make={key}"]))
