@@ -350,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT_ERROR
-    # argparse reads "--option=--" as an empty list, not as a value
+    # some argparse versions read "--option=--" as an empty list, not as a value
     if [] in vars(args).values():
         _report("an option was given '--' in place of its value")
         return EXIT_INPUT_ERROR

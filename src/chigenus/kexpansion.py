@@ -245,8 +245,7 @@ def eulerian_identity_check(order: int) -> bool:
     # e^{x(1-y)} truncated: x^k coefficient (1-y)^k / k!
     exp_coeffs = [one_minus_y**k * Fraction(1, factorial(k)) for k in range(order)]
     lhs = [YPolynomial.zero()] + exp_coeffs[1:]  # e^{x(1-y)} - 1
-    denominator = [-(y * c) for c in exp_coeffs]  # 1 - y e^{x(1-y)}
-    denominator[0] = denominator[0] + 1
+    denominator = [1 - y * exp_coeffs[0]] + [-(y * c) for c in exp_coeffs[1:]]  # 1 - y e^{x(1-y)}
     polys = eulerian_polynomials(max(order - 1, 1))
     gen = [YPolynomial.zero()] + [polys[i - 1] * Fraction(1, factorial(i)) for i in range(1, order)]
     product = [

@@ -48,7 +48,7 @@ def dumps(payload: Any) -> str:
 
 
 def format_rational(value: Fraction | int) -> str:
-    q = Fraction(value)
+    q = value if isinstance(value, Fraction) else Fraction(value)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
@@ -114,21 +114,11 @@ def key_dimension(key: str) -> int:
 
 
 def ypoly_to_json(poly: YPolynomial) -> dict[str, str]:
-    """Each nonzero coefficient formatted as ``format_rational`` would, straight from the row."""
-    d = poly.denominator
-    out = {}
-    for degree, c in enumerate(poly.row):
-        if c:
-            g = gcd(c, d)
-            out[str(degree)] = str(c // g) if g == d else f"{c // g}/{d // g}"
-    return out
+    return {str(d): format_rational(c) for d, c in poly.items()}
 
 
-def ypoly_from_json(obj: Any, field: str = "poly") -> YPolynomial:
-    return YPolynomial(_ypoly_terms(obj, field))
-
-
-def _ypoly_terms(obj: Any, field: str) -> dict[int, Fraction]:
+def ypoly_from_json(obj: Any, field: str = "poly", max_degree: int | None = None) -> YPolynomial:
+    """A nonzero coefficient above ``max_degree`` is refused before the polynomial's dense row is built."""
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected an object mapping degree to coefficient")
     coeffs = {}
@@ -141,7 +131,10 @@ def _ypoly_terms(obj: Any, field: str) -> dict[int, Fraction]:
             message = f"degree has too many digits ({len(key)} characters)"
             raise SchemaError(field, message) from None
         coeffs[degree] = parse_rational(value, f"{field}[{key}]")
-    return coeffs
+    top = max([d for d, c in coeffs.items() if c], default=0)
+    if max_degree is not None and top > max_degree:
+        raise SchemaError(field, f"degree {top} exceeds the largest allowed, {max_degree}")
+    return YPolynomial(coeffs)
 
 
 def partition_from_json(obj: Any, field: str = "partition") -> Partition:
@@ -245,13 +238,7 @@ def component_from_json(obj: Any, field: str) -> FixedComponent:
     if signature is not None and not is_json_int(signature):
         raise SchemaError(f"{field}.signature", "expected an integer")
     chi = obj.get("chiMinusY")
-    chi_poly = None
-    if chi is not None:
-        terms = _ypoly_terms(chi, f"{field}.chiMinusY")
-        top = max([d for d, c in terms.items() if c], default=0)
-        if top > r:  # refused before the polynomial's dense row is allocated
-            raise SchemaError(f"{field}.chiMinusY", f"degree {top} exceeds the component's dimension {r}")
-        chi_poly = YPolynomial(terms)
+    chi_poly = ypoly_from_json(chi, f"{field}.chiMinusY", r) if chi is not None else None
     from .localization import FixedComponent
 
     try:

@@ -131,8 +131,13 @@ class YPolynomial:
         if exponent < 0:
             raise ValueError("negative exponent")
         result = YPolynomial.one()
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        e = exponent
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -180,8 +185,28 @@ class YPolynomial:
         return [self.coefficient(d) for d in range(size)]
 
     def __repr__(self) -> str:
-        chunks = [f"{v}*y^{d}" if d > 1 else f"{v}*y" if d else str(v) for d, v in self.items()]
-        return " + ".join(chunks) or "0"
+        if not self.row:
+            return "0"
+        chunks = []
+        for d, v in self.items():
+            if d == 0:
+                chunks.append(str(v))
+            elif d == 1:
+                chunks.append(f"{v}*y")
+            else:
+                chunks.append(f"{v}*y^{d}")
+        return " + ".join(chunks)
+
+
+def shifted_sum(terms: Sequence[tuple[YPolynomial, int]]) -> YPolynomial:
+    """sum_t poly_t y^shift_t, each row scaled to the lcm of the denominators and added into one."""
+    den = lcm(*[poly.denominator for poly, _ in terms])
+    total = [0] * max([len(poly.row) + shift for poly, shift in terms], default=0)
+    for poly, shift in terms:
+        factor = den // poly.denominator
+        for i, c in enumerate(poly.row, shift):
+            total[i] += factor * c
+    return YPolynomial.from_row(den, total)
 
 
 def _coerce(value: "YPolynomial | Scalar") -> YPolynomial:

@@ -20,7 +20,7 @@ from chigenus.betti import inertia, rank  # noqa: E402
 from chigenus.chern import graded_exponential  # noqa: E402
 from chigenus.cli import main  # noqa: E402
 from chigenus.partitions import partitions_of  # noqa: E402
-from chigenus.ypoly import YPolynomial  # noqa: E402
+from chigenus.ypoly import YPolynomial, shifted_sum  # noqa: E402
 from oracles import fraction_inertia, fraction_rank, reference_graded_exponential  # noqa: E402
 
 
@@ -64,6 +64,14 @@ def test_ypolynomial_form_is_canonical(a_map, b_map, k, pad):
         again = YPolynomial(dict(poly.items()))
         assert again == poly and hash(again) == hash(poly)
     assert hash(a + b) == hash(b + a) and hash((a - b) + b) == hash(a)
+
+
+@given(st.lists(st.tuples(_coefficient_maps, st.integers(0, 5)), max_size=5))
+def test_shifted_sum_matches_pairwise_sums(terms):
+    polys = [(YPolynomial(coeffs), shift) for coeffs, shift in terms]
+    total = shifted_sum(polys)
+    assert_canonical(total)
+    assert total == sum((poly.shift_degree(shift) for poly, shift in polys), YPolynomial.zero())
 
 
 ENTRIES = st.one_of(
