@@ -89,10 +89,6 @@ class ChernPolynomial:
         self.partitions = tuple(parts)
         self.columns = tuple(tuple([x // g for x in column]) for column in columns)
 
-    @classmethod
-    def monomial(cls, partition: Partition, coeff: Scalar = 1) -> "ChernPolynomial":
-        return cls(weight(partition), {tuple(partition): coeff})
-
     def items(self) -> list[tuple[Partition, YPolynomial]]:
         """Terms in canonical (reverse-lexicographic) partition order, read off the columns."""
         d = self.denominator

@@ -3,10 +3,14 @@
 A manifold whose modified genus has positive (resp. signed-positive)
 coefficients satisfies floor(n/2) + 1 inequalities: for each i, the Chern
 number combination eps^n K_{2i} is at least its value on P^n, with equality
-exactly when chi^p = eps^n (-1)^p for all p >= 2i. Reports use the cleared
-integer form: both sides are multiplied by the denominator D of K_{2i}'s
-cleared form (reported as ``scale``), so the i = 0 line reads
-eps^n c_n >= n + 1 and the i = 1 line has right-hand side 2(n-1)n(n+1).
+exactly when chi^p = eps^n (-1)^p for all p >= 2i. Since K_{2i} is a
+Taylor coefficient at y = -1, both sides are read off chi-vectors: the
+left-hand side is the binomial transform of the manifold's chi-vector, and
+chi_y(P^n) = sum_p (-y)^p gives the right-hand side K_{2i}(P^n) =
+C(n+1, 2i+1) in closed form. Reports use the cleared integer form: both
+sides are multiplied by the denominator D of K_{2i}'s cleared form (reported
+as ``scale``), so the i = 0 line reads eps^n c_n >= n + 1 and the i = 1 line
+has right-hand side 2(n-1)n(n+1).
 """
 
 from __future__ import annotations
@@ -16,10 +20,8 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .catalog import one_generator_chern_numbers
-from .chern import ChernPolynomial
 from .engine import ManifoldLike, chi_vector
-from .kexpansion import k_coefficients
+from .kexpansion import binomial_transform, k_coefficients
 from .partitions import Partition
 
 
@@ -61,49 +63,34 @@ class InequalityReport:
     hypothesis_met: bool
 
 
-_BOUND_CACHE: dict[int, tuple[tuple[ChernPolynomial, int, Fraction], ...]] = {}
-
-
-def _bounds(n: int) -> tuple[tuple[ChernPolynomial, int, Fraction], ...]:
-    """(K_{2i}, its denominator, its cleared value on P^n) for i = 0..n//2.
-
-    These depend on n only, so they are memoized per n like the K-tables.
-    The i = 1 right-hand side is cross-checked against 2(n-1)n(n+1) as it
-    is computed; an n that fails the check is not memoized.
-    """
-    cached = _BOUND_CACHE.get(n)
-    if cached is not None:
-        return cached
-    table = k_coefficients(n)
-    projective = one_generator_chern_numbers([comb(n + 1, j) for j in range(n + 1)], 1)
-    bounds = []
-    for i in range(n // 2 + 1):
-        k_poly = table.k_polys[2 * i]
-        scale = k_poly.denominator
-        rhs = k_poly.evaluate(projective).constant_value() * scale
-        if i == 1 and rhs != 2 * (n - 1) * n * (n + 1):
-            raise ArithmeticError(
-                f"cleared i=1 bound {rhs} disagrees with 2(n-1)n(n+1) = {2 * (n - 1) * n * (n + 1)}"
-            )
-        bounds.append((k_poly, scale, rhs))
-    result = tuple(bounds)
-    _BOUND_CACHE[n] = result
-    return result
-
-
 def check_inequalities(manifold: ManifoldLike, epsilon: int = 1) -> list[InequalityReport]:
-    """Evaluate every inequality on a manifold, detecting equality cases."""
+    """Evaluate every inequality on a manifold, detecting equality cases.
+
+    Both sides come from the chi-vector: the left is eps^n K_{2i}(M), read
+    off by the binomial transform, and the right is K_{2i}(P^n) =
+    C(n+1, 2i+1), since chi_y(P^n) = sum_p (-y)^p. The table of K's supplies
+    only each scale. The i = 1 right-hand side is cross-checked against
+    2(n-1)n(n+1), which guards K_2's cleared denominator.
+    """
     _validate_epsilon(epsilon)
     n = manifold.dimension
     if n < 1:
         raise ValueError("need a manifold of positive dimension")
-    sign = Fraction(epsilon) ** n
+    sign = epsilon**n
     chi = chi_vector(manifold)
     positivity = positivity_predicate(chi)
     hypothesis = positivity.chi_positive if epsilon == 1 else positivity.signed_chi_positive
+    k_values = binomial_transform(chi)
+    k_polys = k_coefficients(n).k_polys
     reports = []
-    for i, (k_poly, scale, rhs) in enumerate(_bounds(n)):
-        lhs = sign * k_poly.evaluate(manifold.chern_numbers).constant_value() * scale
+    for i in range(n // 2 + 1):
+        scale = k_polys[2 * i].denominator
+        rhs = Fraction(comb(n + 1, 2 * i + 1) * scale)
+        if i == 1 and rhs != 2 * (n - 1) * n * (n + 1):
+            raise ArithmeticError(
+                f"cleared i=1 bound {rhs} disagrees with 2(n-1)n(n+1) = {2 * (n - 1) * n * (n + 1)}"
+            )
+        lhs = sign * k_values[2 * i] * scale
         witness = tuple(range(2 * i, n + 1))
         equality = all(chi[p] == sign * (-1) ** p for p in witness)
         reports.append(

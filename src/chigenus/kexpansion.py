@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .chern import ChernPolynomial
@@ -163,15 +163,17 @@ def verify_closed_forms(n: int) -> ClosedFormReport:
 
 
 def binomial_transform(chi: Sequence[Fraction | int]) -> list[Fraction]:
-    """K_0..K_n from the chi-vector: K_j = sum_{p>=j} (-1)^{p-j} chi^p C(p, j)."""
-    n = len(chi) - 1
-    out = []
-    for j in range(n + 1):
-        total = Fraction(0)
-        for p in range(j, n + 1):
-            total += Fraction(-1) ** (p - j) * Fraction(chi[p]) * comb(p, j)
-        out.append(total)
-    return out
+    """K_0..K_n from the chi-vector: K_j = sum_{p>=j} (-1)^{p-j} chi^p C(p, j).
+
+    The chi-vector is cleared over the lcm D of its denominators, and each
+    sum runs on Python ints over D.
+    """
+    d = lcm(*[c.denominator for c in chi])
+    row = [c.numerator * (d // c.denominator) for c in chi]
+    return [
+        Fraction(sum(comb(p, j) * (-1) ** (p - j) * row[p] for p in range(j, len(row))), d)
+        for j in range(len(row))
+    ]
 
 
 @dataclass(frozen=True)

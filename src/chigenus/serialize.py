@@ -2,8 +2,11 @@
 
 Rationals travel as strings ("p/q", or "p" when the denominator is 1) so
 no consumer can lose precision; partitions as arrays of integers; y-
-polynomials as degree -> coefficient objects. Readers accept exactly what
-the writers emit, and re-emission is byte-identical. Catalog keys
+polynomials as degree -> coefficient objects. Readers accept exactly the
+canonical form that the writers emit, and re-emission is byte-identical.
+Two formats go one way only: Chern polynomials are written (``genus chi
+--n``) but never read back, and intersection forms (``genus betti --form``)
+are read but never written. Catalog keys
 (``pn:N``, ``hyp:N:D``, ``product:...``, ``pnaction:N[:...]``) share the
 integer grammar of the rationals' numerators; :func:`key_dimension` reads a
 key's dimension without loading the catalog.
@@ -20,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Any
 
-from .partitions import Partition, as_partition, weight
+from .partitions import Partition, as_partition
 from .chern import ChernPolynomial
 from .ypoly import YPolynomial
 
@@ -117,7 +120,7 @@ def ypoly_to_json(poly: YPolynomial) -> dict[str, str]:
     return {str(d): format_rational(c) for d, c in poly.items()}
 
 
-def ypoly_from_json(obj: Any, field: str = "poly", max_degree: int | None = None) -> YPolynomial:
+def ypoly_from_json(obj: Any, field: str, max_degree: int) -> YPolynomial:
     """A nonzero coefficient above ``max_degree`` is refused before the polynomial's dense row is built."""
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected an object mapping degree to coefficient")
@@ -132,7 +135,7 @@ def ypoly_from_json(obj: Any, field: str = "poly", max_degree: int | None = None
             raise SchemaError(field, message) from None
         coeffs[degree] = parse_rational(value, f"{field}[{key}]")
     top = max([d for d, c in coeffs.items() if c], default=0)
-    if max_degree is not None and top > max_degree:
+    if top > max_degree:
         raise SchemaError(field, f"degree {top} exceeds the largest allowed, {max_degree}")
     return YPolynomial(coeffs)
 
@@ -149,27 +152,6 @@ def partition_from_json(obj: Any, field: str = "partition") -> Partition:
 def chern_to_json(poly: ChernPolynomial) -> dict[str, Any]:
     terms = [{"partition": list(part), "coeff": ypoly_to_json(coeff)} for part, coeff in poly.items()]
     return {"grade": poly.grade, "terms": terms}
-
-
-def chern_from_json(obj: Any, field: str = "chern") -> ChernPolynomial:
-    if not isinstance(obj, dict) or "grade" not in obj or "terms" not in obj:
-        raise SchemaError(field, "expected an object with grade and terms")
-    grade = obj["grade"]
-    if not is_json_int(grade) or grade < 0:
-        raise SchemaError(f"{field}.grade", "expected a non-negative integer")
-    terms = {}
-    for idx, entry in enumerate(obj["terms"]):
-        where = f"{field}.terms[{idx}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(where, "expected an object")
-        part = partition_from_json(entry.get("partition"), f"{where}.partition")
-        coeff = ypoly_from_json(entry.get("coeff"), f"{where}.coeff")
-        if weight(part) != grade:
-            raise SchemaError(f"{where}.partition", f"weight differs from grade {grade}")
-        if part in terms:
-            raise SchemaError(f"{where}.partition", f"duplicate partition {list(part)}")
-        terms[part] = coeff
-    return ChernPolynomial(grade, terms)
 
 
 def profile_to_json(profile: BettiProfile) -> dict[str, Any]:
@@ -371,7 +353,3 @@ def form_from_json(obj: Any, field: str = "form") -> list[list[Fraction]]:
             raise SchemaError(f"{field}[{i}]", "expected an array")
         rows.append([parse_rational(v, f"{field}[{i}][{j}]") for j, v in enumerate(row)])
     return rows
-
-
-def form_to_json(matrix: list[list[Fraction]]) -> list[list[str]]:
-    return [[format_rational(v) for v in row] for row in matrix]

@@ -1,14 +1,16 @@
 """Reference routes on Fraction/YPolynomial arithmetic, kept for tests to compare against.
 
 These are the straightforward forms of the integer code in ``chigenus.betti``,
-``chigenus.localization`` and ``chigenus.chern``: Schur-complement elimination
-and Gauss-Jordan rank over the rationals, polynomial sums built one component
-at a time, and the graded exponential on ``YPolynomial`` coefficients.
+``chigenus.localization``, ``chigenus.chern`` and ``chigenus.kexpansion``:
+Schur-complement elimination and Gauss-Jordan rank over the rationals,
+polynomial sums built one component at a time, the graded exponential on
+``YPolynomial`` coefficients and the binomial transform term by term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from chigenus.betti import InertiaTriple
 from chigenus.chern import ChernPolynomial
@@ -84,6 +86,18 @@ def fraction_rank(matrix) -> int:
                 work[i] = [v - factor * w for v, w in zip(work[i], work[r])]
         r += 1
     return r
+
+
+def reference_binomial_transform(chi) -> list[Fraction]:
+    """K_j = sum_{p>=j} (-1)^{p-j} chi^p C(p, j), one Fraction term at a time."""
+    n = len(chi) - 1
+    out = []
+    for j in range(n + 1):
+        total = Fraction(0)
+        for p in range(j, n + 1):
+            total += Fraction(-1) ** (p - j) * Fraction(chi[p]) * comb(p, j)
+        out.append(total)
+    return out
 
 
 def reference_chi_minus_y(model: FixedPointModel) -> YPolynomial:

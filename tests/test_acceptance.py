@@ -101,3 +101,11 @@ def test_check_returns_witness_when_broken(monkeypatch, key):
     check = {c[0]: c[2] for c in verify.CHECKS}[key]
     witness = check()
     assert isinstance(witness, str) and witness, witness
+
+
+def test_inequality_optimality_reads_lhs_and_rhs_by_different_routes(monkeypatch):
+    # the left-hand side goes through the transform and the right-hand side does not,
+    # so a wrong transform already shows on P^1
+    monkeypatch.setattr(inequalities, "binomial_transform", lambda chi: list(chi))
+    check = {c[0]: c[2] for c in verify.CHECKS}["inequality-optimality"]
+    assert check() == "n=1 i=0"

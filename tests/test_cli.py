@@ -5,7 +5,9 @@ import copy
 import hashlib
 import io
 import json
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from chigenus import catalog, engine, kexpansion, serialize, verify
 from chigenus.chern import ChernPolynomial
 from chigenus.ypoly import YPolynomial
 from chigenus.cli import build_parser, main
+from chigenus.partitions import partitions_of
 
 
 def run(capsys, argv):
@@ -316,6 +319,18 @@ RATIONAL_MODEL = {
     ],
 }
 
+
+
+def synthetic_manifold(n: int) -> dict:
+    """A manifold document with seeded Chern numbers, most of them not integers."""
+    rng = random.Random(n)
+    numbers = [
+        {"partition": list(part), "value": str(Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 12))))}
+        for part in partitions_of(n)
+    ]
+    return {"dimension": n, "chernNumbers": numbers}
+
+
 REPORT_CASES = [
     f"localize {key}{check}"
     for key in catalog.ACTION_KEYS + ("rational",)
@@ -326,10 +341,11 @@ REPORT_CASES = [
     for command, flags in (
         ("chi", ""), ("chi", " --at signature"), ("ineq", " --epsilon 1"), ("ineq", " --epsilon -1")
     )
-]
+] + [f"ineq synthetic:{n} --epsilon {epsilon}" for n in range(9, 13) for epsilon in (1, -1)]
 
 # SHA-256 of stdout for each case: COMMAND KEY FLAGS runs COMMAND on the document
-# that `catalog --make KEY` writes (RATIONAL_MODEL for the key "rational")
+# that `catalog --make KEY` writes (RATIONAL_MODEL for the key "rational" and
+# synthetic_manifold(N) for the key "synthetic:N")
 REPORT_DIGESTS = {
     "localize pnaction:1:0,1": "45a739ef761533d69dd07084babdccd5be10b3db9627fd0c8f7afc4c5bfab9dc",
     "localize pnaction:1:0,1 --check mainapp4": "49e150f78395b22d0882c2e9e89af93f9d5e5bf24b91f54b0ba61bc290825a36",
@@ -421,6 +437,14 @@ REPORT_DIGESTS = {
     "chi product:pn:1,pn:1,pn:1 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
     "ineq product:pn:1,pn:1,pn:1 --epsilon 1": "53437f8d1486f5fc7d7f14584b956d101101cdb8bb10db5ea2ffc0a02fa31ea2",
     "ineq product:pn:1,pn:1,pn:1 --epsilon -1": "76467a5ec007ae56e9466246e54e955e4cea13fb157680bf967a42d6269f4591",
+    "ineq synthetic:9 --epsilon 1": "2c1ace158b1f32b5cbbd55009da9a574bb778becb6d8d793a7e711f79f187358",
+    "ineq synthetic:9 --epsilon -1": "cfb22bb8bb23eb906df7794dd32e705ae55de479b3f3b9f1e0073e3eb5c10193",
+    "ineq synthetic:10 --epsilon 1": "31876eab5e961987325bacd2f84ea52ad8e0cb1cfe406733d3ba9b7060466402",
+    "ineq synthetic:10 --epsilon -1": "31876eab5e961987325bacd2f84ea52ad8e0cb1cfe406733d3ba9b7060466402",
+    "ineq synthetic:11 --epsilon 1": "b1946e2f40fabb50f1ad31cbc67feeb36ef320036c2757d9edc925bb6a80eaa9",
+    "ineq synthetic:11 --epsilon -1": "00351359b27386cde2084d297967c9ef6804abdc13d8b07f36c8a5c3350d9d7f",
+    "ineq synthetic:12 --epsilon 1": "60d4fe1c7cff324ed25d38e4b4d35e57154daccec5a221868a2ef5b3a4e053de",
+    "ineq synthetic:12 --epsilon -1": "60d4fe1c7cff324ed25d38e4b4d35e57154daccec5a221868a2ef5b3a4e053de",
 }
 
 
@@ -429,6 +453,8 @@ def test_report_output_is_byte_identical(capsys, tmp_path, case):
     command, key, *flags = case.split()
     if key == "rational":
         path = write(tmp_path, "input.json", RATIONAL_MODEL)
+    elif key.startswith("synthetic:"):
+        path = write(tmp_path, "input.json", synthetic_manifold(int(key.partition(":")[2])))
     else:
         code, out, _ = run(capsys, ["catalog", "--make", key])
         assert code == 0

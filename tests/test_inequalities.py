@@ -9,6 +9,7 @@ import pytest
 from chigenus import inequalities
 from chigenus.catalog import CohomologyModel, ManifoldData, hypersurface, projective_space
 from chigenus.chern import ChernPolynomial
+from chigenus.engine import chi_y_chern_polynomial
 from chigenus.inequalities import (
     check_inequalities,
     miyaoka_yau_check,
@@ -106,17 +107,15 @@ def test_projective_bounds_match_the_direct_formula():
 
 
 def test_broken_k_table_trips_the_cleared_bound_check(monkeypatch):
-    # K_2 + c_3 on P^3: 12 * (3/2 * 4 + 1/12 * 4 * 6) = 96 instead of 48
+    # K_2 + c_3/5 at n = 3 has denominator 60, so the i=1 bound reads C(4, 3) * 60 = 240
     good = k_coefficients(3)
     terms = {part: c.constant_value() for part, c in good.k_polys[2].items()}
-    terms[(3,)] = terms.get((3,), 0) + 1
+    terms[(3,)] = terms.get((3,), 0) + Fraction(1, 5)
     wrong = ChernPolynomial(3, terms)
     broken = KTable(3, good.k_polys[:2] + (wrong,) + good.k_polys[3:])
-    monkeypatch.setattr(inequalities, "_BOUND_CACHE", {})
     monkeypatch.setattr(inequalities, "k_coefficients", lambda n: broken)
-    with pytest.raises(ArithmeticError, match=r"cleared i=1 bound 96 disagrees with .* = 48"):
+    with pytest.raises(ArithmeticError, match=r"cleared i=1 bound 240 disagrees with .* = 48"):
         check_inequalities(projective_space(3), 1)
-    assert 3 not in inequalities._BOUND_CACHE
 
 
 def test_rhs_agrees_with_catalog_integration():
@@ -124,8 +123,49 @@ def test_rhs_agrees_with_catalog_integration():
     for n in range(1, 9):
         total = {(j,): Fraction(comb(n + 1, j)) for j in range(n + 1)}
         numbers = CohomologyModel(("h",), (n,), Fraction(1), total).chern_numbers(n)
-        for k_poly, scale, rhs in inequalities._bounds(n):
-            assert rhs == k_poly.evaluate(numbers).constant_value() * scale, n
+        k_polys = k_coefficients(n).k_polys
+        for report in check_inequalities(synthetic(n, n), 1):
+            k_poly = k_polys[2 * report.index]
+            assert report.rhs == k_poly.evaluate(numbers).constant_value() * report.scale, n
+
+
+def fractional_synthetic(n: int, seed: int) -> ManifoldData:
+    """Arbitrary rational Chern numbers, most of them not integers, on every partition of n."""
+    rng = random.Random(seed)
+    return ManifoldData(
+        n,
+        {
+            part: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 12)))
+            for part in partitions_of(n)
+        },
+    )
+
+
+def test_lhs_agrees_with_evaluating_each_k_polynomial():
+    for n in range(1, 13):
+        m = fractional_synthetic(n, 100 + n)
+        k_polys = k_coefficients(n).k_polys
+        for epsilon in (1, -1):
+            for report in check_inequalities(m, epsilon):
+                k_value = k_polys[2 * report.index].evaluate(m.chern_numbers).constant_value()
+                assert report.lhs == epsilon**n * k_value * report.scale, (n, epsilon, report.index)
+
+
+def test_one_report_run_evaluates_only_the_genus_table(monkeypatch):
+    evaluated = []
+    original = ChernPolynomial.evaluate
+
+    def counting(self, values):
+        evaluated.append(self)
+        return original(self, values)
+
+    for n in (2, 7, 12):
+        m = fractional_synthetic(n, n)
+        check_inequalities(m, 1)  # build and cache the tables first
+        monkeypatch.setattr(ChernPolynomial, "evaluate", counting)
+        check_inequalities(m, 1)
+        monkeypatch.undo()
+        assert len(evaluated) == 1 and evaluated.pop() is chi_y_chern_polynomial(n), n
 
 
 def test_failed_hypothesis_is_flagged_not_rejected():

@@ -24,7 +24,7 @@ from chigenus.ypoly import YPolynomial
 
 def test_k0_is_top_chern_class():
     for n in (1, 2, 5, 8):
-        assert k_coefficients(n).k_polys[0] == ChernPolynomial.monomial((n,))
+        assert k_coefficients(n).k_polys[0] == ChernPolynomial(n, {(n,): 1})
 
 
 def test_k1_is_half_n_times_top():

@@ -1,5 +1,6 @@
-"""Property tests: rational strings, the y-polynomial form, inertia, rank and the graded
-exponential against their oracles, and the readers on any JSON or catalog key."""
+"""Property tests: rational strings, the y-polynomial form, inertia, rank, the graded
+exponential and the binomial transform against their oracles, and the readers on any
+JSON or catalog key."""
 
 import contextlib
 import io
@@ -19,9 +20,15 @@ from chigenus import serialize  # noqa: E402
 from chigenus.betti import inertia, rank  # noqa: E402
 from chigenus.chern import graded_exponential  # noqa: E402
 from chigenus.cli import main  # noqa: E402
+from chigenus.kexpansion import binomial_transform  # noqa: E402
 from chigenus.partitions import partitions_of  # noqa: E402
 from chigenus.ypoly import YPolynomial, shifted_sum  # noqa: E402
-from oracles import fraction_inertia, fraction_rank, reference_graded_exponential  # noqa: E402
+from oracles import (  # noqa: E402
+    fraction_inertia,
+    fraction_rank,
+    reference_binomial_transform,
+    reference_graded_exponential,
+)
 
 
 @given(st.from_regex(serialize._RATIONAL_RE, fullmatch=True))
@@ -72,6 +79,19 @@ def test_shifted_sum_matches_pairwise_sums(terms):
     total = shifted_sum(polys)
     assert_canonical(total)
     assert total == sum((poly.shift_degree(shift) for poly, shift in polys), YPolynomial.zero())
+
+
+@given(
+    st.lists(
+        st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)), max_size=14
+    )
+)
+@example([])
+@example([Fraction(1, 3), 2, Fraction(-5, 6)])
+def test_binomial_transform_matches_the_fraction_oracle(chi):
+    transformed = binomial_transform(chi)
+    assert transformed == reference_binomial_transform(chi)
+    assert all(type(k) is Fraction for k in transformed)
 
 
 ENTRIES = st.one_of(

@@ -8,6 +8,7 @@ import pytest
 from chigenus import serialize
 from chigenus.betti import BettiProfile
 from chigenus.catalog import hypersurface, projective_space, standard_pn_action
+from chigenus.chern import ChernPolynomial
 from chigenus.engine import chi_y_chern_polynomial
 from chigenus.serialize import SchemaError
 from chigenus.ypoly import YPolynomial
@@ -39,34 +40,26 @@ def test_ypoly_round_trip():
     poly = YPolynomial({0: Fraction(1, 12), 3: Fraction(-5)})
     encoded = serialize.ypoly_to_json(poly)
     assert encoded == {"0": "1/12", "3": "-5"}
-    assert serialize.ypoly_from_json(encoded) == poly
+    assert serialize.ypoly_from_json(encoded, "poly", 3) == poly
+    with pytest.raises(SchemaError, match=r"^poly: degree 3 exceeds the largest allowed, 2$"):
+        serialize.ypoly_from_json(encoded, "poly", 2)
 
 
 def test_chern_round_trip():
+    # no command reads a Chern polynomial back, so the document is read here term by term
     poly = chi_y_chern_polynomial(3)
     encoded = serialize.chern_to_json(poly)
-    again = serialize.chern_from_json(encoded)
+    grade = encoded["grade"]
+    terms = {
+        tuple(term["partition"]): serialize.ypoly_from_json(term["coeff"], "coeff", grade)
+        for term in encoded["terms"]
+    }
+    again = ChernPolynomial(grade, terms)
     assert again == poly
     assert serialize.chern_to_json(again) == encoded
 
 
-def test_chern_schema_checks_weight():
-    bad = {"grade": 2, "terms": [{"partition": [1], "coeff": {"0": "1"}}]}
-    with pytest.raises(SchemaError, match="weight"):
-        serialize.chern_from_json(bad)
-
-
-def test_chern_grade_rejects_booleans():
-    # no command reads a Chern polynomial, so the grade is checked here and not in test_cli
-    doc = {"grade": True, "terms": [{"partition": [1], "coeff": {"0": "1"}}]}
-    with pytest.raises(SchemaError, match=r"^chern\.grade: "):
-        serialize.chern_from_json(doc)
-
-
 def test_duplicate_partitions_rejected():
-    term = {"partition": [2], "coeff": {"0": "1"}}
-    with pytest.raises(SchemaError, match="duplicate"):
-        serialize.chern_from_json({"grade": 2, "terms": [term, term]})
     entry = {"partition": [1], "value": "2"}
     with pytest.raises(SchemaError, match="duplicate"):
         serialize.manifold_from_json({"dimension": 1, "chernNumbers": [entry, entry]})
@@ -137,9 +130,9 @@ def test_profile_schema_errors():
 
 
 def test_form_round_trip():
-    matrix = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
-    doc = serialize.form_to_json(matrix)
-    assert doc == [["0", "1"], ["1", "0"]]
-    assert serialize.form_from_json(doc) == matrix
+    doc = [["0", "-1/2"], ["-1/2", "3"]]
+    matrix = serialize.form_from_json(doc)
+    assert matrix == [[Fraction(0), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3)]]
+    assert [[serialize.format_rational(v) for v in row] for row in matrix] == doc
     with pytest.raises(SchemaError, match=r"form\[0\]\[1\]"):
         serialize.form_from_json([["0", 1]])
