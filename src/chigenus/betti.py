@@ -14,8 +14,6 @@ elimination keeps the remaining block equal to the previous pivot times the
 true Schur complement, so each pivot's sign is its own sign times the
 previous pivot's. Every division in it is exact: by Sylvester's identity
 every entry is a minor of the scaled form, up to unimodular congruences.
-This is the package's one exact elimination: the rank of a rectangular
-matrix is read off the inertia of its symmetric bordered form.
 """
 
 from __future__ import annotations
@@ -104,22 +102,6 @@ def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
                 row[t] = work[t][r] = entry
         prev = pivot
     return InertiaTriple(plus, minus, zero)
-
-
-def rank(matrix: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank of a rational m x k matrix A, as b^+ of the bordered form [[0, A], [A^T, 0]].
-
-    With invertible P, Q putting A in the normal form PAQ = [[I_r, 0], [0, 0]],
-    the congruence by diag(P^T, Q) splits the bordered form into r
-    hyperbolic pairs and zeros, so its inertia is (r, r, m + k - 2r). The
-    empty matrix has rank 0; entries are read as :func:`inertia` reads them.
-    """
-    cols = len(matrix[0]) if matrix else 0
-    if any(len(row) != cols for row in matrix):
-        raise ValueError("matrix rows must have equal length")
-    bordered = [[0] * len(matrix) + list(row) for row in matrix]
-    bordered += [[row[t] for row in matrix] + [0] * cols for t in range(cols)]
-    return inertia(bordered).b_plus
 
 
 @dataclass(frozen=True)

@@ -95,7 +95,6 @@ class ManifoldData:
     dimension: int
     chern_numbers: dict[Partition, Fraction]
     pure_type: bool | None = None
-    kahler_hyperbolic: bool | None = None
     hamiltonian_s1: bool | None = None
     betti: BettiProfile | None = None
     action: FixedPointModel | None = None
@@ -162,7 +161,6 @@ def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
         n,
         {part: _whitney(a, b, part) for part in partitions_of(n)},
         pure_type=_both(a.pure_type, b.pure_type),
-        kahler_hyperbolic=_both(a.kahler_hyperbolic, b.kahler_hyperbolic),
     )
     if a.betti is not None and b.betti is not None:
         betti = _convolve(a.betti.betti, b.betti.betti)

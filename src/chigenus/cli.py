@@ -76,7 +76,15 @@ def _load_capped(path: str, key: str, reader: Callable[[Any], Any]) -> Any:
 
 
 def _emit(payload: Any) -> None:
-    print(serialize.dumps(payload))
+    """Print one JSON document; a reader that closed stdout ends the output, not the command."""
+    try:
+        print(serialize.dumps(payload))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; /dev/null takes what is left
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _rational(value: Fraction | int) -> str:
@@ -367,3 +375,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

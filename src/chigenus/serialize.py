@@ -273,7 +273,6 @@ def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
 
 _FLAG_KEYS = (
     ("pureType", "pure_type"),
-    ("kahlerHyperbolic", "kahler_hyperbolic"),
     ("hamiltonianS1", "hamiltonian_s1"),
 )
 

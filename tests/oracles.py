@@ -2,9 +2,10 @@
 
 These are the straightforward forms of the integer code in ``chigenus.betti``,
 ``chigenus.localization``, ``chigenus.chern`` and ``chigenus.kexpansion``:
-Schur-complement elimination and Gauss-Jordan rank over the rationals,
-polynomial sums built one component at a time, the graded exponential on
-``YPolynomial`` coefficients and the binomial transform term by term.
+Schur-complement elimination over the rationals, polynomial sums built one
+component at a time, the graded exponential on ``YPolynomial`` coefficients
+and the binomial transform term by term. A Gauss-Jordan rank over the
+rationals checks that test matrices have full rank.
 """
 
 from __future__ import annotations

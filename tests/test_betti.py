@@ -11,7 +11,6 @@ from chigenus.betti import (
     betti_inequality_check,
     cs_classification,
     inertia,
-    rank,
     signature_alternating,
     tolman_unimodality_report,
 )
@@ -106,14 +105,12 @@ def test_inertia_rejects_entries_that_are_not_int_or_fraction(entry):
         inertia([[Fraction(1), entry], [entry, 2]])
 
 
-def test_rank():
-    assert rank([[1, 2], [2, 4]]) == 1
-    assert rank([[0, 1], [1, 0]]) == 2
-    assert rank([[0, 0], [0, 0]]) == 0
-    assert rank([[Fraction(1, 2), 1, 0], [1, 2, 1]]) == 2
-    assert rank([]) == 0
-    with pytest.raises(ValueError, match="equal length"):
-        rank([[1, 2], [3]])
+def test_random_invertible_has_full_rank():
+    rng = random.Random(15)
+    for trial in range(600):
+        size = trial % 6 + 1
+        transform = random_invertible(rng, size)
+        assert fraction_rank(transform) == size, transform
 
 
 def test_sylvester_invariance():

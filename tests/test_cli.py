@@ -5,7 +5,9 @@ import copy
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -225,6 +227,42 @@ def test_verify_paper_reports_failure(capsys, monkeypatch):
     first, second = err.splitlines()
     assert first == "genus: verify-paper: always-false: n=0"
     assert second.startswith("genus: verify-paper: long-witness: xxx") and len(second) < 300
+
+
+# what the `genus` console script runs
+ENTRY_POINT = ["-c", "from chigenus.cli import entry; entry()"]
+
+
+def python_process(args, stdout):
+    """``python ARGS`` in a fresh interpreter that imports this checkout, under the default cap."""
+    env = {k: v for k, v in os.environ.items() if k != "GENUS_MAX_N"}
+    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    return subprocess.Popen(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+def test_module_entry_point_runs_the_command(capsys):
+    _, expected, _ = run(capsys, ["chi", "--n", "2"])
+    child = python_process(["-m", "chigenus.cli", "chi", "--n", "2"], subprocess.PIPE)
+    out, err = child.communicate(timeout=120)
+    assert (child.returncode, out, err) == (0, expected.encode(), b"")
+    child = python_process(["-m", "chigenus.cli", "chi", "--n", "13"], subprocess.PIPE)
+    out, err = child.communicate(timeout=120)
+    assert (child.returncode, out) == (2, b"") and b"exceeds GENUS_MAX_N=12" in err
+
+
+@pytest.mark.parametrize("argv", [["chi", "--n", "2"], ["verify-paper"]])
+def test_closed_stdout_ends_the_output_quietly(argv):
+    # the read end is closed before the child starts, so its first write meets no reader
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = python_process(ENTRY_POINT + argv, write_end)
+    finally:
+        os.close(write_end)
+    _, err = child.communicate(timeout=120)
+    assert (child.returncode, err) == (0, b"")
 
 
 def test_degree_cap(capsys, monkeypatch):

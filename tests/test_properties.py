@@ -1,4 +1,4 @@
-"""Property tests: rational strings, the y-polynomial form, inertia, rank, the graded
+"""Property tests: rational strings, the y-polynomial form, inertia, the graded
 exponential and the binomial transform against their oracles, and the readers on any
 JSON or catalog key."""
 
@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from chigenus import serialize  # noqa: E402
-from chigenus.betti import inertia, rank  # noqa: E402
+from chigenus.betti import inertia  # noqa: E402
 from chigenus.chern import graded_exponential  # noqa: E402
 from chigenus.cli import main  # noqa: E402
 from chigenus.kexpansion import binomial_transform  # noqa: E402
@@ -25,7 +25,6 @@ from chigenus.partitions import partitions_of  # noqa: E402
 from chigenus.ypoly import YPolynomial, shifted_sum  # noqa: E402
 from oracles import (  # noqa: E402
     fraction_inertia,
-    fraction_rank,
     reference_binomial_transform,
     reference_graded_exponential,
 )
@@ -112,21 +111,6 @@ def symmetric_matrices(draw):
 @given(symmetric_matrices())
 def test_inertia_matches_fraction_oracle(matrix):
     assert inertia(matrix) == fraction_inertia(matrix)
-
-
-@st.composite
-def rectangular_matrices(draw):
-    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    return [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
-
-
-@settings(deadline=None)
-@given(rectangular_matrices())
-@example([[0, 0, 0], [0, 0, 0]])
-@example([[0, Fraction(3, 4), -2, 5]])
-@example([[0, 0, 0, 0]])
-def test_rank_matches_fraction_oracle(matrix):
-    assert rank(matrix) == fraction_rank(matrix)
 
 
 @st.composite
