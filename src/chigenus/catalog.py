@@ -88,7 +88,8 @@ class CohomologyModel:
 class ManifoldData:
     """Exact Chern numbers of a closed almost-complex manifold, plus extras.
 
-    ``chern_numbers`` has one entry per partition of the complex dimension.
+    ``chern_numbers`` has one entry per partition of the complex dimension,
+    ``betti.dim`` is twice that dimension and ``action.n`` equals it.
     Flags are catalog-supplied annotations, never derived from geometry.
     """
 
@@ -112,6 +113,12 @@ class ManifoldData:
                 f"extra {len(extra)}, first {extra[:5]}"
             )
         self.chern_numbers = {p: Fraction(v) for p, v in self.chern_numbers.items()}
+        if self.betti is not None and self.betti.dim != 2 * self.dimension:
+            raise ValueError(
+                f"betti.dim {self.betti.dim} is not twice the dimension {self.dimension}"
+            )
+        if self.action is not None and self.action.n != self.dimension:
+            raise ValueError(f"action.n {self.action.n} is not the dimension {self.dimension}")
 
 
 def point() -> ManifoldData:

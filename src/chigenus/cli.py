@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Any, Callable
 
 from . import serialize
@@ -87,10 +86,6 @@ def _emit(payload: Any) -> None:
         os.close(devnull)
 
 
-def _rational(value: Fraction | int) -> str:
-    return serialize.format_rational(value)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genus",
@@ -145,13 +140,13 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     from . import engine
 
     if args.at is not None:
-        _emit(_rational(engine.specialize(manifold, args.at)))
+        _emit(serialize.format_rational(engine.specialize(manifold, args.at)))
         return EXIT_OK
     if manifold is None:
         _emit(serialize.chern_to_json(engine.chi_y_chern_polynomial(n)))
         return EXIT_OK
     chi = engine.chi_vector(manifold)
-    _emit({"chi": [[str(p), _rational(v)] for p, v in enumerate(chi)]})
+    _emit({"chi": [[str(p), serialize.format_rational(v)] for p, v in enumerate(chi)]})
     return EXIT_OK
 
 
@@ -182,7 +177,7 @@ def _cmd_kcoeffs(args: argparse.Namespace) -> int:
                 {
                     "j": c.odd_index,
                     "inSpan": c.in_span,
-                    "combination": [_rational(v) for v in c.combination],
+                    "combination": [serialize.format_rational(v) for v in c.combination],
                 }
                 for c in span.checks
             ],
@@ -202,8 +197,8 @@ def _cmd_ineq(args: argparse.Namespace) -> int:
         [
             {
                 "i": r.index,
-                "lhs": _rational(r.lhs),
-                "rhs": _rational(r.rhs),
+                "lhs": serialize.format_rational(r.lhs),
+                "rhs": serialize.format_rational(r.rhs),
                 "scale": r.scale,
                 "holds": r.holds,
                 "equality": r.equality,

@@ -2,8 +2,12 @@
 
 Rationals travel as strings ("p/q", or "p" when the denominator is 1) so
 no consumer can lose precision; partitions as arrays of integers; y-
-polynomials as degree -> coefficient objects. Readers accept exactly the
-canonical form that the writers emit, and re-emission is byte-identical.
+polynomials as degree -> coefficient objects. Readers accept the canonical
+form that the writers emit, in any key order and with optional fields left
+out, and re-emission is byte-identical. Every object is read through one
+core (:func:`_object`, :func:`_int`, :func:`_ints`, :func:`_build`): a key
+the writers do not emit is refused with the object's path, and a
+constructor's ValueError becomes a :class:`SchemaError` on that path.
 Two formats go one way only: Chern polynomials are written (``genus chi
 --n``) but never read back, and intersection forms (``genus betti --form``)
 are read but never written. Catalog keys
@@ -21,7 +25,7 @@ import json
 import re
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Container
 
 from .partitions import Partition, as_partition
 from .chern import ChernPolynomial
@@ -140,11 +144,53 @@ def ypoly_from_json(obj: Any, field: str, max_degree: int) -> YPolynomial:
     return YPolynomial(coeffs)
 
 
-def partition_from_json(obj: Any, field: str = "partition") -> Partition:
-    if not isinstance(obj, list) or not all(is_json_int(p) for p in obj):
-        raise SchemaError(field, "expected an array of integers")
+_REQUIRED: Any = object()  # the default of a field that must be present
+
+
+def _object(obj: Any, field: str, keys: Container[str]) -> dict[str, Any]:
+    """``obj`` as an object whose keys are all in ``keys``; the first other key is refused."""
+    if not isinstance(obj, dict):
+        raise SchemaError(field, "expected an object")
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(field, f"unknown key {key!r}")
+    return obj
+
+
+def _int(
+    obj: dict[str, Any], field: str, key: str, default: Any = _REQUIRED, nonnegative: bool = False
+) -> Any:
+    """The integer at ``key``, ``default`` when absent; a None default lets null read as absent."""
+    value = obj.get(key, default)
+    if value is None and default is None:
+        return None
+    if not is_json_int(value) or (nonnegative and value < 0):
+        expected = "a non-negative integer" if nonnegative else "an integer"
+        raise SchemaError(f"{field}.{key}", f"expected {expected}")
+    return value
+
+
+def _ints(obj: dict[str, Any], field: str, key: str, default: Any = _REQUIRED) -> Any:
+    """The array of integers at ``key``, with the defaults of :func:`_int`."""
+    value = obj.get(key, default)
+    if value is None and default is None:
+        return None
+    if not isinstance(value, list) or not all(is_json_int(v) for v in value):
+        raise SchemaError(f"{field}.{key}", "expected an array of integers")
+    return value
+
+
+def _bool(obj: dict[str, Any], field: str, key: str, default: Any = _REQUIRED) -> bool:
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise SchemaError(f"{field}.{key}", "expected a boolean")
+    return value
+
+
+def _build(field: str, cls: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``cls(*args, **kwargs)``, with its ValueError reported as a SchemaError on ``field``."""
     try:
-        return as_partition(obj)
+        return cls(*args, **kwargs)
     except ValueError as exc:
         raise SchemaError(field, str(exc)) from None
 
@@ -162,23 +208,13 @@ def profile_to_json(profile: BettiProfile) -> dict[str, Any]:
 
 
 def profile_from_json(obj: Any, field: str = "profile") -> BettiProfile:
-    if not isinstance(obj, dict):
-        raise SchemaError(field, "expected an object")
-    dim = obj.get("dim")
-    if not is_json_int(dim):
-        raise SchemaError(f"{field}.dim", "expected an integer")
-    betti = obj.get("betti")
-    if not isinstance(betti, list) or not all(is_json_int(b) for b in betti):
-        raise SchemaError(f"{field}.betti", "expected an array of integers")
-    sigma = obj.get("sigma")
-    if sigma is not None and not is_json_int(sigma):
-        raise SchemaError(f"{field}.sigma", "expected an integer")
+    obj = _object(obj, field, ("dim", "betti", "sigma"))
+    dim = _int(obj, field, "dim")
+    betti = _ints(obj, field, "betti")
+    sigma = _int(obj, field, "sigma", None)
     from .betti import BettiProfile
 
-    try:
-        return BettiProfile(dim, tuple(betti), sigma)
-    except ValueError as exc:
-        raise SchemaError(field, str(exc)) from None
+    return _build(field, BettiProfile, dim, betti, sigma)
 
 
 def component_to_json(comp: FixedComponent) -> dict[str, Any]:
@@ -197,43 +233,19 @@ def component_to_json(comp: FixedComponent) -> dict[str, Any]:
 
 
 def component_from_json(obj: Any, field: str) -> FixedComponent:
-    if not isinstance(obj, dict):
-        raise SchemaError(field, "expected an object")
-    r = obj.get("complexDim", 0)
-    if not is_json_int(r) or r < 0:
-        raise SchemaError(f"{field}.complexDim", "expected a non-negative integer")
-    weights = obj.get("weights")
-    if weights is not None:
-        if not isinstance(weights, list) or not all(is_json_int(w) for w in weights):
-            raise SchemaError(f"{field}.weights", "expected an array of integers")
-        if any(w == 0 for w in weights):
-            raise SchemaError(f"{field}.weights", "rotation weights must be nonzero")
-    d_f = obj.get("dF")
-    if d_f is not None and not is_json_int(d_f):
-        raise SchemaError(f"{field}.dF", "expected an integer")
-    betti = obj.get("betti")
-    if betti is not None and (
-        not isinstance(betti, list) or not all(is_json_int(b) for b in betti)
-    ):
-        raise SchemaError(f"{field}.betti", "expected an array of integers")
-    signature = obj.get("signature")
-    if signature is not None and not is_json_int(signature):
-        raise SchemaError(f"{field}.signature", "expected an integer")
+    obj = _object(obj, field, ("complexDim", "weights", "dF", "betti", "signature", "chiMinusY"))
+    r = _int(obj, field, "complexDim", 0, nonnegative=True)
+    weights = _ints(obj, field, "weights", None)
+    if weights is not None and 0 in weights:
+        raise SchemaError(f"{field}.weights", "rotation weights must be nonzero")
+    d_f = _int(obj, field, "dF", None)
+    betti = _ints(obj, field, "betti", None)
+    signature = _int(obj, field, "signature", None)
     chi = obj.get("chiMinusY")
     chi_poly = ypoly_from_json(chi, f"{field}.chiMinusY", r) if chi is not None else None
     from .localization import FixedComponent
 
-    try:
-        return FixedComponent(
-            complex_dim=r,
-            weights=weights,
-            d_f=d_f,
-            betti=betti,
-            signature=signature,
-            chi_minus_y=chi_poly,
-        )
-    except ValueError as exc:
-        raise SchemaError(field, str(exc)) from None
+    return _build(field, FixedComponent, r, weights, d_f, betti, signature, chi_poly)
 
 
 def model_to_json(model: FixedPointModel) -> dict[str, Any]:
@@ -245,14 +257,9 @@ def model_to_json(model: FixedPointModel) -> dict[str, Any]:
 
 
 def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
-    if not isinstance(obj, dict):
-        raise SchemaError(field, "expected an object")
-    n = obj.get("n")
-    if not is_json_int(n) or n < 0:
-        raise SchemaError(f"{field}.n", "expected a non-negative integer")
-    hamiltonian = obj.get("hamiltonian", False)
-    if not isinstance(hamiltonian, bool):
-        raise SchemaError(f"{field}.hamiltonian", "expected a boolean")
+    obj = _object(obj, field, ("n", "hamiltonian", "components"))
+    n = _int(obj, field, "n", nonnegative=True)
+    hamiltonian = _bool(obj, field, "hamiltonian", False)
     raw = obj.get("components")
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{field}.components", "expected a nonempty array")
@@ -265,16 +272,10 @@ def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
     ]
     from .localization import FixedPointModel
 
-    try:
-        return FixedPointModel(n, components, hamiltonian)
-    except ValueError as exc:
-        raise SchemaError(field, str(exc)) from None
+    return _build(field, FixedPointModel, n, components, hamiltonian)
 
 
-_FLAG_KEYS = (
-    ("pureType", "pure_type"),
-    ("hamiltonianS1", "hamiltonian_s1"),
-)
+_FLAG_KEYS = {"pureType": "pure_type", "hamiltonianS1": "hamiltonian_s1"}
 
 
 def manifold_to_json(data: ManifoldData) -> dict[str, Any]:
@@ -285,7 +286,7 @@ def manifold_to_json(data: ManifoldData) -> dict[str, Any]:
     out: dict[str, Any] = {"dimension": data.dimension, "chernNumbers": numbers}
     flags = {
         json_key: getattr(data, attr)
-        for json_key, attr in _FLAG_KEYS
+        for json_key, attr in _FLAG_KEYS.items()
         if getattr(data, attr) is not None
     }
     if flags:
@@ -298,48 +299,34 @@ def manifold_to_json(data: ManifoldData) -> dict[str, Any]:
 
 
 def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
-    if not isinstance(obj, dict):
-        raise SchemaError(field, "expected an object")
-    dimension = obj.get("dimension")
-    if not is_json_int(dimension) or dimension < 0:
-        raise SchemaError(f"{field}.dimension", "expected a non-negative integer")
+    obj = _object(obj, field, ("dimension", "chernNumbers", "flags", "betti", "action"))
+    dimension = _int(obj, field, "dimension", nonnegative=True)
     raw = obj.get("chernNumbers")
     if not isinstance(raw, list):
         raise SchemaError(f"{field}.chernNumbers", "expected an array")
     numbers: dict[Partition, Fraction] = {}
     for idx, entry in enumerate(raw):
         where = f"{field}.chernNumbers[{idx}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(where, "expected an object")
-        part = partition_from_json(entry.get("partition"), f"{where}.partition")
+        entry = _object(entry, where, ("partition", "value"))
+        part = _build(f"{where}.partition", as_partition, _ints(entry, where, "partition"))
         if part in numbers:
             raise SchemaError(f"{where}.partition", f"duplicate partition {list(part)}")
         numbers[part] = parse_rational(entry.get("value"), f"{where}.value")
-    flags = obj.get("flags", {})
-    if not isinstance(flags, dict):
-        raise SchemaError(f"{field}.flags", "expected an object")
-    kwargs = {}
-    for json_key, attr in _FLAG_KEYS:
-        if json_key in flags:
-            if not isinstance(flags[json_key], bool):
-                raise SchemaError(f"{field}.flags.{json_key}", "expected a boolean")
-            kwargs[attr] = flags[json_key]
-    betti = obj.get("betti")
-    action = obj.get("action")
+    where = f"{field}.flags"
+    flags = _object(obj.get("flags", {}), where, _FLAG_KEYS)
+    kwargs = {attr: _bool(flags, where, key) for key, attr in _FLAG_KEYS.items() if key in flags}
+    betti, action = obj.get("betti"), obj.get("action")
     from .catalog import ManifoldData
 
-    try:
-        return ManifoldData(
-            dimension,
-            numbers,
-            betti=profile_from_json(betti, f"{field}.betti") if betti is not None else None,
-            action=model_from_json(action, f"{field}.action") if action is not None else None,
-            **kwargs,
-        )
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(field, str(exc)) from None
+    return _build(
+        field,
+        ManifoldData,
+        dimension,
+        numbers,
+        betti=profile_from_json(betti, f"{field}.betti") if betti is not None else None,
+        action=model_from_json(action, f"{field}.action") if action is not None else None,
+        **kwargs,
+    )
 
 
 def form_from_json(obj: Any, field: str = "form") -> list[list[Fraction]]:

@@ -173,12 +173,6 @@ class YPolynomial:
         row[::factor] = self.row
         return YPolynomial.from_row(self.denominator, row)
 
-    def shift_degree(self, k: int) -> "YPolynomial":
-        """Multiply by y**k."""
-        if k < 0:
-            raise ValueError("cannot shift to negative degrees")
-        return YPolynomial.from_row(self.denominator, (0,) * k + self.row)
-
     def coefficients_dense(self, length: int | None = None) -> list[Fraction]:
         """Dense coefficient list for degrees 0..length-1 (default degree+1)."""
         size = len(self.row) if length is None else length

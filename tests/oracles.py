@@ -3,9 +3,10 @@
 These are the straightforward forms of the integer code in ``chigenus.betti``,
 ``chigenus.localization``, ``chigenus.chern`` and ``chigenus.kexpansion``:
 Schur-complement elimination over the rationals, polynomial sums built one
-component at a time, the graded exponential on ``YPolynomial`` coefficients
-and the binomial transform term by term. A Gauss-Jordan rank over the
-rationals checks that test matrices have full rank.
+component at a time (each shifted up by :func:`shift_degree`), the graded
+exponential on ``YPolynomial`` coefficients and the binomial transform term
+by term. A Gauss-Jordan rank over the rationals checks that test matrices
+have full rank.
 """
 
 from __future__ import annotations
@@ -101,13 +102,20 @@ def reference_binomial_transform(chi) -> list[Fraction]:
     return out
 
 
+def shift_degree(poly: YPolynomial, k: int) -> YPolynomial:
+    """poly * y**k, by moving each coefficient up k degrees."""
+    if k < 0:
+        raise ValueError("cannot shift to negative degrees")
+    return YPolynomial({d + k: c for d, c in poly.items()})
+
+
 def reference_chi_minus_y(model: FixedPointModel) -> YPolynomial:
     """sum_F chi_{-y}(F) y^{d_F}, adding one shifted polynomial per component."""
     total = YPolynomial.zero()
     for comp in model.components:
         if comp.chi_minus_y is None:
             raise ValueError("positive-dimensional component lacks its modified genus")
-        total = total + comp.chi_minus_y.shift_degree(comp.d_f)
+        total = total + shift_degree(comp.chi_minus_y, comp.d_f)
     return total
 
 
@@ -118,7 +126,7 @@ def reference_novikov_polynomial(model: FixedPointModel) -> YPolynomial:
         if comp.betti is None:
             raise ValueError("component has no Betti numbers")
         poincare = YPolynomial({i: b for i, b in enumerate(comp.betti)})
-        total = total + poincare.shift_degree(2 * comp.d_f)
+        total = total + shift_degree(poincare, 2 * comp.d_f)
     return total
 
 

@@ -180,15 +180,15 @@ def test_betti_needs_input(capsys):
     assert code == 2 and "needs" in err
 
 
-def test_catalog_round_trip_byte_identical(capsys, tmp_path):
-    for key in ("pn:3", "hyp:2:4", "product:pn:1,pn:2"):
-        code, out, _ = run(capsys, ["catalog", "--make", key])
-        assert code == 0
-        from chigenus import serialize
-
-        doc = json.loads(out)
-        again = serialize.dumps(serialize.manifold_to_json(serialize.manifold_from_json(doc)))
-        assert again + "\n" == out
+@pytest.mark.parametrize("key", catalog.CATALOG_KEYS + catalog.ACTION_KEYS)
+def test_catalog_round_trip_byte_identical(capsys, key):
+    code, out, _ = run(capsys, ["catalog", "--make", key])
+    assert code == 0
+    if key.startswith("pnaction:"):
+        again = serialize.model_to_json(serialize.model_from_json(json.loads(out)))
+    else:
+        again = serialize.manifold_to_json(serialize.manifold_from_json(json.loads(out)))
+    assert serialize.dumps(again) + "\n" == out
 
 
 def test_catalog_list(capsys):
@@ -664,6 +664,88 @@ def test_json_booleans_are_not_integers(capsys, tmp_path, field):
     code, out, err = run(capsys, [command, option, write(tmp_path, "doc.json", doc)])
     assert code == 2 and out == "" and len(err.encode()) < 1024, err
     assert "expected a" in err and "integer" in err, err
+
+
+# object kind -> command, option, a valid document with one unknown key added, the stderr line
+UNKNOWN_KEY_DOCS = {
+    "manifold": (
+        "chi",
+        "--manifold",
+        _with(P1, ["extraTop"], 1),
+        "manifold: unknown key 'extraTop'",
+    ),
+    "flags": (
+        "chi",
+        "--manifold",
+        _with(P1, ["flags", "noSuchFlag"], True),
+        "manifold.flags: unknown key 'noSuchFlag'",
+    ),
+    "chern-number": (
+        "ineq",
+        "--manifold",
+        _with(P1, ["chernNumbers", 0, "weight"], 1),
+        "manifold.chernNumbers[0]: unknown key 'weight'",
+    ),
+    "manifold-betti": (
+        "chi",
+        "--manifold",
+        _with(P1, ["betti", "b1"], 0),
+        "manifold.betti: unknown key 'b1'",
+    ),
+    "manifold-action": (
+        "chi",
+        "--manifold",
+        _with(P1, ["action", "weights"], [1, -1]),
+        "manifold.action: unknown key 'weights'",
+    ),
+    "manifold-component": (
+        "ineq",
+        "--manifold",
+        _with(P1, ["action", "components", 1, "dim"], 0),
+        "manifold.action.components[1]: unknown key 'dim'",
+    ),
+    "model": ("localize", "--model", _with(P1_ACTION, ["N"], 1), "model: unknown key 'N'"),
+    "component": (
+        "localize",
+        "--model",
+        _with(P1_ACTION, ["components", 0, "chi"], {"0": "1"}),
+        "model.components[0]: unknown key 'chi'",
+    ),
+    "profile": (
+        "betti",
+        "--profile",
+        _with(P2_PROFILE, ["signature"], 1),
+        "profile: unknown key 'signature'",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", UNKNOWN_KEY_DOCS)
+def test_an_unknown_key_is_refused_with_its_path(capsys, tmp_path, kind):
+    command, option, doc, message = UNKNOWN_KEY_DOCS[kind]
+    code, out, err = run(capsys, [command, option, write(tmp_path, "doc.json", doc)])
+    assert code == 2 and out == "" and err == f"genus: {message}\n", err
+
+
+# a pn:1 document that carries another manifold's Betti profile or circle action
+MISMATCHED_DOCS = {
+    "betti": (
+        _with(P1, ["betti"], {"dim": 4, "betti": [1, 0, 5, 0, 1], "sigma": -3}),
+        "manifold: betti.dim 4 is not twice the dimension 1",
+    ),
+    "action": (
+        _with(P1, ["action"], {"n": 3, "components": [{"dF": 0}, {"dF": 3}]}),
+        "manifold: action.n 3 is not the dimension 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", MISMATCHED_DOCS)
+def test_a_manifold_carries_only_its_own_invariants(capsys, tmp_path, field):
+    doc, message = MISMATCHED_DOCS[field]
+    for command in ("chi", "ineq"):
+        code, out, err = run(capsys, [command, "--manifold", write(tmp_path, "doc.json", doc)])
+        assert code == 2 and out == "" and err == f"genus: {message}\n", err
 
 
 def test_malformed_json_names_field(capsys, tmp_path):

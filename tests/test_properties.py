@@ -1,6 +1,6 @@
 """Property tests: rational strings, the y-polynomial form, inertia, the graded
 exponential and the binomial transform against their oracles, and the readers on any
-JSON or catalog key."""
+JSON, on catalog documents with one key added, and on any catalog key."""
 
 import contextlib
 import io
@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from chigenus import serialize  # noqa: E402
+from chigenus import catalog, serialize  # noqa: E402
 from chigenus.betti import inertia  # noqa: E402
 from chigenus.chern import graded_exponential  # noqa: E402
 from chigenus.cli import main  # noqa: E402
@@ -27,6 +27,7 @@ from oracles import (  # noqa: E402
     fraction_inertia,
     reference_binomial_transform,
     reference_graded_exponential,
+    shift_degree,
 )
 
 
@@ -77,7 +78,7 @@ def test_shifted_sum_matches_pairwise_sums(terms):
     polys = [(YPolynomial(coeffs), shift) for coeffs, shift in terms]
     total = shifted_sum(polys)
     assert_canonical(total)
-    assert total == sum((poly.shift_degree(shift) for poly, shift in polys), YPolynomial.zero())
+    assert total == sum((shift_degree(poly, shift) for poly, shift in polys), YPolynomial.zero())
 
 
 @given(
@@ -169,7 +170,61 @@ _json = st.recursive(
     | st.dictionaries(_fields | st.text(max_size=4), inner, max_size=4),
     max_leaves=24,
 )
-_documents = st.one_of(_json, st.lists(st.lists(_leaves, max_size=4), max_size=4))
+# the keys each object kind may carry, by the array or object key it sits under
+_MANIFOLD = ("dimension", "chernNumbers", "flags", "betti", "action")
+_MODEL = ("n", "hamiltonian", "components")
+_PROFILE = ("dim", "betti", "sigma")
+_ALLOWED = {
+    "flags": ("pureType", "hamiltonianS1"),
+    "chernNumbers": ("partition", "value"),
+    "betti": _PROFILE,
+    "action": _MODEL,
+    "components": ("complexDim", "weights", "dF", "betti", "signature", "chiMinusY"),
+}
+_KNOWN_KEYS = sorted(set(_MANIFOLD).union(*_ALLOWED.values()))
+# (command, option, top-level field, a valid document, the keys its top-level object may carry)
+_CATALOG_DOCUMENTS = []
+for _key in catalog.CATALOG_KEYS:
+    _doc = serialize.manifold_to_json(catalog.make_manifold(_key))
+    _CATALOG_DOCUMENTS.append(("chi", "--manifold", "manifold", _doc, _MANIFOLD))
+    _CATALOG_DOCUMENTS.append(("betti", "--profile", "profile", _doc["betti"], _PROFILE))
+for _key in catalog.ACTION_KEYS:
+    _doc = serialize.model_to_json(catalog.make_action(_key))
+    _CATALOG_DOCUMENTS.append(("localize", "--model", "model", _doc, _MODEL))
+
+
+def _objects(value, path, where, allowed):
+    """(path, field name, allowed keys) of each object a reader checks the keys of."""
+    yield path, where, allowed
+    for key, item in value.items():
+        items = list(enumerate(item)) if isinstance(item, list) else [(None, item)]
+        for index, entry in items:
+            if isinstance(entry, dict) and key in _ALLOWED:
+                step = [key] if index is None else [key, index]
+                at = f"{where}.{key}" if index is None else f"{where}.{key}[{index}]"
+                yield from _objects(entry, path + step, at, _ALLOWED[key])
+
+
+@st.composite
+def documents_with_an_extra_key(draw):
+    """(command, option, document, field, key) of a catalog document with one key added."""
+    command, option, top, doc, allowed = draw(st.sampled_from(_CATALOG_DOCUMENTS))
+    path, field, allowed = draw(st.sampled_from(list(_objects(doc, [], top, allowed))))
+    keys = st.sampled_from(_KNOWN_KEYS) | st.text(max_size=8)
+    key = draw(keys.filter(lambda k: k not in allowed))
+    doc = json.loads(json.dumps(doc))
+    owner = doc
+    for step in path:
+        owner = owner[step]
+    owner[key] = draw(_leaves)
+    return command, option, doc, field, key
+
+
+_documents = st.one_of(
+    _json,
+    st.lists(st.lists(_leaves, max_size=4), max_size=4),
+    documents_with_an_extra_key().map(lambda drawn: drawn[2]),
+)
 
 
 def run_genus(argv):
@@ -215,6 +270,14 @@ def test_form_reader_handles_any_json(doc):
 @given(doc=_documents)
 def test_document_readers_handle_any_json(command, option, doc):
     assert_accepted_or_cleanly_rejected(*run_on_document(command, option, doc))
+
+
+@settings(deadline=None, max_examples=150)
+@given(documents_with_an_extra_key())
+def test_an_extra_key_in_a_catalog_document_is_refused(drawn):
+    command, option, doc, field, key = drawn
+    code, out, err = run_on_document(command, option, doc)
+    assert code == 2 and out == "" and err == f"genus: {field}: unknown key {key!r}\n", err
 
 
 _key_text = st.lists(

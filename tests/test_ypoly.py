@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chigenus.ypoly import YPolynomial
+from oracles import shift_degree
 
 
 def random_poly(rng: random.Random) -> YPolynomial:
@@ -75,7 +76,9 @@ def test_degree_and_constant():
 
 def test_shift_degree():
     p = YPolynomial({0: 1, 1: 1})
-    assert p.shift_degree(2) == YPolynomial({2: 1, 3: 1})
+    assert shift_degree(p, 2) == YPolynomial({2: 1, 3: 1})
+    with pytest.raises(ValueError):
+        shift_degree(p, -1)
 
 
 def test_negative_degree_rejected():
