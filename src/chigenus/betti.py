@@ -18,7 +18,6 @@ every entry is a minor of the scaled form, up to unimodular congruences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
@@ -104,30 +103,48 @@ def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
     return InertiaTriple(plus, minus, zero)
 
 
-@dataclass(frozen=True)
 class BettiProfile:
     """Betti numbers b_0..b_dim of a closed oriented manifold, maybe with sigma.
 
     Poincare duality (b_i = b_{dim-i}) is enforced, and sigma must vanish
-    when the dimension is not divisible by 4.
+    when the dimension is not divisible by 4. Profiles are immutable values:
+    equal fields compare equal and hash alike.
     """
 
-    dim: int
-    betti: tuple[int, ...]
-    sigma: int | None = None
+    __slots__ = ("dim", "betti", "sigma")
 
-    def __post_init__(self) -> None:
-        if self.dim < 0 or self.dim % 2 != 0:
+    def __init__(self, dim: int, betti: Sequence[int], sigma: int | None = None) -> None:
+        if dim < 0 or dim % 2 != 0:
             raise ValueError("dimension must be even and non-negative")
-        object.__setattr__(self, "betti", tuple(self.betti))
-        if len(self.betti) != self.dim + 1:
-            raise ValueError(f"need Betti numbers b_0..b_{self.dim}")
-        if any(b < 0 for b in self.betti):
+        betti = tuple(betti)
+        if len(betti) != dim + 1:
+            raise ValueError(f"need Betti numbers b_0..b_{dim}")
+        if any(b < 0 for b in betti):
             raise ValueError("Betti numbers must be non-negative")
-        if any(self.betti[i] != self.betti[self.dim - i] for i in range(self.dim + 1)):
+        if any(betti[i] != betti[dim - i] for i in range(dim + 1)):
             raise ValueError("Betti numbers must satisfy Poincare duality")
-        if self.sigma is not None and self.dim % 4 != 0 and self.sigma != 0:
+        if sigma is not None and dim % 4 != 0 and sigma != 0:
             raise ValueError("signature must vanish in dimensions not divisible by 4")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "betti", betti)
+        object.__setattr__(self, "sigma", sigma)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self) -> tuple[int, tuple[int, ...], int | None]:
+        return self.dim, self.betti, self.sigma
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"BettiProfile(dim={self.dim}, betti={self.betti}, sigma={self.sigma})"
 
     def even_betti(self) -> tuple[int, ...]:
         return tuple(self.betti[2 * i] for i in range(self.dim // 2 + 1))
@@ -161,8 +178,7 @@ def cs_classification(triple: InertiaTriple) -> CauchySchwarzStatus:
     return CauchySchwarzStatus(triple.b_plus == 1, triple.b_minus == 0)
 
 
-@dataclass(frozen=True)
-class BettiInequality:
+class BettiInequality(NamedTuple):
     k: int
     lhs: int
     rhs: int
@@ -170,8 +186,7 @@ class BettiInequality:
     equality: bool
 
 
-@dataclass(frozen=True)
-class BettiInequalityReport:
+class BettiInequalityReport(NamedTuple):
     dim: int
     b_plus: int
     b_minus: int
@@ -220,8 +235,7 @@ def betti_inequality_check(profile: BettiProfile) -> BettiInequalityReport:
 UNIMODALITY_LABEL = "conjecture diagnostic"
 
 
-@dataclass(frozen=True)
-class UnimodalityReport:
+class UnimodalityReport(NamedTuple):
     """Diagnostic only: the chain b_2 <= b_4 <= ... up to the middle.
 
     This inequality chain is an open question, not a theorem; the report is

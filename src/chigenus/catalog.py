@@ -21,7 +21,6 @@ that memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -35,7 +34,6 @@ Monomial = tuple[int, ...]
 PolyDict = dict[Monomial, Fraction]
 
 
-@dataclass(frozen=True)
 class CohomologyModel:
     """Q[h_1..h_k]/(h_i^{orders_i + 1}) with a chosen top integral.
 
@@ -47,16 +45,23 @@ class CohomologyModel:
     class directly, and no other module of the package calls this class.
     """
 
-    names: tuple[str, ...]
-    orders: tuple[int, ...]
-    top_integral: Fraction
-    total_chern: PolyDict
+    __slots__ = ("names", "orders", "top_integral", "total_chern")
 
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.orders):
+    def __init__(
+        self,
+        names: tuple[str, ...],
+        orders: tuple[int, ...],
+        top_integral: Fraction,
+        total_chern: PolyDict,
+    ) -> None:
+        if len(names) != len(orders):
             raise ValueError("one name per generator")
-        if self.top_integral == 0:
+        if top_integral == 0:
             raise ValueError("top integral must be nonzero")
+        self.names = names
+        self.orders = orders
+        self.top_integral = top_integral
+        self.total_chern = total_chern
 
     def multiply(self, a: PolyDict, b: PolyDict) -> PolyDict:
         out: PolyDict = {}
@@ -84,41 +89,55 @@ class CohomologyModel:
         return numbers
 
 
-@dataclass
 class ManifoldData:
     """Exact Chern numbers of a closed almost-complex manifold, plus extras.
 
     ``chern_numbers`` has one entry per partition of the complex dimension,
     ``betti.dim`` is twice that dimension and ``action.n`` equals it.
     Flags are catalog-supplied annotations, never derived from geometry.
+    Instances are mutable, because the builders attach ``betti`` and
+    ``action`` after the Chern numbers, and so they are unhashable.
     """
 
-    dimension: int
-    chern_numbers: dict[Partition, Fraction]
-    pure_type: bool | None = None
-    hamiltonian_s1: bool | None = None
-    betti: BettiProfile | None = None
-    action: FixedPointModel | None = None
+    __slots__ = ("dimension", "chern_numbers", "pure_type", "hamiltonian_s1", "betti", "action")
 
-    def __post_init__(self) -> None:
-        expected = partitions_of(self.dimension)
-        given = set(self.chern_numbers)
+    def __init__(
+        self,
+        dimension: int,
+        chern_numbers: dict[Partition, Fraction],
+        pure_type: bool | None = None,
+        hamiltonian_s1: bool | None = None,
+        betti: BettiProfile | None = None,
+        action: FixedPointModel | None = None,
+    ) -> None:
+        expected = partitions_of(dimension)
+        given = set(chern_numbers)
         if given != set(expected):
             # counts plus a few examples: the error stays small in any dimension
             missing = [p for p in expected if p not in given]
             extra = sorted(given.difference(expected), reverse=True)
             raise ValueError(
-                f"Chern numbers must cover all partitions of {self.dimension}; "
+                f"Chern numbers must cover all partitions of {dimension}; "
                 f"missing {len(missing)}, first {missing[:5]}; "
                 f"extra {len(extra)}, first {extra[:5]}"
             )
-        self.chern_numbers = {p: Fraction(v) for p, v in self.chern_numbers.items()}
-        if self.betti is not None and self.betti.dim != 2 * self.dimension:
-            raise ValueError(
-                f"betti.dim {self.betti.dim} is not twice the dimension {self.dimension}"
-            )
-        if self.action is not None and self.action.n != self.dimension:
-            raise ValueError(f"action.n {self.action.n} is not the dimension {self.dimension}")
+        numbers = {p: Fraction(v) for p, v in chern_numbers.items()}
+        if betti is not None and betti.dim != 2 * dimension:
+            raise ValueError(f"betti.dim {betti.dim} is not twice the dimension {dimension}")
+        if action is not None and action.n != dimension:
+            raise ValueError(f"action.n {action.n} is not the dimension {dimension}")
+        self.dimension = dimension
+        self.chern_numbers = numbers
+        self.pure_type = pure_type
+        self.hamiltonian_s1 = hamiltonian_s1
+        self.betti = betti
+        self.action = action
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__slots__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
 
 def point() -> ManifoldData:

@@ -239,8 +239,6 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 def _cmd_betti(args: argparse.Namespace) -> int:
     if args.profile is None and args.form is None:
         raise InputError("betti needs --profile and/or --form")
-    from dataclasses import asdict
-
     from . import betti as betti_mod
 
     payload: dict[str, Any] = {}
@@ -276,8 +274,8 @@ def _cmd_betti(args: argparse.Namespace) -> int:
                 payload["inequalities"] = {
                     "bPlus": report.b_plus,
                     "bMinus": report.b_minus,
-                    "upper": asdict(report.upper),
-                    "lower": asdict(report.lower),
+                    "upper": report.upper._asdict(),
+                    "lower": report.lower._asdict(),
                 }
         payload["unimodality"] = {
             "label": betti_mod.UNIMODALITY_LABEL,

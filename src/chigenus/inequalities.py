@@ -15,7 +15,6 @@ has right-hand side 2(n-1)n(n+1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
@@ -43,8 +42,7 @@ def positivity_predicate(chi: Sequence[Fraction | int]) -> PositivityResult:
     return PositivityResult(plain, signed)
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     """One inequality, evaluated in cleared integer form.
 
     ``equality`` is the chi-vector criterion (chi^p = eps^n (-1)^p for
@@ -108,8 +106,7 @@ def check_inequalities(manifold: ManifoldLike, epsilon: int = 1) -> list[Inequal
     return reports
 
 
-@dataclass(frozen=True)
-class SurfaceInequality:
+class SurfaceInequality(NamedTuple):
     label: str
     lhs: Fraction
     rhs: Fraction
@@ -117,8 +114,7 @@ class SurfaceInequality:
     equality: bool
 
 
-@dataclass(frozen=True)
-class CurvatureBoundReport:
+class CurvatureBoundReport(NamedTuple):
     """The negative-first-Chern-class bound c_2 (-c_1)^{n-2} >= n/(2(n+1)) (-c_1)^n.
 
     For surfaces the report also carries the two cleared consequences

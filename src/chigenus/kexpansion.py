@@ -14,10 +14,9 @@ encode the reciprocal series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .chern import ChernPolynomial
 from .engine import chi_y_chern_polynomial, eulerian_polynomials
@@ -25,8 +24,7 @@ from .partitions import Partition
 from .ypoly import YPolynomial
 
 
-@dataclass(frozen=True)
-class KTable:
+class KTable(NamedTuple):
     """K_0..K_n as grade-n Chern polynomials with constant coefficients."""
 
     n: int
@@ -137,14 +135,12 @@ def closed_form_k(j: int, n: int) -> ChernPolynomial:
     )
 
 
-@dataclass(frozen=True)
-class ClosedFormCheck:
+class ClosedFormCheck(NamedTuple):
     j: int
     matches: bool
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(NamedTuple):
     n: int
     checks: tuple[ClosedFormCheck, ...]
 
@@ -176,15 +172,13 @@ def binomial_transform(chi: Sequence[Fraction | int]) -> list[Fraction]:
     ]
 
 
-@dataclass(frozen=True)
-class SpanCheck:
+class SpanCheck(NamedTuple):
     odd_index: int
     in_span: bool
-    combination: tuple[Fraction, ...] = field(default=())
+    combination: tuple[Fraction, ...] = ()
 
 
-@dataclass(frozen=True)
-class SpanReport:
+class SpanReport(NamedTuple):
     n: int
     checks: tuple[SpanCheck, ...]
 

@@ -17,8 +17,7 @@ denominator 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ypoly import YPolynomial, shifted_sum
 
@@ -35,10 +34,12 @@ class FixedComponent:
     """One connected component of the fixed-point set.
 
     ``weights`` determine ``d_f``; when no weights are supplied an explicit
-    ``d_f`` is required. A zero-dimensional component defaults to Betti
-    numbers (1,), signature 1 (the rank-one positive form on H^0) and
-    constant modified genus 1. Positive-dimensional components must be given
-    their own invariants: the localization formulas consume them as data.
+    ``d_f`` is required. A zero-dimensional component is a point: it has
+    Betti numbers (1,), signature 1 (the rank-one positive form on H^0) and
+    constant modified genus 1, which are its defaults, and any other value
+    supplied for them is refused. Positive-dimensional components must be
+    given their own invariants: the localization formulas consume them as
+    data.
     """
 
     __slots__ = ("complex_dim", "weights", "d_f", "betti", "signature", "chi_minus_y")
@@ -68,9 +69,18 @@ class FixedComponent:
                 raise ValueError("d_f must be non-negative")
             self.d_f = d_f
         if complex_dim == 0:
-            betti = (1,) if betti is None else betti
-            signature = 1 if signature is None else signature
-            chi_minus_y = YPolynomial.one() if chi_minus_y is None else chi_minus_y
+            if betti is None:
+                betti = (1,)
+            elif tuple(betti) != (1,):
+                raise ValueError("a fixed point has Betti numbers (1,)")
+            if signature is None:
+                signature = 1
+            elif signature != 1:
+                raise ValueError("a fixed point has signature 1")
+            if chi_minus_y is None:
+                chi_minus_y = YPolynomial.one()
+            elif chi_minus_y != YPolynomial.one():
+                raise ValueError("a fixed point has modified genus 1")
         self.betti = tuple(betti) if betti is not None else None
         if self.betti is not None:
             if len(self.betti) != 2 * complex_dim + 1:
@@ -156,8 +166,7 @@ def localized_signature(model: FixedPointModel) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class IsolatedConsistencyReport:
+class IsolatedConsistencyReport(NamedTuple):
     """Cross-checks available when every fixed component is a point."""
 
     odd_novikov_vanish: bool
@@ -186,8 +195,7 @@ def consistency_isolated(model: FixedPointModel) -> IsolatedConsistencyReport:
     return IsolatedConsistencyReport(odd_vanish, matches, positive)
 
 
-@dataclass(frozen=True)
-class SignatureIdentityReport:
+class SignatureIdentityReport(NamedTuple):
     """Outcome of the signature-vs-Novikov identity check.
 
     ``applicable`` records whether every component is signature-alternating

@@ -256,9 +256,17 @@ def model_to_json(model: FixedPointModel) -> dict[str, Any]:
     }
 
 
+# The largest n a fixed-point model may have. n bounds the degree of every dense
+# row read or localized from a model, so rows stay small whatever the caller; the
+# command line caps n far lower (GENUS_MAX_N).
+MAX_MODEL_N = 10_000
+
+
 def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
     obj = _object(obj, field, ("n", "hamiltonian", "components"))
     n = _int(obj, field, "n", nonnegative=True)
+    if n > MAX_MODEL_N:
+        raise SchemaError(f"{field}.n", f"exceeds the largest allowed, {MAX_MODEL_N}")
     hamiltonian = _bool(obj, field, "hamiltonian", False)
     raw = obj.get("components")
     if not isinstance(raw, list) or not raw:
@@ -316,6 +324,9 @@ def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
     flags = _object(obj.get("flags", {}), where, _FLAG_KEYS)
     kwargs = {attr: _bool(flags, where, key) for key, attr in _FLAG_KEYS.items() if key in flags}
     betti, action = obj.get("betti"), obj.get("action")
+    n = action.get("n") if isinstance(action, dict) else None
+    if is_json_int(n) and n != dimension:  # before any row of degree up to n is read
+        raise SchemaError(field, f"action.n {n} is not the dimension {dimension}")
     from .catalog import ManifoldData
 
     return _build(

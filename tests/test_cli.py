@@ -503,6 +503,50 @@ def test_report_output_is_byte_identical(capsys, tmp_path, case):
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[case]
 
 
+# documents for `genus betti`, by name
+BETTI_PROFILES = {
+    "k3": {"dim": 4, "betti": [1, 0, 22, 0, 1], "sigma": -16},
+    "dim6": {"dim": 6, "betti": [1, 0, 5, 2, 5, 0, 1], "sigma": 0},
+    "dim8": {"dim": 8, "betti": [1, 0, 2, 0, 4, 0, 2, 0, 1], "sigma": 2},
+    "dim12": {"dim": 12, "betti": [1, 0, 1, 0, 3, 0, 5, 0, 3, 0, 1, 0, 1], "sigma": 1},
+    "unsigned4": {"dim": 4, "betti": [1, 0, 2, 0, 1]},
+    "unsigned8": {"dim": 8, "betti": [1, 0, 3, 0, 2, 0, 3, 0, 1]},
+    "unsigned8-middle3": {"dim": 8, "betti": [1, 0, 2, 0, 3, 0, 2, 0, 1]},
+}
+BETTI_FORMS = {
+    "hyperbolic": [["0", "1"], ["1", "0"]],
+    "rational": [["1/2", "1", "0"], ["1", "-2/3", "3"], ["0", "3", "0"]],
+    "degenerate": [["1", "1", "2"], ["1", "1", "2"], ["2", "2", "4"]],
+    "diagonal3": [["2", "1", "0"], ["1", "-1", "0"], ["0", "0", "-3/2"]],
+}
+
+# SHA-256 of stdout for each case: `betti` with each option given the named document
+BETTI_DIGESTS = {
+    "--form hyperbolic": "8166e82d4dfd3935557ae13676032d89259370de12dbde50713cddcfcba9d5ff",
+    "--form rational": "70251f5ba0c0e200c2986ede774711de672029c3b0a21713267ac861164b23cd",
+    "--form degenerate": "2a03e6c7bc4d8f5df8a025597ab3675908155243d4a8021fd261837534bb06a7",
+    "--profile k3": "c4d25144d8bd6f04be78b6abcde4c05bf640cd86531321d4dd08e956872fc823",
+    "--profile dim6": "af94a2472486331b59bdf6d6c6c66da724189f6c6cbd080afe07fe301b127001",
+    "--profile dim8": "3b0ad925f7a3e3d07d0ebbd1aecc070731c707f8489fc433466c44a4fb3335e6",
+    "--profile dim12": "ec1b7473121f55c062fd1bccfec12a420f918a88f1d48b9444d0b7fccc6a3d5d",
+    "--profile unsigned8": "e563f19deb1dd45cd0b48537e44db6d7c5763f89540444760c735f99992f701c",
+    "--profile unsigned4 --form hyperbolic": "d985bf0c5f3e6c6f9ae500a732da0ee2094af4d66f3f114263aa39fb167d8199",
+    "--profile unsigned8-middle3 --form diagonal3": "7f1771a6de1a780d471a0a4ab03b9fdac1ea3eb435b5dc1bf39a4a584607fe8b",
+}
+
+
+@pytest.mark.parametrize("case", BETTI_DIGESTS)
+def test_betti_output_is_byte_identical(capsys, tmp_path, case):
+    words = case.split()
+    argv = ["betti"]
+    for option, name in zip(words[::2], words[1::2]):
+        documents = BETTI_PROFILES if option == "--profile" else BETTI_FORMS
+        argv += [option, write(tmp_path, f"{option[2:]}.json", documents[name])]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BETTI_DIGESTS[case]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["catalog", "--make=--"], ["chi", "--n=--"], ["localize", "--model=--"], ["ineq", "--manifold=--"]],
@@ -737,6 +781,13 @@ MISMATCHED_DOCS = {
         _with(P1, ["action"], {"n": 3, "components": [{"dF": 0}, {"dF": 3}]}),
         "manifold: action.n 3 is not the dimension 1",
     ),
+    # refused before the action's genus of degree 10**20 is read
+    "action-over-bound": (
+        _with(P1, ["action"], {"n": 10**20, "components": [
+            {"complexDim": 10**20, "dF": 0, "chiMinusY": {str(10**20): "1"}}
+        ]}),
+        f"manifold: action.n {10**20} is not the dimension 1",
+    ),
 }
 
 
@@ -746,6 +797,20 @@ def test_a_manifold_carries_only_its_own_invariants(capsys, tmp_path, field):
     for command in ("chi", "ineq"):
         code, out, err = run(capsys, [command, "--manifold", write(tmp_path, "doc.json", doc)])
         assert code == 2 and out == "" and err == f"genus: {message}\n", err
+
+
+@pytest.mark.parametrize(
+    "invariant, value, message",
+    [
+        ("betti", [3], "Betti numbers (1,)"),
+        ("signature", -5, "signature 1"),
+        ("chiMinusY", {"0": "2"}, "modified genus 1"),
+    ],
+)
+def test_a_fixed_point_has_the_invariants_of_a_point(capsys, tmp_path, invariant, value, message):
+    doc = {"n": 1, "components": [{"complexDim": 0, "dF": 0, invariant: value}, {"complexDim": 0, "dF": 1}]}
+    code, out, err = run(capsys, ["localize", "--model", write(tmp_path, "doc.json", doc)])
+    assert code == 2 and out == "" and err == f"genus: model.components[0]: a fixed point has {message}\n"
 
 
 def test_malformed_json_names_field(capsys, tmp_path):

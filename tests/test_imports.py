@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import chigenus
+from chigenus import catalog, serialize
 
 ROOT = Path(__file__).parent.parent
 
@@ -46,17 +47,23 @@ DOCUMENTS = {
     "form": [["0", "1"], ["1", "0"]],
     "model": {"n": 1, "components": [{"weights": [1]}, {"weights": [-1]}]},
     "d40": {"dimension": 40, "chernNumbers": []},
+    "p2": serialize.manifold_to_json(catalog.projective_space(2)),
 }
 
 
 # argv (with {name} for a document) -> exit code, modules the run must not load
+# besides dataclasses and inspect, which no run loads
 IMPORT_CASES = {
     "chi": (
         ["chi", "--n", "3"],
         0,
         [f"chigenus.{m}" for m in ("catalog", "betti", "localization", "kexpansion", "inequalities")]
-        + ["chigenus.verify", "chigenus.series", "dataclasses"],
+        + ["chigenus.verify", "chigenus.series"],
     ),
+    "chi-manifold": (["chi", "--manifold", "{p2}"], 0, ["chigenus.kexpansion", "chigenus.verify"]),
+    "ineq-manifold": (["ineq", "--manifold", "{p2}"], 0, ["chigenus.verify", "chigenus.series"]),
+    "kcoeffs": (["kcoeffs", "--n", "4"], 0, ["chigenus.catalog", "chigenus.inequalities"]),
+    "catalog": (["catalog", "--make", "pn:2"], 0, ["chigenus.kexpansion", "chigenus.verify"]),
     "betti-form": (["betti", "--form", "{form}"], 0, ["chigenus.engine"]),
     "localize": (["localize", "--model", "{model}"], 0, ["chigenus.engine"]),
     "chi-over-cap": (["chi", "--n", "13"], 2, ["chigenus.engine", "chigenus.inequalities"]),
@@ -69,13 +76,19 @@ IMPORT_CASES = {
 @pytest.mark.parametrize("case", IMPORT_CASES)
 def test_a_subcommand_loads_only_what_it_runs(tmp_path, case):
     argv, expected_code, absent = IMPORT_CASES[case]
+    absent = set(absent) | {"dataclasses", "inspect"}
     paths = {}
     for name, doc in DOCUMENTS.items():
         paths[name] = str(tmp_path / f"{name}.json")
         Path(paths[name]).write_text(json.dumps(doc))
     code, loaded = loaded_by([arg.format(**paths) for arg in argv])
     assert code == expected_code
-    assert not loaded & set(absent), sorted(loaded & set(absent))
+    assert not loaded & absent, sorted(loaded & absent)
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((ROOT / "src" / "chigenus").glob("*.py")):
+        assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path.name
 
 
 def test_bare_import_loads_no_submodule():

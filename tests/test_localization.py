@@ -176,6 +176,22 @@ def test_component_validation():
         FixedComponent(complex_dim=1, d_f=0, betti=(1,))
 
 
+def test_a_fixed_point_has_the_invariants_of_a_point():
+    explicit = FixedComponent(d_f=0, betti=[1], signature=1, chi_minus_y=YPolynomial.one())
+    default = FixedComponent(d_f=0)
+    assert (explicit.betti, explicit.signature, explicit.chi_minus_y) == ((1,), 1, YPolynomial.one())
+    assert (default.betti, default.signature, default.chi_minus_y) == ((1,), 1, YPolynomial.one())
+    for given, message in (
+        ({"betti": (3,)}, "a fixed point has Betti numbers"),
+        ({"betti": (1, 0, 1)}, "a fixed point has Betti numbers"),
+        ({"signature": -5}, "a fixed point has signature 1"),
+        ({"chi_minus_y": YPolynomial({0: 2})}, "a fixed point has modified genus 1"),
+        ({"chi_minus_y": YPolynomial({0: 1, 1: 1})}, "a fixed point has modified genus 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            FixedComponent(complex_dim=0, d_f=0, **given)
+
+
 def test_model_validation():
     with pytest.raises(ValueError, match="nonempty"):
         FixedPointModel(2, [])
@@ -232,10 +248,12 @@ def random_component(rng, n):
     r = rng.randint(0, n)
     d_f = rng.randint(0, n - r)
     half = [rng.randint(0, 4) for _ in range(r + 1)]
-    betti = half + half[-2::-1]
+    betti = half + half[-2::-1] if r else [1]  # a point has the invariants of a point
     if rng.random() < 0.5:
         betti = [Fraction(b) for b in betti]
     chi = YPolynomial({p: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for p in range(r + 1)})
+    if not r:
+        chi = YPolynomial.one()
     return FixedComponent(complex_dim=r, d_f=d_f, betti=betti, chi_minus_y=chi)
 
 

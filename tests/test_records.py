@@ -1,0 +1,88 @@
+"""The report records and the validated data classes keep their fields, defaults and checks."""
+
+import re
+from fractions import Fraction
+
+import pytest
+
+from chigenus.betti import BettiInequality, BettiInequalityReport, BettiProfile, UnimodalityReport
+from chigenus.catalog import CohomologyModel, ManifoldData, projective_space
+from chigenus.inequalities import CurvatureBoundReport, InequalityReport, SurfaceInequality
+from chigenus.kexpansion import ClosedFormCheck, ClosedFormReport, KTable, SpanCheck, SpanReport
+from chigenus.localization import IsolatedConsistencyReport, SignatureIdentityReport
+
+FIELDS = {
+    BettiInequality: ("k", "lhs", "rhs", "holds", "equality"),
+    BettiInequalityReport: ("dim", "b_plus", "b_minus", "alternating", "upper", "lower"),
+    UnimodalityReport: ("label", "holds", "first_violation"),
+    InequalityReport: (
+        "index", "lhs", "rhs", "scale", "holds", "equality", "equality_witness", "hypothesis_met"
+    ),
+    SurfaceInequality: ("label", "lhs", "rhs", "holds", "equality"),
+    CurvatureBoundReport: ("n", "lhs", "rhs", "holds", "equality", "surface"),
+    KTable: ("n", "k_polys"),
+    ClosedFormCheck: ("j", "matches"),
+    ClosedFormReport: ("n", "checks"),
+    SpanCheck: ("odd_index", "in_span", "combination"),
+    SpanReport: ("n", "checks"),
+    IsolatedConsistencyReport: ("odd_novikov_vanish", "substitution_matches", "chi_positive"),
+    SignatureIdentityReport: ("applicable", "signature", "alternating_sum"),
+}
+
+
+def test_records_keep_their_fields_defaults_properties_and_checks():
+    for record, fields in FIELDS.items():
+        assert record._fields == fields, record.__name__
+    check = BettiInequality(1, 2, 4, True, False)
+    assert check == (1, 2, 4, True, False) and check._asdict()["rhs"] == 4
+    k, lhs, *_ = check
+    assert (k, lhs) == (1, 2)
+
+    assert SpanCheck(3, False).combination == ()
+    assert SpanReport(4, (SpanCheck(1, True), SpanCheck(3, True))).all_in_span
+    assert not SpanReport(6, (SpanCheck(1, True), SpanCheck(5, False))).all_in_span
+    assert ClosedFormReport(2, (ClosedFormCheck(0, True),)).all_match
+    assert not ClosedFormReport(2, (ClosedFormCheck(0, True), ClosedFormCheck(1, False))).all_match
+    assert IsolatedConsistencyReport(True, True, False).consistent
+    assert not IsolatedConsistencyReport(True, False, True).consistent
+    assert SignatureIdentityReport(True, 1, 1).holds
+    assert not SignatureIdentityReport(True, 1, -1).holds
+
+    profile = BettiProfile(4, [1, 0, 2, 0, 1], 0)
+    assert profile.betti == (1, 0, 2, 0, 1)
+    assert profile == BettiProfile(4, (1, 0, 2, 0, 1), 0)
+    assert hash(profile) == hash(BettiProfile(4, (1, 0, 2, 0, 1), 0))
+    assert profile != BettiProfile(4, (1, 0, 2, 0, 1)) and profile != (4, (1, 0, 2, 0, 1), 0)
+    assert len({profile, BettiProfile(4, (1, 0, 2, 0, 1), 0), BettiProfile(4, (1, 0, 2, 0, 1), 2)}) == 2
+    with pytest.raises(AttributeError):
+        profile.sigma = 2
+    for args, message in (
+        ((3, (1, 0, 0, 1)), "dimension must be even and non-negative"),
+        ((4, (1, 0, 1)), "need Betti numbers b_0..b_4"),
+        ((2, (1, -1, 1)), "Betti numbers must be non-negative"),
+        ((4, (1, 0, 2, 0, 3)), "Betti numbers must satisfy Poincare duality"),
+        ((2, (1, 2, 1), 1), "signature must vanish in dimensions not divisible by 4"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BettiProfile(*args)
+
+    with pytest.raises(ValueError, match="^one name per generator$"):
+        CohomologyModel(("h", "k"), (1,), Fraction(1), {})
+    with pytest.raises(ValueError, match="^top integral must be nonzero$"):
+        CohomologyModel(("h",), (1,), Fraction(0), {})
+
+    data = ManifoldData(1, {(1,): 2}, pure_type=True)
+    assert data.chern_numbers == {(1,): Fraction(2)} and data.hamiltonian_s1 is None
+    assert data == ManifoldData(1, {(1,): Fraction(2)}, True)
+    assert data != ManifoldData(1, {(1,): Fraction(2)})
+    data.betti = projective_space(1).betti
+    assert data.betti.dim == 2
+    with pytest.raises(TypeError):
+        hash(data)
+    for args, kwargs, message in (
+        ((1, {}), {}, "Chern numbers must cover all partitions of 1; missing 1, first [(1,)]; extra 0"),
+        ((1, {(1,): 2}), {"betti": projective_space(2).betti}, "betti.dim 4 is not twice the dimension 1"),
+        ((1, {(1,): 2}), {"action": projective_space(2).action}, "action.n 2 is not the dimension 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ManifoldData(*args, **kwargs)

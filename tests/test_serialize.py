@@ -99,6 +99,22 @@ def test_model_schema_errors():
         )
 
 
+def test_model_n_is_bounded_before_any_row_is_built(monkeypatch):
+    def unread(*args):
+        raise AssertionError("read a y-polynomial")
+
+    monkeypatch.setattr(serialize, "ypoly_from_json", unread)
+    for n in (serialize.MAX_MODEL_N + 1, 10**9, 10**20):
+        component = {"complexDim": n, "dF": 0, "chiMinusY": {str(n): "1"}}
+        with pytest.raises(SchemaError, match=r"^model\.n: exceeds the largest allowed, 10000$"):
+            serialize.model_from_json({"n": n, "components": [component]})
+        manifold = {"dimension": n, "chernNumbers": [], "action": {"n": n, "components": [component]}}
+        with pytest.raises(SchemaError, match=r"^manifold\.action\.n: exceeds the largest allowed"):
+            serialize.manifold_from_json(manifold)
+    model = serialize.model_from_json({"n": serialize.MAX_MODEL_N, "components": [{"dF": 0}]})
+    assert model.n == serialize.MAX_MODEL_N
+
+
 def test_model_accepts_explicit_df():
     doc = {
         "n": 2,
