@@ -42,7 +42,7 @@ _EXPORTS = {
         "standard_catalog",
         "standard_pn_action",
     ),
-    "chern": ("ChernPolynomial", "power_sum_in_chern"),
+    "chern": ("ChernPolynomial",),
     "engine": (
         "check_duality",
         "chi_minus_y",
@@ -51,13 +51,11 @@ _EXPORTS = {
         "duality_holds",
         "evaluate_genus",
         "genus_polynomial",
-        "normalized_series",
         "specialize",
     ),
     "inequalities": (
         "InequalityReport",
         "check_inequalities",
-        "miyaoka_yau_check",
         "positivity_predicate",
     ),
     "kexpansion": (
@@ -73,7 +71,6 @@ _EXPORTS = {
     "localization": (
         "FixedComponent",
         "FixedPointModel",
-        "consistency_isolated",
         "localized_chi_minus_y",
         "localized_signature",
         "negative_weight_count",
@@ -81,7 +78,6 @@ _EXPORTS = {
         "signature_identity_check",
     ),
     "partitions": ("Partition", "partitions_of"),
-    "series": ("TruncatedSeries",),
     "ypoly": ("YPolynomial",),
 }
 
@@ -89,7 +85,7 @@ _EXPORTS = {
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 # submodules reachable as attributes after a bare ``import chigenus``
-_SUBMODULES = frozenset(_EXPORTS) | {"verify"}
+_SUBMODULES = frozenset(_EXPORTS) | {"series", "verify"}
 
 __all__ = sorted(_SOURCE)
 

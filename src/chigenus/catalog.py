@@ -8,6 +8,9 @@ factors' numbers by the Whitney product formula (:func:`product`), so any
 two manifolds multiply, whether built here or loaded from JSON. No floating
 point, no division.
 
+:func:`make_manifold` and :func:`make_action` build from what
+:func:`chigenus.serialize.parse_key`, the one reader of catalog keys, returns.
+
 :class:`CohomologyModel` integrates in a truncated polynomial ring instead.
 It is the independent reference the tests compare against; no other module
 of the package calls it.
@@ -27,8 +30,8 @@ from math import comb
 from .betti import BettiProfile
 from .engine import genus_polynomial
 from .localization import FixedComponent, FixedPointModel
-from .partitions import Partition, merge, partitions_of
-from .serialize import key_factors, key_int
+from .partitions import Partition, merge, partition_count, partitions_of
+from .serialize import ACTION_KEYS, CATALOG_KEYS, CatalogKey, parse_key
 
 Monomial = tuple[int, ...]
 PolyDict = dict[Monomial, Fraction]
@@ -110,8 +113,16 @@ class ManifoldData:
         betti: BettiProfile | None = None,
         action: FixedPointModel | None = None,
     ) -> None:
-        expected = partitions_of(dimension)
         given = set(chern_numbers)
+        count = partition_count(dimension, len(given))
+        if count != len(given):
+            # compared before any partition is listed: a dimension costs nothing to claim
+            relation = f"> {len(given)}" if count > len(given) else f"= {count}"
+            raise ValueError(
+                f"Chern numbers must cover all partitions of {dimension}; "
+                f"got {len(given)}, but p({dimension}) {relation}"
+            )
+        expected = partitions_of(dimension)
         if given != set(expected):
             # counts plus a few examples: the error stays small in any dimension
             missing = [p for p in expected if p not in given]
@@ -141,12 +152,7 @@ class ManifoldData:
 
 
 def point() -> ManifoldData:
-    return ManifoldData(
-        0,
-        {(): Fraction(1)},
-        pure_type=True,
-        betti=BettiProfile(0, (1,), 1),
-    )
+    return ManifoldData(0, {(): Fraction(1)}, pure_type=True, betti=BettiProfile(0, (1,), 1))
 
 
 def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Partition, Fraction]:
@@ -165,18 +171,13 @@ def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Par
 
 
 def projective_space(n: int) -> ManifoldData:
-    """P^n: cohomology Q[h]/(h^{n+1}), integral of h^n is 1, Chern class (1+h)^{n+1}."""
+    """P^n, the hypersurface of degree 1: (1+h)^{n+2}/(1+h) = (1+h)^{n+1}, integral of h^n is 1."""
     if n < 1:
         raise ValueError("need n >= 1")
-    betti = tuple([1 if i % 2 == 0 else 0 for i in range(2 * n + 1)])
-    data = ManifoldData(
-        n,
-        one_generator_chern_numbers([comb(n + 1, j) for j in range(n + 1)], 1),
-        pure_type=True,
-        hamiltonian_s1=True,
-    )
-    data.betti = BettiProfile(2 * n, betti, int(genus_polynomial(data).evaluate(1)))
-    data.action = standard_pn_action(n, tuple(range(n + 1)))
+    data = hypersurface(n, 1)
+    data.pure_type = True
+    data.hamiltonian_s1 = True
+    data.action = standard_pn_action(n)
     return data
 
 
@@ -189,9 +190,13 @@ def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
         pure_type=_both(a.pure_type, b.pure_type),
     )
     if a.betti is not None and b.betti is not None:
-        betti = _convolve(a.betti.betti, b.betti.betti)
-        data.betti = BettiProfile(2 * n, betti, int(genus_polynomial(data).evaluate(1)))
+        _attach_betti(data, _convolve(a.betti.betti, b.betti.betti))
     return data
+
+
+def _attach_betti(data: ManifoldData, betti: tuple[int, ...]) -> None:
+    """Set ``data.betti``, with the signature read off the genus at y = 1."""
+    data.betti = BettiProfile(2 * data.dimension, betti, int(genus_polynomial(data).evaluate(1)))
 
 
 def _whitney(a: ManifoldData, b: ManifoldData, part: Partition) -> Fraction:
@@ -247,7 +252,7 @@ def hypersurface(n: int, d: int) -> ManifoldData:
     euler = int(data.chern_numbers[(n,)])
     betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
     betti[n] = euler - n if n % 2 == 0 else (n + 1) - euler
-    data.betti = BettiProfile(2 * n, tuple(betti), int(genus_polynomial(data).evaluate(1)))
+    _attach_betti(data, tuple(betti))
     return data
 
 
@@ -271,62 +276,27 @@ def standard_pn_action(n: int, exponents: tuple[int, ...] | None = None) -> Fixe
     return FixedPointModel(n, tuple(components), hamiltonian=True)
 
 
-CATALOG_KEYS = (
-    "pn:1",
-    "pn:2",
-    "pn:3",
-    "pn:4",
-    "pn:5",
-    "pn:6",
-    "pn:7",
-    "pn:8",
-    "hyp:1:3",
-    "hyp:2:1",
-    "hyp:2:2",
-    "hyp:2:4",
-    "hyp:3:5",
-    "hyp:4:6",
-    "product:pn:1,pn:1",
-    "product:pn:1,pn:2",
-    "product:pn:1,pn:3",
-    "product:pn:2,pn:2",
-    "product:pn:1,pn:1,pn:1",
-)
-
-ACTION_KEYS = tuple(f"pnaction:{n}:" + ",".join(str(i) for i in range(n + 1)) for n in range(1, 7))
-
-
-def make_manifold(key: str) -> ManifoldData:
-    """Build a manifold from a catalog key such as ``pn:3`` or ``hyp:2:4``."""
-    kind, _, rest = key.partition(":")
-    if kind == "pn":
-        return projective_space(key_int(rest, key))
-    if kind == "hyp":
-        n_text, _, d_text = rest.partition(":")
-        return hypersurface(key_int(n_text, key), key_int(d_text, key))
-    if kind == "product":
-        factors = key_factors(rest)
-        if len(factors) < 2:
-            raise ValueError(f"product needs at least two factors: {key!r}")
-        data = make_manifold(factors[0])
-        for factor in factors[1:]:
+def make_manifold(key: str | CatalogKey) -> ManifoldData:
+    """Build a manifold from a catalog key such as ``pn:3`` or ``hyp:2:4``, or from its parsed form."""
+    parsed = parse_key(key) if isinstance(key, str) else key
+    if parsed.kind == "pn":
+        return projective_space(*parsed.args)
+    if parsed.kind == "hyp":
+        return hypersurface(*parsed.args)
+    if parsed.kind == "product":
+        data = make_manifold(parsed.args[0])
+        for factor in parsed.args[1:]:
             data = product(data, make_manifold(factor))
         return data
     raise ValueError(f"unknown catalog key {key!r}")
 
 
-def make_action(key: str) -> FixedPointModel:
-    """Build a fixed-point model from a key like ``pnaction:2:0,1,2``."""
-    kind, _, rest = key.partition(":")
-    if kind != "pnaction":
+def make_action(key: str | CatalogKey) -> FixedPointModel:
+    """Build a fixed-point model from a key like ``pnaction:2:0,1,2``, or from its parsed form."""
+    parsed = parse_key(key) if isinstance(key, str) else key
+    if parsed.kind != "pnaction":
         raise ValueError(f"unknown action key {key!r}")
-    n_text, _, exp_text = rest.partition(":")
-    n = key_int(n_text, key)
-    if exp_text:
-        exponents = tuple(key_int(t, key) for t in exp_text.split(","))
-    else:
-        exponents = None
-    return standard_pn_action(n, exponents)
+    return standard_pn_action(*parsed.args)
 
 
 def standard_catalog() -> list[tuple[str, ManifoldData]]:

@@ -287,26 +287,19 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     if args.list:
-        from . import catalog
-
         _emit(
             {
-                "manifolds": list(catalog.CATALOG_KEYS),
-                "actions": list(catalog.ACTION_KEYS),
-                "grammar": [
-                    "pn:N",
-                    "hyp:N:D",
-                    "product:KEY,KEY[,...]",
-                    "pnaction:N[:A0,A1,...,AN]",
-                ],
+                "manifolds": list(serialize.CATALOG_KEYS),
+                "actions": list(serialize.ACTION_KEYS),
+                "grammar": list(serialize.KEY_GRAMMAR.values()),
             }
         )
         return EXIT_OK
-    key = args.make
-    _check_cap(serialize.key_dimension(key))
+    key = serialize.parse_key(args.make)
+    _check_cap(key.dimension)
     from . import catalog
 
-    if key.partition(":")[0] == "pnaction":
+    if key.kind == "pnaction":
         _emit(serialize.model_to_json(catalog.make_action(key)))
     else:
         _emit(serialize.manifold_to_json(catalog.make_manifold(key)))

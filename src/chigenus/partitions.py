@@ -19,6 +19,26 @@ def partitions_of(n: int) -> list[Partition]:
     return list(_descending(n, n))
 
 
+def partition_count(n: int, stop_above: int) -> int:
+    """p(n) by Euler's pentagonal recurrence, or the first p(m), m <= n, over ``stop_above``.
+
+    p never decreases, so that p(m) shows p(n) > ``stop_above`` without computing p(n).
+    """
+    counts = [1]
+    for m in range(1, n + 1):
+        if counts[-1] > stop_above:
+            break
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * counts[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * counts[m - k * (3 * k + 1) // 2]
+            k += 1
+        counts.append(total)
+    return counts[-1]
+
+
 def _descending(n: int, largest: int) -> Iterator[Partition]:
     if n == 0:
         yield ()

@@ -10,13 +10,15 @@ the writers do not emit is refused with the object's path, and a
 constructor's ValueError becomes a :class:`SchemaError` on that path.
 Two formats go one way only: Chern polynomials are written (``genus chi
 --n``) but never read back, and intersection forms (``genus betti --form``)
-are read but never written. Catalog keys
-(``pn:N``, ``hyp:N:D``, ``product:...``, ``pnaction:N[:...]``) share the
-integer grammar of the rationals' numerators; :func:`key_dimension` reads a
-key's dimension without loading the catalog.
+are read but never written.
 
-The classes a reader builds are imported inside that reader, so loading
-this module loads no ``betti``, ``catalog`` or ``localization`` code.
+Catalog keys are read here alone: :func:`parse_key` reads a whole key, its
+integers in the grammar of the rationals' numerators, and refuses a
+malformed one before anything is built; :data:`KEY_GRAMMAR` names the kinds.
+
+The classes a reader builds are imported inside that reader, and a writer
+only calls methods of what it is given, so loading this module loads no
+``betti``, ``catalog``, ``chern`` or ``localization`` code.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ import json
 import re
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Any, Callable, Container
+from typing import TYPE_CHECKING, Any, Callable, Container, NamedTuple
 
 from .partitions import Partition, as_partition
-from .chern import ChernPolynomial
 from .ypoly import YPolynomial
 
 if TYPE_CHECKING:
     from .betti import BettiProfile
     from .catalog import ManifoldData
+    from .chern import ChernPolynomial
     from .localization import FixedComponent, FixedPointModel
 
 
@@ -80,7 +82,32 @@ def parse_rational(text: Any, field: str = "value") -> Fraction:
     return Fraction(p, q)
 
 
-def key_int(text: str, key: str) -> int:
+# kind -> the grammar line `genus catalog --list` prints
+KEY_GRAMMAR = {
+    "pn": "pn:N",
+    "hyp": "hyp:N:D",
+    "product": "product:KEY,KEY[,...]",
+    "pnaction": "pnaction:N[:A0,A1,...,AN]",
+}
+
+CATALOG_KEYS = (
+    *[f"pn:{n}" for n in range(1, 9)],
+    *["hyp:1:3", "hyp:2:1", "hyp:2:2", "hyp:2:4", "hyp:3:5", "hyp:4:6"],
+    *["product:pn:1,pn:1", "product:pn:1,pn:2", "product:pn:1,pn:3", "product:pn:2,pn:2"],
+    "product:pn:1,pn:1,pn:1",
+)
+ACTION_KEYS = tuple([f"pnaction:{n}:" + ",".join([str(i) for i in range(n + 1)]) for n in range(1, 7)])
+
+
+class CatalogKey(NamedTuple):
+    """A parsed key; ``args`` is ``(n,)``, ``(n, d)``, ``(n, exponents or None)`` or the factors."""
+
+    kind: str
+    dimension: int
+    args: tuple[Any, ...]
+
+
+def _key_int(text: str, key: str) -> int:
     """An integer field of a catalog key: ASCII digits, an optional minus sign, no leading zero."""
     if not _KEY_INT_RE.fullmatch(text):
         raise ValueError(f"malformed catalog key {key!r}")
@@ -90,34 +117,35 @@ def key_int(text: str, key: str) -> int:
         raise ValueError(f"malformed catalog key {key!r}") from None
 
 
-def key_factors(rest: str) -> list[str]:
-    """Split ``pn:1,hyp:2:4`` into factor keys.
+def parse_key(key: str) -> CatalogKey:
+    """Read a whole catalog key, every integer and factor of it, without building anything.
 
-    Factor keys (``pn:N``, ``hyp:N:D``) never contain commas, so a plain
-    split suffices; nested products are not part of the grammar.
-    """
-    factors = rest.split(",") if rest else []
-    for factor in factors:
-        if not factor:
-            raise ValueError(f"empty product factor in {rest!r}")
-        if factor.partition(":")[0] not in ("pn", "hyp"):
-            raise ValueError(f"product factors must be pn or hyp keys, got {factor!r}")
-    return factors
-
-
-def key_dimension(key: str) -> int:
-    """Complex dimension named by a catalog manifold or action key, read without building it.
-
-    ``pn:N``, ``hyp:N:D`` and ``pnaction:N[:...]`` name dimension N; a
-    ``product:`` key names the sum over its factors. The rest of the key is
-    validated only when ``chigenus.catalog`` builds it.
+    Values (n >= 1, d >= 1, the exponents) are the builders' to check. Factor
+    keys hold no comma, so a split finds them; products do not nest.
     """
     kind, _, rest = key.partition(":")
-    if kind in ("pn", "hyp", "pnaction"):
-        return key_int(rest.partition(":")[0], key)
+    if kind not in KEY_GRAMMAR:
+        raise ValueError(f"unknown catalog key {key!r}")
     if kind == "product":
-        return sum(key_dimension(factor) for factor in key_factors(rest))
-    raise ValueError(f"unknown catalog key {key!r}")
+        factors = rest.split(",") if rest else []
+        for factor in factors:
+            if not factor:
+                raise ValueError(f"empty product factor in {rest!r}")
+            if factor.partition(":")[0] not in ("pn", "hyp"):
+                raise ValueError(f"product factors must be pn or hyp keys, got {factor!r}")
+        parsed = tuple([parse_key(factor) for factor in factors])
+        if len(parsed) < 2:
+            raise ValueError(f"product needs at least two factors: {key!r}")
+        return CatalogKey(kind, sum([factor.dimension for factor in parsed]), parsed)
+    if kind == "pn":
+        n = _key_int(rest, key)
+        return CatalogKey(kind, n, (n,))
+    n_text, _, tail = rest.partition(":")
+    n = _key_int(n_text, key)
+    if kind == "hyp":
+        return CatalogKey(kind, n, (n, _key_int(tail, key)))
+    exponents = tuple([_key_int(text, key) for text in tail.split(",")]) if tail else None
+    return CatalogKey(kind, n, (n, exponents))
 
 
 def ypoly_to_json(poly: YPolynomial) -> dict[str, str]:

@@ -197,6 +197,7 @@ def test_catalog_list(capsys):
     doc = json.loads(out)
     assert "pn:4" in doc["manifolds"]
     assert any(k.startswith("pnaction:") for k in doc["actions"])
+    assert doc["grammar"] == ["pn:N", "hyp:N:D", "product:KEY,KEY[,...]", "pnaction:N[:A0,A1,...,AN]"]
 
 
 def test_catalog_bad_key(capsys):
@@ -295,6 +296,16 @@ def test_over_cap_catalog_key_is_rejected_before_building(capsys, monkeypatch):
     for key in ("pn:40", "product:pn:30,pn:10", "hyp:13:2", "pnaction:40"):
         code, out, err = run(capsys, ["catalog", "--make", key])
         assert code == 2 and out == "" and "exceeds GENUS_MAX_N=12" in err, key
+
+
+def test_a_malformed_key_is_refused_before_the_cap(capsys):
+    for key, lead in (
+        ("hyp:13:x", "malformed catalog key 'hyp:13:x'"),
+        ("pnaction:13:0,x", "malformed catalog key 'pnaction:13:0,x'"),
+        ("product:pn:13", "product needs at least two factors: 'product:pn:13'"),
+    ):
+        code, out, err = run(capsys, ["catalog", "--make", key])
+        assert (code, out, err) == (2, "", f"genus: {lead}\n"), key
 
 
 DIGESTS = json.loads((Path(__file__).parent.parent / "perfbench" / "digests.json").read_text())

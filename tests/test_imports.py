@@ -64,11 +64,31 @@ IMPORT_CASES = {
     "ineq-manifold": (["ineq", "--manifold", "{p2}"], 0, ["chigenus.verify", "chigenus.series"]),
     "kcoeffs": (["kcoeffs", "--n", "4"], 0, ["chigenus.catalog", "chigenus.inequalities"]),
     "catalog": (["catalog", "--make", "pn:2"], 0, ["chigenus.kexpansion", "chigenus.verify"]),
-    "betti-form": (["betti", "--form", "{form}"], 0, ["chigenus.engine"]),
-    "localize": (["localize", "--model", "{model}"], 0, ["chigenus.engine"]),
-    "chi-over-cap": (["chi", "--n", "13"], 2, ["chigenus.engine", "chigenus.inequalities"]),
+    "betti-form": (["betti", "--form", "{form}"], 0, ["chigenus.engine", "chigenus.chern"]),
+    "localize": (["localize", "--model", "{model}"], 0, ["chigenus.engine", "chigenus.chern"]),
+    "chi-over-cap": (
+        ["chi", "--n", "13"],
+        2,
+        ["chigenus.engine", "chigenus.inequalities", "chigenus.chern"],
+    ),
     "ineq-over-cap": (["ineq", "--manifold", "{d40}"], 2, ["chigenus.engine", "chigenus.inequalities"]),
-    "catalog-over-cap": (["catalog", "--make", "pn:13"], 2, ["chigenus.catalog", "chigenus.engine"]),
+    "catalog-over-cap": (
+        ["catalog", "--make", "pn:13"],
+        2,
+        ["chigenus.catalog", "chigenus.engine", "chigenus.chern"],
+    ),
+    "catalog-list": (["catalog", "--list"], 0, ["chigenus.catalog", "chigenus.engine"]),
+    "catalog-bad-integer": (["catalog", "--make", "hyp:2:x"], 2, ["chigenus.catalog", "chigenus.engine"]),
+    "catalog-bad-exponent": (
+        ["catalog", "--make", "pnaction:2:0,1,x"],
+        2,
+        ["chigenus.catalog", "chigenus.engine"],
+    ),
+    "catalog-bad-factor": (
+        ["catalog", "--make", "product:pn:1,hyp:2"],
+        2,
+        ["chigenus.catalog", "chigenus.engine"],
+    ),
     "verify-paper": (["verify-paper"], 0, ["chigenus.series"]),
 }
 

@@ -1,6 +1,8 @@
 """Wire formats: canonical strings, round trips, schema errors."""
 
 import json
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -80,6 +82,50 @@ def test_manifold_schema_error_names_field():
         serialize.manifold_from_json(
             {"dimension": 1, "chernNumbers": [{"partition": [1], "value": 2}]}
         )
+
+
+def test_a_claimed_dimension_is_refused_before_its_partitions_are_listed():
+    # p(60) = 966467 partitions took seconds to list; the count is compared first
+    message = r"^manifold: Chern numbers must cover all partitions of 60; got 0, but p\(60\) > 0$"
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match=message):
+        serialize.manifold_from_json({"dimension": 60, "chernNumbers": []})
+    assert time.perf_counter() - start < 0.5
+
+
+def test_parse_key_reads_the_whole_key():
+    assert serialize.parse_key("pn:3") == ("pn", 3, (3,))
+    assert serialize.parse_key("hyp:2:4") == ("hyp", 2, (2, 4))
+    assert serialize.parse_key("pnaction:2:0,-1,5") == ("pnaction", 2, (2, (0, -1, 5)))
+    assert serialize.parse_key("pnaction:4") == ("pnaction", 4, (4, None))
+    factors = (serialize.parse_key("pn:1"), serialize.parse_key("hyp:2:4"))
+    assert serialize.parse_key("product:pn:1,hyp:2:4") == ("product", 3, factors)
+    # values are the builders' to check
+    assert serialize.parse_key("pn:0").dimension == 0
+    assert serialize.parse_key("pnaction:2:0,0").args == (2, (0, 0))
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("torus:1", "unknown catalog key 'torus:1'"),
+        ("", "unknown catalog key ''"),
+        ("pn:1:2", "malformed catalog key 'pn:1:2'"),
+        ("hyp:2", "malformed catalog key 'hyp:2'"),
+        ("hyp:2:x", "malformed catalog key 'hyp:2:x'"),
+        ("hyp:13:x", "malformed catalog key 'hyp:13:x'"),
+        ("pnaction:2:0,1,x", "malformed catalog key 'pnaction:2:0,1,x'"),
+        ("pnaction:2:0,1,", "malformed catalog key 'pnaction:2:0,1,'"),
+        ("product:pn:1,hyp:2", "malformed catalog key 'hyp:2'"),
+        ("product:pn:1,,pn:1", "empty product factor in 'pn:1,,pn:1'"),
+        ("product:pnaction:1,pn:1", "product factors must be pn or hyp keys, got 'pnaction:1'"),
+        ("product:pn:1", "product needs at least two factors: 'product:pn:1'"),
+        ("product:", "product needs at least two factors: 'product:'"),
+    ],
+)
+def test_parse_key_refuses_what_breaks_the_grammar(key, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        serialize.parse_key(key)
 
 
 def test_model_round_trip():
