@@ -150,6 +150,27 @@ class BettiProfile:
         return tuple(self.betti[2 * i] for i in range(self.dim // 2 + 1))
 
 
+def with_middle_form(profile: BettiProfile, triple: InertiaTriple) -> BettiProfile:
+    """``profile`` checked against the inertia of its middle intersection form, sigma filled in.
+
+    The form lives in the middle degree of a 4m-dimensional manifold, so its
+    size is the middle Betti number, and by Poincare duality it is
+    nondegenerate. A sigma the profile gives must be b^+ - b^-.
+    """
+    if profile.dim % 4 != 0:
+        raise ValueError("a middle intersection form needs dimension divisible by 4")
+    middle = profile.betti[profile.dim // 2]
+    size = triple.b_plus + triple.b_minus + triple.b_zero
+    if size != middle:
+        raise ValueError(f"form size {size} does not match the middle Betti number {middle}")
+    if triple.b_zero:
+        raise ValueError(f"a middle intersection form is nondegenerate, got b_zero = {triple.b_zero}")
+    sigma = triple.b_plus - triple.b_minus
+    if profile.sigma is not None and profile.sigma != sigma:
+        raise ValueError(f"profile sigma {profile.sigma} is not the form's b_plus - b_minus = {sigma}")
+    return BettiProfile(profile.dim, profile.betti, sigma)
+
+
 def signature_alternating(profile: BettiProfile) -> bool:
     """Whether sigma equals the alternating sum of the even Betti numbers.
 

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import Any, Sequence
 
 from .betti import BettiProfile
-from .engine import genus_polynomial
+from .engine import chi_y_chern_polynomial
 from .localization import FixedComponent, FixedPointModel
-from .partitions import Partition, merge, partition_count, partitions_of
+from .partitions import Partition, iter_partitions, merge, partitions_of
 from .serialize import ACTION_KEYS, CATALOG_KEYS, CatalogKey, parse_key
 
 Monomial = tuple[int, ...]
@@ -98,8 +99,8 @@ class ManifoldData:
     ``chern_numbers`` has one entry per partition of the complex dimension,
     ``betti.dim`` is twice that dimension and ``action.n`` equals it.
     Flags are catalog-supplied annotations, never derived from geometry.
-    Instances are mutable, because the builders attach ``betti`` and
-    ``action`` after the Chern numbers, and so they are unhashable.
+    The builders pass every field to the constructor, so each is checked
+    once. Instances compare by value but define no hash.
     """
 
     __slots__ = ("dimension", "chern_numbers", "pure_type", "hamiltonian_s1", "betti", "action")
@@ -113,26 +114,20 @@ class ManifoldData:
         betti: BettiProfile | None = None,
         action: FixedPointModel | None = None,
     ) -> None:
-        given = set(chern_numbers)
-        count = partition_count(dimension, len(given))
-        if count != len(given):
-            # compared before any partition is listed: a dimension costs nothing to claim
-            relation = f"> {len(given)}" if count > len(given) else f"= {count}"
+        # the walk stops at the first missing partition, so it visits at most one
+        # partition more than were given: a dimension costs nothing to claim
+        numbers = {}
+        for part in iter_partitions(dimension):
+            if part not in chern_numbers:
+                raise ValueError(
+                    f"Chern numbers must cover all partitions of {dimension}; missing {list(part)}"
+                )
+            numbers[part] = Fraction(chern_numbers[part])
+        if len(numbers) != len(chern_numbers):
             raise ValueError(
                 f"Chern numbers must cover all partitions of {dimension}; "
-                f"got {len(given)}, but p({dimension}) {relation}"
+                f"got {len(chern_numbers)}, but p({dimension}) = {len(numbers)}"
             )
-        expected = partitions_of(dimension)
-        if given != set(expected):
-            # counts plus a few examples: the error stays small in any dimension
-            missing = [p for p in expected if p not in given]
-            extra = sorted(given.difference(expected), reverse=True)
-            raise ValueError(
-                f"Chern numbers must cover all partitions of {dimension}; "
-                f"missing {len(missing)}, first {missing[:5]}; "
-                f"extra {len(extra)}, first {extra[:5]}"
-            )
-        numbers = {p: Fraction(v) for p, v in chern_numbers.items()}
         if betti is not None and betti.dim != 2 * dimension:
             raise ValueError(f"betti.dim {betti.dim} is not twice the dimension {dimension}")
         if action is not None and action.n != dimension:
@@ -152,7 +147,7 @@ class ManifoldData:
 
 
 def point() -> ManifoldData:
-    return ManifoldData(0, {(): Fraction(1)}, pure_type=True, betti=BettiProfile(0, (1,), 1))
+    return _one_generator(0, [1], 1, pure_type=True)
 
 
 def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Partition, Fraction]:
@@ -171,32 +166,42 @@ def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Par
 
 
 def projective_space(n: int) -> ManifoldData:
-    """P^n, the hypersurface of degree 1: (1+h)^{n+2}/(1+h) = (1+h)^{n+1}, integral of h^n is 1."""
+    """P^n: total Chern class (1+h)^{n+1}, integral of h^n is 1, with its standard action."""
     if n < 1:
         raise ValueError("need n >= 1")
-    data = hypersurface(n, 1)
-    data.pure_type = True
-    data.hamiltonian_s1 = True
-    data.action = standard_pn_action(n)
-    return data
+    total = [comb(n + 1, j) for j in range(n + 1)]
+    return _one_generator(
+        n, total, 1, pure_type=True, hamiltonian_s1=True, action=standard_pn_action(n)
+    )
 
 
 def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
     """The product manifold A x B, from the Chern numbers of its factors."""
     n = a.dimension + b.dimension
-    data = ManifoldData(
-        n,
-        {part: _whitney(a, b, part) for part in partitions_of(n)},
-        pure_type=_both(a.pure_type, b.pure_type),
-    )
+    numbers = {part: _whitney(a, b, part) for part in partitions_of(n)}
+    betti = None
     if a.betti is not None and b.betti is not None:
-        _attach_betti(data, _convolve(a.betti.betti, b.betti.betti))
-    return data
+        betti = _profile(n, numbers, _convolve(a.betti.betti, b.betti.betti))
+    return ManifoldData(n, numbers, pure_type=_both(a.pure_type, b.pure_type), betti=betti)
 
 
-def _attach_betti(data: ManifoldData, betti: tuple[int, ...]) -> None:
-    """Set ``data.betti``, with the signature read off the genus at y = 1."""
-    data.betti = BettiProfile(2 * data.dimension, betti, int(genus_polynomial(data).evaluate(1)))
+def _profile(n: int, numbers: dict[Partition, Fraction], betti: Sequence[int]) -> BettiProfile:
+    """The Betti profile of an n-fold, with the signature read off its genus at y = 1."""
+    return BettiProfile(2 * n, betti, int(chi_y_chern_polynomial(n).evaluate(numbers).evaluate(1)))
+
+
+def _one_generator(n: int, total: list[int], degree: int, **fields: Any) -> ManifoldData:
+    """An n-fold with cohomology Q[h]/(h^{n+1}), total Chern class sum_j total[j] h^j.
+
+    The integral of h^n is ``degree``, and ``fields`` go to the constructor.
+    Betti numbers agree with those of P^n away from the middle degree, where
+    the Euler number ``degree * total[n]`` pins the remaining one.
+    """
+    numbers = one_generator_chern_numbers(total, degree)
+    euler = degree * total[n]
+    betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
+    betti[n] = euler - n if n % 2 == 0 else (n + 1) - euler
+    return ManifoldData(n, numbers, betti=_profile(n, numbers, betti), **fields)
 
 
 def _whitney(a: ManifoldData, b: ManifoldData, part: Partition) -> Fraction:
@@ -242,18 +247,11 @@ def hypersurface(n: int, d: int) -> ManifoldData:
 
     The total Chern class is (1+h)^{n+2} * (1+dh)^{-1}, expanded as a
     geometric series in the nilpotent quotient, and the integral of h^n is d.
-    Betti numbers agree with those of P^n away from the middle degree, where
-    the Euler characteristic pins the remaining one.
     """
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     total = [sum([comb(n + 2, i) * (-d) ** (j - i) for i in range(j + 1)]) for j in range(n + 1)]
-    data = ManifoldData(n, one_generator_chern_numbers(total, d))
-    euler = int(data.chern_numbers[(n,)])
-    betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
-    betti[n] = euler - n if n % 2 == 0 else (n + 1) - euler
-    _attach_betti(data, tuple(betti))
-    return data
+    return _one_generator(n, total, d)
 
 
 def standard_pn_action(n: int, exponents: tuple[int, ...] | None = None) -> FixedPointModel:

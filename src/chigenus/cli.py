@@ -255,18 +255,8 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         payload["cs"] = {"reverseCS": status.reverse_cs, "CS": status.cs}
     if args.profile is not None:
         profile = serialize.profile_from_json(_load_json(args.profile))
-        if profile.sigma is None and triple is not None:
-            if profile.dim % 4 != 0:
-                raise InputError("a middle intersection form needs dimension divisible by 4")
-            middle = profile.betti[profile.dim // 2]
-            size = triple.b_plus + triple.b_minus + triple.b_zero
-            if size != middle:
-                raise InputError(
-                    f"form size {size} does not match the middle Betti number {middle}"
-                )
-            profile = betti_mod.BettiProfile(
-                profile.dim, profile.betti, triple.b_plus - triple.b_minus
-            )
+        if triple is not None:
+            profile = betti_mod.with_middle_form(profile, triple)
         if profile.sigma is not None:
             payload["signatureAlternating"] = betti_mod.signature_alternating(profile)
             if profile.dim % 4 == 0:

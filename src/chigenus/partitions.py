@@ -14,29 +14,18 @@ def partitions_of(n: int) -> list[Partition]:
     listed from ``(n,)`` down to ``(1,) * n``; ``partitions_of(0)`` is the
     single empty partition.
     """
+    return list(iter_partitions(n))
+
+
+def iter_partitions(n: int) -> Iterator[Partition]:
+    """The partitions of ``n`` one at a time, in the order of :func:`partitions_of`.
+
+    Each is made only when it is asked for, so a caller that stops early
+    pays for what it read, whatever ``n`` is.
+    """
     if n < 0:
         raise ValueError(f"cannot partition the negative integer {n}")
-    return list(_descending(n, n))
-
-
-def partition_count(n: int, stop_above: int) -> int:
-    """p(n) by Euler's pentagonal recurrence, or the first p(m), m <= n, over ``stop_above``.
-
-    p never decreases, so that p(m) shows p(n) > ``stop_above`` without computing p(n).
-    """
-    counts = [1]
-    for m in range(1, n + 1):
-        if counts[-1] > stop_above:
-            break
-        total, k = 0, 1
-        while k * (3 * k - 1) // 2 <= m:
-            sign = 1 if k % 2 else -1
-            total += sign * counts[m - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= m:
-                total += sign * counts[m - k * (3 * k + 1) // 2]
-            k += 1
-        counts.append(total)
-    return counts[-1]
+    return _descending(n, n)
 
 
 def _descending(n: int, largest: int) -> Iterator[Partition]:

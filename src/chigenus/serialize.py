@@ -140,11 +140,11 @@ def parse_key(key: str) -> CatalogKey:
     if kind == "pn":
         n = _key_int(rest, key)
         return CatalogKey(kind, n, (n,))
-    n_text, _, tail = rest.partition(":")
+    n_text, colon, tail = rest.partition(":")
     n = _key_int(n_text, key)
     if kind == "hyp":
         return CatalogKey(kind, n, (n, _key_int(tail, key)))
-    exponents = tuple([_key_int(text, key) for text in tail.split(",")]) if tail else None
+    exponents = tuple([_key_int(text, key) for text in tail.split(",")]) if colon else None
     return CatalogKey(kind, n, (n, exponents))
 
 

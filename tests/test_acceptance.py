@@ -84,8 +84,7 @@ BREAKAGES = {
     "binomial-transform": (kexpansion, "binomial_transform", lambda chi: list(chi)),
     "localization": (localization, "novikov_polynomial", lambda model: YPolynomial.one()),
     "signature-chain": (localization, "localized_signature", lambda model: 0),
-    # the degree ignored; the true builder is bound first, since P^n is built from it
-    "k3-cross-check": (catalog, "hypersurface", lambda n, d, true=catalog.hypersurface: true(n, 1)),
+    "k3-cross-check": (catalog, "hypersurface", lambda n, d: catalog.projective_space(n)),
     "eulerian-identity": (
         kexpansion,
         "eulerian_polynomials",

@@ -1,6 +1,8 @@
 """Catalog constructions: Chern numbers, Betti profiles, circle actions."""
 
+import hashlib
 import json
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -12,6 +14,7 @@ from chigenus import serialize
 from chigenus.catalog import (
     CATALOG_KEYS,
     CohomologyModel,
+    ManifoldData,
     hypersurface,
     make_action,
     make_manifold,
@@ -181,14 +184,37 @@ def test_only_serialize_reads_catalog_key_text():
         assert '.partition(":")' not in source and '.split(",")' not in source, name
 
 
+def test_catalog_assigns_no_field_of_a_built_manifold():
+    # every builder passes each field to the constructor, which checks them all
+    source = (Path(serialize.__file__).parent / "catalog.py").read_text()
+    fields = "|".join(ManifoldData.__slots__)
+    assert set(re.findall(rf"(\w+)\.(?:{fields})\s*=(?!=)", source)) == {"self"}
+    assert "setattr(" not in source
+
+
+# SHA-256 of the documents `catalog --make` prints for these keys, then point(), joined by
+# newlines; recorded while P^n was still built as the degree-1 hypersurface and patched after
+SWEEP_KEYS = (
+    [f"pn:{n}" for n in range(1, 13)]
+    + [f"hyp:{n}:{d}" for n in range(1, 13) for d in range(1, 9)]
+    + [f"product:pn:{a},pn:{b}" for a in range(1, 7) for b in range(1, 7)]
+)
+SWEEP_DIGEST = "ff87cbf3f24f4dfd6aa30b8080fbf2039faffd70d0cd254ca3ad217dbf1f1416"
+
+
+def test_catalog_documents_are_byte_identical_over_a_sweep():
+    manifolds = [make_manifold(key) for key in SWEEP_KEYS] + [point()]
+    docs = [serialize.dumps(serialize.manifold_to_json(data)) for data in manifolds]
+    assert len(docs) == 145
+    assert hashlib.sha256("\n".join(docs).encode()).hexdigest() == SWEEP_DIGEST
+
+
 def test_point_genus():
     assert chi_vector(point()) == [Fraction(1)]
     assert genus_polynomial(point()) == YPolynomial.one()
 
 
 def test_manifold_data_requires_all_partitions():
-    from chigenus.catalog import ManifoldData
-
     with pytest.raises(ValueError, match="cover all partitions"):
         ManifoldData(2, {(2,): Fraction(24)})
 

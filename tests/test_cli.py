@@ -308,6 +308,13 @@ def test_a_malformed_key_is_refused_before_the_cap(capsys):
         assert (code, out, err) == (2, "", f"genus: {lead}\n"), key
 
 
+def test_an_action_key_with_a_colon_needs_exponents(capsys):
+    code, out, err = run(capsys, ["catalog", "--make", "pnaction:2:"])
+    assert (code, out, err) == (2, "", "genus: malformed catalog key 'pnaction:2:'\n")
+    code, out, _ = run(capsys, ["catalog", "--make", "pnaction:2"])
+    assert code == 0 and json.loads(out)["n"] == 2
+
+
 DIGESTS = json.loads((Path(__file__).parent.parent / "perfbench" / "digests.json").read_text())
 
 
@@ -558,6 +565,55 @@ def test_betti_output_is_byte_identical(capsys, tmp_path, case):
     assert hashlib.sha256(out.encode()).hexdigest() == BETTI_DIGESTS[case]
 
 
+# a profile and a middle form that disagree -> the message
+CONTRADICTORY_PAIRS = {
+    "sigma-against-inertia": (
+        {"dim": 4, "betti": [1, 0, 2, 0, 1], "sigma": 2},
+        [["1", "0"], ["0", "-1"]],
+        "profile sigma 2 is not the form's b_plus - b_minus = 0",
+    ),
+    "size-with-sigma": (
+        {"dim": 4, "betti": [1, 0, 2, 0, 1], "sigma": 2},
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "form size 3 does not match the middle Betti number 2",
+    ),
+    "size-without-sigma": (
+        {"dim": 4, "betti": [1, 0, 2, 0, 1]},
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "form size 3 does not match the middle Betti number 2",
+    ),
+    "degenerate": (
+        {"dim": 4, "betti": [1, 0, 4, 0, 1]},
+        [["1", "0", "0", "0"], ["0", "-1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
+        "a middle intersection form is nondegenerate, got b_zero = 2",
+    ),
+    "dimension-with-sigma": (
+        {"dim": 6, "betti": [1, 0, 2, 0, 2, 0, 1], "sigma": 0},
+        [["1", "0"], ["0", "-1"]],
+        "a middle intersection form needs dimension divisible by 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONTRADICTORY_PAIRS)
+def test_a_profile_and_form_that_disagree_are_refused(capsys, tmp_path, case):
+    profile, form, message = CONTRADICTORY_PAIRS[case]
+    argv = ["betti", "--profile", write(tmp_path, "p.json", profile), "--form", write(tmp_path, "f.json", form)]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"genus: {message}\n")
+
+
+def test_a_profile_sigma_that_agrees_with_the_form_changes_nothing(capsys, tmp_path):
+    form = write(tmp_path, "f.json", BETTI_FORMS["hyperbolic"])
+    outputs = []
+    for sigma in (None, 0):
+        profile = dict(BETTI_PROFILES["unsigned4"], **({} if sigma is None else {"sigma": sigma}))
+        code, out, _ = run(capsys, ["betti", "--profile", write(tmp_path, "p.json", profile), "--form", form])
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["catalog", "--make=--"], ["chi", "--n=--"], ["localize", "--model=--"], ["ineq", "--manifold=--"]],
@@ -672,6 +728,7 @@ def test_over_cap_manifold_is_rejected_before_building(capsys, monkeypatch, tmp_
         raise AssertionError(f"listed the partitions of {n}")
 
     monkeypatch.setattr(catalog, "partitions_of", listing)
+    monkeypatch.setattr(catalog, "iter_partitions", listing)
     bad = write(tmp_path, "d40.json", {"dimension": 40, "chernNumbers": []})
     for argv in (
         ["ineq", "--manifold", bad],

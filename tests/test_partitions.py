@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from chigenus.partitions import as_partition, merge, partition_count, partitions_of, weight
+from chigenus.partitions import as_partition, iter_partitions, merge, partitions_of, weight
 
 
 @lru_cache(maxsize=None)
@@ -58,13 +58,13 @@ def test_counts_match_pentagonal_recurrence():
         assert len(partitions_of(n)) == pentagonal_count(n)
 
 
-def test_partition_count_stops_once_over_the_bound():
-    for n in range(61):
-        assert partition_count(n, pentagonal_count(n)) == pentagonal_count(n)
-    assert partition_count(100, 10**9) == 190569292
-    # p(9) = 30 is the first count over 29, so p(10**20) is not computed
-    assert partition_count(10**20, 29) == 30
-    assert partition_count(10**20, 0) == 1
+def test_iter_partitions_is_lazy_and_in_list_order():
+    for n in range(13):
+        assert list(iter_partitions(n)) == partitions_of(n)
+    walk = iter_partitions(10**6)
+    assert [next(walk) for _ in range(3)] == [(10**6,), (10**6 - 1, 1), (10**6 - 2, 2)]
+    with pytest.raises(ValueError, match="negative"):
+        iter_partitions(-1)
 
 
 def test_reverse_lexicographic_order():

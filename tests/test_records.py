@@ -80,13 +80,9 @@ def test_records_keep_their_fields_defaults_properties_and_checks():
     with pytest.raises(TypeError):
         hash(data)
     for args, kwargs, message in (
-        ((1, {}), {}, "Chern numbers must cover all partitions of 1; got 0, but p(1) > 0"),
+        ((1, {}), {}, "Chern numbers must cover all partitions of 1; missing [1]"),
         ((1, {(1,): 2, (2,): 1}), {}, "Chern numbers must cover all partitions of 1; got 2, but p(1) = 1"),
-        (
-            (2, {(2,): 1, (1, 1, 1): 1}),
-            {},
-            "Chern numbers must cover all partitions of 2; missing 1, first [(1, 1)]; extra 1, first [(1, 1, 1)]",
-        ),
+        ((2, {(2,): 1, (1, 1, 1): 1}), {}, "Chern numbers must cover all partitions of 2; missing [1, 1]"),
         ((1, {(1,): 2}), {"betti": projective_space(2).betti}, "betti.dim 4 is not twice the dimension 1"),
         ((1, {(1,): 2}), {"action": projective_space(2).action}, "action.n 2 is not the dimension 1"),
     ):

@@ -9,7 +9,7 @@ import pytest
 
 from chigenus import serialize
 from chigenus.betti import BettiProfile
-from chigenus.catalog import hypersurface, projective_space, standard_pn_action
+from chigenus.catalog import ManifoldData, hypersurface, projective_space, standard_pn_action
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import chi_y_chern_polynomial
 from chigenus.serialize import SchemaError
@@ -85,11 +85,28 @@ def test_manifold_schema_error_names_field():
 
 
 def test_a_claimed_dimension_is_refused_before_its_partitions_are_listed():
-    # p(60) = 966467 partitions took seconds to list; the count is compared first
-    message = r"^manifold: Chern numbers must cover all partitions of 60; got 0, but p\(60\) > 0$"
+    # p(60) = 966467 partitions took seconds to list; the walk stops at the first missing one
+    message = r"^manifold: Chern numbers must cover all partitions of 60; missing \[60\]$"
     start = time.perf_counter()
     with pytest.raises(SchemaError, match=message):
         serialize.manifold_from_json({"dimension": 60, "chernNumbers": []})
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_dimension_of_a_million_costs_one_partition():
+    message = r"^manifold: Chern numbers must cover all partitions of 1000000; missing \[1000000\]$"
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match=message):
+        serialize.manifold_from_json({"dimension": 10**6, "chernNumbers": []})
+    assert time.perf_counter() - start < 0.5
+
+
+def test_the_partition_walk_stops_one_past_the_given_numbers():
+    numbers = {(60,): 1, (59, 1): 1, (58, 2): 1}
+    message = r"^Chern numbers must cover all partitions of 60; missing \[58, 1, 1\]$"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        ManifoldData(60, numbers)
     assert time.perf_counter() - start < 0.5
 
 
@@ -116,6 +133,7 @@ def test_parse_key_reads_the_whole_key():
         ("hyp:13:x", "malformed catalog key 'hyp:13:x'"),
         ("pnaction:2:0,1,x", "malformed catalog key 'pnaction:2:0,1,x'"),
         ("pnaction:2:0,1,", "malformed catalog key 'pnaction:2:0,1,'"),
+        ("pnaction:2:", "malformed catalog key 'pnaction:2:'"),
         ("product:pn:1,hyp:2", "malformed catalog key 'hyp:2'"),
         ("product:pn:1,,pn:1", "empty product factor in 'pn:1,,pn:1'"),
         ("product:pnaction:1,pn:1", "product factors must be pn or hyp keys, got 'pnaction:1'"),
