@@ -8,10 +8,13 @@ action, and classifies intersection forms by their inertia. Every result is
 an exact rational, and the hot paths run on Python integers over one common
 denominator; there is no floating point anywhere.
 
-The names below resolve lazily (PEP 562): ``import chigenus`` loads no
-submodule, and ``chigenus.inertia`` or ``from chigenus import inertia``
-imports only the submodule that defines it, so a ``genus`` process pays
-only for the modules its subcommand runs.
+The top-level namespace is the README's quick start: the twelve names below.
+Everything else is imported from the submodule that defines it, such as
+``chigenus.catalog.ManifoldData`` or ``chigenus.betti.BettiProfile``.
+The names resolve lazily (PEP 562): ``import chigenus`` loads no submodule,
+and ``chigenus.inertia`` or ``from chigenus import inertia`` imports only
+the submodule that defines it, so a ``genus`` process pays only for the
+modules its subcommand runs.
 """
 
 from importlib import import_module
@@ -19,73 +22,22 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "betti": (
-        "BettiInequalityReport",
-        "BettiProfile",
-        "InertiaTriple",
-        "UnimodalityReport",
-        "betti_inequality_check",
-        "cs_classification",
-        "inertia",
-        "signature_alternating",
-        "tolman_unimodality_report",
-    ),
-    "catalog": (
-        "ManifoldData",
-        "hypersurface",
-        "make_action",
-        "make_manifold",
-        "point",
-        "product",
-        "projective_space",
-        "standard_actions",
-        "standard_catalog",
-        "standard_pn_action",
-    ),
-    "chern": ("ChernPolynomial",),
-    "engine": (
-        "check_duality",
-        "chi_minus_y",
-        "chi_vector",
-        "chi_y_chern_polynomial",
-        "duality_holds",
-        "evaluate_genus",
-        "genus_polynomial",
-        "specialize",
-    ),
-    "inequalities": (
-        "InequalityReport",
-        "check_inequalities",
-        "positivity_predicate",
-    ),
-    "kexpansion": (
-        "KTable",
-        "binomial_transform",
-        "closed_form_k",
-        "eulerian_identity_check",
-        "eulerian_polynomials",
-        "k_coefficients",
-        "odd_k_span_check",
-        "verify_closed_forms",
-    ),
-    "localization": (
-        "FixedComponent",
-        "FixedPointModel",
-        "localized_chi_minus_y",
-        "localized_signature",
-        "negative_weight_count",
-        "novikov_polynomial",
-        "signature_identity_check",
-    ),
-    "partitions": ("Partition", "partitions_of"),
-    "ypoly": ("YPolynomial",),
+    "betti": ("inertia",),
+    "catalog": ("hypersurface", "product", "projective_space", "standard_pn_action"),
+    "engine": ("chi_vector", "chi_y_chern_polynomial", "genus_polynomial", "specialize"),
+    "inequalities": ("check_inequalities",),
+    "kexpansion": ("k_coefficients",),
+    "localization": ("localized_chi_minus_y",),
 }
 
 # exported name -> the submodule that defines it
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 # submodules reachable as attributes after a bare ``import chigenus``
-_SUBMODULES = frozenset(_EXPORTS) | {"series", "verify"}
+_SUBMODULES = frozenset({
+    "betti", "catalog", "chern", "engine", "inequalities", "kexpansion",
+    "localization", "partitions", "series", "verify", "ypoly",
+})
 
 __all__ = sorted(_SOURCE)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from .betti import BettiProfile
 from .engine import chi_y_chern_polynomial
@@ -150,18 +150,19 @@ def point() -> ManifoldData:
     return _one_generator(0, [1], 1, pure_type=True)
 
 
-def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Partition, Fraction]:
+def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Partition, int]:
     """c_lambda of an n-fold with cohomology Q[h]/(h^{n+1}) and integral of h^n equal to ``degree``.
 
     ``total_chern`` lists a_0..a_n, the total Chern class being
-    sum_j a_j h^j; then c_lambda = degree * prod_i a_{lambda_i}.
+    sum_j a_j h^j; then c_lambda = degree * prod_i a_{lambda_i}, returned as
+    an int: the ``ManifoldData`` built from it makes the one ``Fraction``.
     """
     numbers = {}
     for part in partitions_of(len(total_chern) - 1):
         value = degree
         for i in part:
             value *= total_chern[i]
-        numbers[part] = Fraction(value)
+        numbers[part] = value
     return numbers
 
 
@@ -185,7 +186,7 @@ def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
     return ManifoldData(n, numbers, pure_type=_both(a.pure_type, b.pure_type), betti=betti)
 
 
-def _profile(n: int, numbers: dict[Partition, Fraction], betti: Sequence[int]) -> BettiProfile:
+def _profile(n: int, numbers: Mapping[Partition, Fraction | int], betti: Sequence[int]) -> BettiProfile:
     """The Betti profile of an n-fold, with the signature read off its genus at y = 1."""
     return BettiProfile(2 * n, betti, int(chi_y_chern_polynomial(n).evaluate(numbers).evaluate(1)))
 

@@ -30,6 +30,10 @@ def negative_weight_count(weights: Sequence[int]) -> int:
     return sum(1 for w in weights if w < 0)
 
 
+# a point's Betti numbers, signature and modified genus, shared by every fixed point
+_POINT = ((1,), 1, YPolynomial.one())
+
+
 class FixedComponent:
     """One connected component of the fixed-point set.
 
@@ -69,29 +73,26 @@ class FixedComponent:
                 raise ValueError("d_f must be non-negative")
             self.d_f = d_f
         if complex_dim == 0:
-            if betti is None:
-                betti = (1,)
-            elif tuple(betti) != (1,):
+            if betti is not None and tuple(betti) != _POINT[0]:
                 raise ValueError("a fixed point has Betti numbers (1,)")
-            if signature is None:
-                signature = 1
-            elif signature != 1:
+            if signature is not None and signature != _POINT[1]:
                 raise ValueError("a fixed point has signature 1")
-            if chi_minus_y is None:
-                chi_minus_y = YPolynomial.one()
-            elif chi_minus_y != YPolynomial.one():
+            if chi_minus_y is not None and chi_minus_y != _POINT[2]:
                 raise ValueError("a fixed point has modified genus 1")
-        self.betti = tuple(betti) if betti is not None else None
-        if self.betti is not None:
-            if len(self.betti) != 2 * complex_dim + 1:
+            self.betti, self.signature, self.chi_minus_y = _POINT
+            return
+        if betti is not None:
+            betti = tuple(betti)
+            if len(betti) != 2 * complex_dim + 1:
                 raise ValueError(
                     f"component of dimension {complex_dim} needs Betti numbers b_0..b_{2 * complex_dim}"
                 )
-            if any(b < 0 for b in self.betti):
+            if any(b < 0 for b in betti):
                 raise ValueError("Betti numbers must be non-negative")
-            if any(b != int(b) for b in self.betti):
+            if any(b != int(b) for b in betti):
                 raise ValueError("Betti numbers must be integers")
-            self.betti = tuple([int(b) for b in self.betti])
+            betti = tuple([int(b) for b in betti])
+        self.betti = betti
         self.signature = signature
         self.chi_minus_y = chi_minus_y
 

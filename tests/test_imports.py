@@ -120,9 +120,78 @@ def test_bare_import_loads_no_submodule():
     assert out.splitlines() == ["[]", "chigenus.engine chigenus.engine"]
 
 
+def readme_api_block():
+    return re.search(r"## Python API\n\n```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+
+
 def test_readme_api_example_runs_in_a_fresh_process():
-    block = re.search(r"## Python API\n\n```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    python(block.group(1))
+    python(readme_api_block())
+
+
+def test_the_namespace_is_the_readme_quick_start():
+    imported = re.search(r"from chigenus import \((.*?)\)", readme_api_block(), re.S).group(1)
+    assert chigenus.__all__ == sorted(name.strip() for name in imported.split(",") if name.strip())
+
+
+# names the top-level namespace no longer exports -> the submodule that defines each
+UNEXPORTED = {
+    "BettiInequalityReport": "betti",
+    "BettiProfile": "betti",
+    "InertiaTriple": "betti",
+    "UnimodalityReport": "betti",
+    "betti_inequality_check": "betti",
+    "cs_classification": "betti",
+    "signature_alternating": "betti",
+    "tolman_unimodality_report": "betti",
+    "ManifoldData": "catalog",
+    "make_action": "catalog",
+    "make_manifold": "catalog",
+    "point": "catalog",
+    "standard_actions": "catalog",
+    "standard_catalog": "catalog",
+    "ChernPolynomial": "chern",
+    "check_duality": "engine",
+    "chi_minus_y": "engine",
+    "duality_holds": "engine",
+    "evaluate_genus": "engine",
+    "InequalityReport": "inequalities",
+    "positivity_predicate": "inequalities",
+    "KTable": "kexpansion",
+    "binomial_transform": "kexpansion",
+    "closed_form_k": "kexpansion",
+    "eulerian_identity_check": "kexpansion",
+    "eulerian_polynomials": "kexpansion",
+    "odd_k_span_check": "kexpansion",
+    "verify_closed_forms": "kexpansion",
+    "FixedComponent": "localization",
+    "FixedPointModel": "localization",
+    "localized_signature": "localization",
+    "negative_weight_count": "localization",
+    "novikov_polynomial": "localization",
+    "signature_identity_check": "localization",
+    "Partition": "partitions",
+    "partitions_of": "partitions",
+    "YPolynomial": "ypoly",
+}
+
+
+@pytest.mark.parametrize("name", UNEXPORTED)
+def test_an_unexported_name_is_imported_from_its_submodule(name):
+    assert hasattr(importlib.import_module(f"chigenus.{UNEXPORTED[name]}"), name)
+    assert name not in chigenus.__all__ and name not in dir(chigenus)
+    with pytest.raises(ImportError, match=f"cannot import name {name!r}"):
+        exec(f"from chigenus import {name}", {})
+
+
+def test_every_listed_submodule_resolves_after_a_bare_import():
+    reachable = {"betti", "catalog", "chern", "engine", "inequalities", "kexpansion"}
+    assert reachable | {"localization", "partitions", "series", "verify", "ypoly"} <= chigenus._SUBMODULES
+    out = python(
+        "import chigenus\n"
+        "for name in sorted(chigenus._SUBMODULES):\n"
+        "    print(name, getattr(chigenus, name).__name__)"
+    )
+    assert out.splitlines() == [f"{name} chigenus.{name}" for name in sorted(chigenus._SUBMODULES)]
 
 
 def test_every_export_is_its_submodule_object():

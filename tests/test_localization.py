@@ -1,6 +1,7 @@
 """Fixed-point localization of the genus, Novikov polynomial, and signature."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -182,14 +183,23 @@ def test_a_fixed_point_has_the_invariants_of_a_point():
     assert (explicit.betti, explicit.signature, explicit.chi_minus_y) == ((1,), 1, YPolynomial.one())
     assert (default.betti, default.signature, default.chi_minus_y) == ((1,), 1, YPolynomial.one())
     for given, message in (
-        ({"betti": (3,)}, "a fixed point has Betti numbers"),
-        ({"betti": (1, 0, 1)}, "a fixed point has Betti numbers"),
+        ({"betti": (3,)}, "a fixed point has Betti numbers (1,)"),
+        ({"betti": (1, 0, 1)}, "a fixed point has Betti numbers (1,)"),
         ({"signature": -5}, "a fixed point has signature 1"),
         ({"chi_minus_y": YPolynomial({0: 2})}, "a fixed point has modified genus 1"),
         ({"chi_minus_y": YPolynomial({0: 1, 1: 1})}, "a fixed point has modified genus 1"),
     ):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             FixedComponent(complex_dim=0, d_f=0, **given)
+
+
+def test_fixed_points_share_one_set_of_invariants():
+    # a point builds none of its own: every one holds the same three objects
+    first = FixedComponent(d_f=0)
+    second = FixedComponent(weights=(1, -1), betti=[1], signature=1, chi_minus_y=YPolynomial.one())
+    assert first.betti is second.betti
+    assert first.signature is second.signature
+    assert first.chi_minus_y is second.chi_minus_y
 
 
 def test_model_validation():
