@@ -10,7 +10,8 @@ denominator; there is no floating point anywhere.
 
 The top-level namespace is the README's quick start: the twelve names below.
 Everything else is imported from the submodule that defines it, such as
-``chigenus.catalog.ManifoldData`` or ``chigenus.betti.BettiProfile``.
+``chigenus.engine.ManifoldData`` (also importable from ``chigenus.catalog``)
+or ``chigenus.betti.BettiProfile``.
 The names resolve lazily (PEP 562): ``import chigenus`` loads no submodule,
 and ``chigenus.inertia`` or ``from chigenus import inertia`` imports only
 the submodule that defines it, so a ``genus`` process pays only for the
@@ -35,8 +36,8 @@ _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 # submodules reachable as attributes after a bare ``import chigenus``
 _SUBMODULES = frozenset({
-    "betti", "catalog", "chern", "engine", "inequalities", "kexpansion",
-    "localization", "partitions", "series", "verify", "ypoly",
+    "betti", "catalog", "chern", "cli", "engine", "inequalities", "kexpansion",
+    "localization", "partitions", "serialize", "series", "verify", "ypoly",
 })
 
 __all__ = sorted(_SOURCE)

@@ -10,6 +10,7 @@ point, no division.
 
 :func:`make_manifold` and :func:`make_action` build from what
 :func:`chigenus.serialize.parse_key`, the one reader of catalog keys, returns.
+The builders return ``engine``'s :class:`ManifoldData`, importable from here.
 
 :class:`CohomologyModel` integrates in a truncated polynomial ring instead.
 It is the independent reference the tests compare against; no other module
@@ -29,9 +30,9 @@ from math import comb
 from typing import Any, Mapping, Sequence
 
 from .betti import BettiProfile
-from .engine import chi_y_chern_polynomial
+from .engine import ManifoldData, chi_y_chern_polynomial
 from .localization import FixedComponent, FixedPointModel
-from .partitions import Partition, iter_partitions, merge, partitions_of
+from .partitions import Partition, merge, partitions_of
 from .serialize import ACTION_KEYS, CATALOG_KEYS, CatalogKey, parse_key
 
 Monomial = tuple[int, ...]
@@ -91,59 +92,6 @@ class CohomologyModel:
                 product = self.multiply(product, self.chern_component(i))
             numbers[part] = self.integrate(product)
         return numbers
-
-
-class ManifoldData:
-    """Exact Chern numbers of a closed almost-complex manifold, plus extras.
-
-    ``chern_numbers`` has one entry per partition of the complex dimension,
-    ``betti.dim`` is twice that dimension and ``action.n`` equals it.
-    Flags are catalog-supplied annotations, never derived from geometry.
-    The builders pass every field to the constructor, so each is checked
-    once. Instances compare by value but define no hash.
-    """
-
-    __slots__ = ("dimension", "chern_numbers", "pure_type", "hamiltonian_s1", "betti", "action")
-
-    def __init__(
-        self,
-        dimension: int,
-        chern_numbers: dict[Partition, Fraction],
-        pure_type: bool | None = None,
-        hamiltonian_s1: bool | None = None,
-        betti: BettiProfile | None = None,
-        action: FixedPointModel | None = None,
-    ) -> None:
-        # the walk stops at the first missing partition, so it visits at most one
-        # partition more than were given: a dimension costs nothing to claim
-        numbers = {}
-        for part in iter_partitions(dimension):
-            if part not in chern_numbers:
-                raise ValueError(
-                    f"Chern numbers must cover all partitions of {dimension}; missing {list(part)}"
-                )
-            numbers[part] = Fraction(chern_numbers[part])
-        if len(numbers) != len(chern_numbers):
-            raise ValueError(
-                f"Chern numbers must cover all partitions of {dimension}; "
-                f"got {len(chern_numbers)}, but p({dimension}) = {len(numbers)}"
-            )
-        if betti is not None and betti.dim != 2 * dimension:
-            raise ValueError(f"betti.dim {betti.dim} is not twice the dimension {dimension}")
-        if action is not None and action.n != dimension:
-            raise ValueError(f"action.n {action.n} is not the dimension {dimension}")
-        self.dimension = dimension
-        self.chern_numbers = numbers
-        self.pure_type = pure_type
-        self.hamiltonian_s1 = hamiltonian_s1
-        self.betti = betti
-        self.action = action
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        fields = self.__slots__
-        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
 
 def point() -> ManifoldData:

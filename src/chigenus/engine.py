@@ -17,27 +17,77 @@ denominator, each power sum p_j an integer Chern polynomial, and the
 exponential takes the exponent factored as the pieces l_j p_j and keeps
 every weight over its own reduced scale. :func:`normalized_series` builds Q
 itself, as the reference route the tests check the closed form against.
+:class:`ManifoldData` is the one manifold record; it names the ``betti`` and
+``localization`` classes in annotations only, so this module loads neither.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from .chern import ChernPolynomial, graded_exponential, integer_power_sums
-from .partitions import Partition
+from .partitions import Partition, iter_partitions
 from .ypoly import YPolynomial
 
 if TYPE_CHECKING:
+    from .betti import BettiProfile
+    from .localization import FixedPointModel
     from .series import TruncatedSeries
 
 
-class ManifoldLike(Protocol):
-    """Anything carrying a dimension and exact Chern numbers."""
+class ManifoldData:
+    """Exact Chern numbers of a closed almost-complex manifold, plus extras.
 
-    dimension: int
-    chern_numbers: dict[Partition, Fraction]
+    ``chern_numbers`` has one entry per partition of the complex dimension,
+    ``betti.dim`` is twice that dimension and ``action.n`` equals it.
+    Flags are catalog-supplied annotations, never derived from geometry.
+    Builders and readers pass every field to the constructor, so each is
+    checked once. Instances compare by value but define no hash.
+    """
+
+    __slots__ = ("dimension", "chern_numbers", "pure_type", "hamiltonian_s1", "betti", "action")
+
+    def __init__(
+        self,
+        dimension: int,
+        chern_numbers: dict[Partition, Fraction],
+        pure_type: bool | None = None,
+        hamiltonian_s1: bool | None = None,
+        betti: BettiProfile | None = None,
+        action: FixedPointModel | None = None,
+    ) -> None:
+        # the walk stops at the first missing partition, so it visits at most one
+        # partition more than were given: a dimension costs nothing to claim
+        numbers = {}
+        for part in iter_partitions(dimension):
+            if part not in chern_numbers:
+                raise ValueError(
+                    f"Chern numbers must cover all partitions of {dimension}; missing {list(part)}"
+                )
+            numbers[part] = Fraction(chern_numbers[part])
+        if len(numbers) != len(chern_numbers):
+            raise ValueError(
+                f"Chern numbers must cover all partitions of {dimension}; "
+                f"got {len(chern_numbers)}, but p({dimension}) = {len(numbers)}"
+            )
+        if betti is not None and betti.dim != 2 * dimension:
+            raise ValueError(f"betti.dim {betti.dim} is not twice the dimension {dimension}")
+        if action is not None and action.n != dimension:
+            raise ValueError(f"action.n {action.n} is not the dimension {dimension}")
+        self.dimension = dimension
+        self.chern_numbers = numbers
+        self.pure_type = pure_type
+        self.hamiltonian_s1 = hamiltonian_s1
+        self.betti = betti
+        self.action = action
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self.__slots__
+        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
 
 SPECIAL_VALUES = {"euler": Fraction(-1), "todd": Fraction(0), "signature": Fraction(1)}
@@ -142,7 +192,7 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
     return table
 
 
-def evaluate_genus(table: ChernPolynomial, manifold: ManifoldLike) -> YPolynomial:
+def evaluate_genus(table: ChernPolynomial, manifold: ManifoldData) -> YPolynomial:
     """chi_y polynomial of a manifold: pair the table with its Chern numbers."""
     if manifold.dimension != table.grade:
         raise ValueError(
@@ -151,21 +201,21 @@ def evaluate_genus(table: ChernPolynomial, manifold: ManifoldLike) -> YPolynomia
     return table.evaluate(manifold.chern_numbers)
 
 
-def genus_polynomial(manifold: ManifoldLike) -> YPolynomial:
+def genus_polynomial(manifold: ManifoldData) -> YPolynomial:
     return evaluate_genus(chi_y_chern_polynomial(manifold.dimension), manifold)
 
 
-def chi_vector(manifold: ManifoldLike) -> list[Fraction]:
+def chi_vector(manifold: ManifoldData) -> list[Fraction]:
     """The indices chi^0, ..., chi^n read off the genus polynomial."""
     return genus_polynomial(manifold).coefficients_dense(manifold.dimension + 1)
 
 
-def chi_minus_y(manifold: ManifoldLike) -> YPolynomial:
+def chi_minus_y(manifold: ManifoldData) -> YPolynomial:
     """The modified genus: coefficient of y^p is (-1)^p chi^p."""
     return genus_polynomial(manifold).negate_y()
 
 
-def specialize(manifold: ManifoldLike, at: str) -> Fraction:
+def specialize(manifold: ManifoldData, at: str) -> Fraction:
     """Evaluate the genus at y = -1, 0, 1 (Euler, Todd, signature).
 
     The Euler specialization is cross-checked against the top Chern number,
@@ -193,7 +243,7 @@ def duality_holds(chi: "list[Fraction]") -> bool:
     return all(chi[p] == sign * chi[n - p] for p in range(n + 1))
 
 
-def check_duality(manifold: ManifoldLike) -> bool:
+def check_duality(manifold: ManifoldData) -> bool:
     """Self-reciprocity of the genus polynomial of a manifold.
 
     This holds identically for the symbolic table, so it doubles as an

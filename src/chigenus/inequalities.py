@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .engine import ManifoldLike, chi_vector
+from .engine import ManifoldData, chi_vector
 from .kexpansion import binomial_transform, k_coefficients
 from .partitions import Partition
 
@@ -61,7 +61,7 @@ class InequalityReport(NamedTuple):
     hypothesis_met: bool
 
 
-def check_inequalities(manifold: ManifoldLike, epsilon: int = 1) -> list[InequalityReport]:
+def check_inequalities(manifold: ManifoldData, epsilon: int = 1) -> list[InequalityReport]:
     """Evaluate every inequality on a manifold, detecting equality cases.
 
     Both sides come from the chi-vector: the left is eps^n K_{2i}(M), read
@@ -130,7 +130,7 @@ class CurvatureBoundReport(NamedTuple):
     surface: tuple[SurfaceInequality, ...]
 
 
-def miyaoka_yau_check(manifold: ManifoldLike) -> CurvatureBoundReport:
+def miyaoka_yau_check(manifold: ManifoldData) -> CurvatureBoundReport:
     n = manifold.dimension
     if n < 2:
         raise ValueError("need n >= 2")

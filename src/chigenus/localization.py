@@ -24,10 +24,9 @@ from .ypoly import YPolynomial, shifted_sum
 
 def negative_weight_count(weights: Sequence[int]) -> int:
     """Number of strictly negative weights; zero weights are malformed data."""
-    for w in weights:
-        if w == 0:
-            raise ValueError("rotation weights must be nonzero")
-    return sum(1 for w in weights if w < 0)
+    if 0 in weights:
+        raise ValueError("rotation weights must be nonzero")
+    return sum([w < 0 for w in weights])
 
 
 # a point's Betti numbers, signature and modified genus, shared by every fixed point

@@ -18,7 +18,9 @@ malformed one before anything is built; :data:`KEY_GRAMMAR` names the kinds.
 
 The classes a reader builds are imported inside that reader, and a writer
 only calls methods of what it is given, so loading this module loads no
-``betti``, ``catalog``, ``chern`` or ``localization`` code.
+``betti``, ``catalog``, ``chern`` or ``localization`` code. A manifold
+reader loads ``engine``, and ``betti`` or ``localization`` only for a
+document's ``betti`` or ``action``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .ypoly import YPolynomial
 
 if TYPE_CHECKING:
     from .betti import BettiProfile
-    from .catalog import ManifoldData
     from .chern import ChernPolynomial
+    from .engine import ManifoldData
     from .localization import FixedComponent, FixedPointModel
 
 
@@ -355,7 +357,7 @@ def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
     n = action.get("n") if isinstance(action, dict) else None
     if is_json_int(n) and n != dimension:  # before any row of degree up to n is read
         raise SchemaError(field, f"action.n {n} is not the dimension {dimension}")
-    from .catalog import ManifoldData
+    from .engine import ManifoldData
 
     return _build(
         field,

@@ -185,11 +185,15 @@ def test_only_serialize_reads_catalog_key_text():
 
 
 def test_catalog_assigns_no_field_of_a_built_manifold():
-    # every builder passes each field to the constructor, which checks them all
-    source = (Path(serialize.__file__).parent / "catalog.py").read_text()
+    # every builder passes each field to the constructor, which checks them all;
+    # only the constructor, in engine, assigns them
     fields = "|".join(ManifoldData.__slots__)
-    assert set(re.findall(rf"(\w+)\.(?:{fields})\s*=(?!=)", source)) == {"self"}
-    assert "setattr(" not in source
+    assigned = rf"(\w+)\.(?:{fields})\s*=(?!=)"
+    package = Path(serialize.__file__).parent
+    for name, owners in (("catalog.py", set()), ("engine.py", {"self"})):
+        source = (package / name).read_text()
+        assert set(re.findall(assigned, source)) == owners, name
+        assert "setattr(" not in source, name
 
 
 # SHA-256 of the documents `catalog --make` prints for these keys, then point(), joined by

@@ -728,7 +728,7 @@ def test_over_cap_manifold_is_rejected_before_building(capsys, monkeypatch, tmp_
         raise AssertionError(f"listed the partitions of {n}")
 
     monkeypatch.setattr(catalog, "partitions_of", listing)
-    monkeypatch.setattr(catalog, "iter_partitions", listing)
+    monkeypatch.setattr(engine, "iter_partitions", listing)
     bad = write(tmp_path, "d40.json", {"dimension": 40, "chernNumbers": []})
     for argv in (
         ["ineq", "--manifold", bad],

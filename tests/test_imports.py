@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import chigenus
-from chigenus import catalog, serialize
+from chigenus import catalog, engine, serialize
 
 ROOT = Path(__file__).parent.parent
 
@@ -48,6 +48,7 @@ DOCUMENTS = {
     "model": {"n": 1, "components": [{"weights": [1]}, {"weights": [-1]}]},
     "d40": {"dimension": 40, "chernNumbers": []},
     "p2": serialize.manifold_to_json(catalog.projective_space(2)),
+    "bare": {"dimension": 1, "chernNumbers": [{"partition": [1], "value": "2"}]},
 }
 
 
@@ -60,8 +61,21 @@ IMPORT_CASES = {
         [f"chigenus.{m}" for m in ("catalog", "betti", "localization", "kexpansion", "inequalities")]
         + ["chigenus.verify", "chigenus.series"],
     ),
-    "chi-manifold": (["chi", "--manifold", "{p2}"], 0, ["chigenus.kexpansion", "chigenus.verify"]),
-    "ineq-manifold": (["ineq", "--manifold", "{p2}"], 0, ["chigenus.verify", "chigenus.series"]),
+    "chi-manifold": (
+        ["chi", "--manifold", "{p2}"],
+        0,
+        ["chigenus.catalog", "chigenus.kexpansion", "chigenus.verify"],
+    ),
+    "ineq-manifold": (
+        ["ineq", "--manifold", "{p2}"],
+        0,
+        ["chigenus.catalog", "chigenus.verify", "chigenus.series"],
+    ),
+    "chi-bare-manifold": (
+        ["chi", "--manifold", "{bare}"],
+        0,
+        ["chigenus.catalog", "chigenus.betti", "chigenus.localization"],
+    ),
     "kcoeffs": (["kcoeffs", "--n", "4"], 0, ["chigenus.catalog", "chigenus.inequalities"]),
     "catalog": (["catalog", "--make", "pn:2"], 0, ["chigenus.kexpansion", "chigenus.verify"]),
     "betti-form": (["betti", "--form", "{form}"], 0, ["chigenus.engine", "chigenus.chern"]),
@@ -143,7 +157,7 @@ UNEXPORTED = {
     "cs_classification": "betti",
     "signature_alternating": "betti",
     "tolman_unimodality_report": "betti",
-    "ManifoldData": "catalog",
+    "ManifoldData": "engine",
     "make_action": "catalog",
     "make_manifold": "catalog",
     "point": "catalog",
@@ -184,14 +198,20 @@ def test_an_unexported_name_is_imported_from_its_submodule(name):
 
 
 def test_every_listed_submodule_resolves_after_a_bare_import():
-    reachable = {"betti", "catalog", "chern", "engine", "inequalities", "kexpansion"}
-    assert reachable | {"localization", "partitions", "series", "verify", "ypoly"} <= chigenus._SUBMODULES
+    reachable = {"betti", "catalog", "chern", "cli", "engine", "inequalities", "kexpansion"}
+    reachable |= {"localization", "partitions", "serialize", "series", "verify", "ypoly"}
+    assert reachable <= chigenus._SUBMODULES
     out = python(
         "import chigenus\n"
         "for name in sorted(chigenus._SUBMODULES):\n"
         "    print(name, getattr(chigenus, name).__name__)"
     )
     assert out.splitlines() == [f"{name} chigenus.{name}" for name in sorted(chigenus._SUBMODULES)]
+
+
+def test_the_catalog_reexports_the_one_manifold_record():
+    assert catalog.ManifoldData is engine.ManifoldData
+    assert engine.ManifoldData.__module__ == "chigenus.engine"
 
 
 def test_every_export_is_its_submodule_object():
