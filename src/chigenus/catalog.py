@@ -32,7 +32,7 @@ from typing import Any, Mapping, Sequence
 from .betti import BettiProfile
 from .engine import ManifoldData, chi_y_chern_polynomial
 from .localization import FixedComponent, FixedPointModel
-from .partitions import Partition, merge, partitions_of
+from .partitions import Partition, iter_partitions, merge
 from .serialize import ACTION_KEYS, CATALOG_KEYS, CatalogKey, parse_key
 
 Monomial = tuple[int, ...]
@@ -86,16 +86,12 @@ class CohomologyModel:
 
     def chern_numbers(self, n: int) -> dict[Partition, Fraction]:
         numbers = {}
-        for part in partitions_of(n):
+        for part in iter_partitions(n):
             product: PolyDict = {(0,) * len(self.orders): Fraction(1)}
             for i in part:
                 product = self.multiply(product, self.chern_component(i))
             numbers[part] = self.integrate(product)
         return numbers
-
-
-def point() -> ManifoldData:
-    return _one_generator(0, [1], 1, pure_type=True)
 
 
 def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Partition, int]:
@@ -106,7 +102,7 @@ def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Par
     an int: the ``ManifoldData`` built from it makes the one ``Fraction``.
     """
     numbers = {}
-    for part in partitions_of(len(total_chern) - 1):
+    for part in iter_partitions(len(total_chern) - 1):
         value = degree
         for i in part:
             value *= total_chern[i]
@@ -127,7 +123,7 @@ def projective_space(n: int) -> ManifoldData:
 def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
     """The product manifold A x B, from the Chern numbers of its factors."""
     n = a.dimension + b.dimension
-    numbers = {part: _whitney(a, b, part) for part in partitions_of(n)}
+    numbers = {part: _whitney(a, b, part) for part in iter_partitions(n)}
     betti = None
     if a.betti is not None and b.betti is not None:
         betti = _profile(n, numbers, _convolve(a.betti.betti, b.betti.betti))

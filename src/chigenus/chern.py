@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Union
 
-from .partitions import Partition, merge, weight
+from .partitions import Partition, merge
 from .ypoly import YPolynomial
 
 Scalar = Union[int, Fraction, YPolynomial]
@@ -56,7 +56,7 @@ class ChernPolynomial:
         if terms:
             for part, coeff in terms.items():
                 part = tuple(part)
-                if weight(part) != grade:
+                if sum(part) != grade:
                     raise ValueError(f"partition {part} does not have weight {grade}")
                 if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
                     raise ValueError(f"partition {part} is not sorted non-increasingly")

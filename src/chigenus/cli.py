@@ -35,16 +35,12 @@ class InputError(Exception):
     pass
 
 
-def _max_n() -> int:
+def _check_cap(n: int) -> None:
     raw = os.environ.get("GENUS_MAX_N", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_N
+        cap = int(raw) if raw else DEFAULT_MAX_N
     except ValueError:
         raise InputError(f"GENUS_MAX_N must be an integer, got {raw!r}") from None
-
-
-def _check_cap(n: int) -> None:
-    cap = _max_n()
     if n > cap:
         raise InputError(f"degree {n} exceeds GENUS_MAX_N={cap}")
     if n < 0:

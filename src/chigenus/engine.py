@@ -17,8 +17,10 @@ denominator, each power sum p_j an integer Chern polynomial, and the
 exponential takes the exponent factored as the pieces l_j p_j and keeps
 every weight over its own reduced scale. :func:`normalized_series` builds Q
 itself, as the reference route the tests check the closed form against.
-:class:`ManifoldData` is the one manifold record; it names the ``betti`` and
-``localization`` classes in annotations only, so this module loads neither.
+:class:`ManifoldData` is the one manifold record; it takes Chern numbers as
+``int`` or ``Fraction`` only, and names the ``betti`` and ``localization``
+classes in annotations only, so this module loads neither. Serre duality
+has one predicate, :func:`duality_holds`, on a bare chi-vector.
 """
 
 from __future__ import annotations
@@ -66,7 +68,10 @@ class ManifoldData:
                 raise ValueError(
                     f"Chern numbers must cover all partitions of {dimension}; missing {list(part)}"
                 )
-            numbers[part] = Fraction(chern_numbers[part])
+            value = chern_numbers[part]
+            if not isinstance(value, (int, Fraction)):
+                raise ValueError(f"Chern numbers must be int or Fraction, got {type(value).__name__}")
+            numbers[part] = Fraction(value)
         if len(numbers) != len(chern_numbers):
             raise ValueError(
                 f"Chern numbers must cover all partitions of {dimension}; "
@@ -237,16 +242,11 @@ def specialize(manifold: ManifoldData, at: str) -> Fraction:
 
 
 def duality_holds(chi: "list[Fraction]") -> bool:
-    """Whether chi^p == (-1)^n chi^{n-p} for all p, on a bare chi-vector."""
+    """Whether chi^p == (-1)^n chi^{n-p} for all p, on a bare chi-vector.
+
+    On ``chi_vector(manifold)`` this holds identically for the symbolic
+    table, so it doubles as an end-to-end consistency check of evaluation.
+    """
     n = len(chi) - 1
     sign = (-1) ** n
     return all(chi[p] == sign * chi[n - p] for p in range(n + 1))
-
-
-def check_duality(manifold: ManifoldData) -> bool:
-    """Self-reciprocity of the genus polynomial of a manifold.
-
-    This holds identically for the symbolic table, so it doubles as an
-    end-to-end consistency check of evaluation.
-    """
-    return duality_holds(chi_vector(manifold))

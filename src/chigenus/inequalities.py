@@ -24,11 +24,6 @@ from .kexpansion import binomial_transform, k_coefficients
 from .partitions import Partition
 
 
-def _validate_epsilon(epsilon: int) -> None:
-    if epsilon not in (1, -1):
-        raise ValueError("epsilon must be +1 (chi-positive) or -1 (signed chi-positive)")
-
-
 class PositivityResult(NamedTuple):
     chi_positive: bool
     signed_chi_positive: bool
@@ -70,7 +65,8 @@ def check_inequalities(manifold: ManifoldData, epsilon: int = 1) -> list[Inequal
     only each scale. The i = 1 right-hand side is cross-checked against
     2(n-1)n(n+1), which guards K_2's cleared denominator.
     """
-    _validate_epsilon(epsilon)
+    if epsilon not in (1, -1):
+        raise ValueError("epsilon must be +1 (chi-positive) or -1 (signed chi-positive)")
     n = manifold.dimension
     if n < 1:
         raise ValueError("need a manifold of positive dimension")

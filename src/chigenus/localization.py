@@ -33,6 +33,14 @@ def negative_weight_count(weights: Sequence[int]) -> int:
 _POINT = ((1,), 1, YPolynomial.one())
 
 
+def _slots_equal(self: object, other: object) -> bool:
+    """The ``__eq__`` of both classes below: equal when every slot is; they define no hash."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    fields = self.__slots__
+    return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+
+
 class FixedComponent:
     """One connected component of the fixed-point set.
 
@@ -95,6 +103,8 @@ class FixedComponent:
         self.signature = signature
         self.chi_minus_y = chi_minus_y
 
+    __eq__ = _slots_equal
+
     def is_isolated(self) -> bool:
         return self.complex_dim == 0
 
@@ -134,6 +144,8 @@ class FixedPointModel:
                 raise ValueError(
                     "a Hamiltonian action with isolated fixed points must attain d_f = 0 and d_f = n"
                 )
+
+    __eq__ = _slots_equal
 
     def all_isolated(self) -> bool:
         return all(c.is_isolated() for c in self.components)

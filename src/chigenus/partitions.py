@@ -1,4 +1,8 @@
-"""Integer partitions, the index set for Chern monomials."""
+"""Integer partitions, the index set for Chern monomials.
+
+:func:`iter_partitions` is the one walk over them: a caller that needs a
+list takes ``list`` of it, and a partition's weight is ``sum(partition)``.
+"""
 
 from __future__ import annotations
 
@@ -7,19 +11,11 @@ from typing import Iterable, Iterator
 Partition = tuple[int, ...]
 
 
-def partitions_of(n: int) -> list[Partition]:
-    """All partitions of ``n`` in reverse-lexicographic order.
-
-    The largest part comes first inside each partition and partitions are
-    listed from ``(n,)`` down to ``(1,) * n``; ``partitions_of(0)`` is the
-    single empty partition.
-    """
-    return list(iter_partitions(n))
-
-
 def iter_partitions(n: int) -> Iterator[Partition]:
-    """The partitions of ``n`` one at a time, in the order of :func:`partitions_of`.
+    """The partitions of ``n`` one at a time, in reverse-lexicographic order.
 
+    The largest part comes first inside each partition and partitions come
+    from ``(n,)`` down to ``(1,) * n``; 0 has the single empty partition.
     Each is made only when it is asked for, so a caller that stops early
     pays for what it read, whatever ``n`` is.
     """
@@ -43,10 +39,6 @@ def as_partition(parts: Iterable[int]) -> Partition:
     if any(p <= 0 for p in result):
         raise ValueError(f"partition parts must be positive: {list(parts)}")
     return result
-
-
-def weight(partition: Partition) -> int:
-    return sum(partition)
 
 
 def merge(a: Partition, b: Partition) -> Partition:

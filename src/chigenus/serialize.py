@@ -5,9 +5,10 @@ no consumer can lose precision; partitions as arrays of integers; y-
 polynomials as degree -> coefficient objects. Readers accept the canonical
 form that the writers emit, in any key order and with optional fields left
 out, and re-emission is byte-identical. Every object is read through one
-core (:func:`_object`, :func:`_int`, :func:`_ints`, :func:`_build`): a key
-the writers do not emit is refused with the object's path, and a
-constructor's ValueError becomes a :class:`SchemaError` on that path.
+core (:func:`_object`, :func:`_field`, :func:`_build`): a key the writers
+do not emit is refused with the object's path, a field of the wrong kind
+with the field's path and the kind it expected, and a constructor's
+ValueError becomes a :class:`SchemaError` on that path.
 Two formats go one way only: Chern polynomials are written (``genus chi
 --n``) but never read back, and intersection forms (``genus betti --form``)
 are read but never written.
@@ -59,8 +60,8 @@ def dumps(payload: Any) -> str:
 
 
 def format_rational(value: Fraction | int) -> str:
-    q = value if isinstance(value, Fraction) else Fraction(value)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """``"p"``, or ``"p/q"`` in lowest terms: what ``str`` prints for an int or a Fraction."""
+    return str(value)
 
 
 _INT = r"0|-?[1-9][0-9]*"
@@ -187,33 +188,26 @@ def _object(obj: Any, field: str, keys: Container[str]) -> dict[str, Any]:
     return obj
 
 
-def _int(
-    obj: dict[str, Any], field: str, key: str, default: Any = _REQUIRED, nonnegative: bool = False
-) -> Any:
-    """The integer at ``key``, ``default`` when absent; a None default lets null read as absent."""
+# the phrase a SchemaError puts after "expected" -> whether a decoded value is one
+_KINDS: dict[str, Callable[[Any], bool]] = {
+    "an integer": is_json_int,
+    "a non-negative integer": lambda v: is_json_int(v) and v >= 0,
+    "an array of integers": lambda v: isinstance(v, list) and all(is_json_int(x) for x in v),
+    "a boolean": lambda v: isinstance(v, bool),
+}
+
+
+def _field(obj: dict[str, Any], field: str, key: str, kind: str, default: Any = _REQUIRED) -> Any:
+    """The value at ``key`` if it is ``kind``, ``default`` when absent.
+
+    ``kind`` is a key of :data:`_KINDS`, the phrase the error message puts
+    after "expected"; a None default lets null read as absent.
+    """
     value = obj.get(key, default)
     if value is None and default is None:
         return None
-    if not is_json_int(value) or (nonnegative and value < 0):
-        expected = "a non-negative integer" if nonnegative else "an integer"
-        raise SchemaError(f"{field}.{key}", f"expected {expected}")
-    return value
-
-
-def _ints(obj: dict[str, Any], field: str, key: str, default: Any = _REQUIRED) -> Any:
-    """The array of integers at ``key``, with the defaults of :func:`_int`."""
-    value = obj.get(key, default)
-    if value is None and default is None:
-        return None
-    if not isinstance(value, list) or not all(is_json_int(v) for v in value):
-        raise SchemaError(f"{field}.{key}", "expected an array of integers")
-    return value
-
-
-def _bool(obj: dict[str, Any], field: str, key: str, default: Any = _REQUIRED) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise SchemaError(f"{field}.{key}", "expected a boolean")
+    if not _KINDS[kind](value):
+        raise SchemaError(f"{field}.{key}", f"expected {kind}")
     return value
 
 
@@ -239,9 +233,9 @@ def profile_to_json(profile: BettiProfile) -> dict[str, Any]:
 
 def profile_from_json(obj: Any, field: str = "profile") -> BettiProfile:
     obj = _object(obj, field, ("dim", "betti", "sigma"))
-    dim = _int(obj, field, "dim")
-    betti = _ints(obj, field, "betti")
-    sigma = _int(obj, field, "sigma", None)
+    dim = _field(obj, field, "dim", "an integer")
+    betti = _field(obj, field, "betti", "an array of integers")
+    sigma = _field(obj, field, "sigma", "an integer", None)
     from .betti import BettiProfile
 
     return _build(field, BettiProfile, dim, betti, sigma)
@@ -264,13 +258,13 @@ def component_to_json(comp: FixedComponent) -> dict[str, Any]:
 
 def component_from_json(obj: Any, field: str) -> FixedComponent:
     obj = _object(obj, field, ("complexDim", "weights", "dF", "betti", "signature", "chiMinusY"))
-    r = _int(obj, field, "complexDim", 0, nonnegative=True)
-    weights = _ints(obj, field, "weights", None)
+    r = _field(obj, field, "complexDim", "a non-negative integer", 0)
+    weights = _field(obj, field, "weights", "an array of integers", None)
     if weights is not None and 0 in weights:
         raise SchemaError(f"{field}.weights", "rotation weights must be nonzero")
-    d_f = _int(obj, field, "dF", None)
-    betti = _ints(obj, field, "betti", None)
-    signature = _int(obj, field, "signature", None)
+    d_f = _field(obj, field, "dF", "an integer", None)
+    betti = _field(obj, field, "betti", "an array of integers", None)
+    signature = _field(obj, field, "signature", "an integer", None)
     chi = obj.get("chiMinusY")
     chi_poly = ypoly_from_json(chi, f"{field}.chiMinusY", r) if chi is not None else None
     from .localization import FixedComponent
@@ -294,10 +288,10 @@ MAX_MODEL_N = 10_000
 
 def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
     obj = _object(obj, field, ("n", "hamiltonian", "components"))
-    n = _int(obj, field, "n", nonnegative=True)
+    n = _field(obj, field, "n", "a non-negative integer")
     if n > MAX_MODEL_N:
         raise SchemaError(f"{field}.n", f"exceeds the largest allowed, {MAX_MODEL_N}")
-    hamiltonian = _bool(obj, field, "hamiltonian", False)
+    hamiltonian = _field(obj, field, "hamiltonian", "a boolean", False)
     raw = obj.get("components")
     if not isinstance(raw, list) or not raw:
         raise SchemaError(f"{field}.components", "expected a nonempty array")
@@ -338,7 +332,7 @@ def manifold_to_json(data: ManifoldData) -> dict[str, Any]:
 
 def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
     obj = _object(obj, field, ("dimension", "chernNumbers", "flags", "betti", "action"))
-    dimension = _int(obj, field, "dimension", nonnegative=True)
+    dimension = _field(obj, field, "dimension", "a non-negative integer")
     raw = obj.get("chernNumbers")
     if not isinstance(raw, list):
         raise SchemaError(f"{field}.chernNumbers", "expected an array")
@@ -346,13 +340,16 @@ def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
     for idx, entry in enumerate(raw):
         where = f"{field}.chernNumbers[{idx}]"
         entry = _object(entry, where, ("partition", "value"))
-        part = _build(f"{where}.partition", as_partition, _ints(entry, where, "partition"))
+        parts = _field(entry, where, "partition", "an array of integers")
+        part = _build(f"{where}.partition", as_partition, parts)
         if part in numbers:
             raise SchemaError(f"{where}.partition", f"duplicate partition {list(part)}")
         numbers[part] = parse_rational(entry.get("value"), f"{where}.value")
     where = f"{field}.flags"
     flags = _object(obj.get("flags", {}), where, _FLAG_KEYS)
-    kwargs = {attr: _bool(flags, where, key) for key, attr in _FLAG_KEYS.items() if key in flags}
+    kwargs = {
+        attr: _field(flags, where, key, "a boolean") for key, attr in _FLAG_KEYS.items() if key in flags
+    }
     betti, action = obj.get("betti"), obj.get("action")
     n = action.get("n") if isinstance(action, dict) else None
     if is_json_int(n) and n != dimension:  # before any row of degree up to n is read

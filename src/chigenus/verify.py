@@ -45,7 +45,7 @@ def _check_duality() -> str | None:
     for key, data in catalog.standard_catalog():
         if data.dimension > 8:
             return f"{key} has dimension {data.dimension} > 8"
-        if not engine.check_duality(data):
+        if not engine.duality_holds(engine.chi_vector(data)):
             return key
     return None
 

@@ -27,14 +27,15 @@ class YPolynomial:
     __slots__ = ("denominator", "row")
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None) -> None:
-        """The polynomial sum_d coeffs[d] y^d, for rational coefficients."""
+        """The polynomial sum_d coeffs[d] y^d, for ``int`` or ``Fraction`` coefficients."""
         terms = {}
         for degree, value in (coeffs or {}).items():
             if degree < 0:
                 raise ValueError(f"negative degree {degree}")
-            q = value if isinstance(value, (int, Fraction)) else Fraction(value)
-            if q:
-                terms[int(degree)] = q
+            if not isinstance(value, (int, Fraction)):
+                raise ValueError(f"coefficients must be int or Fraction, got {type(value).__name__}")
+            if value:
+                terms[int(degree)] = value
         den = lcm(*[q.denominator for q in terms.values()])
         row = [0] * (max(terms, default=-1) + 1)
         for degree, q in terms.items():
@@ -90,11 +91,8 @@ class YPolynomial:
     def is_zero(self) -> bool:
         return not self.row
 
-    def is_constant(self) -> bool:
-        return len(self.row) <= 1
-
     def constant_value(self) -> Fraction:
-        if not self.is_constant():
+        if len(self.row) > 1:
             raise ValueError(f"{self} is not a constant polynomial")
         return self.coefficient(0)
 

@@ -6,7 +6,7 @@ Schur-complement elimination over the rationals, polynomial sums built one
 component at a time (each shifted up by :func:`shift_degree`), the graded
 exponential on ``YPolynomial`` coefficients and the binomial transform term
 by term. A Gauss-Jordan rank over the rationals checks that test matrices
-have full rank.
+have full rank, and :func:`point` is the zero-dimensional manifold.
 """
 
 from __future__ import annotations
@@ -14,11 +14,17 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from chigenus.betti import InertiaTriple
+from chigenus.betti import BettiProfile, InertiaTriple
 from chigenus.chern import ChernPolynomial
+from chigenus.engine import ManifoldData
 from chigenus.localization import FixedPointModel
-from chigenus.partitions import Partition, merge, weight
+from chigenus.partitions import Partition, merge
 from chigenus.ypoly import YPolynomial
+
+
+def point() -> ManifoldData:
+    """The point: its one Chern number c_() = 1, Betti numbers (1,) and signature 1."""
+    return ManifoldData(0, {(): 1}, pure_type=True, betti=BettiProfile(0, (1,), 1))
 
 
 def fraction_inertia(matrix) -> InertiaTriple:
@@ -138,7 +144,7 @@ def reference_graded_exponential(a: dict[Partition, YPolynomial], cap: int) -> C
     for m in range(1, cap + 1):
         acc: dict[Partition, YPolynomial] = {}
         for pa, ca in a.items():
-            k = weight(pa)
+            k = sum(pa)
             if k > m:
                 continue
             for pb, cb in exp[m - k].items():

@@ -11,7 +11,7 @@ from chigenus.chern import (
     graded_exponential,
     power_sum_in_chern,
 )
-from chigenus.partitions import partitions_of
+from chigenus.partitions import iter_partitions
 from chigenus.ypoly import YPolynomial
 
 
@@ -27,7 +27,7 @@ def elementary_values(roots: list[int]) -> list[Fraction]:
 def substitute_roots(poly: ChernPolynomial, roots: list[int]) -> YPolynomial:
     es = elementary_values(roots)
     values = {}
-    for part in partitions_of(poly.grade):
+    for part in iter_partitions(poly.grade):
         value = Fraction(1)
         for lam in part:
             value *= es[lam] if lam < len(es) else 0
@@ -75,7 +75,7 @@ def test_evaluate_missing_partition():
 def random_chern_polynomial(rng: random.Random, grade: int) -> ChernPolynomial:
     """Coefficients of y-degree up to 4 over unlike denominators, on some of the partitions."""
     terms = {}
-    for part in partitions_of(grade):
+    for part in iter_partitions(grade):
         if rng.random() < 0.7:
             denominators = [rng.choice((1, 2, 3, 4, 5, 7, 9, 12)) for _ in range(rng.randint(1, 5))]
             terms[part] = YPolynomial(
@@ -87,7 +87,7 @@ def random_chern_polynomial(rng: random.Random, grade: int) -> ChernPolynomial:
 def random_chern_numbers(rng: random.Random, grade: int) -> dict:
     """A mix of ints, fractional Fractions, zeros and negatives."""
     values = {}
-    for part in partitions_of(grade):
+    for part in iter_partitions(grade):
         kind = rng.randrange(4)
         if kind == 0:
             values[part] = rng.randint(-50, 50)
@@ -154,7 +154,7 @@ def test_cleared_form_is_canonical():
             part: [k * int(c * poly.denominator) for c in coeff.coefficients_dense()] + [0] * 2
             for part, coeff in poly.items()
         }
-        rows.update({part: [0, 0] for part in partitions_of(grade) if part not in rows})
+        rows.update({part: [0, 0] for part in iter_partitions(grade) if part not in rows})
         assert ChernPolynomial._from_rows(grade, k * poly.denominator, rows) == poly
     zero = ChernPolynomial(4, {(4,): 0, (2, 2): YPolynomial.zero()})
     assert (zero.denominator, zero.partitions, zero.columns, len(zero)) == (1, (), (), 0)

@@ -18,7 +18,7 @@ from chigenus import catalog, engine, kexpansion, serialize, verify
 from chigenus.chern import ChernPolynomial
 from chigenus.ypoly import YPolynomial
 from chigenus.cli import build_parser, main
-from chigenus.partitions import partitions_of
+from chigenus.partitions import iter_partitions
 
 
 def run(capsys, argv):
@@ -382,7 +382,7 @@ def synthetic_manifold(n: int) -> dict:
     rng = random.Random(n)
     numbers = [
         {"partition": list(part), "value": str(Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 12))))}
-        for part in partitions_of(n)
+        for part in iter_partitions(n)
     ]
     return {"dimension": n, "chernNumbers": numbers}
 
@@ -727,7 +727,7 @@ def test_over_cap_manifold_is_rejected_before_building(capsys, monkeypatch, tmp_
     def listing(n):
         raise AssertionError(f"listed the partitions of {n}")
 
-    monkeypatch.setattr(catalog, "partitions_of", listing)
+    monkeypatch.setattr(catalog, "iter_partitions", listing)
     monkeypatch.setattr(engine, "iter_partitions", listing)
     bad = write(tmp_path, "d40.json", {"dimension": 40, "chernNumbers": []})
     for argv in (

@@ -4,6 +4,7 @@ Each check that counts modules runs in a fresh interpreter, because this
 test process has long since imported the whole package.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -160,11 +161,9 @@ UNEXPORTED = {
     "ManifoldData": "engine",
     "make_action": "catalog",
     "make_manifold": "catalog",
-    "point": "catalog",
     "standard_actions": "catalog",
     "standard_catalog": "catalog",
     "ChernPolynomial": "chern",
-    "check_duality": "engine",
     "chi_minus_y": "engine",
     "duality_holds": "engine",
     "evaluate_genus": "engine",
@@ -184,7 +183,6 @@ UNEXPORTED = {
     "novikov_polynomial": "localization",
     "signature_identity_check": "localization",
     "Partition": "partitions",
-    "partitions_of": "partitions",
     "YPolynomial": "ypoly",
 }
 
@@ -229,3 +227,64 @@ def test_dir_lists_the_exports():
     listed = dir(chigenus)
     assert set(chigenus.__all__) <= set(listed)
     assert "__version__" in listed and listed == sorted(listed)
+
+
+def imported_names(tree):
+    """(submodule, name) pairs a file reaches: by import, or as an attribute of an imported submodule."""
+    aliases, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                module = f"chigenus.{node.module}" if node.module else "chigenus"
+            elif node.level == 0 and (node.module or "").split(".")[0] == "chigenus":
+                module = node.module
+            else:
+                continue
+            for alias in node.names:
+                if module == "chigenus" and alias.name in chigenus._SUBMODULES:
+                    aliases[alias.asname or alias.name] = alias.name
+                elif module == "chigenus":
+                    used.add((chigenus._SOURCE.get(alias.name), alias.name))
+                else:
+                    used.add((module[len("chigenus.") :], alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("chigenus.") and alias.asname:
+                    aliases[alias.asname] = alias.name[len("chigenus.") :]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+            used.add((aliases[node.value.id], node.attr))
+    return used
+
+
+def traced_names(tree):
+    """(submodule, name) pairs named by the ``TARGETS`` table: its module and the path's first part."""
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS":
+            return {
+                (entry.elts[0].value[len("chigenus.") :], entry.elts[1].value.split(".")[0])
+                for entry in node.value.values
+            }
+    raise AssertionError("perfbench/tracing.py defines no TARGETS table")
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    """Used in its own module, imported or read as ``<module>.<name>`` by another module or by
+    perfbench, traced by perfbench, or run as the console script."""
+    sources = {path.stem: ast.parse(path.read_text()) for path in (ROOT / "src" / "chigenus").glob("*.py")}
+    called = set()
+    for module, tree in sources.items():
+        called |= imported_names(tree)
+        called |= {(module, node.id) for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for path in (ROOT / "perfbench").glob("*.py"):
+        called |= imported_names(ast.parse(path.read_text()))
+    called |= traced_names(ast.parse((ROOT / "perfbench" / "tracing.py").read_text()))
+    script = re.search(r'^genus = "chigenus\.(\w+):(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    called.add(script.groups())
+    public = {
+        (module, node.name)
+        for module, tree in sources.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert sorted(public - called) == []

@@ -16,13 +16,13 @@ from chigenus.inequalities import (
     positivity_predicate,
 )
 from chigenus.kexpansion import KTable, k_coefficients
-from chigenus.partitions import partitions_of
+from chigenus.partitions import iter_partitions
 
 
 def synthetic(n: int, seed: int) -> ManifoldData:
     """Arbitrary integer Chern numbers on every partition of n."""
     rng = random.Random(seed)
-    return ManifoldData(n, {part: Fraction(rng.randint(-40, 40)) for part in partitions_of(n)})
+    return ManifoldData(n, {part: Fraction(rng.randint(-40, 40)) for part in iter_partitions(n)})
 
 
 def test_a0_is_top_class():
@@ -136,7 +136,7 @@ def fractional_synthetic(n: int, seed: int) -> ManifoldData:
         n,
         {
             part: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 12)))
-            for part in partitions_of(n)
+            for part in iter_partitions(n)
         },
     )
 

@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from chigenus import kexpansion
-from chigenus.catalog import point, projective_space, standard_catalog
+from chigenus.catalog import projective_space, standard_catalog
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import chi_vector, chi_y_chern_polynomial
 from chigenus.kexpansion import (
@@ -20,6 +20,8 @@ from chigenus.kexpansion import (
     verify_closed_forms,
 )
 from chigenus.ypoly import YPolynomial
+
+from oracles import point
 
 
 def test_k0_is_top_chern_class():

@@ -21,7 +21,7 @@ from chigenus.betti import inertia  # noqa: E402
 from chigenus.chern import graded_exponential  # noqa: E402
 from chigenus.cli import main  # noqa: E402
 from chigenus.kexpansion import binomial_transform  # noqa: E402
-from chigenus.partitions import partitions_of  # noqa: E402
+from chigenus.partitions import iter_partitions  # noqa: E402
 from chigenus.ypoly import YPolynomial, shifted_sum  # noqa: E402
 from oracles import (  # noqa: E402
     fraction_inertia,
@@ -129,7 +129,7 @@ def exponent_pieces(draw):
         if draw(st.booleans()):
             den = draw(st.sampled_from((1, 2, 3, 4, 6, 7, 12, 30)))
             row = draw(st.lists(st.integers(-9, 9), max_size=4))
-            chern = {part: draw(st.integers(-5, 5)) for part in partitions_of(k) if draw(st.booleans())}
+            chern = {part: draw(st.integers(-5, 5)) for part in iter_partitions(k) if draw(st.booleans())}
             pieces[k] = (YPolynomial.from_row(den, row), chern)
     return pieces, cap
 

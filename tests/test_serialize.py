@@ -9,7 +9,14 @@ import pytest
 
 from chigenus import serialize
 from chigenus.betti import BettiProfile
-from chigenus.catalog import ManifoldData, hypersurface, projective_space, standard_pn_action
+from chigenus.catalog import (
+    ManifoldData,
+    hypersurface,
+    make_action,
+    make_manifold,
+    projective_space,
+    standard_pn_action,
+)
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import chi_y_chern_polynomial
 from chigenus.serialize import SchemaError
@@ -73,6 +80,20 @@ def test_manifold_round_trip_is_byte_identical():
         text = serialize.dumps(doc)
         again = serialize.manifold_from_json(json.loads(text))
         assert serialize.dumps(serialize.manifold_to_json(again)) == text
+
+
+def test_every_catalog_entry_reads_back_equal():
+    # equality reaches into the action: P^n carries one
+    assert projective_space(3) == projective_space(3)
+    assert standard_pn_action(2) != standard_pn_action(2, (2, 1, 0))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(standard_pn_action(1).components[0])
+    for key in serialize.CATALOG_KEYS:
+        data = make_manifold(key)
+        assert serialize.manifold_from_json(serialize.manifold_to_json(data)) == data, key
+    for key in serialize.ACTION_KEYS:
+        model = make_action(key)
+        assert serialize.model_from_json(serialize.model_to_json(model)) == model, key
 
 
 def test_manifold_schema_error_names_field():
