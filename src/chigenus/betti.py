@@ -8,8 +8,9 @@ cases are exactly b^+ = 1 and b^- = 0, the same conditions that
 characterize the reverse and direct Cauchy-Schwarz property of the middle
 cohomology pairing.
 
-The inertia is computed on integers: one common denominator scales the
-form (a positive scaling is a congruence), and a fraction-free symmetric
+The inertia is computed on integers: the form is scaled by the one common
+denominator that ``ypoly.clear`` gives all its entries (a positive scaling
+is a congruence), and a fraction-free symmetric
 elimination keeps the remaining block equal to the previous pivot times the
 true Schur complement, so each pivot's sign is its own sign times the
 previous pivot's. Every division in it is exact: by Sylvester's identity
@@ -19,8 +20,9 @@ every entry is a minor of the scaled form, up to unimodular congruences.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple, Sequence
+
+from .ypoly import clear, require_exact
 
 
 class InertiaTriple(NamedTuple):
@@ -34,8 +36,8 @@ def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
 
     Entries must be ``int`` or ``Fraction``, whose numerators and
     denominators are read as they are; any other type raises ``ValueError``.
-    All denominators are cleared with one common multiple; scaling by a
-    positive number is a congruence, so the inertia is unchanged and every
+    ``ypoly.clear`` puts all entries over one common denominator; scaling by
+    a positive number is a congruence, so the inertia is unchanged and every
     later step runs on Python integers. Symmetric pivoting then eliminates
     one row and column at a time (Bareiss 1968): with ``prev`` the previous
     pivot (1 before the first), the remaining block is updated by
@@ -57,10 +59,9 @@ def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
     for row in matrix:
         if len(row) != size:
             raise ValueError("matrix must be square")
-        if not all(isinstance(v, (int, Fraction)) for v in row):
-            raise ValueError("matrix entries must be int or Fraction")
-    scale = lcm(*[v.denominator for row in matrix for v in row])
-    work = [[v.numerator * (scale // v.denominator) for v in row] for row in matrix]
+        require_exact("matrix entries", row)
+    _, flat = clear([v for row in matrix for v in row])
+    work = [flat[i * size : (i + 1) * size] for i in range(size)]
     for i in range(size):
         for j in range(i + 1, size):
             if work[i][j] != work[j][i]:
@@ -119,8 +120,12 @@ class BettiProfile:
         betti = tuple(betti)
         if len(betti) != dim + 1:
             raise ValueError(f"need Betti numbers b_0..b_{dim}")
-        if any(b < 0 for b in betti):
-            raise ValueError("Betti numbers must be non-negative")
+        for b in betti:
+            if not isinstance(b, int) or b < 0:
+                require_exact("Betti numbers", [b], (int,))
+                raise ValueError("Betti numbers must be non-negative")
+        if sigma is not None and not isinstance(sigma, int):
+            require_exact("signature", [sigma], (int,))
         if any(betti[i] != betti[dim - i] for i in range(dim + 1)):
             raise ValueError("Betti numbers must satisfy Poincare duality")
         if sigma is not None and dim % 4 != 0 and sigma != 0:

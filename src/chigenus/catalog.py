@@ -34,6 +34,7 @@ from .engine import ManifoldData, chi_y_chern_polynomial
 from .localization import FixedComponent, FixedPointModel
 from .partitions import Partition, iter_partitions, merge
 from .serialize import ACTION_KEYS, CATALOG_KEYS, CatalogKey, parse_key
+from .ypoly import convolve
 
 Monomial = tuple[int, ...]
 PolyDict = dict[Monomial, Fraction]
@@ -126,7 +127,7 @@ def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
     numbers = {part: _whitney(a, b, part) for part in iter_partitions(n)}
     betti = None
     if a.betti is not None and b.betti is not None:
-        betti = _profile(n, numbers, _convolve(a.betti.betti, b.betti.betti))
+        betti = _profile(n, numbers, convolve(a.betti.betti, b.betti.betti))
     return ManifoldData(n, numbers, pure_type=_both(a.pure_type, b.pure_type), betti=betti)
 
 
@@ -177,14 +178,6 @@ def _both(x: bool | None, y: bool | None) -> bool | None:
     if x is True and y is True:
         return True
     return None
-
-
-def _convolve(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 def hypersurface(n: int, d: int) -> ManifoldData:

@@ -5,8 +5,9 @@ A monomial c_{l_1} * ... * c_{l_k} is indexed by the partition
 combination of such monomials with coefficients in Q[y], held in one
 cleared integer form: a denominator D, the lcm of the reduced coefficient
 denominators, over one column of ints per y-degree. Evaluation on Chern
-numbers is then a dot product of those columns with the cleared numerators
-of the values.
+numbers is then a dot product of those columns with the values as
+:func:`chigenus.ypoly.clear` puts them over one denominator; the
+exponential's rows are multiplied and summed by ``ypoly`` too.
 
 The module also provides the power sums of the Chern roots in this basis
 (Newton's identities) and the truncated exponential of an inhomogeneous
@@ -20,13 +21,14 @@ to the cleared form.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Mapping, Union
 
 from .partitions import Partition, merge
-from .ypoly import YPolynomial
+from .ypoly import YPolynomial, add_into, clear, convolve
 
 Scalar = Union[int, Fraction, YPolynomial]
 
@@ -103,19 +105,16 @@ class ChernPolynomial:
     def evaluate(self, values: Mapping[Partition, Fraction | int]) -> YPolynomial:
         """Substitute numbers for the monomials: sum of coeff(y) * values[p].
 
-        The sum runs on Python ints over the cleared form. With E the lcm of
-        the denominators of the values read, the y^d coefficient is
-        sum_i columns[d][i] * (E * values[partitions[i]]) / (D * E), so the
-        result is one integer row over D * E.
+        The sum runs on Python ints over the cleared form. With the values
+        read as ``ypoly.clear`` gives them, ints v_i over one E, the y^d
+        coefficient is sum_i columns[d][i] * v_i / (D * E), so the result is
+        one integer row over D * E.
         """
         try:
             picked = [values[part] for part in self.partitions]
         except KeyError as exc:
             raise ValueError(f"missing Chern number for partition {list(exc.args[0])}") from None
-        # a list, not a generator: CPython sizes the argument tuple of f(*generator) by
-        # resizing, and each such tuple ends in the interpreter's free list for its length
-        e = lcm(*[v.denominator for v in picked])
-        scaled = [v.numerator * (e // v.denominator) for v in picked]
+        e, scaled = clear(picked)
         totals = [sum(map(mul, column, scaled)) for column in self.columns]
         return YPolynomial.from_row(self.denominator * e, totals)
 
@@ -187,8 +186,8 @@ def graded_exponential(pieces: Mapping[int, Piece], cap: int) -> ChernPolynomial
 
     has integer terms only. A piece is factored, so row_k is convolved with
     each row of R_{m-k} once and the result is added into every partition of
-    p_k with its integer coefficient. R_m and L are then divided by their
-    gcd, which keeps every scale near the true denominator of its weight.
+    p_k times its coefficient and that factor. R_m and L are then divided by
+    their gcd, which keeps every scale near the true denominator of its weight.
     Weights add, so a product never exceeds the cap and none is tested
     against it. The weight-cap rows become the cleared form directly.
     """
@@ -198,33 +197,14 @@ def graded_exponential(pieces: Mapping[int, Piece], cap: int) -> ChernPolynomial
     for m in range(1, cap + 1):
         used = [(k, ell.denominator, ell.row, c) for k, (ell, c) in pieces.items() if k <= m]
         scale = m * lcm(*[den * buckets[m - k][0] for k, den, _, _ in used])
-        acc: dict[Partition, list[int]] = {}
+        acc: dict[Partition, list[int]] = defaultdict(list)
         for k, den, row, chern in used:
             s, bucket = buckets[m - k]
             factor = k * scale // (m * den * s)
-            fa = [factor * x for x in row]
             for pb, cb in bucket.items():
-                conv = [0] * (len(fa) + len(cb) - 1)
-                for i, x in enumerate(fa):
-                    if x:
-                        for j, v in enumerate(cb, i):
-                            conv[j] += x * v
+                conv = convolve(row, cb)
                 for pa, c in chern.items():
-                    key = merge(pa, pb)
-                    out = acc.get(key)
-                    if out is None:
-                        acc[key] = [c * v for v in conv]
-                    else:
-                        if len(out) < len(conv):
-                            out.extend([0] * (len(conv) - len(out)))
-                        for i, v in enumerate(conv):
-                            out[i] += c * v
-        rows = {}
-        for part, out in acc.items():
-            while out and not out[-1]:
-                out.pop()
-            if out:
-                rows[part] = out
-        g = gcd(scale, *[x for out in rows.values() for x in out])
-        buckets.append((scale // g, {part: [x // g for x in out] for part, out in rows.items()}))
+                    add_into(acc[merge(pa, pb)], conv, factor * c)
+        g = gcd(scale, *[x for out in acc.values() for x in out])
+        buckets.append((scale // g, {part: [x // g for x in out] for part, out in acc.items() if any(out)}))
     return ChernPolynomial._from_rows(cap, *buckets[cap])

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 from .chern import ChernPolynomial, graded_exponential, integer_power_sums
 from .partitions import Partition, iter_partitions
-from .ypoly import YPolynomial
+from .ypoly import YPolynomial, require_exact
 
 if TYPE_CHECKING:
     from .betti import BettiProfile
@@ -43,7 +43,9 @@ class ManifoldData:
     """Exact Chern numbers of a closed almost-complex manifold, plus extras.
 
     ``chern_numbers`` has one entry per partition of the complex dimension,
-    ``betti.dim`` is twice that dimension and ``action.n`` equals it.
+    stored in the reverse-lexicographic order of ``iter_partitions`` whatever
+    order they were given in; ``betti.dim`` is twice that dimension and
+    ``action.n`` equals it.
     Flags are catalog-supplied annotations, never derived from geometry.
     Builders and readers pass every field to the constructor, so each is
     checked once. Instances compare by value but define no hash.
@@ -60,6 +62,7 @@ class ManifoldData:
         betti: BettiProfile | None = None,
         action: FixedPointModel | None = None,
     ) -> None:
+        require_exact("Chern numbers", chern_numbers.values())
         # the walk stops at the first missing partition, so it visits at most one
         # partition more than were given: a dimension costs nothing to claim
         numbers = {}
@@ -68,10 +71,7 @@ class ManifoldData:
                 raise ValueError(
                     f"Chern numbers must cover all partitions of {dimension}; missing {list(part)}"
                 )
-            value = chern_numbers[part]
-            if not isinstance(value, (int, Fraction)):
-                raise ValueError(f"Chern numbers must be int or Fraction, got {type(value).__name__}")
-            numbers[part] = Fraction(value)
+            numbers[part] = Fraction(chern_numbers[part])
         if len(numbers) != len(chern_numbers):
             raise ValueError(
                 f"Chern numbers must cover all partitions of {dimension}; "

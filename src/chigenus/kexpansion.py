@@ -15,13 +15,13 @@ encode the reciprocal series.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import NamedTuple, Sequence
 
 from .chern import ChernPolynomial
 from .engine import chi_y_chern_polynomial, eulerian_polynomials
 from .partitions import Partition
-from .ypoly import YPolynomial
+from .ypoly import YPolynomial, clear
 
 
 class KTable(NamedTuple):
@@ -161,11 +161,10 @@ def verify_closed_forms(n: int) -> ClosedFormReport:
 def binomial_transform(chi: Sequence[Fraction | int]) -> list[Fraction]:
     """K_0..K_n from the chi-vector: K_j = sum_{p>=j} (-1)^{p-j} chi^p C(p, j).
 
-    The chi-vector is cleared over the lcm D of its denominators, and each
-    sum runs on Python ints over D.
+    Each sum runs on Python ints over the one denominator D that
+    ``ypoly.clear`` gives the chi-vector.
     """
-    d = lcm(*[c.denominator for c in chi])
-    row = [c.numerator * (d // c.denominator) for c in chi]
+    d, row = clear(chi)
     return [
         Fraction(sum(comb(p, j) * (-1) ** (p - j) * row[p] for p in range(j, len(row))), d)
         for j in range(len(row))

@@ -19,14 +19,19 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .ypoly import YPolynomial, shifted_sum
+from .ypoly import YPolynomial, require_exact, shifted_sum
 
 
 def negative_weight_count(weights: Sequence[int]) -> int:
-    """Number of strictly negative weights; zero weights are malformed data."""
-    if 0 in weights:
-        raise ValueError("rotation weights must be nonzero")
-    return sum([w < 0 for w in weights])
+    """Number of strictly negative weights, in one pass that refuses a zero or non-``int`` weight."""
+    count = 0
+    for w in weights:
+        if not isinstance(w, int) or not w:
+            require_exact("rotation weights", [w], (int,))
+            raise ValueError("rotation weights must be nonzero")
+        if w < 0:
+            count += 1
+    return count
 
 
 # a point's Betti numbers, signature and modified genus, shared by every fixed point
@@ -94,11 +99,12 @@ class FixedComponent:
                 raise ValueError(
                     f"component of dimension {complex_dim} needs Betti numbers b_0..b_{2 * complex_dim}"
                 )
-            if any(b < 0 for b in betti):
-                raise ValueError("Betti numbers must be non-negative")
-            if any(b != int(b) for b in betti):
-                raise ValueError("Betti numbers must be integers")
-            betti = tuple([int(b) for b in betti])
+            for b in betti:
+                if not isinstance(b, int) or b < 0:
+                    require_exact("Betti numbers", [b], (int,))
+                    raise ValueError("Betti numbers must be non-negative")
+        if signature is not None:
+            require_exact("signature", [signature], (int,))
         self.betti = betti
         self.signature = signature
         self.chi_minus_y = chi_minus_y

@@ -313,7 +313,7 @@ _FLAG_KEYS = {"pureType": "pure_type", "hamiltonianS1": "hamiltonian_s1"}
 def manifold_to_json(data: ManifoldData) -> dict[str, Any]:
     numbers = [
         {"partition": list(part), "value": format_rational(value)}
-        for part, value in sorted(data.chern_numbers.items(), reverse=True)
+        for part, value in data.chern_numbers.items()
     ]
     out: dict[str, Any] = {"dimension": data.dimension, "chernNumbers": numbers}
     flags = {

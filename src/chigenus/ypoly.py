@@ -5,14 +5,18 @@ positive, it and the row have gcd 1 and the row has no trailing zero, so
 equal polynomials have equal forms; the zero polynomial is 1 over ``()``
 and prints as ``"0"``. Arithmetic runs on Python ints and coefficients are
 read out as ``fractions.Fraction`` values; nothing ever rounds.
+
+The module is the one home of that cleared-row arithmetic, which the Chern
+tables, the K-expansion and the inertia use too: :func:`clear`,
+:func:`convolve` and :func:`add_into`. :func:`require_exact` refuses, by
+type, every value that is not exact data.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from math import gcd, lcm
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -28,19 +32,15 @@ class YPolynomial:
 
     def __init__(self, coeffs: Mapping[int, Scalar] | None = None) -> None:
         """The polynomial sum_d coeffs[d] y^d, for ``int`` or ``Fraction`` coefficients."""
+        coeffs = coeffs or {}
+        require_exact("coefficients", coeffs.values())
         terms = {}
-        for degree, value in (coeffs or {}).items():
+        for degree, value in coeffs.items():
             if degree < 0:
                 raise ValueError(f"negative degree {degree}")
-            if not isinstance(value, (int, Fraction)):
-                raise ValueError(f"coefficients must be int or Fraction, got {type(value).__name__}")
             if value:
                 terms[int(degree)] = value
-        den = lcm(*[q.denominator for q in terms.values()])
-        row = [0] * (max(terms, default=-1) + 1)
-        for degree, q in terms.items():
-            row[degree] = q.numerator * (den // q.denominator)
-        self._store(den, row)
+        self._store(*clear([terms.get(d, 0) for d in range(max(terms, default=-1) + 1)]))
 
     @classmethod
     def from_row(cls, denominator: int, row: Sequence[int]) -> "YPolynomial":
@@ -97,11 +97,7 @@ class YPolynomial:
         return self.coefficient(0)
 
     def __add__(self, other: "YPolynomial | Scalar") -> "YPolynomial":
-        other = _coerce(other)
-        den = lcm(self.denominator, other.denominator)
-        fa, fb = den // self.denominator, den // other.denominator
-        pairs = zip_longest(self.row, other.row, fillvalue=0)
-        return YPolynomial.from_row(den, [fa * a + fb * b for a, b in pairs])
+        return shifted_sum([(self, 0), (_coerce(other), 0)])
 
     __radd__ = __add__
 
@@ -116,12 +112,7 @@ class YPolynomial:
 
     def __mul__(self, other: "YPolynomial | Scalar") -> "YPolynomial":
         other = _coerce(other)
-        product = [0] * max(len(self.row) + len(other.row) - 1, 0)
-        for i, x in enumerate(self.row):
-            if x:
-                for j, v in enumerate(other.row, i):
-                    product[j] += x * v
-        return YPolynomial.from_row(self.denominator * other.denominator, product)
+        return YPolynomial.from_row(self.denominator * other.denominator, convolve(self.row, other.row))
 
     __rmul__ = __mul__
 
@@ -150,8 +141,8 @@ class YPolynomial:
 
     def evaluate(self, value: Scalar) -> Fraction:
         """The value at y = p/q: sum_d row[d] p^d q^(deg-d) over denominator q^deg, one ``Fraction``."""
-        point = Fraction(value)
-        p, q = point.numerator, point.denominator
+        require_exact("evaluation point", [value])
+        p, q = value.numerator, value.denominator
         total, scale = 0, 1
         for c in reversed(self.row):
             total = total * p + c * scale
@@ -190,14 +181,47 @@ class YPolynomial:
         return " + ".join(chunks)
 
 
+def require_exact(field: str, values: Iterable[object], kinds: tuple[type, ...] = (int, Fraction)) -> None:
+    """Refuse the first value not of ``kinds``, naming its type: floats and strings are not exact."""
+    for value in values:
+        if not isinstance(value, kinds):
+            names = " or ".join([kind.__name__ for kind in kinds])
+            raise ValueError(f"{field} must be {names}, got {type(value).__name__}")
+
+
+def clear(values: Sequence[Scalar]) -> tuple[int, list[int]]:
+    """(D, ints): D is the lcm of the denominators and ``values[i] == ints[i] / D``."""
+    # a list, not a generator: CPython sizes the argument tuple of f(*generator) by
+    # resizing, and each such tuple ends in the interpreter's free list for its length
+    den = lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product row, ``out[k] = sum_{i+j=k} a[i] * b[j]``; zero entries of ``a`` are skipped."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        if x:
+            for j, v in enumerate(b, i):
+                out[j] += x * v
+    return out
+
+
+def add_into(total: list[int], row: Sequence[int], factor: int = 1, shift: int = 0) -> None:
+    """Add factor * row * y^shift into ``total`` in place, padding it with zeros as needed."""
+    end = shift + len(row)
+    if len(total) < end:
+        total.extend([0] * (end - len(total)))
+    for i, c in enumerate(row, shift):
+        total[i] += factor * c
+
+
 def shifted_sum(terms: Sequence[tuple[YPolynomial, int]]) -> YPolynomial:
     """sum_t poly_t y^shift_t, each row scaled to the lcm of the denominators and added into one."""
     den = lcm(*[poly.denominator for poly, _ in terms])
     total = [0] * max([len(poly.row) + shift for poly, shift in terms], default=0)
     for poly, shift in terms:
-        factor = den // poly.denominator
-        for i, c in enumerate(poly.row, shift):
-            total[i] += factor * c
+        add_into(total, poly.row, den // poly.denominator, shift)
     return YPolynomial.from_row(den, total)
 
 

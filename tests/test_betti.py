@@ -144,6 +144,19 @@ def test_profile_validation():
         BettiProfile(2, (1, -1, 1), 0)
 
 
+@pytest.mark.parametrize(
+    "betti, sigma, message",
+    [
+        ((1, 0, 2.5, 0, 1), None, "Betti numbers must be int, got float"),
+        ((1, 0, "2", 0, 1), None, "Betti numbers must be int, got str"),
+        ((1, 0, 2, 0, 1), 0.5, "signature must be int, got float"),
+    ],
+)
+def test_profile_numbers_must_be_ints(betti, sigma, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BettiProfile(4, betti, sigma)
+
+
 def test_dimension_2_mod_4_is_automatically_alternating():
     # palindromic even Betti numbers cancel pairwise, so sigma = 0 suffices
     assert signature_alternating(BettiProfile(6, (1, 0, 5, 2, 5, 0, 1), 0))

@@ -164,6 +164,8 @@ def test_only_ints_and_fractions_are_exact_data(value):
         YPolynomial({0: value})
     with pytest.raises(ValueError, match="^coefficients must be int or Fraction, got "):
         ChernPolynomial(1, {(1,): value})
+    with pytest.raises(ValueError, match="^evaluation point must be int or Fraction, got "):
+        YPolynomial({0: 1, 1: 1}).evaluate(value)
 
 
 def test_duality():

@@ -177,6 +177,23 @@ def test_component_validation():
         FixedComponent(complex_dim=1, d_f=0, betti=(1,))
 
 
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        ({"weights": (0.5, -1.5)}, "rotation weights must be int, got float"),
+        (
+            {"complex_dim": 1, "d_f": 0, "betti": (1.0, 0, 1.0), "signature": 0.5},
+            "Betti numbers must be int, got float",
+        ),
+        ({"complex_dim": 1, "d_f": 0, "betti": (Fraction(1), 0, 1)}, "Betti numbers must be int, got Fraction"),
+        ({"complex_dim": 1, "d_f": 0, "betti": (1, 0, 1), "signature": 0.5}, "signature must be int, got float"),
+    ],
+)
+def test_component_numbers_must_be_ints(given, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FixedComponent(**given)
+
+
 def test_a_fixed_point_has_the_invariants_of_a_point():
     explicit = FixedComponent(d_f=0, betti=[1], signature=1, chi_minus_y=YPolynomial.one())
     default = FixedComponent(d_f=0)
@@ -254,13 +271,11 @@ def test_missing_data_errors():
 
 
 def random_component(rng, n):
-    """A component of random dimension with Fraction genus coefficients and Betti numbers."""
+    """A component of random dimension with Fraction genus coefficients and int Betti numbers."""
     r = rng.randint(0, n)
     d_f = rng.randint(0, n - r)
     half = [rng.randint(0, 4) for _ in range(r + 1)]
     betti = half + half[-2::-1] if r else [1]  # a point has the invariants of a point
-    if rng.random() < 0.5:
-        betti = [Fraction(b) for b in betti]
     chi = YPolynomial({p: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for p in range(r + 1)})
     if not r:
         chi = YPolynomial.one()

@@ -8,7 +8,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -22,7 +22,7 @@ from chigenus.chern import graded_exponential  # noqa: E402
 from chigenus.cli import main  # noqa: E402
 from chigenus.kexpansion import binomial_transform  # noqa: E402
 from chigenus.partitions import iter_partitions  # noqa: E402
-from chigenus.ypoly import YPolynomial, shifted_sum  # noqa: E402
+from chigenus.ypoly import YPolynomial, clear, convolve, shifted_sum  # noqa: E402
 from oracles import (  # noqa: E402
     fraction_inertia,
     reference_binomial_transform,
@@ -79,6 +79,38 @@ def test_shifted_sum_matches_pairwise_sums(terms):
     total = shifted_sum(polys)
     assert_canonical(total)
     assert total == sum((shift_degree(poly, shift) for poly, shift in polys), YPolynomial.zero())
+    # and against plain Fraction sums, which share no row arithmetic with either side
+    expected: dict = {}
+    for coeffs, shift in terms:
+        for d, c in coeffs.items():
+            expected[d + shift] = expected.get(d + shift, 0) + c
+    assert total.items() == sorted((d, c) for d, c in expected.items() if c)
+
+
+def _horner(row, t):
+    value = 0
+    for c in reversed(row):
+        value = value * t + c
+    return value
+
+
+_rows = st.lists(st.integers(-10**6, 10**6), max_size=8)
+
+
+@given(_rows, _rows)
+def test_convolve_is_the_product_of_evaluations(a, b):
+    product = convolve(a, b)
+    assert len(product) == max(len(a) + len(b) - 1, 0)
+    for t in range(4):
+        assert _horner(product, t) == _horner(a, t) * _horner(b, t)
+
+
+@given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)), max_size=8))
+def test_clear_puts_values_over_their_lcm_denominator(values):
+    den, ints = clear(values)
+    assert den == lcm(*[Fraction(v).denominator for v in values])
+    assert all(type(c) is int for c in ints)
+    assert [Fraction(c, den) for c in ints] == values
 
 
 @given(

@@ -14,13 +14,16 @@ from chigenus.catalog import (
     hypersurface,
     make_action,
     make_manifold,
+    product,
     projective_space,
     standard_pn_action,
 )
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import chi_y_chern_polynomial
+from chigenus.partitions import iter_partitions
 from chigenus.serialize import SchemaError
 from chigenus.ypoly import YPolynomial
+from oracles import point
 
 
 def test_rational_strings():
@@ -80,6 +83,23 @@ def test_manifold_round_trip_is_byte_identical():
         text = serialize.dumps(doc)
         again = serialize.manifold_from_json(json.loads(text))
         assert serialize.dumps(serialize.manifold_to_json(again)) == text
+
+
+def test_chern_numbers_are_stored_in_partition_walk_order():
+    # manifold_to_json writes them in this order without sorting
+    built = [projective_space(4), hypersurface(3, 5), product(hypersurface(2, 4), projective_space(2)), point()]
+    for data in built + [make_manifold(key) for key in serialize.CATALOG_KEYS]:
+        assert list(data.chern_numbers) == list(iter_partitions(data.dimension))
+
+
+def test_a_shuffled_document_is_read_and_written_in_partition_walk_order():
+    doc = serialize.manifold_to_json(product(projective_space(2), projective_space(3)))
+    numbers = doc["chernNumbers"]
+    shuffled = numbers[1::2] + numbers[0::2]
+    assert shuffled != numbers
+    data = serialize.manifold_from_json({"dimension": 5, "chernNumbers": shuffled})
+    assert list(data.chern_numbers) == list(iter_partitions(5))
+    assert serialize.manifold_to_json(data)["chernNumbers"] == numbers
 
 
 def test_every_catalog_entry_reads_back_equal():

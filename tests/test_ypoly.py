@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chigenus.ypoly import YPolynomial
+from chigenus.ypoly import YPolynomial, add_into
 from oracles import shift_degree
 
 
@@ -53,6 +53,14 @@ def test_evaluation_is_a_homomorphism():
         point = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
         assert (a + b).evaluate(point) == a.evaluate(point) + b.evaluate(point)
+
+
+def test_add_into_pads_past_the_end():
+    total = [1, 2]
+    add_into(total, [3, 0, 4], 2, shift=4)
+    assert total == [1, 2, 0, 0, 6, 0, 8]
+    add_into(total, [1, 1])
+    assert total == [2, 3, 0, 0, 6, 0, 8]
 
 
 def test_stretch_and_negate():
