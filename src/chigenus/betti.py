@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .ypoly import clear, require_exact
+from .ypoly import clear, require_counts, require_exact, slots_equal
 
 
 class InertiaTriple(NamedTuple):
@@ -115,15 +115,13 @@ class BettiProfile:
     __slots__ = ("dim", "betti", "sigma")
 
     def __init__(self, dim: int, betti: Sequence[int], sigma: int | None = None) -> None:
+        require_exact("dimension", (dim,), (int,))
         if dim < 0 or dim % 2 != 0:
             raise ValueError("dimension must be even and non-negative")
         betti = tuple(betti)
         if len(betti) != dim + 1:
             raise ValueError(f"need Betti numbers b_0..b_{dim}")
-        for b in betti:
-            if not isinstance(b, int) or b < 0:
-                require_exact("Betti numbers", [b], (int,))
-                raise ValueError("Betti numbers must be non-negative")
+        require_counts("Betti numbers", betti)
         if sigma is not None and not isinstance(sigma, int):
             require_exact("signature", [sigma], (int,))
         if any(betti[i] != betti[dim - i] for i in range(dim + 1)):
@@ -137,16 +135,10 @@ class BettiProfile:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    def _key(self) -> tuple[int, tuple[int, ...], int | None]:
-        return self.dim, self.betti, self.sigma
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+    __eq__ = slots_equal
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.dim, self.betti, self.sigma))
 
     def __repr__(self) -> str:
         return f"BettiProfile(dim={self.dim}, betti={self.betti}, sigma={self.sigma})"

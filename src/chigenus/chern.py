@@ -28,7 +28,7 @@ from operator import mul
 from typing import Mapping, Union
 
 from .partitions import Partition, merge
-from .ypoly import YPolynomial, add_into, clear, convolve
+from .ypoly import YPolynomial, add_into, clear, convolve, slots_equal
 
 Scalar = Union[int, Fraction, YPolynomial]
 
@@ -118,15 +118,7 @@ class ChernPolynomial:
         totals = [sum(map(mul, column, scaled)) for column in self.columns]
         return YPolynomial.from_row(self.denominator * e, totals)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ChernPolynomial):
-            return NotImplemented
-        return (
-            self.grade == other.grade
-            and self.denominator == other.denominator
-            and self.partitions == other.partitions
-            and self.columns == other.columns
-        )
+    __eq__ = slots_equal
 
     def __repr__(self) -> str:
         if not self.partitions:

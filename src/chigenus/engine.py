@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 from .chern import ChernPolynomial, graded_exponential, integer_power_sums
 from .partitions import Partition, iter_partitions
-from .ypoly import YPolynomial, require_exact
+from .ypoly import YPolynomial, require_exact, slots_equal
 
 if TYPE_CHECKING:
     from .betti import BettiProfile
@@ -62,6 +62,7 @@ class ManifoldData:
         betti: BettiProfile | None = None,
         action: FixedPointModel | None = None,
     ) -> None:
+        require_exact("dimension", (dimension,), (int,))
         require_exact("Chern numbers", chern_numbers.values())
         # the walk stops at the first missing partition, so it visits at most one
         # partition more than were given: a dimension costs nothing to claim
@@ -88,11 +89,7 @@ class ManifoldData:
         self.betti = betti
         self.action = action
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        fields = self.__slots__
-        return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+    __eq__ = slots_equal
 
 
 SPECIAL_VALUES = {"euler": Fraction(-1), "todd": Fraction(0), "signature": Fraction(1)}

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 from .chern import ChernPolynomial
 from .engine import chi_y_chern_polynomial, eulerian_polynomials
 from .partitions import Partition
-from .ypoly import YPolynomial, clear
+from .ypoly import YPolynomial, clear, require_exact
 
 
 class KTable(NamedTuple):
@@ -161,9 +161,10 @@ def verify_closed_forms(n: int) -> ClosedFormReport:
 def binomial_transform(chi: Sequence[Fraction | int]) -> list[Fraction]:
     """K_0..K_n from the chi-vector: K_j = sum_{p>=j} (-1)^{p-j} chi^p C(p, j).
 
-    Each sum runs on Python ints over the one denominator D that
-    ``ypoly.clear`` gives the chi-vector.
+    Entries must be ``int`` or ``Fraction``; each sum runs on Python ints
+    over the one denominator D that ``ypoly.clear`` gives the chi-vector.
     """
+    require_exact("chi-vector", chi)
     d, row = clear(chi)
     return [
         Fraction(sum(comb(p, j) * (-1) ** (p - j) * row[p] for p in range(j, len(row))), d)

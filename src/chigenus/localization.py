@@ -12,14 +12,15 @@ the components' shifted polynomials are added into one integer row, which
 is reduced once. Summing them pairwise would build and reduce a new row per
 component, quadratic in n for the n + 1 fixed points of an action on P^n.
 Betti numbers are integers, so the Novikov polynomial is summed over the
-denominator 1.
+denominator 1. The records' count and type checks and their ``__eq__`` are
+the shared guards of ``ypoly``.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .ypoly import YPolynomial, require_exact, shifted_sum
+from .ypoly import YPolynomial, require_counts, require_exact, shifted_sum, slots_equal
 
 
 def negative_weight_count(weights: Sequence[int]) -> int:
@@ -36,14 +37,6 @@ def negative_weight_count(weights: Sequence[int]) -> int:
 
 # a point's Betti numbers, signature and modified genus, shared by every fixed point
 _POINT = ((1,), 1, YPolynomial.one())
-
-
-def _slots_equal(self: object, other: object) -> bool:
-    """The ``__eq__`` of both classes below: equal when every slot is; they define no hash."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    fields = self.__slots__
-    return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
 
 class FixedComponent:
@@ -69,8 +62,7 @@ class FixedComponent:
         signature: int | None = None,
         chi_minus_y: YPolynomial | None = None,
     ) -> None:
-        if complex_dim < 0:
-            raise ValueError("component dimension must be non-negative")
+        require_counts("component dimension", (complex_dim,))
         self.complex_dim = complex_dim
         self.weights = tuple(weights) if weights is not None else None
         if self.weights is not None:
@@ -81,8 +73,7 @@ class FixedComponent:
         else:
             if d_f is None:
                 raise ValueError("component needs weights or an explicit d_f")
-            if d_f < 0:
-                raise ValueError("d_f must be non-negative")
+            require_counts("d_f", (d_f,))
             self.d_f = d_f
         if complex_dim == 0:
             if betti is not None and tuple(betti) != _POINT[0]:
@@ -99,17 +90,16 @@ class FixedComponent:
                 raise ValueError(
                     f"component of dimension {complex_dim} needs Betti numbers b_0..b_{2 * complex_dim}"
                 )
-            for b in betti:
-                if not isinstance(b, int) or b < 0:
-                    require_exact("Betti numbers", [b], (int,))
-                    raise ValueError("Betti numbers must be non-negative")
+            require_counts("Betti numbers", betti)
         if signature is not None:
             require_exact("signature", [signature], (int,))
+        if chi_minus_y is not None:
+            require_exact("modified genus", [chi_minus_y], (YPolynomial,))
         self.betti = betti
         self.signature = signature
         self.chi_minus_y = chi_minus_y
 
-    __eq__ = _slots_equal
+    __eq__ = slots_equal
 
     def is_isolated(self) -> bool:
         return self.complex_dim == 0
@@ -126,8 +116,7 @@ class FixedPointModel:
         components: Sequence[FixedComponent],
         hamiltonian: bool = False,
     ) -> None:
-        if n < 0:
-            raise ValueError("n must be non-negative")
+        require_counts("n", (n,))
         if not components:
             raise ValueError("fixed-point set must be nonempty")
         for comp in components:
@@ -151,7 +140,7 @@ class FixedPointModel:
                     "a Hamiltonian action with isolated fixed points must attain d_f = 0 and d_f = n"
                 )
 
-    __eq__ = _slots_equal
+    __eq__ = slots_equal
 
     def all_isolated(self) -> bool:
         return all(c.is_isolated() for c in self.components)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .ypoly import YPolynomial
+from .ypoly import YPolynomial, slots_equal
 
 Coefficient = Union[YPolynomial, int, Fraction]
 
@@ -88,8 +88,5 @@ class TruncatedSeries:
             b[m] = -acc
         return TruncatedSeries(b, self.order)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self.order == other.order and self._coeffs == other._coeffs
+    __eq__ = slots_equal
 

@@ -8,8 +8,11 @@ read out as ``fractions.Fraction`` values; nothing ever rounds.
 
 The module is the one home of that cleared-row arithmetic, which the Chern
 tables, the K-expansion and the inertia use too: :func:`clear`,
-:func:`convolve` and :func:`add_into`. :func:`require_exact` refuses, by
-type, every value that is not exact data.
+:func:`convolve` and :func:`add_into`. It is also the one home of the guards
+of the exact-data records (manifolds, Chern polynomials, fixed-point data,
+Betti profiles): :func:`require_exact` refuses, by type, every value that is
+not exact data, :func:`require_counts` every value that is not a
+non-negative ``int``, and :func:`slots_equal` is their one ``__eq__``.
 """
 
 from __future__ import annotations
@@ -34,12 +37,8 @@ class YPolynomial:
         """The polynomial sum_d coeffs[d] y^d, for ``int`` or ``Fraction`` coefficients."""
         coeffs = coeffs or {}
         require_exact("coefficients", coeffs.values())
-        terms = {}
-        for degree, value in coeffs.items():
-            if degree < 0:
-                raise ValueError(f"negative degree {degree}")
-            if value:
-                terms[int(degree)] = value
+        require_counts("degrees", coeffs)
+        terms = {degree: value for degree, value in coeffs.items() if value}
         self._store(*clear([terms.get(d, 0) for d in range(max(terms, default=-1) + 1)]))
 
     @classmethod
@@ -187,6 +186,22 @@ def require_exact(field: str, values: Iterable[object], kinds: tuple[type, ...] 
         if not isinstance(value, kinds):
             names = " or ".join([kind.__name__ for kind in kinds])
             raise ValueError(f"{field} must be {names}, got {type(value).__name__}")
+
+
+def require_counts(field: str, values: Iterable[object]) -> None:
+    """Refuse the first value that is not a non-negative ``int``: by type, then by sign."""
+    for value in values:
+        if not isinstance(value, int) or value < 0:
+            require_exact(field, [value], (int,))
+            raise ValueError(f"{field} must be non-negative")
+
+
+def slots_equal(self: object, other: object) -> bool:
+    """The ``__eq__`` of the exact-data records: same class and every slot equal."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    fields = self.__slots__
+    return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
 
 def clear(values: Sequence[Scalar]) -> tuple[int, list[int]]:

@@ -1,15 +1,26 @@
 """The report records and the validated data classes keep their fields, defaults and checks."""
 
+import ast
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from chigenus import ypoly
 from chigenus.betti import BettiInequality, BettiInequalityReport, BettiProfile, UnimodalityReport
 from chigenus.catalog import CohomologyModel, ManifoldData, projective_space
+from chigenus.chern import ChernPolynomial
 from chigenus.inequalities import CurvatureBoundReport, InequalityReport, SurfaceInequality
-from chigenus.kexpansion import ClosedFormCheck, ClosedFormReport, KTable, SpanCheck, SpanReport
-from chigenus.localization import IsolatedConsistencyReport, SignatureIdentityReport
+from chigenus.kexpansion import ClosedFormCheck, ClosedFormReport, KTable, SpanCheck, SpanReport, binomial_transform
+from chigenus.localization import (
+    FixedComponent,
+    FixedPointModel,
+    IsolatedConsistencyReport,
+    SignatureIdentityReport,
+)
+from chigenus.series import TruncatedSeries
+from chigenus.ypoly import YPolynomial
 
 FIELDS = {
     BettiInequality: ("k", "lhs", "rhs", "holds", "equality"),
@@ -88,3 +99,59 @@ def test_records_keep_their_fields_defaults_properties_and_checks():
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             ManifoldData(*args, **kwargs)
+
+
+EXACT_RECORDS = (ManifoldData, ChernPolynomial, FixedComponent, FixedPointModel, BettiProfile, TruncatedSeries)
+
+CURVE = {"d_f": 0, "betti": (1, 0, 1), "signature": 0}
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ManifoldData(1.0, {(1,): 2}), "dimension must be int, got float"),
+        (
+            lambda: FixedComponent(complex_dim=1.0, chi_minus_y=YPolynomial.one(), **CURVE),
+            "component dimension must be int, got float",
+        ),
+        (lambda: FixedComponent(d_f=0.0), "d_f must be int, got float"),
+        (lambda: BettiProfile(4.0, (1, 0, 2, 0, 1), 0), "dimension must be int, got float"),
+        (lambda: FixedPointModel(1.0, [FixedComponent(d_f=0), FixedComponent(d_f=1)]), "n must be int, got float"),
+        (lambda: binomial_transform([Fraction(1, 2), 0.5]), "chi-vector must be int or Fraction, got float"),
+        (lambda: FixedComponent(1, chi_minus_y={0: 1}, **CURVE), "modified genus must be YPolynomial, got dict"),
+        (lambda: FixedComponent(1, chi_minus_y=5, **CURVE), "modified genus must be YPolynomial, got int"),
+        (lambda: YPolynomial({1.5: 1}), "degrees must be int, got float"),
+    ],
+    ids=[
+        "manifold-dimension", "component-dimension", "d_f", "profile-dimension", "model-n",
+        "chi-vector", "modified-genus-dict", "modified-genus-int", "degree",
+    ],
+)
+def test_every_record_field_refuses_what_is_not_exact(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_the_exact_records_share_one_slot_wise_equality():
+    for record in EXACT_RECORDS:
+        assert record.__eq__ is ypoly.slots_equal, record.__name__
+    line = ChernPolynomial(1, {(1,): Fraction(1, 2)})
+    assert line == ChernPolynomial(1, {(1,): Fraction(1, 2)}) and line != ChernPolynomial(1, {(1,): 1})
+    assert TruncatedSeries([1, 2], 3) == TruncatedSeries([1, 2, 0]) != TruncatedSeries([1, 2])
+    # every slot counts: the same d_f with and without its weights are different records
+    assert FixedComponent(d_f=1) == FixedComponent(d_f=1) != FixedComponent(weights=(-1,))
+    assert line != (1, {(1,): Fraction(1, 2)}) and FixedComponent(d_f=0) != 0
+
+
+def test_no_other_module_writes_its_own_equality():
+    # YPolynomial keeps its own __eq__: it compares equal to the numbers it coerces
+    src = Path(ypoly.__file__).parent
+    defined = sorted(
+        (path.stem, cls.name)
+        for path in src.glob("*.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "__eq__"
+    )
+    assert defined == [("ypoly", "YPolynomial")]

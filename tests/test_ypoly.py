@@ -90,7 +90,7 @@ def test_shift_degree():
 
 
 def test_negative_degree_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^degrees must be non-negative$"):
         YPolynomial({-1: 1})
 
 
