@@ -122,7 +122,7 @@ class BettiProfile:
         if len(betti) != dim + 1:
             raise ValueError(f"need Betti numbers b_0..b_{dim}")
         require_counts("Betti numbers", betti)
-        if sigma is not None and not isinstance(sigma, int):
+        if sigma is not None and sigma.__class__ is not int:
             require_exact("signature", [sigma], (int,))
         if any(betti[i] != betti[dim - i] for i in range(dim + 1)):
             raise ValueError("Betti numbers must satisfy Poincare duality")
@@ -205,7 +205,6 @@ class BettiInequality(NamedTuple):
 
 
 class BettiInequalityReport(NamedTuple):
-    dim: int
     b_plus: int
     b_minus: int
     alternating: bool
@@ -245,9 +244,7 @@ def betti_inequality_check(profile: BettiProfile) -> BettiInequalityReport:
     rhs2 = sum(even[2 * i] for i in range(k_lower))
     lower = BettiInequality(k_lower, lhs2, rhs2, lhs2 >= rhs2, lhs2 == rhs2)
 
-    return BettiInequalityReport(
-        profile.dim, b_plus, b_minus, signature_alternating(profile), upper, lower
-    )
+    return BettiInequalityReport(b_plus, b_minus, signature_alternating(profile), upper, lower)
 
 
 UNIMODALITY_LABEL = "conjecture diagnostic"
@@ -256,12 +253,11 @@ UNIMODALITY_LABEL = "conjecture diagnostic"
 class UnimodalityReport(NamedTuple):
     """Diagnostic only: the chain b_2 <= b_4 <= ... up to the middle.
 
-    This inequality chain is an open question, not a theorem; the report is
-    labeled accordingly and must never be asserted. ``first_violation`` is
-    the real degree d of the first failing comparison b_d <= b_{d+2}.
+    This inequality chain is an open question, not a theorem; writers label it
+    :data:`UNIMODALITY_LABEL` and it must never be asserted. ``first_violation``
+    is the real degree d of the first failing comparison b_d <= b_{d+2}.
     """
 
-    label: str
     holds: bool
     first_violation: int | None
 
@@ -272,5 +268,5 @@ def tolman_unimodality_report(profile: BettiProfile) -> UnimodalityReport:
     chain = [even[j] for j in range(1, n // 2 + 1)]
     for idx in range(len(chain) - 1):
         if chain[idx] > chain[idx + 1]:
-            return UnimodalityReport(UNIMODALITY_LABEL, False, 2 * (idx + 1))
-    return UnimodalityReport(UNIMODALITY_LABEL, True, None)
+            return UnimodalityReport(False, 2 * (idx + 1))
+    return UnimodalityReport(True, None)

@@ -136,13 +136,13 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     from . import engine
 
     if args.at is not None:
-        _emit(serialize.format_rational(engine.specialize(manifold, args.at)))
+        _emit(str(engine.specialize(manifold, args.at)))
         return EXIT_OK
     if manifold is None:
         _emit(serialize.chern_to_json(engine.chi_y_chern_polynomial(n)))
         return EXIT_OK
     chi = engine.chi_vector(manifold)
-    _emit({"chi": [[str(p), serialize.format_rational(v)] for p, v in enumerate(chi)]})
+    _emit({"chi": [[str(p), str(v)] for p, v in enumerate(chi)]})
     return EXIT_OK
 
 
@@ -161,25 +161,26 @@ def _cmd_kcoeffs(args: argparse.Namespace) -> int:
         _emit(payload)
         return EXIT_OK
     closed = kexpansion.verify_closed_forms(args.n)
+    ok = all(c.matches for c in closed)
     payload["closedForms"] = {
-        "checks": [{"j": c.j, "match": c.matches} for c in closed.checks],
-        "allMatch": closed.all_match,
+        "checks": [{"j": c.j, "match": c.matches} for c in closed],
+        "allMatch": ok,
     }
-    ok = closed.all_match
     if args.n >= 3:
         span = kexpansion.odd_k_span_check(args.n)
+        in_span = all(c.in_span for c in span)
         payload["oddSpan"] = {
             "checks": [
                 {
                     "j": c.odd_index,
                     "inSpan": c.in_span,
-                    "combination": [serialize.format_rational(v) for v in c.combination],
+                    "combination": [str(v) for v in c.combination],
                 }
-                for c in span.checks
+                for c in span
             ],
-            "allInSpan": span.all_in_span,
+            "allInSpan": in_span,
         }
-        ok = ok and span.all_in_span
+        ok = ok and in_span
     _emit(payload)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -193,8 +194,8 @@ def _cmd_ineq(args: argparse.Namespace) -> int:
         [
             {
                 "i": r.index,
-                "lhs": serialize.format_rational(r.lhs),
-                "rhs": serialize.format_rational(r.rhs),
+                "lhs": str(r.lhs),
+                "rhs": str(r.rhs),
                 "scale": r.scale,
                 "holds": r.holds,
                 "equality": r.equality,

@@ -1,15 +1,16 @@
 """Chern number inequalities attached to positivity of the modified genus.
 
-A manifold whose modified genus has positive (resp. signed-positive)
-coefficients satisfies floor(n/2) + 1 inequalities: for each i, the Chern
-number combination eps^n K_{2i} is at least its value on P^n, with equality
-exactly when chi^p = eps^n (-1)^p for all p >= 2i. Since K_{2i} is a
-Taylor coefficient at y = -1, both sides are read off chi-vectors: the
-left-hand side is the binomial transform of the manifold's chi-vector, and
-chi_y(P^n) = sum_p (-y)^p gives the right-hand side K_{2i}(P^n) =
-C(n+1, 2i+1) in closed form. Reports use the cleared integer form: both
-sides are multiplied by the denominator D of K_{2i}'s cleared form (reported
-as ``scale``), so the i = 0 line reads eps^n c_n >= n + 1 and the i = 1 line
+A manifold whose modified genus is positive (eps = 1) or signed-positive
+(eps = -1), that is eps^n (-1)^p chi^p > 0 for every p, satisfies
+floor(n/2) + 1 inequalities: for each i, the Chern number combination
+eps^n K_{2i} is at least its value on P^n, with equality exactly when
+chi^p = eps^n (-1)^p for all p >= 2i. Since K_{2i} is a Taylor coefficient
+at y = -1, both sides are read off chi-vectors: the left-hand side is the
+binomial transform of the manifold's chi-vector, and chi_y(P^n) =
+sum_p (-y)^p gives the right-hand side K_{2i}(P^n) = C(n+1, 2i+1) in
+closed form. Reports use the cleared integer form: both sides are
+multiplied by the denominator D of K_{2i}'s cleared form (reported as
+``scale``), so the i = 0 line reads eps^n c_n >= n + 1 and the i = 1 line
 has right-hand side 2(n-1)n(n+1).
 """
 
@@ -17,24 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .engine import ManifoldData, chi_vector
 from .kexpansion import binomial_transform, k_coefficients
 from .partitions import Partition
-
-
-class PositivityResult(NamedTuple):
-    chi_positive: bool
-    signed_chi_positive: bool
-
-
-def positivity_predicate(chi: Sequence[Fraction | int]) -> PositivityResult:
-    """Positivity of the modified genus coefficients (plain and signed)."""
-    n = len(chi) - 1
-    plain = all((-1) ** p * chi[p] > 0 for p in range(n + 1))
-    signed = all((-1) ** (n + p) * chi[p] > 0 for p in range(n + 1))
-    return PositivityResult(plain, signed)
 
 
 class InequalityReport(NamedTuple):
@@ -72,8 +60,7 @@ def check_inequalities(manifold: ManifoldData, epsilon: int = 1) -> list[Inequal
         raise ValueError("need a manifold of positive dimension")
     sign = epsilon**n
     chi = chi_vector(manifold)
-    positivity = positivity_predicate(chi)
-    hypothesis = positivity.chi_positive if epsilon == 1 else positivity.signed_chi_positive
+    hypothesis = all(sign * (-1) ** p * chi[p] > 0 for p in range(n + 1))
     k_values = binomial_transform(chi)
     k_polys = k_coefficients(n).k_polys
     reports = []

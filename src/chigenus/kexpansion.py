@@ -1,4 +1,4 @@
-"""Taylor coefficients of the genus at y = -1 and the Eulerian machinery.
+"""Taylor coefficients of the genus at y = -1.
 
 Writing chi_y(M) = sum_j K_j(M) * (y+1)^j defines Chern polynomials
 K_0..K_n; K_0 is the top Chern class and the even K_{2i} carry the
@@ -7,21 +7,21 @@ transform of the universal genus polynomial's integer columns over its
 denominator, so each K_j comes out in the same cleared form. It also checks
 the classical closed forms for K_0..K_4, writes each odd K_j as the
 combination of the even ones that Serre duality fixes and checks it on the
-table, implements the binomial transform between the chi^p and the K_j, and
-checks that the Eulerian polynomials (built in :mod:`chigenus.engine`)
-encode the reciprocal series.
+table, and implements the binomial transform between the chi^p and the K_j;
+both checks return one result per index. The Eulerian identity, which only
+``genus verify-paper`` checks, lives in :mod:`chigenus.verify`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import NamedTuple, Sequence
 
 from .chern import ChernPolynomial
-from .engine import chi_y_chern_polynomial, eulerian_polynomials
+from .engine import chi_y_chern_polynomial
 from .partitions import Partition
-from .ypoly import YPolynomial, clear, require_exact
+from .ypoly import clear, require_exact
 
 
 class KTable(NamedTuple):
@@ -140,22 +140,12 @@ class ClosedFormCheck(NamedTuple):
     matches: bool
 
 
-class ClosedFormReport(NamedTuple):
-    n: int
-    checks: tuple[ClosedFormCheck, ...]
-
-    @property
-    def all_match(self) -> bool:
-        return all(c.matches for c in self.checks)
-
-
-def verify_closed_forms(n: int) -> ClosedFormReport:
+def verify_closed_forms(n: int) -> tuple[ClosedFormCheck, ...]:
     """Compare computed K_j with the closed forms, for j <= min(n, 4)."""
     table = k_coefficients(n)
-    checks = []
-    for j in range(min(n, 4) + 1):
-        checks.append(ClosedFormCheck(j, table.k_polys[j] == closed_form_k(j, n)))
-    return ClosedFormReport(n, tuple(checks))
+    return tuple(
+        ClosedFormCheck(j, table.k_polys[j] == closed_form_k(j, n)) for j in range(min(n, 4) + 1)
+    )
 
 
 def binomial_transform(chi: Sequence[Fraction | int]) -> list[Fraction]:
@@ -178,16 +168,7 @@ class SpanCheck(NamedTuple):
     combination: tuple[Fraction, ...] = ()
 
 
-class SpanReport(NamedTuple):
-    n: int
-    checks: tuple[SpanCheck, ...]
-
-    @property
-    def all_in_span(self) -> bool:
-        return all(c.in_span for c in self.checks)
-
-
-def odd_k_span_check(n: int) -> SpanReport:
+def odd_k_span_check(n: int) -> tuple[SpanCheck, ...]:
     """Write each K_{2i+1} as a combination of K_0, K_2, ..., K_{2i} and check it.
 
     Serre duality, chi^p = (-1)^n chi^{n-p}, reads sum_j K_j t^j =
@@ -219,33 +200,5 @@ def odd_k_span_check(n: int) -> SpanReport:
                 combined[part] = combined.get(part, 0) + c * v
         in_span = {part: v for part, v in combined.items() if v} == values[j]
         checks.append(SpanCheck(j, True, tuple(combination)) if in_span else SpanCheck(j, False))
-    return SpanReport(n, tuple(checks))
+    return tuple(checks)
 
-
-def eulerian_identity_check(order: int) -> bool:
-    """Verify that the Eulerian polynomials generate the reciprocal series.
-
-    The claim is (e^{x(1-y)} - 1) / (1 - y e^{x(1-y)}) = sum P_i(y) x^i / i!.
-    The denominator's constant term 1 - y is not invertible over Q[y], so
-    the quotient is checked in cross-multiplied form, which determines it
-    uniquely in the integral domain Q[y][[x]]. Each series is the list of
-    its x^0..x^(order-1) coefficients, and the product is their Cauchy
-    product truncated at the same order.
-    """
-    if order < 1:
-        raise ValueError("order must be positive")
-    if order > 12:
-        raise ValueError("order capped at 12")
-    one_minus_y = YPolynomial({0: 1, 1: -1})
-    y = YPolynomial.variable()
-    # e^{x(1-y)} truncated: x^k coefficient (1-y)^k / k!
-    exp_coeffs = [one_minus_y**k * Fraction(1, factorial(k)) for k in range(order)]
-    lhs = [YPolynomial.zero()] + exp_coeffs[1:]  # e^{x(1-y)} - 1
-    denominator = [1 - y * exp_coeffs[0]] + [-(y * c) for c in exp_coeffs[1:]]  # 1 - y e^{x(1-y)}
-    polys = eulerian_polynomials(max(order - 1, 1))
-    gen = [YPolynomial.zero()] + [polys[i - 1] * Fraction(1, factorial(i)) for i in range(1, order)]
-    product = [
-        sum((denominator[i] * gen[m - i] for i in range(m + 1)), YPolynomial.zero())
-        for m in range(order)
-    ]
-    return product == lhs

@@ -27,9 +27,10 @@ def negative_weight_count(weights: Sequence[int]) -> int:
     """Number of strictly negative weights, in one pass that refuses a zero or non-``int`` weight."""
     count = 0
     for w in weights:
-        if not isinstance(w, int) or not w:
+        if w.__class__ is not int or not w:
             require_exact("rotation weights", [w], (int,))
-            raise ValueError("rotation weights must be nonzero")
+            if not w:
+                raise ValueError("rotation weights must be nonzero")
         if w < 0:
             count += 1
     return count

@@ -1,14 +1,15 @@
 """JSON wire formats.
 
-Rationals travel as strings ("p/q", or "p" when the denominator is 1) so
-no consumer can lose precision; partitions as arrays of integers; y-
-polynomials as degree -> coefficient objects. Readers accept the canonical
-form that the writers emit, in any key order and with optional fields left
-out, and re-emission is byte-identical. Every object is read through one
-core (:func:`_object`, :func:`_field`, :func:`_build`): a key the writers
-do not emit is refused with the object's path, a field of the wrong kind
-with the field's path and the kind it expected, and a constructor's
-ValueError becomes a :class:`SchemaError` on that path.
+Rationals travel as strings, as ``str`` prints an int or a Fraction ("p/q"
+in lowest terms, or "p" when the denominator is 1), so no consumer can lose
+precision; partitions as arrays of integers; y-polynomials as degree ->
+coefficient objects. Readers accept the canonical form that the writers
+emit, in any key order and with optional fields left out, and re-emission
+is byte-identical. Every object is read through one core (:func:`_object`,
+:func:`_field`, :func:`_build`): a key the writers do not emit is refused
+with the object's path, a field of the wrong kind with the field's path and
+the kind it expected, and a constructor's ValueError becomes a
+:class:`SchemaError` on that path.
 Two formats go one way only: Chern polynomials are written (``genus chi
 --n``) but never read back, and intersection forms (``genus betti --form``)
 are read but never written.
@@ -57,11 +58,6 @@ def is_json_int(value: Any) -> bool:
 
 def dumps(payload: Any) -> str:
     return json.dumps(payload, separators=(",", ":"))
-
-
-def format_rational(value: Fraction | int) -> str:
-    """``"p"``, or ``"p/q"`` in lowest terms: what ``str`` prints for an int or a Fraction."""
-    return str(value)
 
 
 _INT = r"0|-?[1-9][0-9]*"
@@ -152,7 +148,7 @@ def parse_key(key: str) -> CatalogKey:
 
 
 def ypoly_to_json(poly: YPolynomial) -> dict[str, str]:
-    return {str(d): format_rational(c) for d, c in poly.items()}
+    return {str(d): str(c) for d, c in poly.items()}
 
 
 def ypoly_from_json(obj: Any, field: str, max_degree: int) -> YPolynomial:
@@ -312,7 +308,7 @@ _FLAG_KEYS = {"pureType": "pure_type", "hamiltonianS1": "hamiltonian_s1"}
 
 def manifold_to_json(data: ManifoldData) -> dict[str, Any]:
     numbers = [
-        {"partition": list(part), "value": format_rational(value)}
+        {"partition": list(part), "value": str(value)}
         for part, value in data.chern_numbers.items()
     ]
     out: dict[str, Any] = {"dimension": data.dimension, "chernNumbers": numbers}

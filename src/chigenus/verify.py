@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 from typing import Callable
 
 from . import betti as betti_mod
@@ -23,11 +24,11 @@ from .ypoly import YPolynomial
 
 def _check_k_closed_forms() -> str | None:
     for n in range(4, 9):
-        report = kexpansion.verify_closed_forms(n)
-        checked = [c.j for c in report.checks]
+        checks = kexpansion.verify_closed_forms(n)
+        checked = [c.j for c in checks]
         if checked != [0, 1, 2, 3, 4]:
             return f"n={n} checked j={checked}"
-        for c in report.checks:
+        for c in checks:
             if not c.matches:
                 return f"n={n} j={c.j}"
     return None
@@ -138,9 +139,27 @@ def _brute_force_eulerian(i: int) -> YPolynomial:
 
 
 def _check_eulerian() -> str | None:
-    if not kexpansion.eulerian_identity_check(8):
-        return "order 8"
-    polys = kexpansion.eulerian_polynomials(6)
+    """(e^{x(1-y)} - 1) / (1 - y e^{x(1-y)}) = sum_i P_i(y) x^i / i!, to order 8 in x.
+
+    The denominator's constant term 1 - y is not invertible over Q[y], so
+    the quotient is checked cross-multiplied, which determines it uniquely
+    in the integral domain Q[y][[x]]: each series is the list of its
+    x^0..x^7 coefficients, and the product is their truncated Cauchy product.
+    """
+    order = 8
+    y = YPolynomial.variable()
+    # e^{x(1-y)}: x^k coefficient (1-y)^k / k!
+    exp_coeffs = [(1 - y) ** k * Fraction(1, factorial(k)) for k in range(order)]
+    lhs = [YPolynomial.zero()] + exp_coeffs[1:]  # e^{x(1-y)} - 1
+    denominator = [1 - y] + [-(y * c) for c in exp_coeffs[1:]]  # 1 - y e^{x(1-y)}
+    polys = engine.eulerian_polynomials(order - 1)
+    gen = [YPolynomial.zero()] + [p * Fraction(1, factorial(i)) for i, p in enumerate(polys, 1)]
+    product = [
+        sum((denominator[i] * gen[m - i] for i in range(m + 1)), YPolynomial.zero())
+        for m in range(order)
+    ]
+    if product != lhs:
+        return f"order {order}"
     for i in range(1, 7):
         if polys[i - 1] != _brute_force_eulerian(i):
             return f"i={i}"

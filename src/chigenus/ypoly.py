@@ -11,8 +11,9 @@ tables, the K-expansion and the inertia use too: :func:`clear`,
 :func:`convolve` and :func:`add_into`. It is also the one home of the guards
 of the exact-data records (manifolds, Chern polynomials, fixed-point data,
 Betti profiles): :func:`require_exact` refuses, by type, every value that is
-not exact data, :func:`require_counts` every value that is not a
-non-negative ``int``, and :func:`slots_equal` is their one ``__eq__``.
+not exact data (a ``bool`` is not, though Python counts it an ``int``),
+:func:`require_counts` every value that is not a non-negative ``int``, and
+:func:`slots_equal` is their one ``__eq__``.
 """
 
 from __future__ import annotations
@@ -181,9 +182,9 @@ class YPolynomial:
 
 
 def require_exact(field: str, values: Iterable[object], kinds: tuple[type, ...] = (int, Fraction)) -> None:
-    """Refuse the first value not of ``kinds``, naming its type: floats and strings are not exact."""
+    """Refuse the first value not of ``kinds``, naming its type: floats, strings and bools are not exact."""
     for value in values:
-        if not isinstance(value, kinds):
+        if not isinstance(value, kinds) or value.__class__ is bool:
             names = " or ".join([kind.__name__ for kind in kinds])
             raise ValueError(f"{field} must be {names}, got {type(value).__name__}")
 
@@ -191,9 +192,10 @@ def require_exact(field: str, values: Iterable[object], kinds: tuple[type, ...] 
 def require_counts(field: str, values: Iterable[object]) -> None:
     """Refuse the first value that is not a non-negative ``int``: by type, then by sign."""
     for value in values:
-        if not isinstance(value, int) or value < 0:
+        if value.__class__ is not int or value < 0:
             require_exact(field, [value], (int,))
-            raise ValueError(f"{field} must be non-negative")
+            if value < 0:
+                raise ValueError(f"{field} must be non-negative")
 
 
 def slots_equal(self: object, other: object) -> bool:

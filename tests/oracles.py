@@ -6,11 +6,14 @@ Schur-complement elimination over the rationals, polynomial sums built one
 component at a time (each shifted up by :func:`shift_degree`), the graded
 exponential on ``YPolynomial`` coefficients and the binomial transform term
 by term. A Gauss-Jordan rank over the rationals checks that test matrices
-have full rank, and :func:`point` is the zero-dimensional manifold.
+have full rank, :func:`point` is the zero-dimensional manifold,
+:func:`synthetic_manifold` a seeded manifold document, and
+:func:`positivity` the two positivity predicates of the modified genus.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -18,13 +21,31 @@ from chigenus.betti import BettiProfile, InertiaTriple
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import ManifoldData
 from chigenus.localization import FixedPointModel
-from chigenus.partitions import Partition, merge
+from chigenus.partitions import Partition, iter_partitions, merge
 from chigenus.ypoly import YPolynomial
 
 
 def point() -> ManifoldData:
     """The point: its one Chern number c_() = 1, Betti numbers (1,) and signature 1."""
     return ManifoldData(0, {(): 1}, pure_type=True, betti=BettiProfile(0, (1,), 1))
+
+
+def synthetic_manifold(n: int) -> dict:
+    """A manifold document with seeded Chern numbers, most of them not integers."""
+    rng = random.Random(n)
+    numbers = [
+        {"partition": list(part), "value": str(Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 12))))}
+        for part in iter_partitions(n)
+    ]
+    return {"dimension": n, "chernNumbers": numbers}
+
+
+def positivity(chi) -> tuple[bool, bool]:
+    """(chi-positive, signed chi-positive): all (-1)^p chi^p > 0, and all (-1)^(n+p) chi^p > 0."""
+    n = len(chi) - 1
+    plain = all((-1) ** p * chi[p] > 0 for p in range(n + 1))
+    signed = all((-1) ** (n + p) * chi[p] > 0 for p in range(n + 1))
+    return plain, signed
 
 
 def fraction_inertia(matrix) -> InertiaTriple:

@@ -86,7 +86,7 @@ BREAKAGES = {
     "signature-chain": (localization, "localized_signature", lambda model: 0),
     "k3-cross-check": (catalog, "hypersurface", lambda n, d: catalog.projective_space(n)),
     "eulerian-identity": (
-        kexpansion,
+        engine,
         "eulerian_polynomials",
         lambda up_to: [YPolynomial.one()] * up_to,
     ),

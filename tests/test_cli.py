@@ -6,10 +6,8 @@ import hashlib
 import io
 import json
 import os
-import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +16,8 @@ from chigenus import catalog, engine, kexpansion, serialize, verify
 from chigenus.chern import ChernPolynomial
 from chigenus.ypoly import YPolynomial
 from chigenus.cli import build_parser, main
-from chigenus.partitions import iter_partitions
+
+from oracles import synthetic_manifold
 
 
 def run(capsys, argv):
@@ -97,9 +96,9 @@ def test_kcoeffs_verify_reports_an_odd_k_outside_the_span(capsys, monkeypatch):
     k_polys = list(table.k_polys)
     k_polys[odd] = ChernPolynomial(n, terms)
     monkeypatch.setitem(kexpansion._K_CACHE, n, kexpansion.KTable(n, tuple(k_polys)))
-    report = kexpansion.odd_k_span_check(n)
-    assert [(c.odd_index, c.in_span) for c in report.checks] == [(1, True), (3, True), (5, False)]
-    assert report.checks[2].combination == ()
+    checks = kexpansion.odd_k_span_check(n)
+    assert [(c.odd_index, c.in_span) for c in checks] == [(1, True), (3, True), (5, False)]
+    assert checks[2].combination == ()
     code, out, _ = run(capsys, ["kcoeffs", "--n", str(n), "--verify"])
     doc = json.loads(out)
     assert code == 1
@@ -375,16 +374,6 @@ RATIONAL_MODEL = {
     ],
 }
 
-
-
-def synthetic_manifold(n: int) -> dict:
-    """A manifold document with seeded Chern numbers, most of them not integers."""
-    rng = random.Random(n)
-    numbers = [
-        {"partition": list(part), "value": str(Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 12))))}
-        for part in iter_partitions(n)
-    ]
-    return {"dimension": n, "chernNumbers": numbers}
 
 
 REPORT_CASES = [

@@ -168,12 +168,10 @@ UNEXPORTED = {
     "duality_holds": "engine",
     "evaluate_genus": "engine",
     "InequalityReport": "inequalities",
-    "positivity_predicate": "inequalities",
     "KTable": "kexpansion",
     "binomial_transform": "kexpansion",
     "closed_form_k": "kexpansion",
-    "eulerian_identity_check": "kexpansion",
-    "eulerian_polynomials": "kexpansion",
+    "eulerian_polynomials": "engine",
     "odd_k_span_check": "kexpansion",
     "verify_closed_forms": "kexpansion",
     "FixedComponent": "localization",

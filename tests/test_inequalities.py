@@ -1,4 +1,4 @@
-"""Inequality reports, positivity predicates, and the curvature bound."""
+"""Inequality reports, their positivity hypothesis, and the curvature bound."""
 
 import random
 from fractions import Fraction
@@ -6,17 +6,15 @@ from math import comb, lcm
 
 import pytest
 
-from chigenus import inequalities
-from chigenus.catalog import CohomologyModel, ManifoldData, hypersurface, projective_space
+from chigenus import inequalities, serialize
+from chigenus.catalog import CohomologyModel, ManifoldData, hypersurface, projective_space, standard_catalog
 from chigenus.chern import ChernPolynomial
-from chigenus.engine import chi_y_chern_polynomial
-from chigenus.inequalities import (
-    check_inequalities,
-    miyaoka_yau_check,
-    positivity_predicate,
-)
+from chigenus.engine import chi_vector, chi_y_chern_polynomial
+from chigenus.inequalities import check_inequalities, miyaoka_yau_check
 from chigenus.kexpansion import KTable, k_coefficients
 from chigenus.partitions import iter_partitions
+
+from oracles import positivity, synthetic_manifold
 
 
 def synthetic(n: int, seed: int) -> ManifoldData:
@@ -175,18 +173,22 @@ def test_failed_hypothesis_is_flagged_not_rejected():
     assert not reports[0].holds  # 0 < 2: the bound genuinely fails here
 
 
-def test_positivity_examples():
-    assert positivity_predicate([1, -1, 1, -1]) == (True, False)
-    assert positivity_predicate([2, -20, 2]) == (True, True)
-    assert positivity_predicate([1, 1]) == (False, False)
+def test_hypothesis_met_is_chi_positivity_for_plus_and_signed_for_minus():
+    manifolds = [data for _, data in standard_catalog() if data.dimension >= 1]
+    manifolds += [serialize.manifold_from_json(synthetic_manifold(n)) for n in range(1, 13)]
+    seen = set()
+    for m in manifolds:
+        plain, signed = positivity(chi_vector(m))
+        met = {eps: {r.hypothesis_met for r in check_inequalities(m, eps)} for eps in (1, -1)}
+        assert met == {1: {plain}, -1: {signed}}, (m.dimension, chi_vector(m))
+        seen.add((plain, signed))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_equality_criterion_implies_numeric_equality():
     # chi-vector (1, -5, 1): the i=1 criterion holds (chi^2 = 1) while the
     # i=0 one fails, and lhs == rhs exactly where the criterion says so
     synthetic = ManifoldData(2, {(2,): Fraction(7), (1, 1): Fraction(5)})
-    from chigenus.engine import chi_vector
-
     assert chi_vector(synthetic) == [Fraction(1), Fraction(-5), Fraction(1)]
     r0, r1 = check_inequalities(synthetic, 1)
     assert not r0.equality and r0.lhs > r0.rhs

@@ -9,12 +9,10 @@ import pytest
 from chigenus import kexpansion
 from chigenus.catalog import projective_space, standard_catalog
 from chigenus.chern import ChernPolynomial
-from chigenus.engine import chi_vector, chi_y_chern_polynomial
+from chigenus.engine import chi_vector, chi_y_chern_polynomial, eulerian_polynomials
 from chigenus.kexpansion import (
     binomial_transform,
     closed_form_k,
-    eulerian_identity_check,
-    eulerian_polynomials,
     k_coefficients,
     odd_k_span_check,
     verify_closed_forms,
@@ -53,8 +51,9 @@ def test_reassembly_identity():
 
 def test_closed_forms_small_and_large():
     for n in (2, 4, 6, 8):
-        report = verify_closed_forms(n)
-        assert report.all_match, (n, report)
+        checks = verify_closed_forms(n)
+        assert [c.j for c in checks] == list(range(min(n, 4) + 1)), (n, checks)
+        assert all(c.matches for c in checks), (n, checks)
 
 
 def test_closed_form_k3_on_threefolds():
@@ -101,10 +100,11 @@ def test_point_transform():
 
 def test_odd_span_membership():
     for n in range(3, 13):
-        report = odd_k_span_check(n)
-        assert report.all_in_span, (n, report)
+        checks = odd_k_span_check(n)
+        assert [c.odd_index for c in checks] == list(range(1, n + 1, 2)), (n, checks)
+        assert all(c.in_span for c in checks), (n, checks)
         table = k_coefficients(n)
-        for check in report.checks:
+        for check in checks:
             i = (check.odd_index - 1) // 2
             combo: dict = {}
             for j, coeff in enumerate(check.combination):
@@ -114,8 +114,7 @@ def test_odd_span_membership():
 
 
 def test_k1_span_ratio():
-    report = odd_k_span_check(4)
-    first = report.checks[0]
+    first = odd_k_span_check(4)[0]
     assert first.odd_index == 1
     assert first.combination == (Fraction(-2),)  # -n/2 at n = 4
 
@@ -151,14 +150,6 @@ def test_eulerian_shape():
         assert all(c > 0 for c in dense)
         assert dense == dense[::-1]  # palindromic
         assert sum(dense) == factorial(i)
-
-
-def test_eulerian_identity():
-    assert eulerian_identity_check(1)
-    assert eulerian_identity_check(4)
-    assert eulerian_identity_check(8)
-    with pytest.raises(ValueError):
-        eulerian_identity_check(13)
 
 
 def test_k_coefficients_requires_positive_n():
