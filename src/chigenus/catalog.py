@@ -6,7 +6,8 @@ d, so for c = sum_j a_j h^j the number c_lambda is d * prod_i a_{lambda_i}
 (:func:`one_generator_chern_numbers`). A product takes its numbers from its
 factors' numbers by the Whitney product formula (:func:`product`), so any
 two manifolds multiply, whether built here or loaded from JSON. No floating
-point, no division.
+point: the numbers are summed as ints, and each number of a product is one
+exact division of its integer sum by the factors' common denominators.
 
 :func:`make_manifold` and :func:`make_action` build from what
 :func:`chigenus.serialize.parse_key`, the one reader of catalog keys, returns.
@@ -34,7 +35,7 @@ from .engine import ManifoldData, chi_y_chern_polynomial
 from .localization import FixedComponent, FixedPointModel
 from .partitions import Partition, iter_partitions, merge
 from .serialize import ACTION_KEYS, CATALOG_KEYS, CatalogKey, parse_key
-from .ypoly import convolve
+from .ypoly import clear, convolve
 
 Monomial = tuple[int, ...]
 PolyDict = dict[Monomial, Fraction]
@@ -122,13 +123,64 @@ def projective_space(n: int) -> ManifoldData:
 
 
 def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
-    """The product manifold A x B, from the Chern numbers of its factors."""
+    """The product manifold A x B, from the Chern numbers of its factors.
+
+    Each factor's numbers are cleared once to ints over their lcm, read by
+    position in ``iter_partitions`` order (the order ``ManifoldData`` stores
+    them in), and summed over the Whitney splits of :func:`_splits`; each
+    number of the product is then one ``Fraction`` over the two lcms.
+    """
+    ea, va = clear(list(a.chern_numbers.values()))
+    eb, vb = clear(list(b.chern_numbers.values()))
+    den = ea * eb
+    numbers = {
+        part: Fraction(sum([count * va[i] * vb[j] for count, i, j in splits]), den)
+        for part, splits in _splits(a.dimension, b.dimension)
+    }
     n = a.dimension + b.dimension
-    numbers = {part: _whitney(a, b, part) for part in iter_partitions(n)}
     betti = None
     if a.betti is not None and b.betti is not None:
         betti = _profile(n, numbers, convolve(a.betti.betti, b.betti.betti))
     return ManifoldData(n, numbers, pure_type=_both(a.pure_type, b.pure_type), betti=betti)
+
+
+# (dim A, dim B) -> the Whitney splits of every partition of dim A + dim B
+_SPLITS: dict[tuple[int, int], list[tuple[Partition, list[tuple[int, int, int]]]]] = {}
+
+
+def _splits(dim_a: int, dim_b: int) -> list[tuple[Partition, list[tuple[int, int, int]]]]:
+    """For each partition of dim_a + dim_b, in ``iter_partitions`` order, its Whitney splits.
+
+    c_k(A x B) = sum_{s+t=k} c_s(A) c_t(B) and the integral over A x B
+    factors, so c_part[A x B] is the sum, over the ways to write each part
+    lambda_i = s_i + t_i with sum s_i = dim A, of c_{sort(s)}[A] c_{sort(t)}[B]
+    (zero parts dropped). Each split is a triple (count, i, j): its number of
+    ways and the positions of sort(s) and sort(t) among the partitions of
+    dim_a and dim_b. Splits are merged as the parts are read, keyed on the
+    partial pair (s, t). The table depends on the two dimensions alone, so
+    it is memoized per pair for the life of the process, like the chi_y
+    tables; the computation is pure, so a racing recomputation is harmless.
+    """
+    cached = _SPLITS.get((dim_a, dim_b))
+    if cached is not None:
+        return cached
+    index_a = {part: i for i, part in enumerate(iter_partitions(dim_a))}
+    index_b = {part: j for j, part in enumerate(iter_partitions(dim_b))}
+    table = []
+    for part in iter_partitions(dim_a + dim_b):
+        ways: dict[tuple[Partition, Partition], int] = {((), ()): 1}
+        for p in part:
+            step: dict[tuple[Partition, Partition], int] = {}
+            for (s, t), count in ways.items():
+                room_s = dim_a - sum(s)
+                room_t = dim_b - sum(t)
+                for i in range(max(0, p - room_t), min(p, room_s) + 1):
+                    key = (merge(s, (i,)) if i else s, merge(t, (p - i,)) if i < p else t)
+                    step[key] = step.get(key, 0) + count
+            ways = step
+        table.append((part, [(count, index_a[s], index_b[t]) for (s, t), count in ways.items()]))
+    _SPLITS[(dim_a, dim_b)] = table
+    return table
 
 
 def _profile(n: int, numbers: Mapping[Partition, Fraction | int], betti: Sequence[int]) -> BettiProfile:
@@ -148,28 +200,6 @@ def _one_generator(n: int, total: list[int], degree: int, **fields: Any) -> Mani
     betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
     betti[n] = euler - n if n % 2 == 0 else (n + 1) - euler
     return ManifoldData(n, numbers, betti=_profile(n, numbers, betti), **fields)
-
-
-def _whitney(a: ManifoldData, b: ManifoldData, part: Partition) -> Fraction:
-    """c_part[A x B] by the Whitney product formula.
-
-    c_k(A x B) = sum_{s+t=k} c_s(A) c_t(B) and the integral over A x B
-    factors, so c_part is the sum, over the ways to write each part
-    lambda_i = s_i + t_i with sum s_i = dim A, of c_{sort(s)}[A] c_{sort(t)}[B]
-    (zero parts dropped). Splits are merged as the parts are read, keyed on
-    the partial pair (s, t) with its number of ways.
-    """
-    ways: dict[tuple[Partition, Partition], int] = {((), ()): 1}
-    for p in part:
-        step: dict[tuple[Partition, Partition], int] = {}
-        for (s, t), count in ways.items():
-            room_s = a.dimension - sum(s)
-            room_t = b.dimension - sum(t)
-            for i in range(max(0, p - room_t), min(p, room_s) + 1):
-                key = (merge(s, (i,)) if i else s, merge(t, (p - i,)) if i < p else t)
-                step[key] = step.get(key, 0) + count
-        ways = step
-    return sum([count * a.chern_numbers[s] * b.chern_numbers[t] for (s, t), count in ways.items()])
 
 
 def _both(x: bool | None, y: bool | None) -> bool | None:

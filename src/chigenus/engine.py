@@ -39,14 +39,21 @@ if TYPE_CHECKING:
     from .series import TruncatedSeries
 
 
+# dimension -> its partitions in ``iter_partitions`` order, kept once a ManifoldData
+# of that dimension has been built, so later ones walk a tuple, not the generator
+_PARTITIONS: dict[int, tuple[Partition, ...]] = {}
+
+
 class ManifoldData:
     """Exact Chern numbers of a closed almost-complex manifold, plus extras.
 
     ``chern_numbers`` has one entry per partition of the complex dimension,
     stored in the reverse-lexicographic order of ``iter_partitions`` whatever
-    order they were given in; ``betti.dim`` is twice that dimension and
-    ``action.n`` equals it.
-    Flags are catalog-supplied annotations, never derived from geometry.
+    order they were given in, each a ``Fraction``: a given ``Fraction`` is
+    kept as it is and an ``int`` is converted once. ``betti.dim`` is twice
+    that dimension and ``action.n`` equals it.
+    Flags are catalog-supplied annotations, never derived from geometry; each
+    is ``True``, ``False`` or ``None``.
     Builders and readers pass every field to the constructor, so each is
     checked once. Instances compare by value but define no hash.
     """
@@ -56,7 +63,7 @@ class ManifoldData:
     def __init__(
         self,
         dimension: int,
-        chern_numbers: dict[Partition, Fraction],
+        chern_numbers: dict[Partition, Fraction | int],
         pure_type: bool | None = None,
         hamiltonian_s1: bool | None = None,
         betti: BettiProfile | None = None,
@@ -64,20 +71,28 @@ class ManifoldData:
     ) -> None:
         require_exact("dimension", (dimension,), (int,))
         require_exact("Chern numbers", chern_numbers.values())
+        for field, flag in (("pure_type", pure_type), ("hamiltonian_s1", hamiltonian_s1)):
+            if flag is not None and flag.__class__ is not bool:
+                raise ValueError(f"{field} must be bool or None, got {type(flag).__name__}")
         # the walk stops at the first missing partition, so it visits at most one
-        # partition more than were given: a dimension costs nothing to claim
+        # partition more than were given: a dimension costs nothing to claim, and
+        # only a dimension whose walk completed is kept in _PARTITIONS
+        known = _PARTITIONS.get(dimension)
         numbers = {}
-        for part in iter_partitions(dimension):
+        for part in known or iter_partitions(dimension):
             if part not in chern_numbers:
                 raise ValueError(
                     f"Chern numbers must cover all partitions of {dimension}; missing {list(part)}"
                 )
-            numbers[part] = Fraction(chern_numbers[part])
+            value = chern_numbers[part]
+            numbers[part] = value if value.__class__ is Fraction else Fraction(value)
         if len(numbers) != len(chern_numbers):
             raise ValueError(
                 f"Chern numbers must cover all partitions of {dimension}; "
                 f"got {len(chern_numbers)}, but p({dimension}) = {len(numbers)}"
             )
+        if known is None:
+            _PARTITIONS[dimension] = tuple(numbers)
         if betti is not None and betti.dim != 2 * dimension:
             raise ValueError(f"betti.dim {betti.dim} is not twice the dimension {dimension}")
         if action is not None and action.n != dimension:

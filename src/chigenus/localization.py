@@ -107,7 +107,12 @@ class FixedComponent:
 
 
 class FixedPointModel:
-    """Nonempty list of fixed components of a circle action."""
+    """Nonempty list of fixed components of a circle action.
+
+    A Hamiltonian model has at most one component with d_F = 0 and at most
+    one with d_F = n - dim_C F, the moment map's minimum and maximum; when
+    every component is a point, both must occur.
+    """
 
     __slots__ = ("n", "components", "hamiltonian")
 
@@ -134,11 +139,21 @@ class FixedPointModel:
         self.n = n
         self.components = tuple(components)
         self.hamiltonian = bool(hamiltonian)
-        if self.hamiltonian and all(c.is_isolated() for c in self.components):
-            values = {c.d_f for c in self.components}
-            if 0 not in values or n not in values:
+        if self.hamiltonian:
+            # a component has d_F negative weights and n - dim F - d_F positive ones; the
+            # moment map's minimum and maximum are connected (Atiyah 1982), so at most one
+            # component lacks either kind
+            negative = [c.d_f for c in self.components]
+            positive = [n - c.complex_dim - c.d_f for c in self.components]
+            if self.all_isolated() and (0 not in negative or 0 not in positive):
                 raise ValueError(
                     "a Hamiltonian action with isolated fixed points must attain d_f = 0 and d_f = n"
+                )
+            minima, maxima = negative.count(0), positive.count(0)
+            if minima > 1 or maxima > 1:
+                raise ValueError(
+                    "a Hamiltonian action has one minimum and one maximum; "
+                    f"got {minima} components with d_f = 0 and {maxima} with d_f = n - dim F"
                 )
 
     __eq__ = slots_equal

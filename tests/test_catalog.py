@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chigenus import serialize
+from chigenus import catalog, serialize
 from chigenus.catalog import (
     CATALOG_KEYS,
     CohomologyModel,
@@ -27,7 +27,7 @@ from chigenus.engine import chi_vector, duality_holds, genus_polynomial, special
 from chigenus.partitions import iter_partitions
 from chigenus.ypoly import YPolynomial
 
-from oracles import point
+from oracles import point, synthetic_manifold
 
 
 def test_projective_plane_numbers():
@@ -236,15 +236,7 @@ def _ring_model(key):
     """The truncated-ring model of a pn:, hyp: or product: key, tensoring the factors' rings."""
     kind, _, rest = key.partition(":")
     if kind == "product":
-        orders, top, chern = (), Fraction(1), {(): Fraction(1)}
-        for factor in rest.split(","):
-            model = _ring_model(factor)
-            orders += model.orders
-            top *= model.top_integral
-            factor_chern = model.total_chern.items()
-            chern = {ma + mb: ca * cb for ma, ca in chern.items() for mb, cb in factor_chern}
-        names = tuple([f"h{i + 1}" for i in range(len(orders))])
-        return CohomologyModel(names, orders, top, chern)
+        return _tensor([_ring_model(factor) for factor in rest.split(",")])
     if kind == "pn":
         n, d = int(rest), 1
         total = [comb(n + 1, j) for j in range(n + 1)]
@@ -253,6 +245,43 @@ def _ring_model(key):
         total = _hypersurface_chern_class(n, d)
     chern = {(j,): Fraction(a) for j, a in enumerate(total) if a}
     return CohomologyModel(("h",), (n,), Fraction(d), chern)
+
+
+def _tensor(models):
+    """The ring model of a product: generators side by side, top integrals and total classes multiplied."""
+    orders, top, chern = (), Fraction(1), {(): Fraction(1)}
+    for model in models:
+        orders += model.orders
+        top *= model.top_integral
+        factor_chern = model.total_chern.items()
+        chern = {ma + mb: ca * cb for ma, ca in chern.items() for mb, cb in factor_chern}
+    names = tuple([f"h{i + 1}" for i in range(len(orders))])
+    return CohomologyModel(names, orders, top, chern)
+
+
+def _manifold(model):
+    n = sum(model.orders)
+    return ManifoldData(n, model.chern_numbers(n))
+
+
+def _solve(matrix, rhs):
+    """x with matrix x = rhs for an invertible square matrix, by Gauss-Jordan elimination over Q."""
+    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(len(rows)):
+        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r, row in enumerate(rows):
+            if r != col and row[col]:
+                rows[r] = [v - row[col] * w for v, w in zip(row, rows[col])]
+    return [row[-1] for row in rows]
+
+
+# half of P^2, and a threefold whose total Chern class and top integral are fractions
+_HALF_P2 = CohomologyModel(("h",), (2,), Fraction(1, 2), _ring_model("pn:2").total_chern)
+_FRACTIONAL = CohomologyModel(
+    ("h",), (3,), Fraction(2, 7), {(0,): 1, (1,): Fraction(1, 3), (2,): Fraction(-5, 2), (3,): 4}
+)
 
 
 # one projective space and one hypersurface with nonzero c_1 per factor dimension
@@ -281,3 +310,41 @@ def test_catalog_uses_no_ring_model(monkeypatch):
     monkeypatch.setattr(CohomologyModel, "multiply", refuse)
     for key in CATALOG_KEYS:
         assert make_manifold(key).dimension == serialize.parse_key(key).dimension
+
+
+def test_product_matches_the_ring_model_for_every_factor_pair():
+    models = [_ring_model(key) for key in _FACTORS] + [_HALF_P2, _FRACTIONAL]
+    pairs = [(a, b) for a in models for b in models if sum(a.orders) + sum(b.orders) <= 10]
+    assert len(pairs) == 184
+    for a, b in pairs:
+        expected = _tensor([a, b]).chern_numbers(sum(a.orders) + sum(b.orders))
+        assert product(_manifold(a), _manifold(b)).chern_numbers == expected, (a.orders, b.orders)
+
+
+def test_product_with_seeded_chern_numbers_matches_the_ring_model():
+    # the products of projective spaces P^mu, mu a partition of n, have linearly independent
+    # Chern numbers (Milnor), and Chern numbers of a product are bilinear in the factors',
+    # so half of P^2 times any numbers is the same combination of ring-model products
+    for n in range(1, 7):
+        target = serialize.manifold_from_json(synthetic_manifold(n))
+        basis = [_tensor([_ring_model(f"pn:{m}") for m in mu]) for mu in iter_partitions(n)]
+        columns = [model.chern_numbers(n) for model in basis]
+        matrix = [[column[lam] for column in columns] for lam in iter_partitions(n)]
+        weights = _solve(matrix, list(target.chern_numbers.values()))
+        expected = dict.fromkeys(iter_partitions(n + 2), Fraction(0))
+        for weight, model in zip(weights, basis):
+            for lam, value in _tensor([_HALF_P2, model]).chern_numbers(n + 2).items():
+                expected[lam] += weight * value
+        assert any(value.denominator > 1 for value in expected.values())
+        assert product(_manifold(_HALF_P2), target).chern_numbers == expected, n
+
+
+def test_factors_of_the_same_dimensions_share_one_split_table(monkeypatch):
+    monkeypatch.setattr(catalog, "_SPLITS", {})
+    product(projective_space(2), projective_space(3))
+    table = catalog._SPLITS[(2, 3)]
+    product(hypersurface(2, 4), hypersurface(3, 5))
+    assert list(catalog._SPLITS) == [(2, 3)] and catalog._SPLITS[(2, 3)] is table
+    assert [part for part, _ in table] == list(iter_partitions(5))
+    product(projective_space(3), projective_space(2))
+    assert list(catalog._SPLITS) == [(2, 3), (3, 2)]

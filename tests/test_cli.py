@@ -147,6 +147,21 @@ def test_localize_rejects_zero_weight(capsys, tmp_path):
     assert "weights" in err
 
 
+def test_a_hamiltonian_model_with_two_minima_is_an_input_error(capsys, tmp_path, p2_file):
+    points = [{"complexDim": 0, "dF": d_f} for d_f in (0, 0, 1, 1)]
+    model = {"n": 1, "hamiltonian": True, "components": points}
+    refusal = "a Hamiltonian action has one minimum and one maximum; got 2 components with d_f = 0"
+    code, out, err = run(capsys, ["localize", "--model", write(tmp_path, "model.json", model)])
+    assert code == 2 and out == "" and err.startswith(f"genus: model: {refusal}") and len(err.encode()) < 1024
+    # P^2's action with its minimum listed twice
+    doc = json.loads(Path(p2_file).read_text())
+    doc["action"]["components"].append(doc["action"]["components"][0])
+    code, out, err = run(capsys, ["chi", "--manifold", write(tmp_path, "p2.json", doc)])
+    assert code == 2 and out == "" and err.startswith(f"genus: manifold.action: {refusal}")
+    model["hamiltonian"] = False
+    assert run(capsys, ["localize", "--model", write(tmp_path, "model.json", model)])[0] == 0
+
+
 def test_betti_profile_and_form(capsys, tmp_path):
     profile = write(
         tmp_path, "k3.json", {"dim": 4, "betti": [1, 0, 22, 0, 1], "sigma": -16}

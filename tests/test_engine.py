@@ -168,6 +168,40 @@ def test_only_ints_and_fractions_are_exact_data(value):
         YPolynomial({0: 1, 1: 1}).evaluate(value)
 
 
+def test_a_failed_manifold_leaves_the_partition_lists_untouched(monkeypatch):
+    monkeypatch.setattr(engine, "_PARTITIONS", {})
+    # a missing partition, then an extra one
+    for dimension, numbers in ((3, {(3,): 1, (2, 1): 1}), (2, {(2,): 1, (1, 1): 1, (3,): 1})):
+        with pytest.raises(ValueError, match=f"^Chern numbers must cover all partitions of {dimension}; "):
+            engine.ManifoldData(dimension, numbers)
+        assert engine._PARTITIONS == {}
+    engine.ManifoldData(2, {(1, 1): 1, (2,): 1})
+    assert engine._PARTITIONS == {2: ((2,), (1, 1))}
+    # a kept list refuses the same numbers with the same messages
+    with pytest.raises(ValueError, match=r"^Chern numbers must cover all partitions of 2; missing \[1, 1\]$"):
+        engine.ManifoldData(2, {(2,): 1})
+    with pytest.raises(ValueError, match=r"^Chern numbers must cover all partitions of 2; got 3, but p\(2\) = 2$"):
+        engine.ManifoldData(2, {(2,): 1, (1, 1): 1, (3,): 1})
+    assert engine._PARTITIONS == {2: ((2,), (1, 1))}
+
+
+def test_a_given_fraction_is_kept_and_an_int_becomes_one():
+    half = Fraction(1, 2)
+    data = engine.ManifoldData(2, {(2,): half, (1, 1): 3})
+    assert data.chern_numbers[(2,)] is half
+    assert data.chern_numbers[(1, 1)] == 3 and type(data.chern_numbers[(1, 1)]) is Fraction
+    assert list(data.chern_numbers) == [(2,), (1, 1)]
+
+
+@pytest.mark.parametrize("flag", ["pure_type", "hamiltonian_s1"])
+def test_a_flag_is_a_bool_or_none(flag):
+    for value in (True, False, None):
+        assert getattr(engine.ManifoldData(1, {(1,): 2}, **{flag: value}), flag) is value
+    for value, kind in ((1, "int"), (0, "int"), ("yes", "str"), (Fraction(1), "Fraction")):
+        with pytest.raises(ValueError, match=f"^{flag} must be bool or None, got {kind}$"):
+            engine.ManifoldData(1, {(1,): 2}, **{flag: value})
+
+
 def test_duality():
     assert duality_holds(chi_vector(projective_space(4)))
     assert duality_holds(chi_vector(hypersurface(2, 4)))

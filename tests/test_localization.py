@@ -230,6 +230,41 @@ def test_model_validation():
         FixedPointModel(2, [isolated(d_f=0), isolated(d_f=1)], hamiltonian=True)
 
 
+def test_a_hamiltonian_model_has_one_minimum_and_one_maximum():
+    curve = {"complex_dim": 1, "betti": (1, 0, 1), "signature": 0, "chi_minus_y": YPolynomial.one()}
+    cases = [
+        # two isolated minima and two maxima: once accepted, with Novikov polynomial 2 + 2y^2
+        (1, [isolated(d_f=0), isolated(d_f=0), isolated(d_f=1), isolated(d_f=1)], 2, 2),
+        # two fixed curves at the bottom of a surface's moment map
+        (2, [FixedComponent(d_f=0, **curve), FixedComponent(d_f=0, **curve), isolated(d_f=2)], 2, 1),
+        # two fixed curves at the top: all of their normal weights negative
+        (2, [isolated(d_f=0), FixedComponent(d_f=1, **curve), FixedComponent(d_f=1, **curve)], 1, 2),
+    ]
+    for n, components, minima, maxima in cases:
+        message = (
+            "a Hamiltonian action has one minimum and one maximum; "
+            f"got {minima} components with d_f = 0 and {maxima} with d_f = n - dim F"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FixedPointModel(n, components, hamiltonian=True)
+        assert not FixedPointModel(n, components).hamiltonian
+    # a surface fixed by the action is its own minimum and maximum
+    surface = FixedComponent(2, d_f=0, betti=(1, 0, 1, 0, 1), signature=1, chi_minus_y=YPolynomial.one())
+    assert FixedPointModel(2, [surface], hamiltonian=True).hamiltonian
+    # the isolated case keeps its own message when an extreme is missing
+    with pytest.raises(ValueError, match="must attain d_f = 0 and d_f = n"):
+        FixedPointModel(1, [isolated(d_f=0), isolated(d_f=0)], hamiltonian=True)
+
+
+def test_standard_actions_keep_one_minimum_and_one_maximum():
+    # the forms-actions models: distinct exponents in any order, n up to 60
+    rng = random.Random(7)
+    for n in range(1, 61):
+        exponents = rng.sample(range(-100, 100), n + 1)
+        model = standard_pn_action(n, tuple(exponents))
+        assert model.hamiltonian and sorted([c.d_f for c in model.components]) == list(range(n + 1))
+
+
 def test_hamiltonian_extremality_accepts_standard_action():
     model = standard_pn_action(3)
     assert model.hamiltonian
