@@ -250,23 +250,13 @@ def betti_inequality_check(profile: BettiProfile) -> BettiInequalityReport:
 UNIMODALITY_LABEL = "conjecture diagnostic"
 
 
-class UnimodalityReport(NamedTuple):
-    """Diagnostic only: the chain b_2 <= b_4 <= ... up to the middle.
+def tolman_unimodality_report(profile: BettiProfile) -> bool:
+    """Diagnostic only: whether the chain b_2 <= b_4 <= ... up to the middle holds.
 
     This inequality chain is an open question, not a theorem; writers label it
-    :data:`UNIMODALITY_LABEL` and it must never be asserted. ``first_violation``
-    is the real degree d of the first failing comparison b_d <= b_{d+2}.
+    :data:`UNIMODALITY_LABEL` and it must never be asserted.
     """
-
-    holds: bool
-    first_violation: int | None
-
-
-def tolman_unimodality_report(profile: BettiProfile) -> UnimodalityReport:
     n = profile.dim // 2
     even = profile.even_betti()
     chain = [even[j] for j in range(1, n // 2 + 1)]
-    for idx in range(len(chain) - 1):
-        if chain[idx] > chain[idx + 1]:
-            return UnimodalityReport(False, 2 * (idx + 1))
-    return UnimodalityReport(True, None)
+    return all(chain[idx] <= chain[idx + 1] for idx in range(len(chain) - 1))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Any, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .betti import BettiProfile
 from .engine import ManifoldData, chi_y_chern_polynomial
@@ -117,9 +117,7 @@ def projective_space(n: int) -> ManifoldData:
     if n < 1:
         raise ValueError("need n >= 1")
     total = [comb(n + 1, j) for j in range(n + 1)]
-    return _one_generator(
-        n, total, 1, pure_type=True, hamiltonian_s1=True, action=standard_pn_action(n)
-    )
+    return _one_generator(n, total, 1, action=standard_pn_action(n))
 
 
 def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
@@ -141,7 +139,7 @@ def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
     betti = None
     if a.betti is not None and b.betti is not None:
         betti = _profile(n, numbers, convolve(a.betti.betti, b.betti.betti))
-    return ManifoldData(n, numbers, pure_type=_both(a.pure_type, b.pure_type), betti=betti)
+    return ManifoldData(n, numbers, betti=betti)
 
 
 # (dim A, dim B) -> the Whitney splits of every partition of dim A + dim B
@@ -188,10 +186,12 @@ def _profile(n: int, numbers: Mapping[Partition, Fraction | int], betti: Sequenc
     return BettiProfile(2 * n, betti, int(chi_y_chern_polynomial(n).evaluate(numbers).evaluate(1)))
 
 
-def _one_generator(n: int, total: list[int], degree: int, **fields: Any) -> ManifoldData:
+def _one_generator(
+    n: int, total: list[int], degree: int, action: FixedPointModel | None = None
+) -> ManifoldData:
     """An n-fold with cohomology Q[h]/(h^{n+1}), total Chern class sum_j total[j] h^j.
 
-    The integral of h^n is ``degree``, and ``fields`` go to the constructor.
+    The integral of h^n is ``degree``, and ``action`` goes to the constructor.
     Betti numbers agree with those of P^n away from the middle degree, where
     the Euler number ``degree * total[n]`` pins the remaining one.
     """
@@ -199,15 +199,7 @@ def _one_generator(n: int, total: list[int], degree: int, **fields: Any) -> Mani
     euler = degree * total[n]
     betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
     betti[n] = euler - n if n % 2 == 0 else (n + 1) - euler
-    return ManifoldData(n, numbers, betti=_profile(n, numbers, betti), **fields)
-
-
-def _both(x: bool | None, y: bool | None) -> bool | None:
-    if x is False or y is False:
-        return False
-    if x is True and y is True:
-        return True
-    return None
+    return ManifoldData(n, numbers, betti=_profile(n, numbers, betti), action=action)
 
 
 def hypersurface(n: int, d: int) -> ManifoldData:

@@ -266,7 +266,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
                 }
         payload["unimodality"] = {
             "label": betti_mod.UNIMODALITY_LABEL,
-            "holds": betti_mod.tolman_unimodality_report(profile).holds,
+            "holds": betti_mod.tolman_unimodality_report(profile),
         }
     _emit(payload)
     return EXIT_OK

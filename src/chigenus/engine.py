@@ -52,28 +52,21 @@ class ManifoldData:
     order they were given in, each a ``Fraction``: a given ``Fraction`` is
     kept as it is and an ``int`` is converted once. ``betti.dim`` is twice
     that dimension and ``action.n`` equals it.
-    Flags are catalog-supplied annotations, never derived from geometry; each
-    is ``True``, ``False`` or ``None``.
     Builders and readers pass every field to the constructor, so each is
     checked once. Instances compare by value but define no hash.
     """
 
-    __slots__ = ("dimension", "chern_numbers", "pure_type", "hamiltonian_s1", "betti", "action")
+    __slots__ = ("dimension", "chern_numbers", "betti", "action")
 
     def __init__(
         self,
         dimension: int,
         chern_numbers: dict[Partition, Fraction | int],
-        pure_type: bool | None = None,
-        hamiltonian_s1: bool | None = None,
         betti: BettiProfile | None = None,
         action: FixedPointModel | None = None,
     ) -> None:
         require_exact("dimension", (dimension,), (int,))
         require_exact("Chern numbers", chern_numbers.values())
-        for field, flag in (("pure_type", pure_type), ("hamiltonian_s1", hamiltonian_s1)):
-            if flag is not None and flag.__class__ is not bool:
-                raise ValueError(f"{field} must be bool or None, got {type(flag).__name__}")
         # the walk stops at the first missing partition, so it visits at most one
         # partition more than were given: a dimension costs nothing to claim, and
         # only a dimension whose walk completed is kept in _PARTITIONS
@@ -99,8 +92,6 @@ class ManifoldData:
             raise ValueError(f"action.n {action.n} is not the dimension {dimension}")
         self.dimension = dimension
         self.chern_numbers = numbers
-        self.pure_type = pure_type
-        self.hamiltonian_s1 = hamiltonian_s1
         self.betti = betti
         self.action = action
 

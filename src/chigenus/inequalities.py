@@ -31,7 +31,10 @@ class InequalityReport(NamedTuple):
     ``equality`` is the chi-vector criterion (chi^p = eps^n (-1)^p for
     p >= 2i), which coincides with lhs == rhs under the positivity
     hypothesis; ``hypothesis_met`` records that hypothesis so failing
-    manifolds are flagged rather than rejected.
+    manifolds are flagged rather than rejected. It also requires integral
+    Chern numbers and an integral chi-vector, which the theorem assumes
+    (each chi^p is an index): rational data that merely passes the sign
+    test, such as half of P^2, is not a counterexample.
     """
 
     index: int
@@ -60,7 +63,13 @@ def check_inequalities(manifold: ManifoldData, epsilon: int = 1) -> list[Inequal
         raise ValueError("need a manifold of positive dimension")
     sign = epsilon**n
     chi = chi_vector(manifold)
-    hypothesis = all(sign * (-1) ** p * chi[p] > 0 for p in range(n + 1))
+    # the integrality tests run only once the sign test has passed, so data that
+    # fails it, as most does, pays nothing for them
+    hypothesis = (
+        all(sign * (-1) ** p * chi[p] > 0 for p in range(n + 1))
+        and all(v.denominator == 1 for v in chi)
+        and all(v.denominator == 1 for v in manifold.chern_numbers.values())
+    )
     k_values = binomial_transform(chi)
     k_polys = k_coefficients(n).k_polys
     reports = []

@@ -109,9 +109,8 @@ class FixedComponent:
 class FixedPointModel:
     """Nonempty list of fixed components of a circle action.
 
-    A Hamiltonian model has at most one component with d_F = 0 and at most
-    one with d_F = n - dim_C F, the moment map's minimum and maximum; when
-    every component is a point, both must occur.
+    A Hamiltonian model has exactly one component with d_F = 0 and exactly
+    one with d_F = n - dim_C F, the moment map's minimum and maximum.
     """
 
     __slots__ = ("n", "components", "hamiltonian")
@@ -141,15 +140,13 @@ class FixedPointModel:
         self.hamiltonian = bool(hamiltonian)
         if self.hamiltonian:
             # a component has d_F negative weights and n - dim F - d_F positive ones; the
-            # moment map's minimum and maximum are connected (Atiyah 1982), so at most one
-            # component lacks either kind
-            negative = [c.d_f for c in self.components]
-            positive = [n - c.complex_dim - c.d_f for c in self.components]
-            if self.all_isolated() and (0 not in negative or 0 not in positive):
-                raise ValueError(
-                    "a Hamiltonian action with isolated fixed points must attain d_f = 0 and d_f = n"
-                )
-            minima, maxima = negative.count(0), positive.count(0)
+            # moment map attains its minimum and maximum on a closed manifold, and each is
+            # connected (Atiyah 1982), so exactly one component has no negative weight and
+            # exactly one has no positive weight
+            minima = [c.d_f for c in self.components].count(0)
+            maxima = [n - c.complex_dim - c.d_f for c in self.components].count(0)
+            if not minima or not maxima:
+                raise ValueError("a Hamiltonian action must attain d_f = 0 and d_f = n - dim F")
             if minima > 1 or maxima > 1:
                 raise ValueError(
                     "a Hamiltonian action has one minimum and one maximum; "

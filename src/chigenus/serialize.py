@@ -303,22 +303,12 @@ def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
     return _build(field, FixedPointModel, n, components, hamiltonian)
 
 
-_FLAG_KEYS = {"pureType": "pure_type", "hamiltonianS1": "hamiltonian_s1"}
-
-
 def manifold_to_json(data: ManifoldData) -> dict[str, Any]:
     numbers = [
         {"partition": list(part), "value": str(value)}
         for part, value in data.chern_numbers.items()
     ]
     out: dict[str, Any] = {"dimension": data.dimension, "chernNumbers": numbers}
-    flags = {
-        json_key: getattr(data, attr)
-        for json_key, attr in _FLAG_KEYS.items()
-        if getattr(data, attr) is not None
-    }
-    if flags:
-        out["flags"] = flags
     if data.betti is not None:
         out["betti"] = profile_to_json(data.betti)
     if data.action is not None:
@@ -327,7 +317,7 @@ def manifold_to_json(data: ManifoldData) -> dict[str, Any]:
 
 
 def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
-    obj = _object(obj, field, ("dimension", "chernNumbers", "flags", "betti", "action"))
+    obj = _object(obj, field, ("dimension", "chernNumbers", "betti", "action"))
     dimension = _field(obj, field, "dimension", "a non-negative integer")
     raw = obj.get("chernNumbers")
     if not isinstance(raw, list):
@@ -341,11 +331,6 @@ def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
         if part in numbers:
             raise SchemaError(f"{where}.partition", f"duplicate partition {list(part)}")
         numbers[part] = parse_rational(entry.get("value"), f"{where}.value")
-    where = f"{field}.flags"
-    flags = _object(obj.get("flags", {}), where, _FLAG_KEYS)
-    kwargs = {
-        attr: _field(flags, where, key, "a boolean") for key, attr in _FLAG_KEYS.items() if key in flags
-    }
     betti, action = obj.get("betti"), obj.get("action")
     n = action.get("n") if isinstance(action, dict) else None
     if is_json_int(n) and n != dimension:  # before any row of degree up to n is read
@@ -359,7 +344,6 @@ def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
         numbers,
         betti=profile_from_json(betti, f"{field}.betti") if betti is not None else None,
         action=model_from_json(action, f"{field}.action") if action is not None else None,
-        **kwargs,
     )
 
 

@@ -27,7 +27,7 @@ from chigenus.ypoly import YPolynomial
 
 def point() -> ManifoldData:
     """The point: its one Chern number c_() = 1, Betti numbers (1,) and signature 1."""
-    return ManifoldData(0, {(): 1}, pure_type=True, betti=BettiProfile(0, (1,), 1))
+    return ManifoldData(0, {(): 1}, betti=BettiProfile(0, (1,), 1))
 
 
 def synthetic_manifold(n: int) -> dict:

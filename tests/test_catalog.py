@@ -198,13 +198,13 @@ def test_catalog_assigns_no_field_of_a_built_manifold():
 
 
 # SHA-256 of the documents `catalog --make` prints for these keys, then point(), joined by
-# newlines; recorded while P^n was still built as the degree-1 hypersurface and patched after
+# newlines
 SWEEP_KEYS = (
     [f"pn:{n}" for n in range(1, 13)]
     + [f"hyp:{n}:{d}" for n in range(1, 13) for d in range(1, 9)]
     + [f"product:pn:{a},pn:{b}" for a in range(1, 7) for b in range(1, 7)]
 )
-SWEEP_DIGEST = "ff87cbf3f24f4dfd6aa30b8080fbf2039faffd70d0cd254ca3ad217dbf1f1416"
+SWEEP_DIGEST = "7228397bec3bf938e6c79f31712e28492435e4a6ab968dedfec0c4ac80018735"
 
 
 def test_catalog_documents_are_byte_identical_over_a_sweep():

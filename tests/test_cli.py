@@ -162,6 +162,22 @@ def test_a_hamiltonian_model_with_two_minima_is_an_input_error(capsys, tmp_path,
     assert run(capsys, ["localize", "--model", write(tmp_path, "model.json", model)])[0] == 0
 
 
+def test_a_hamiltonian_model_without_a_minimum_or_maximum_is_an_input_error(capsys, tmp_path):
+    curve = {"complexDim": 1, "betti": [1, 0, 1], "signature": 0, "chiMinusY": {"0": "1"}}
+    refusal = "genus: model: a Hamiltonian action must attain d_f = 0 and d_f = n - dim F"
+    for components in (
+        # one fixed curve with a negative weight: no minimum, Novikov polynomial y^2 + y^4
+        [{**curve, "dF": 1}],
+        # a fixed curve at the bottom and a point with one positive weight: no maximum
+        [{**curve, "dF": 0}, {"complexDim": 0, "dF": 1}],
+    ):
+        model = {"n": 2, "hamiltonian": True, "components": components}
+        code, out, err = run(capsys, ["localize", "--model", write(tmp_path, "model.json", model)])
+        assert code == 2 and out == "" and err.startswith(refusal) and len(err.encode()) < 1024, err
+        model["hamiltonian"] = False
+        assert run(capsys, ["localize", "--model", write(tmp_path, "model.json", model)])[0] == 0
+
+
 def test_betti_profile_and_form(capsys, tmp_path):
     profile = write(
         tmp_path, "k3.json", {"dim": 4, "betti": [1, 0, 22, 0, 1], "sigma": -16}
@@ -344,27 +360,27 @@ def test_symbolic_output_is_byte_identical(capsys, command, n):
 
 # SHA-256 of `catalog --make KEY` stdout for every built-in key and two further products
 CATALOG_DIGESTS = {
-    "pn:1": "d2b24d7fea7e9ba68a5188cb66b5569133712eac448d8b6ea126e2c754fffa22",
-    "pn:2": "697d8fe4eac5229fb527c7edd74a0ac123d88c229ec6f59341cc5d9099eb983e",
-    "pn:3": "ae279f8ad74acd9efb67d4a80d3fd4d79448f4f2b39660b7ed42c3ac0ed8ef0e",
-    "pn:4": "2ccfdc87825eb53edb2add875f8c399db8554c744bfa6098aa93d36d525f65c8",
-    "pn:5": "200645901182d4b1cc2f2615f881989d7e9dfdeb1acf560faf1dcea2fcee6332",
-    "pn:6": "2b8ddda21bf7ba41f35e25affa401d5c0233d6ba8a9f11514e9d55791e83d784",
-    "pn:7": "284d40d545ddcbdf4a5062fc4e9a72939a3aa0ba7c096e1fcbd3a373f5f032d5",
-    "pn:8": "384928e83a94f0e5e465ce8e928407b63f9b57f5389b1353ca7b84201fda1a0c",
+    "pn:1": "a990b113ac1158cd6ad9ad4c1d89359698e82d036c84903140a9c2f16460c5ae",
+    "pn:2": "16825cda95d1e6f28b7ff67f3dd17bd6fbb0b6fb344e5be394a1f81ccf2ef088",
+    "pn:3": "3091e6c46038d89de38d8948da9c018767106c319dddd8f4a332ccf0901821a4",
+    "pn:4": "289b36fb980acf67bc182ecd10375328f6e549672bcabe35a826f9d1cb289aa9",
+    "pn:5": "11f801746512c769155403d78179997fd82f278fcd0d598c2f831c97d3aba3e1",
+    "pn:6": "41d163dfe85b9c73f34e456916ac260c0312feaea69664c19142ebfe78989853",
+    "pn:7": "7af7e3fdcf96723901c858cf825698d354ad3332e4d715dbf2d31761b8c860d2",
+    "pn:8": "22234cc093b0c49b8dc1231804a543d9fee67b709a44ad2fe935a332b6f648a4",
     "hyp:1:3": "21203532a1430c2c397354776c1a492ade479c0aa26419f66cb7e56a21376b31",
     "hyp:2:1": "0cca032e8951fe1725af5f7f6f67e2ba80823e964dee6a433128f6e487961818",
     "hyp:2:2": "4b50037ee00e0ea9a95d55d6d0a51b9dc4cc973c29502798366e12b0650a965f",
     "hyp:2:4": "c7019d539ce08297de3731d963b0f16a8f31a8bb46f85f9462c9018eb1c3c9b4",
     "hyp:3:5": "5ebbf1c07f29751f42f1cba75ef2830194eb188f763db8e96d6897a533a31470",
     "hyp:4:6": "f738a0d3d09c453ecd6e2fba5f58bb6a1b684fbbd5e0795318fdc3e389f88c4f",
-    "product:pn:1,pn:1": "53ce9b9ae4ed4b571d925d0636e917a3ac4a4c1b5bd0aa2a64c4ca7bc435c215",
-    "product:pn:1,pn:2": "07df2f3801a842a09c40f377c0c5f709b20f68f70ca65285b4751d4eb4b58d9d",
-    "product:pn:1,pn:3": "4ee4182df6b4b919ec07660a569435f153f6bd68e3c6ace88b37d0988e9546c3",
-    "product:pn:2,pn:2": "d339d5b44006d021cea814d391c72d6a4a056d46a378b997b008d0ca83b3e5de",
-    "product:pn:1,pn:1,pn:1": "55d5765ce586f917bc0bc900ad7a8abd3bb218eba714c78db2778e806b70e3f7",
+    "product:pn:1,pn:1": "4b50037ee00e0ea9a95d55d6d0a51b9dc4cc973c29502798366e12b0650a965f",
+    "product:pn:1,pn:2": "74e8deb4321b5237ac40c4fe914170d251755c1f3c7fe3e120814705d79a195e",
+    "product:pn:1,pn:3": "aafc6e74463a5379f35fb17d090d58d7d1740ef372fb516472a160ca78fa1725",
+    "product:pn:2,pn:2": "efa0caa771cf130bdba5778b2cbf62571f7cb96e02433350a315513dad73746f",
+    "product:pn:1,pn:1,pn:1": "aa71871361b30e0c032b844b5ead5c5908ad8a905358b3837e2e62687e10a94d",
     "product:hyp:2:4,pn:2": "4f1aacd65042d07d1d68edfb3024d6c46e89e8f38cf41fce4a0a113749232c15",
-    "product:pn:3,pn:3,pn:2": "8f917264c0877a8ec4f94a5b1ccec33195ebda9ee87cac3f3fd029033e5768cb",
+    "product:pn:3,pn:3,pn:2": "6f93c265a42ffe1c6cc9f626fba4b701ed4d1c546f752378a056c924404a7fcb",
 }
 
 
@@ -497,11 +513,11 @@ REPORT_DIGESTS = {
     "chi product:pn:1,pn:1,pn:1 --at signature": "94664180e5190a6c6dc2ba6e2d7944081d2dd0e0151a9ff07f62c8865eeb9389",
     "ineq product:pn:1,pn:1,pn:1 --epsilon 1": "53437f8d1486f5fc7d7f14584b956d101101cdb8bb10db5ea2ffc0a02fa31ea2",
     "ineq product:pn:1,pn:1,pn:1 --epsilon -1": "76467a5ec007ae56e9466246e54e955e4cea13fb157680bf967a42d6269f4591",
-    "ineq synthetic:9 --epsilon 1": "2c1ace158b1f32b5cbbd55009da9a574bb778becb6d8d793a7e711f79f187358",
+    "ineq synthetic:9 --epsilon 1": "6cd00508f9446c0671672971facc58539bd132ba2974776de9fc74364a93371a",
     "ineq synthetic:9 --epsilon -1": "cfb22bb8bb23eb906df7794dd32e705ae55de479b3f3b9f1e0073e3eb5c10193",
     "ineq synthetic:10 --epsilon 1": "31876eab5e961987325bacd2f84ea52ad8e0cb1cfe406733d3ba9b7060466402",
     "ineq synthetic:10 --epsilon -1": "31876eab5e961987325bacd2f84ea52ad8e0cb1cfe406733d3ba9b7060466402",
-    "ineq synthetic:11 --epsilon 1": "b1946e2f40fabb50f1ad31cbc67feeb36ef320036c2757d9edc925bb6a80eaa9",
+    "ineq synthetic:11 --epsilon 1": "696c82edd5c9ce29a7468d26da12eefd614af23656b93678e16bb5d1be1624ef",
     "ineq synthetic:11 --epsilon -1": "00351359b27386cde2084d297967c9ef6804abdc13d8b07f36c8a5c3350d9d7f",
     "ineq synthetic:12 --epsilon 1": "60d4fe1c7cff324ed25d38e4b4d35e57154daccec5a221868a2ef5b3a4e053de",
     "ineq synthetic:12 --epsilon -1": "60d4fe1c7cff324ed25d38e4b4d35e57154daccec5a221868a2ef5b3a4e053de",
@@ -793,8 +809,8 @@ UNKNOWN_KEY_DOCS = {
     "flags": (
         "chi",
         "--manifold",
-        _with(P1, ["flags", "noSuchFlag"], True),
-        "manifold.flags: unknown key 'noSuchFlag'",
+        _with(P1, ["flags"], {"pureType": True}),
+        "manifold: unknown key 'flags'",
     ),
     "chern-number": (
         "ineq",

@@ -193,15 +193,6 @@ def test_a_given_fraction_is_kept_and_an_int_becomes_one():
     assert list(data.chern_numbers) == [(2,), (1, 1)]
 
 
-@pytest.mark.parametrize("flag", ["pure_type", "hamiltonian_s1"])
-def test_a_flag_is_a_bool_or_none(flag):
-    for value in (True, False, None):
-        assert getattr(engine.ManifoldData(1, {(1,): 2}, **{flag: value}), flag) is value
-    for value, kind in ((1, "int"), (0, "int"), ("yes", "str"), (Fraction(1), "Fraction")):
-        with pytest.raises(ValueError, match=f"^{flag} must be bool or None, got {kind}$"):
-            engine.ManifoldData(1, {(1,): 2}, **{flag: value})
-
-
 def test_duality():
     assert duality_holds(chi_vector(projective_space(4)))
     assert duality_holds(chi_vector(hypersurface(2, 4)))

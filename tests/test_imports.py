@@ -153,7 +153,6 @@ UNEXPORTED = {
     "BettiInequalityReport": "betti",
     "BettiProfile": "betti",
     "InertiaTriple": "betti",
-    "UnimodalityReport": "betti",
     "betti_inequality_check": "betti",
     "cs_classification": "betti",
     "signature_alternating": "betti",

@@ -174,15 +174,38 @@ def test_failed_hypothesis_is_flagged_not_rejected():
 
 
 def test_hypothesis_met_is_chi_positivity_for_plus_and_signed_for_minus():
-    manifolds = [data for _, data in standard_catalog() if data.dimension >= 1]
+    # the genus-3 curve, chi = (-2, 2): integral and signed chi-positive only
+    manifolds = [data for _, data in standard_catalog() if data.dimension >= 1] + [hypersurface(1, 4)]
     manifolds += [serialize.manifold_from_json(synthetic_manifold(n)) for n in range(1, 13)]
     seen = set()
     for m in manifolds:
-        plain, signed = positivity(chi_vector(m))
+        chi = chi_vector(m)
+        integral = all(v.denominator == 1 for v in [*chi, *m.chern_numbers.values()])
+        plain, signed = [sign and integral for sign in positivity(chi)]
         met = {eps: {r.hypothesis_met for r in check_inequalities(m, eps)} for eps in (1, -1)}
-        assert met == {1: {plain}, -1: {signed}}, (m.dimension, chi_vector(m))
+        assert met == {1: {plain}, -1: {signed}}, (m.dimension, chi)
         seen.add((plain, signed))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_rational_data_that_passes_the_sign_test_does_not_meet_the_hypothesis():
+    # half of P^2: chi = (1/2, -1/2, 1/2) is positive and signed positive, and both
+    # i = 0 and i = 1 fail, but no manifold has these Chern numbers
+    half = ManifoldData(2, {(2,): Fraction(3, 2), (1, 1): Fraction(9, 2)})
+    chi = chi_vector(half)
+    assert chi == [Fraction(1, 2), Fraction(-1, 2), Fraction(1, 2)]
+    assert positivity(chi) == (True, True)
+    for epsilon in (1, -1):
+        reports = check_inequalities(half, epsilon)
+        assert not any(r.hypothesis_met for r in reports)
+        assert not any(r.holds for r in reports)
+    # an integral chi-vector is not enough: c_1^3 does not enter chi_y of a 3-fold,
+    # so P^3 with c_1^3 moved by 1/2 keeps chi = (1, -1, 1, -1)
+    p3 = projective_space(3)
+    moved = ManifoldData(3, {**p3.chern_numbers, (1, 1, 1): p3.chern_numbers[(1, 1, 1)] + Fraction(1, 2)})
+    assert chi_vector(moved) == chi_vector(p3)
+    assert all(r.hypothesis_met for r in check_inequalities(p3, 1))
+    assert not any(r.hypothesis_met for r in check_inequalities(moved, 1))
 
 
 def test_equality_criterion_implies_numeric_equality():

@@ -251,9 +251,19 @@ def test_a_hamiltonian_model_has_one_minimum_and_one_maximum():
     # a surface fixed by the action is its own minimum and maximum
     surface = FixedComponent(2, d_f=0, betti=(1, 0, 1, 0, 1), signature=1, chi_minus_y=YPolynomial.one())
     assert FixedPointModel(2, [surface], hamiltonian=True).hamiltonian
-    # the isolated case keeps its own message when an extreme is missing
+    # a missing extreme is refused before a repeated one, whatever the components' dimensions
     with pytest.raises(ValueError, match="must attain d_f = 0 and d_f = n"):
         FixedPointModel(1, [isolated(d_f=0), isolated(d_f=0)], hamiltonian=True)
+    missing = "a Hamiltonian action must attain d_f = 0 and d_f = n - dim F"
+    for components in (
+        # no minimum: the one fixed curve has a negative weight, and b_0 would read 0
+        [FixedComponent(d_f=1, **curve)],
+        # no maximum: the bottom curve and the point both have a positive weight
+        [FixedComponent(d_f=0, **curve), isolated(d_f=1)],
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(missing)}$"):
+            FixedPointModel(2, components, hamiltonian=True)
+        assert not FixedPointModel(2, components).hamiltonian
 
 
 def test_standard_actions_keep_one_minimum_and_one_maximum():

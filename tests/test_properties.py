@@ -203,11 +203,10 @@ _json = st.recursive(
     max_leaves=24,
 )
 # the keys each object kind may carry, by the array or object key it sits under
-_MANIFOLD = ("dimension", "chernNumbers", "flags", "betti", "action")
+_MANIFOLD = ("dimension", "chernNumbers", "betti", "action")
 _MODEL = ("n", "hamiltonian", "components")
 _PROFILE = ("dim", "betti", "sigma")
 _ALLOWED = {
-    "flags": ("pureType", "hamiltonianS1"),
     "chernNumbers": ("partition", "value"),
     "betti": _PROFILE,
     "action": _MODEL,

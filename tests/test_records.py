@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from chigenus import ypoly
-from chigenus.betti import BettiInequality, BettiInequalityReport, BettiProfile, UnimodalityReport
+from chigenus.betti import BettiInequality, BettiInequalityReport, BettiProfile
 from chigenus.catalog import CohomologyModel, ManifoldData, projective_space
 from chigenus.chern import ChernPolynomial
 from chigenus.inequalities import CurvatureBoundReport, InequalityReport, SurfaceInequality
@@ -25,7 +25,6 @@ from chigenus.ypoly import YPolynomial
 FIELDS = {
     BettiInequality: ("k", "lhs", "rhs", "holds", "equality"),
     BettiInequalityReport: ("b_plus", "b_minus", "alternating", "upper", "lower"),
-    UnimodalityReport: ("holds", "first_violation"),
     InequalityReport: (
         "index", "lhs", "rhs", "scale", "holds", "equality", "equality_witness", "hypothesis_met"
     ),
@@ -76,10 +75,10 @@ def test_records_keep_their_fields_defaults_properties_and_checks():
     with pytest.raises(ValueError, match="^top integral must be nonzero$"):
         CohomologyModel(("h",), (1,), Fraction(0), {})
 
-    data = ManifoldData(1, {(1,): 2}, pure_type=True)
-    assert data.chern_numbers == {(1,): Fraction(2)} and data.hamiltonian_s1 is None
-    assert data == ManifoldData(1, {(1,): Fraction(2)}, True)
-    assert data != ManifoldData(1, {(1,): Fraction(2)})
+    data = ManifoldData(1, {(1,): 2})
+    assert data.chern_numbers == {(1,): Fraction(2)} and data.betti is None and data.action is None
+    assert data == ManifoldData(1, {(1,): Fraction(2)})
+    assert data != ManifoldData(1, {(1,): Fraction(3)})
     data.betti = projective_space(1).betti
     assert data.betti.dim == 2
     with pytest.raises(TypeError):
