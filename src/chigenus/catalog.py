@@ -229,7 +229,8 @@ def standard_pn_action(n: int, exponents: tuple[int, ...] | None = None) -> Fixe
         raise ValueError("exponents must be pairwise distinct")
     components = []
     for j, a_j in enumerate(exponents):
-        weights = tuple([a_i - a_j for i, a_i in enumerate(exponents) if i != j])
+        weights = [a - a_j for a in exponents]
+        del weights[j]
         components.append(FixedComponent(complex_dim=0, weights=weights))
     return FixedPointModel(n, tuple(components), hamiltonian=True)
 

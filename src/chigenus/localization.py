@@ -7,20 +7,25 @@ the count d_F of negative weights drives every formula here: the modified
 genus localizes as sum_F chi_{-y}(F) y^{d_F}, the Novikov numbers as
 sum_F P_y(F) y^{2 d_F}, and the signature as sum_F sigma(F) (-1)^{d_F}.
 
-Each localized polynomial is built in one pass by ``ypoly.shifted_sum``:
-the components' shifted polynomials are added into one integer row, which
-is reduced once. Summing them pairwise would build and reduce a new row per
-component, quadratic in n for the n + 1 fixed points of an action on P^n.
-Betti numbers are integers, so the Novikov polynomial is summed over the
-denominator 1. The records' count and type checks and their ``__eq__`` are
-the shared guards of ``ypoly``.
+Each localized polynomial is built in one pass: the components' shifted
+rows are added into one integer row, which is reduced once. Summing them
+pairwise would build and reduce a new row per component, quadratic in n for
+the n + 1 fixed points of an action on P^n. The modified genus goes through
+``ypoly.shifted_sum``, which scales each row to the lcm of the denominators.
+Betti numbers are integers, so the Novikov sum adds each component's Betti
+row itself with ``ypoly.add_into``, over the denominator 1, and builds no
+polynomial per component. The reports read those rows too: a Novikov
+coefficient is its row entry, and a coefficient of the modified genus has
+the sign of its row entry, the denominator being positive. The records'
+count and type checks and their ``__eq__`` are the shared guards of
+``ypoly``.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .ypoly import YPolynomial, require_counts, require_exact, shifted_sum, slots_equal
+from .ypoly import YPolynomial, add_into, require_counts, require_exact, shifted_sum, slots_equal
 
 
 def negative_weight_count(weights: Sequence[int]) -> int:
@@ -49,7 +54,10 @@ class FixedComponent:
     constant modified genus 1, which are its defaults, and any other value
     supplied for them is refused. Positive-dimensional components must be
     given their own invariants: the localization formulas consume them as
-    data.
+    data. Those that no component of complex dimension k can have are
+    refused: a nonzero signature when the real dimension 2k is not divisible
+    by 4, one that exceeds the middle Betti number b_k or differs from it in
+    parity, and a modified genus of degree above k.
     """
 
     __slots__ = ("complex_dim", "weights", "d_f", "betti", "signature", "chi_minus_y")
@@ -94,8 +102,22 @@ class FixedComponent:
             require_counts("Betti numbers", betti)
         if signature is not None:
             require_exact("signature", [signature], (int,))
+            if complex_dim % 2:
+                if signature:
+                    raise ValueError("signature must vanish in dimensions not divisible by 4")
+            elif betti is not None:
+                # the middle form is nondegenerate of rank b_k, and sigma = b^+ - b^-
+                middle = betti[complex_dim]
+                if abs(signature) > middle:
+                    raise ValueError(f"signature {signature} exceeds the middle Betti number {middle}")
+                if (signature - middle) % 2:
+                    raise ValueError("middle Betti number and signature have different parity")
         if chi_minus_y is not None:
             require_exact("modified genus", [chi_minus_y], (YPolynomial,))
+            if chi_minus_y.degree > complex_dim:
+                raise ValueError(
+                    f"modified genus of degree {chi_minus_y.degree} exceeds the component dimension {complex_dim}"
+                )
         self.betti = betti
         self.signature = signature
         self.chi_minus_y = chi_minus_y
@@ -173,7 +195,10 @@ def novikov_polynomial(model: FixedPointModel) -> YPolynomial:
     """
     if any(comp.betti is None for comp in model.components):
         raise ValueError("component has no Betti numbers")
-    return shifted_sum([(YPolynomial.from_row(1, c.betti), 2 * c.d_f) for c in model.components])
+    total: list[int] = []
+    for c in model.components:
+        add_into(total, c.betti, 1, 2 * c.d_f)
+    return YPolynomial.from_row(1, total)
 
 
 def localized_signature(model: FixedPointModel) -> int:
@@ -209,9 +234,9 @@ def consistency_isolated(model: FixedPointModel) -> IsolatedConsistencyReport:
         raise ValueError("all components must be isolated points")
     chi = localized_chi_minus_y(model)
     novikov = novikov_polynomial(model)
-    odd_vanish = all(d % 2 == 0 for d, _ in novikov.items())
+    odd_vanish = not any(novikov.row[1::2])
     matches = chi.stretch(2) == novikov
-    positive = all(chi.coefficient(i) > 0 for i in range(model.n + 1))
+    positive = len(chi.row) == model.n + 1 and all(c > 0 for c in chi.row)
     return IsolatedConsistencyReport(odd_vanish, matches, positive)
 
 
@@ -236,10 +261,9 @@ def signature_identity_check(model: FixedPointModel) -> SignatureIdentityReport:
     """Check sigma(M) = sum_i (-1)^i b_{2i}(xi) via both localizations."""
     applicable = all(_component_signature_alternating(c) for c in model.components)
     signature = localized_signature(model)
-    novikov = novikov_polynomial(model)
-    alternating = sum(
-        (-1) ** i * int(novikov.coefficient(2 * i)) for i in range(model.n + 1)
-    )
+    row = novikov_polynomial(model).row
+    # b_{2i}(xi) is row[2i], of degree at most 2n: the terms with i even minus those with i odd
+    alternating = sum(row[0::4]) - sum(row[2::4])
     return SignatureIdentityReport(applicable, signature, alternating)
 
 

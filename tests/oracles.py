@@ -5,9 +5,10 @@ These are the straightforward forms of the integer code in ``chigenus.betti``,
 Schur-complement elimination over the rationals, polynomial sums built one
 component at a time (each shifted up by :func:`shift_degree`), the graded
 exponential on ``YPolynomial`` coefficients and the binomial transform term
-by term. A Gauss-Jordan rank over the rationals checks that test matrices
-have full rank, :func:`point` is the zero-dimensional manifold,
-:func:`synthetic_manifold` a seeded manifold document, and
+by term; the two localization reports read their coefficients as
+``Fraction`` values. A Gauss-Jordan rank over the rationals checks that
+test matrices have full rank, :func:`point` is the zero-dimensional
+manifold, :func:`synthetic_manifold` a seeded manifold document, and
 :func:`positivity` the two positivity predicates of the modified genus.
 """
 
@@ -20,7 +21,12 @@ from math import comb
 from chigenus.betti import BettiProfile, InertiaTriple
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import ManifoldData
-from chigenus.localization import FixedPointModel
+from chigenus.localization import (
+    FixedPointModel,
+    IsolatedConsistencyReport,
+    SignatureIdentityReport,
+    localized_signature,
+)
 from chigenus.partitions import Partition, iter_partitions, merge
 from chigenus.ypoly import YPolynomial
 
@@ -155,6 +161,32 @@ def reference_novikov_polynomial(model: FixedPointModel) -> YPolynomial:
         poincare = YPolynomial({i: b for i, b in enumerate(comp.betti)})
         total = total + shift_degree(poincare, 2 * comp.d_f)
     return total
+
+
+def reference_signature_identity_check(model: FixedPointModel) -> SignatureIdentityReport:
+    """The signature identity report, each b_{2i}(xi) read as a Fraction coefficient of the reference sum."""
+    applicable = all(
+        c.betti is not None
+        and c.signature is not None
+        and c.signature == sum((-1) ** i * c.betti[2 * i] for i in range(c.complex_dim + 1))
+        for c in model.components
+    )
+    signature = localized_signature(model)
+    novikov = reference_novikov_polynomial(model)
+    alternating = sum((-1) ** i * int(novikov.coefficient(2 * i)) for i in range(model.n + 1))
+    return SignatureIdentityReport(applicable, signature, alternating)
+
+
+def reference_consistency_isolated(model: FixedPointModel) -> IsolatedConsistencyReport:
+    """The isolated-point report, reading the reference sums' coefficients as Fractions."""
+    if not model.all_isolated():
+        raise ValueError("all components must be isolated points")
+    chi = reference_chi_minus_y(model)
+    novikov = reference_novikov_polynomial(model)
+    odd_vanish = all(d % 2 == 0 for d, _ in novikov.items())
+    matches = chi.stretch(2) == novikov
+    positive = all(chi.coefficient(i) > 0 for i in range(model.n + 1))
+    return IsolatedConsistencyReport(odd_vanish, matches, positive)
 
 
 def reference_graded_exponential(a: dict[Partition, YPolynomial], cap: int) -> ChernPolynomial:

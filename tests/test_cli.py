@@ -178,6 +178,19 @@ def test_a_hamiltonian_model_without_a_minimum_or_maximum_is_an_input_error(caps
         assert run(capsys, ["localize", "--model", write(tmp_path, "model.json", model)])[0] == 0
 
 
+def test_a_component_signature_its_dimension_forbids_is_an_input_error(capsys, tmp_path):
+    # P^2 rotated about a line: the fixed line, a sphere with one positive weight,
+    # cannot have signature 5, which would make the localized signature 6
+    sphere = {"complexDim": 1, "weights": [1], "betti": [1, 0, 1], "signature": 5, "chiMinusY": {"0": "1", "1": "1"}}
+    model = {"n": 2, "components": [sphere, {"weights": [-1, -1]}]}
+    refusal = "genus: model.components[0]: signature must vanish in dimensions not divisible by 4\n"
+    code, out, err = run(capsys, ["localize", "--model", write(tmp_path, "model.json", model), "--check", "mainapp4"])
+    assert (code, out, err) == (2, "", refusal)
+    sphere["signature"] = 0
+    code, out, _ = run(capsys, ["localize", "--model", write(tmp_path, "model.json", model), "--check", "mainapp4"])
+    assert code == 0 and json.loads(out)["signature"] == 1
+
+
 def test_betti_profile_and_form(capsys, tmp_path):
     profile = write(
         tmp_path, "k3.json", {"dim": 4, "betti": [1, 0, 22, 0, 1], "sigma": -16}

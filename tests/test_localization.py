@@ -19,7 +19,12 @@ from chigenus.localization import (
     signature_identity_check,
 )
 from chigenus.ypoly import YPolynomial
-from oracles import reference_chi_minus_y, reference_novikov_polynomial
+from oracles import (
+    reference_chi_minus_y,
+    reference_consistency_isolated,
+    reference_novikov_polynomial,
+    reference_signature_identity_check,
+)
 
 
 def isolated(weights=None, d_f=None):
@@ -30,8 +35,21 @@ def test_negative_weight_count():
     assert negative_weight_count([1, 2, 3]) == 0
     assert negative_weight_count([-1, 2, -5]) == 2
     assert negative_weight_count([-1]) == 1
-    with pytest.raises(ValueError):
-        negative_weight_count([1, 0])
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([1, 0], "rotation weights must be nonzero"),
+        ([-1, 0.0], "rotation weights must be int, got float"),
+        ([2, -0.5], "rotation weights must be int, got float"),
+        ([1, True], "rotation weights must be int, got bool"),
+        ([False], "rotation weights must be int, got bool"),
+    ],
+)
+def test_negative_weight_count_refusals(weights, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        negative_weight_count(weights)
 
 
 def test_rotation_of_the_line():
@@ -148,16 +166,18 @@ def test_signature_identity_point():
 
 
 def test_signature_identity_flags_bad_components():
-    bad = FixedComponent(
-        complex_dim=1,
-        weights=(1,),
-        betti=(1, 0, 1),
-        signature=5,  # a closed surface cannot have this
-        chi_minus_y=YPolynomial({0: 1, 1: 1}),
-    )
-    model = FixedPointModel(2, [bad, isolated(weights=(1, 2))])
+    # K3 x P^1 rotated on the line: two fixed K3 surfaces, which are not
+    # signature-alternating (sigma = -16, b_0 - b_2 + b_4 = -20)
+    k3 = {
+        "complex_dim": 2,
+        "betti": (1, 0, 22, 0, 1),
+        "signature": -16,
+        "chi_minus_y": YPolynomial({0: 2, 1: -20, 2: 2}),
+    }
+    model = FixedPointModel(3, [FixedComponent(weights=(1,), **k3), FixedComponent(weights=(-1,), **k3)])
     report = signature_identity_check(model)
     assert not report.applicable
+    assert report.signature == report.alternating_sum == 0
 
 
 def test_specialization_matches_signature_on_standard_actions():
@@ -192,6 +212,53 @@ def test_component_validation():
 def test_component_numbers_must_be_ints(given, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         FixedComponent(**given)
+
+
+@pytest.mark.parametrize(
+    "given, message",
+    [
+        # only a manifold of real dimension 4k has a symmetric middle form, so a surface has sigma = 0
+        (
+            {"complex_dim": 1, "betti": (1, 0, 1), "signature": 5},
+            "signature must vanish in dimensions not divisible by 4",
+        ),
+        ({"complex_dim": 3, "signature": -2}, "signature must vanish in dimensions not divisible by 4"),
+        ({"complex_dim": 2, "betti": (1, 0, 1, 0, 1), "signature": 3}, "signature 3 exceeds the middle Betti number 1"),
+        (
+            {"complex_dim": 2, "betti": (1, 0, 22, 0, 1), "signature": -24},
+            "signature -24 exceeds the middle Betti number 22",
+        ),
+        (
+            {"complex_dim": 2, "betti": (1, 0, 2, 0, 1), "signature": 1},
+            "middle Betti number and signature have different parity",
+        ),
+        (
+            {"complex_dim": 1, "betti": (1, 0, 1), "signature": 0, "chi_minus_y": YPolynomial({5: 1})},
+            "modified genus of degree 5 exceeds the component dimension 1",
+        ),
+        (
+            {"complex_dim": 2, "chi_minus_y": YPolynomial({0: 1, 3: Fraction(1, 2)})},
+            "modified genus of degree 3 exceeds the component dimension 2",
+        ),
+    ],
+)
+def test_component_invariants_no_component_can_have_are_refused(given, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FixedComponent(d_f=0, **given)
+
+
+def test_component_invariants_at_their_bounds_are_accepted():
+    for given in (
+        {"complex_dim": 1, "betti": (1, 2, 1), "signature": 0},
+        {"complex_dim": 2, "betti": (1, 0, 22, 0, 1), "signature": -22},
+        {"complex_dim": 2, "betti": (1, 0, 22, 0, 1), "signature": 22},
+        {"complex_dim": 2, "betti": (1, 0, 0, 0, 1), "signature": 0},
+        {"complex_dim": 4, "signature": 7},  # without Betti numbers only the dimension bounds sigma
+        {"complex_dim": 2, "chi_minus_y": YPolynomial({2: Fraction(1, 3)})},
+        {"complex_dim": 3, "chi_minus_y": YPolynomial.zero()},
+    ):
+        comp = FixedComponent(d_f=0, **given)
+        assert (comp.signature, comp.chi_minus_y) == (given.get("signature"), given.get("chi_minus_y"))
 
 
 def test_a_fixed_point_has_the_invariants_of_a_point():
@@ -315,8 +382,13 @@ def test_missing_data_errors():
         novikov_polynomial(model2)
 
 
-def random_component(rng, n):
-    """A component of random dimension with Fraction genus coefficients and int Betti numbers."""
+def random_component(rng, n, signed=False):
+    """A component of random dimension with Fraction genus coefficients and int Betti numbers.
+
+    A ``signed`` component also gets a signature that its dimension and
+    middle Betti number allow, half the time the alternating sum of its even
+    Betti numbers when that is allowed.
+    """
     r = rng.randint(0, n)
     d_f = rng.randint(0, n - r)
     half = [rng.randint(0, 4) for _ in range(r + 1)]
@@ -324,7 +396,17 @@ def random_component(rng, n):
     chi = YPolynomial({p: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for p in range(r + 1)})
     if not r:
         chi = YPolynomial.one()
-    return FixedComponent(complex_dim=r, d_f=d_f, betti=betti, chi_minus_y=chi)
+    signature = None
+    if signed and r:
+        middle = betti[r]
+        alternating = sum((-1) ** i * betti[2 * i] for i in range(r + 1))
+        if r % 2:
+            signature = 0
+        elif abs(alternating) <= middle and rng.random() < 0.5:
+            signature = alternating
+        else:
+            signature = rng.choice(range(-middle, middle + 1, 2))
+    return FixedComponent(complex_dim=r, d_f=d_f, betti=betti, signature=signature, chi_minus_y=chi)
 
 
 def test_one_pass_sums_match_reference_route():
@@ -353,3 +435,39 @@ def test_one_pass_sums_keep_reference_errors():
         with pytest.raises(ValueError) as want:
             reference(model)
         assert str(got.value) == str(want.value)
+
+
+def test_reports_on_rows_match_the_fraction_routes():
+    # seeded models of points only (any d_F, so the modified genus need not be
+    # positive) and of points mixed with components that have odd Betti numbers
+    # and modified genera with denominators above 1
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        size = rng.randint(1, 7)
+        if rng.random() < 0.5:
+            model = FixedPointModel(n, [isolated(d_f=rng.randint(0, n)) for _ in range(size)])
+        else:
+            model = FixedPointModel(n, [random_component(rng, n, signed=True) for _ in range(size)])
+        assert novikov_polynomial(model) == reference_novikov_polynomial(model)
+        assert localized_chi_minus_y(model) == reference_chi_minus_y(model)
+        identity = signature_identity_check(model)
+        assert identity == reference_signature_identity_check(model)
+        seen.add(("applicable", identity.applicable, identity.holds))
+        if model.all_isolated():
+            report = consistency_isolated(model)
+            assert report == reference_consistency_isolated(model)
+            seen.add(("isolated",) + tuple(report))
+        else:
+            with pytest.raises(ValueError, match="^all components must be isolated points$"):
+                consistency_isolated(model)
+            with pytest.raises(ValueError, match="^all components must be isolated points$"):
+                reference_consistency_isolated(model)
+    # the seeds reach both outcomes of every field the reports read off the rows
+    assert {("applicable", True, True), ("applicable", False, True), ("applicable", False, False)} <= seen
+    assert {("isolated", True, True, True), ("isolated", True, True, False)} <= seen
+    for n in range(0, 13):
+        model = standard_pn_action(n)
+        assert signature_identity_check(model) == reference_signature_identity_check(model)
+        assert consistency_isolated(model) == reference_consistency_isolated(model) == (True, True, True)

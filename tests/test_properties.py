@@ -146,6 +146,18 @@ def test_inertia_matches_fraction_oracle(matrix):
     assert inertia(matrix) == fraction_inertia(matrix)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=16, unique=True))
+@example([0])
+@example([3, -7, 0, -1, 12])
+@example(list(range(-5, 6))[::-1])
+def test_standard_action_weights_match_the_enumerate_route(exponents):
+    model = catalog.standard_pn_action(len(exponents) - 1, tuple(exponents))
+    expected = [tuple([a_i - a_j for i, a_i in enumerate(exponents) if i != j]) for j, a_j in enumerate(exponents)]
+    assert [c.weights for c in model.components] == expected
+    assert [c.d_f for c in model.components] == [sum(a < a_j for a in exponents) for a_j in exponents]
+
+
 @st.composite
 def exponent_pieces(draw):
     """A cap <= 6 and factored pieces l_k(y) p_k(c) for some weights up to one past it.
