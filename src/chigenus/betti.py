@@ -107,9 +107,12 @@ def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
 class BettiProfile:
     """Betti numbers b_0..b_dim of a closed oriented manifold, maybe with sigma.
 
-    Poincare duality (b_i = b_{dim-i}) is enforced, and sigma must vanish
-    when the dimension is not divisible by 4. Profiles are immutable values:
-    equal fields compare equal and hash alike.
+    This is the one check of a (Betti row, signature) pair. Poincare duality
+    (b_i = b_{dim-i}) is enforced. A sigma must vanish when the dimension is
+    not divisible by 4; in dimension 4m it is b^+ - b^- of a nondegenerate
+    middle form of rank b_{2m} = b^+ + b^-, so |sigma| <= b_{2m} and sigma
+    has the parity of b_{2m}. Profiles are immutable values: equal fields
+    compare equal and hash alike.
     """
 
     __slots__ = ("dim", "betti", "sigma")
@@ -126,8 +129,16 @@ class BettiProfile:
             require_exact("signature", [sigma], (int,))
         if any(betti[i] != betti[dim - i] for i in range(dim + 1)):
             raise ValueError("Betti numbers must satisfy Poincare duality")
-        if sigma is not None and dim % 4 != 0 and sigma != 0:
-            raise ValueError("signature must vanish in dimensions not divisible by 4")
+        if sigma is not None:
+            if dim % 4:
+                if sigma:
+                    raise ValueError("signature must vanish in dimensions not divisible by 4")
+            else:
+                middle = betti[dim // 2]
+                if abs(sigma) > middle:
+                    raise ValueError(f"signature {sigma} exceeds the middle Betti number {middle}")
+                if (sigma - middle) % 2:
+                    raise ValueError("middle Betti number and signature have different parity")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "betti", betti)
         object.__setattr__(self, "sigma", sigma)
@@ -168,6 +179,11 @@ def with_middle_form(profile: BettiProfile, triple: InertiaTriple) -> BettiProfi
     return BettiProfile(profile.dim, profile.betti, sigma)
 
 
+def even_alternating_sum(row: Sequence[int]) -> int:
+    """b_0 - b_2 + b_4 - ... of a row b_0, b_1, ...: entries of index 0 mod 4 minus those of index 2 mod 4."""
+    return sum(row[0::4]) - sum(row[2::4])
+
+
 def signature_alternating(profile: BettiProfile) -> bool:
     """Whether sigma equals the alternating sum of the even Betti numbers.
 
@@ -176,8 +192,7 @@ def signature_alternating(profile: BettiProfile) -> bool:
     """
     if profile.sigma is None:
         raise ValueError("profile has no signature")
-    alternating = sum((-1) ** i * b for i, b in enumerate(profile.even_betti()))
-    return profile.sigma == alternating
+    return profile.sigma == even_alternating_sum(profile.betti)
 
 
 class CauchySchwarzStatus(NamedTuple):
@@ -215,10 +230,10 @@ class BettiInequalityReport(NamedTuple):
 def betti_inequality_check(profile: BettiProfile) -> BettiInequalityReport:
     """Both Betti-sum inequalities for a 4m-dimensional profile.
 
-    b^{+-} are recovered from (b_{2m} +- sigma) / 2; a parity failure or a
-    negative count means the profile cannot come from a real intersection
-    form and is rejected. The equality cases are only meaningful when the
-    profile is signature-alternating, which the report records.
+    b^{+-} are (b_{2m} +- sigma) / 2, whole and non-negative because the
+    profile's constructor bounds sigma by b_{2m} and gives it b_{2m}'s
+    parity. The equality cases are only meaningful when the profile is
+    signature-alternating, which the report records.
     """
     if profile.dim % 4 != 0:
         raise ValueError("need dimension divisible by 4")
@@ -227,12 +242,8 @@ def betti_inequality_check(profile: BettiProfile) -> BettiInequalityReport:
     m = profile.dim // 4
     even = profile.even_betti()
     middle = even[m]
-    if (middle + profile.sigma) % 2 != 0:
-        raise ValueError("middle Betti number and signature have different parity")
     b_plus = (middle + profile.sigma) // 2
     b_minus = (middle - profile.sigma) // 2
-    if b_minus < 0 or b_plus < 0:
-        raise ValueError("signature exceeds the middle Betti number")
 
     k_upper = m // 2
     lhs = sum(even[1 + 2 * i] for i in range(k_upper))

@@ -18,13 +18,16 @@ polynomial per component. The reports read those rows too: a Novikov
 coefficient is its row entry, and a coefficient of the modified genus has
 the sign of its row entry, the denominator being positive. The records'
 count and type checks and their ``__eq__`` are the shared guards of
-``ypoly``.
+``ypoly``. ``betti.BettiProfile`` checks a component's Betti numbers and
+signature, and ``betti.even_alternating_sum`` gives the sum
+b_0 - b_2 + b_4 - ... of a component's row and of the Novikov row.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from .betti import BettiProfile, even_alternating_sum
 from .ypoly import YPolynomial, add_into, require_counts, require_exact, shifted_sum, slots_equal
 
 
@@ -55,9 +58,11 @@ class FixedComponent:
     supplied for them is refused. Positive-dimensional components must be
     given their own invariants: the localization formulas consume them as
     data. Those that no component of complex dimension k can have are
-    refused: a nonzero signature when the real dimension 2k is not divisible
-    by 4, one that exceeds the middle Betti number b_k or differs from it in
-    parity, and a modified genus of degree above k.
+    refused. Betti numbers, with the signature if one is given, must make a
+    ``betti.BettiProfile`` of dimension 2k, which states the rules and their
+    messages; a component is connected, so b_0 must also be 1. A signature
+    given without Betti numbers must vanish when 2k is not divisible by 4.
+    A modified genus must have degree at most k.
     """
 
     __slots__ = ("complex_dim", "weights", "d_f", "betti", "signature", "chi_minus_y")
@@ -94,24 +99,13 @@ class FixedComponent:
             self.betti, self.signature, self.chi_minus_y = _POINT
             return
         if betti is not None:
-            betti = tuple(betti)
-            if len(betti) != 2 * complex_dim + 1:
-                raise ValueError(
-                    f"component of dimension {complex_dim} needs Betti numbers b_0..b_{2 * complex_dim}"
-                )
-            require_counts("Betti numbers", betti)
-        if signature is not None:
+            betti = BettiProfile(2 * complex_dim, betti, signature).betti
+            if betti[0] != 1:
+                raise ValueError("a fixed component is connected, so b_0 must be 1")
+        elif signature is not None:
             require_exact("signature", [signature], (int,))
-            if complex_dim % 2:
-                if signature:
-                    raise ValueError("signature must vanish in dimensions not divisible by 4")
-            elif betti is not None:
-                # the middle form is nondegenerate of rank b_k, and sigma = b^+ - b^-
-                middle = betti[complex_dim]
-                if abs(signature) > middle:
-                    raise ValueError(f"signature {signature} exceeds the middle Betti number {middle}")
-                if (signature - middle) % 2:
-                    raise ValueError("middle Betti number and signature have different parity")
+            if complex_dim % 2 and signature:
+                raise ValueError("signature must vanish in dimensions not divisible by 4")
         if chi_minus_y is not None:
             require_exact("modified genus", [chi_minus_y], (YPolynomial,))
             if chi_minus_y.degree > complex_dim:
@@ -259,16 +253,9 @@ class SignatureIdentityReport(NamedTuple):
 
 def signature_identity_check(model: FixedPointModel) -> SignatureIdentityReport:
     """Check sigma(M) = sum_i (-1)^i b_{2i}(xi) via both localizations."""
-    applicable = all(_component_signature_alternating(c) for c in model.components)
+    applicable = all(
+        c.betti is not None and c.signature == even_alternating_sum(c.betti) for c in model.components
+    )
     signature = localized_signature(model)
-    row = novikov_polynomial(model).row
-    # b_{2i}(xi) is row[2i], of degree at most 2n: the terms with i even minus those with i odd
-    alternating = sum(row[0::4]) - sum(row[2::4])
+    alternating = even_alternating_sum(novikov_polynomial(model).row)
     return SignatureIdentityReport(applicable, signature, alternating)
-
-
-def _component_signature_alternating(comp: FixedComponent) -> bool:
-    if comp.betti is None or comp.signature is None:
-        return False
-    alternating = sum((-1) ** i * comp.betti[2 * i] for i in range(comp.complex_dim + 1))
-    return comp.signature == alternating

@@ -191,6 +191,28 @@ def test_a_component_signature_its_dimension_forbids_is_an_input_error(capsys, t
     assert code == 0 and json.loads(out)["signature"] == 1
 
 
+def test_a_profile_sigma_no_middle_form_has_is_an_input_error(capsys, tmp_path, p2_file):
+    # P^2's middle form has rank 1, so its signature is 1 or -1
+    doc = json.loads(Path(p2_file).read_text())
+    doc["betti"]["sigma"] = 2
+    code, out, err = run(capsys, ["chi", "--manifold", write(tmp_path, "p2.json", doc)])
+    assert (code, out, err) == (2, "", "genus: manifold.betti: signature 2 exceeds the middle Betti number 1\n")
+    profile = {"dim": 4, "betti": [1, 0, 2, 0, 1], "sigma": 1}
+    code, out, err = run(capsys, ["betti", "--profile", write(tmp_path, "profile.json", profile)])
+    assert (code, out, err) == (2, "", "genus: profile: middle Betti number and signature have different parity\n")
+
+
+@pytest.mark.parametrize(
+    "betti, refusal",
+    [([0, 0, 5], "Betti numbers must satisfy Poincare duality"), ([2, 0, 2], "a fixed component is connected, so b_0 must be 1")],
+)
+def test_a_component_that_is_not_closed_and_connected_is_an_input_error(capsys, tmp_path, betti, refusal):
+    curve = {"complexDim": 1, "dF": 0, "betti": betti, "signature": 0, "chiMinusY": {"0": "1", "1": "1"}}
+    model = write(tmp_path, "model.json", {"n": 1, "components": [curve]})
+    code, out, err = run(capsys, ["localize", "--model", model])
+    assert (code, out, err) == (2, "", f"genus: model.components[0]: {refusal}\n")
+
+
 def test_betti_profile_and_form(capsys, tmp_path):
     profile = write(
         tmp_path, "k3.json", {"dim": 4, "betti": [1, 0, 22, 0, 1], "sigma": -16}

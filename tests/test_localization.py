@@ -193,7 +193,7 @@ def test_component_validation():
         FixedComponent(complex_dim=1)
     with pytest.raises(ValueError, match="contradicts"):
         FixedComponent(weights=(-1, 2), d_f=2)
-    with pytest.raises(ValueError, match="Betti numbers b_0"):
+    with pytest.raises(ValueError, match="^need Betti numbers b_0..b_2$"):
         FixedComponent(complex_dim=1, d_f=0, betti=(1,))
 
 
@@ -240,6 +240,13 @@ def test_component_numbers_must_be_ints(given, message):
             {"complex_dim": 2, "chi_minus_y": YPolynomial({0: 1, 3: Fraction(1, 2)})},
             "modified genus of degree 3 exceeds the component dimension 2",
         ),
+        # a closed connected component has b_0 = 1 and Poincare duality
+        (
+            {"complex_dim": 1, "betti": (0, 0, 5), "signature": 0, "chi_minus_y": YPolynomial({0: 1, 1: 1})},
+            "Betti numbers must satisfy Poincare duality",
+        ),
+        ({"complex_dim": 1, "betti": (2, 0, 2)}, "a fixed component is connected, so b_0 must be 1"),
+        ({"complex_dim": 2, "betti": (1, 0, 3, 0, 2), "signature": 1}, "Betti numbers must satisfy Poincare duality"),
     ],
 )
 def test_component_invariants_no_component_can_have_are_refused(given, message):
@@ -392,6 +399,7 @@ def random_component(rng, n, signed=False):
     r = rng.randint(0, n)
     d_f = rng.randint(0, n - r)
     half = [rng.randint(0, 4) for _ in range(r + 1)]
+    half[0] = 1  # a component is connected; drawn all the same, so the seeded stream is unchanged
     betti = half + half[-2::-1] if r else [1]  # a point has the invariants of a point
     chi = YPolynomial({p: Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for p in range(r + 1)})
     if not r:

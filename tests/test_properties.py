@@ -17,10 +17,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from chigenus import catalog, serialize  # noqa: E402
-from chigenus.betti import inertia  # noqa: E402
+from chigenus.betti import BettiProfile, even_alternating_sum, inertia  # noqa: E402
 from chigenus.chern import graded_exponential  # noqa: E402
 from chigenus.cli import main  # noqa: E402
 from chigenus.kexpansion import binomial_transform  # noqa: E402
+from chigenus.localization import FixedComponent  # noqa: E402
 from chigenus.partitions import iter_partitions  # noqa: E402
 from chigenus.ypoly import YPolynomial, clear, convolve, shifted_sum  # noqa: E402
 from oracles import (  # noqa: E402
@@ -334,3 +335,48 @@ _key_text = st.lists(
 def test_catalog_key_reader_handles_any_key(key):
     # --make=KEY, so that a key starting with "-" reaches the key reader, not argparse
     assert_accepted_or_cleanly_rejected(*run_genus(["catalog", f"--make={key}"]))
+
+
+def _refusal(build):
+    try:
+        build()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@st.composite
+def component_rows(draw):
+    """(k, b_0..b_2k) with b_0 = 1, palindromic or not."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        half = [1] + draw(st.lists(st.integers(0, 4), min_size=k, max_size=k))
+        return k, half + half[-2::-1]
+    return k, [1] + draw(st.lists(st.integers(0, 4), min_size=2 * k, max_size=2 * k))
+
+
+@given(component_rows(), st.one_of(st.none(), st.integers(-6, 6)))
+@example((2, [1, 0, 2, 0, 1]), 1)
+@example((2, [1, 0, 1, 0, 1]), 3)
+@example((1, [1, 0, 1]), 2)
+@example((1, [1, 0, 2]), None)
+@example((2, [1, 0, 2, 0, 1]), 2)
+def test_a_component_refuses_exactly_what_its_profile_refuses(case, sigma):
+    k, row = case
+    component = _refusal(lambda: FixedComponent(k, d_f=0, betti=row, signature=sigma))
+    assert component == _refusal(lambda: BettiProfile(2 * k, row, sigma))
+
+
+@given(st.integers(1, 2), st.lists(st.integers(0, 5), min_size=5, max_size=5), st.integers(-7, 7))
+def test_a_4m_profile_takes_the_signatures_of_its_middle_forms(m, draws, sigma):
+    half = draws[: 2 * m + 1]
+    row = half + half[-2::-1]
+    middle = half[-1]
+    # a nondegenerate middle form of rank b_2m: b^+ + b^- = b_2m and sigma = b^+ - b^-
+    realizable = any(p + q == middle and p - q == sigma for p in range(middle + 1) for q in range(middle + 1))
+    assert (_refusal(lambda: BettiProfile(4 * m, row, sigma)) is None) == realizable
+
+
+@given(st.lists(st.integers(-50, 50), max_size=14))
+def test_even_alternating_sum_is_the_signed_sum_of_even_entries(row):
+    assert even_alternating_sum(row) == sum((-1) ** i * row[2 * i] for i in range((len(row) + 1) // 2))

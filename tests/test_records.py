@@ -66,6 +66,8 @@ def test_records_keep_their_fields_defaults_properties_and_checks():
         ((2, (1, -1, 1)), "Betti numbers must be non-negative"),
         ((4, (1, 0, 2, 0, 3)), "Betti numbers must satisfy Poincare duality"),
         ((2, (1, 2, 1), 1), "signature must vanish in dimensions not divisible by 4"),
+        ((4, (1, 0, 2, 0, 1), 4), "signature 4 exceeds the middle Betti number 2"),
+        ((4, (1, 0, 2, 0, 1), 1), "middle Betti number and signature have different parity"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             BettiProfile(*args)
