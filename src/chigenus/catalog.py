@@ -27,6 +27,7 @@ that memory.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Mapping, Sequence
 
@@ -142,10 +143,7 @@ def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
     return ManifoldData(n, numbers, betti=betti)
 
 
-# (dim A, dim B) -> the Whitney splits of every partition of dim A + dim B
-_SPLITS: dict[tuple[int, int], list[tuple[Partition, list[tuple[int, int, int]]]]] = {}
-
-
+@cache
 def _splits(dim_a: int, dim_b: int) -> list[tuple[Partition, list[tuple[int, int, int]]]]:
     """For each partition of dim_a + dim_b, in ``iter_partitions`` order, its Whitney splits.
 
@@ -155,13 +153,8 @@ def _splits(dim_a: int, dim_b: int) -> list[tuple[Partition, list[tuple[int, int
     (zero parts dropped). Each split is a triple (count, i, j): its number of
     ways and the positions of sort(s) and sort(t) among the partitions of
     dim_a and dim_b. Splits are merged as the parts are read, keyed on the
-    partial pair (s, t). The table depends on the two dimensions alone, so
-    it is memoized per pair for the life of the process, like the chi_y
-    tables; the computation is pure, so a racing recomputation is harmless.
+    partial pair (s, t). Memoized per argument for the life of the process.
     """
-    cached = _SPLITS.get((dim_a, dim_b))
-    if cached is not None:
-        return cached
     index_a = {part: i for i, part in enumerate(iter_partitions(dim_a))}
     index_b = {part: j for j, part in enumerate(iter_partitions(dim_b))}
     table = []
@@ -177,7 +170,6 @@ def _splits(dim_a: int, dim_b: int) -> list[tuple[Partition, list[tuple[int, int
                     step[key] = step.get(key, 0) + count
             ways = step
         table.append((part, [(count, index_a[s], index_b[t]) for (s, t), count in ways.items()]))
-    _SPLITS[(dim_a, dim_b)] = table
     return table
 
 

@@ -26,6 +26,7 @@ has one predicate, :func:`duality_holds`, on a bare chi-vector.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import TYPE_CHECKING
 
@@ -40,7 +41,9 @@ if TYPE_CHECKING:
 
 
 # dimension -> its partitions in ``iter_partitions`` order, kept once a ManifoldData
-# of that dimension has been built, so later ones walk a tuple, not the generator
+# of that dimension has been built, so later ones walk a tuple, not the generator;
+# a dict, not functools.cache, because only a walk that completed is kept, so a
+# document that claims a huge dimension costs nothing
 _PARTITIONS: dict[int, tuple[Partition, ...]] = {}
 
 
@@ -171,9 +174,7 @@ def log_q_coefficients(n: int) -> list[YPolynomial]:
     return out
 
 
-_TABLE_CACHE: dict[int, ChernPolynomial] = {}
-
-
+@cache
 def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
     """Universal grade-n Chern polynomial of the chi_y genus.
 
@@ -185,19 +186,13 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
     of sum_k l_k p_k keeps each weight m as integer rows over its own scale,
     reduced by their gcd, and returns its weight-n bucket as the table's
     cleared form (see :func:`~chigenus.chern.graded_exponential`).
-    Results are memoized per n for the life of the process; the computation
-    is pure, so a racing recomputation is harmless.
+    Memoized per argument for the life of the process.
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
-    cached = _TABLE_CACHE.get(n)
-    if cached is not None:
-        return cached
     sums = integer_power_sums(n, n)
     pieces = {k: (ell, sums[k]) for k, ell in enumerate(log_q_coefficients(n), start=1)}
-    table = graded_exponential(pieces, n)
-    _TABLE_CACHE[n] = table
-    return table
+    return graded_exponential(pieces, n)
 
 
 def evaluate_genus(table: ChernPolynomial, manifold: ManifoldData) -> YPolynomial:

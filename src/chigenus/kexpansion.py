@@ -15,6 +15,7 @@ both checks return one result per index. The Eulerian identity, which only
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import NamedTuple, Sequence
 
@@ -27,28 +28,21 @@ from .ypoly import clear, require_exact
 class KTable(NamedTuple):
     """K_0..K_n as grade-n Chern polynomials with constant coefficients."""
 
-    n: int
     k_polys: tuple[ChernPolynomial, ...]
 
 
-_K_CACHE: dict[int, KTable] = {}
-
-
+@cache
 def k_coefficients(n: int) -> KTable:
     """Expand the universal genus polynomial in powers of (y + 1).
 
     The table is held as integer columns over one denominator D (see
     :class:`~chigenus.chern.ChernPolynomial`), so the shift to y = -1 is a
     binomial transform of those columns on ints: the K_j column is
-    sum_{d >= j} C(d, j) * (-1)^(d - j) * column_d, over the same D. Results
-    are memoized per n for the life of the process, like the tables
-    themselves.
+    sum_{d >= j} C(d, j) * (-1)^(d - j) * column_d, over the same D.
+    Memoized per argument for the life of the process.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    cached = _K_CACHE.get(n)
-    if cached is not None:
-        return cached
     table = chi_y_chern_polynomial(n)
     parts, columns = table.partitions, table.columns
     if len(columns) > n + 1:
@@ -60,9 +54,7 @@ def k_coefficients(n: int) -> KTable:
         weights = [(comb(d, j) * (-1) ** (d - j), columns[d]) for d in range(j, len(columns))]
         rows = {part: [sum(w * column[i] for w, column in weights)] for i, part in enumerate(parts)}
         k_polys.append(ChernPolynomial._from_rows(n, table.denominator, rows))
-    result = KTable(n, tuple(k_polys))
-    _K_CACHE[n] = result
-    return result
+    return KTable(tuple(k_polys))
 
 
 def _chern_monomial(indices: Sequence[int], n: int) -> Partition | None:

@@ -25,7 +25,7 @@ b_0 - b_2 + b_4 - ... of a component's row and of the Novikov row.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .betti import BettiProfile, even_alternating_sum
 from .ypoly import YPolynomial, add_into, require_counts, require_exact, shifted_sum, slots_equal
@@ -134,10 +134,11 @@ class FixedPointModel:
     def __init__(
         self,
         n: int,
-        components: Sequence[FixedComponent],
+        components: Iterable[FixedComponent],
         hamiltonian: bool = False,
     ) -> None:
         require_counts("n", (n,))
+        components = tuple(components)
         if not components:
             raise ValueError("fixed-point set must be nonempty")
         for comp in components:
@@ -152,7 +153,7 @@ class FixedPointModel:
                     f"component of dimension {comp.complex_dim} needs {n - comp.complex_dim} weights"
                 )
         self.n = n
-        self.components = tuple(components)
+        self.components = components
         self.hamiltonian = bool(hamiltonian)
         if self.hamiltonian:
             # a component has d_F negative weights and n - dim F - d_F positive ones; the

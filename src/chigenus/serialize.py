@@ -44,11 +44,10 @@ if TYPE_CHECKING:
 
 
 class SchemaError(ValueError):
-    """Malformed document; ``field`` names the offending entry."""
+    """Malformed document; the message starts with the offending entry's name."""
 
     def __init__(self, field: str, message: str) -> None:
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 def is_json_int(value: Any) -> bool:

@@ -339,12 +339,12 @@ def test_product_with_seeded_chern_numbers_matches_the_ring_model():
         assert product(_manifold(_HALF_P2), target).chern_numbers == expected, n
 
 
-def test_factors_of_the_same_dimensions_share_one_split_table(monkeypatch):
-    monkeypatch.setattr(catalog, "_SPLITS", {})
+def test_factors_of_the_same_dimensions_share_one_split_table():
+    catalog._splits.cache_clear()
     product(projective_space(2), projective_space(3))
-    table = catalog._SPLITS[(2, 3)]
+    table = catalog._splits(2, 3)
     product(hypersurface(2, 4), hypersurface(3, 5))
-    assert list(catalog._SPLITS) == [(2, 3)] and catalog._SPLITS[(2, 3)] is table
+    assert catalog._splits.cache_info().currsize == 1 and catalog._splits(2, 3) is table
     assert [part for part, _ in table] == list(iter_partitions(5))
     product(projective_space(3), projective_space(2))
-    assert list(catalog._SPLITS) == [(2, 3), (3, 2)]
+    assert catalog._splits.cache_info().currsize == 2

@@ -95,7 +95,8 @@ def test_kcoeffs_verify_reports_an_odd_k_outside_the_span(capsys, monkeypatch):
     terms[ones] = terms.get(ones, 0) + 1
     k_polys = list(table.k_polys)
     k_polys[odd] = ChernPolynomial(n, terms)
-    monkeypatch.setitem(kexpansion._K_CACHE, n, kexpansion.KTable(n, tuple(k_polys)))
+    broken, build = kexpansion.KTable(tuple(k_polys)), kexpansion.k_coefficients
+    monkeypatch.setattr(kexpansion, "k_coefficients", lambda m: broken if m == n else build(m))
     checks = kexpansion.odd_k_span_check(n)
     assert [(c.odd_index, c.in_span) for c in checks] == [(1, True), (3, True), (5, False)]
     assert checks[2].combination == ()
@@ -270,12 +271,17 @@ def test_catalog_bad_key(capsys):
     assert code == 2 and out == ""
 
 
+# sha256 of `genus verify-paper`'s stdout; a changed row comes with a new digest
+VERIFY_PAPER_SHA256 = "0cae3315c455d4c013110a2fc5690504a8a7d6938774e5c23f06d05b1ff2d469"
+
+
 def test_verify_paper_passes_and_reproduces(capsys):
     code, out, _ = run(capsys, ["verify-paper"])
     assert code == 0
     results = json.loads(out)
     assert len(results) == 10
     assert all(r["pass"] for r in results)
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PAPER_SHA256
     code2, out2, _ = run(capsys, ["verify-paper"])
     assert out2 == out
 

@@ -110,7 +110,7 @@ def test_broken_k_table_trips_the_cleared_bound_check(monkeypatch):
     terms = {part: c.constant_value() for part, c in good.k_polys[2].items()}
     terms[(3,)] = terms.get((3,), 0) + Fraction(1, 5)
     wrong = ChernPolynomial(3, terms)
-    broken = KTable(3, good.k_polys[:2] + (wrong,) + good.k_polys[3:])
+    broken = KTable(good.k_polys[:2] + (wrong,) + good.k_polys[3:])
     monkeypatch.setattr(inequalities, "k_coefficients", lambda n: broken)
     with pytest.raises(ArithmeticError, match=r"cleared i=1 bound 240 disagrees with .* = 48"):
         check_inequalities(projective_space(3), 1)

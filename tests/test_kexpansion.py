@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from chigenus import kexpansion
-from chigenus.catalog import projective_space, standard_catalog
+from chigenus.catalog import _splits, projective_space, standard_catalog
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import chi_vector, chi_y_chern_polynomial, eulerian_polynomials
 from chigenus.kexpansion import (
@@ -157,17 +157,31 @@ def test_k_coefficients_requires_positive_n():
         k_coefficients(0)
 
 
-def test_k_coefficients_are_memoized_per_n():
-    assert k_coefficients(5) is k_coefficients(5)
-    assert k_coefficients(5) is not k_coefficients(4)
+@pytest.mark.parametrize(
+    "build, args, other, refused",
+    [
+        (chi_y_chern_polynomial, (5,), (4,), (-1,)),
+        (k_coefficients, (5,), (4,), (0,)),
+        (_splits, (2, 3), (3, 2), (-1, 2)),
+    ],
+    ids=["chi_y_chern_polynomial", "k_coefficients", "_splits"],
+)
+def test_table_builders_are_memoized_per_argument(build, args, other, refused):
+    assert build(*args) is build(*args)
+    assert build(*args) is not build(*other)
+    # a refused argument raises on every call and leaves nothing in the cache
+    size = build.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            build(*refused)
+    assert build.cache_info().currsize == size
 
 
 def test_k_coefficients_reject_a_table_of_excess_y_degree(monkeypatch):
     table = ChernPolynomial(2, {(2,): YPolynomial({3: Fraction(1, 2)}), (1, 1): 1})
-    monkeypatch.setattr(kexpansion, "_K_CACHE", {})
     monkeypatch.setattr(kexpansion, "chi_y_chern_polynomial", lambda n: table)
     with pytest.raises(ArithmeticError, match="y-degree above 2"):
-        k_coefficients(2)
+        k_coefficients.__wrapped__(2)
 
 
 def test_span_check_requires_n_at_least_three():

@@ -304,6 +304,21 @@ def test_model_validation():
         FixedPointModel(2, [isolated(d_f=0), isolated(d_f=1)], hamiltonian=True)
 
 
+def test_a_model_built_from_a_generator_equals_the_one_built_from_a_list():
+    # a generator is read once, so the nonempty check, the validation and the
+    # stored components all see the same tuple
+    weights = [(1, 2), (-1, 1), (-1, -2)]
+    from_list = FixedPointModel(2, [FixedComponent(weights=w) for w in weights])
+    from_generator = FixedPointModel(2, (FixedComponent(weights=w) for w in weights))
+    assert from_generator == from_list and len(from_generator.components) == 3
+    assert localized_signature(from_generator) == 1
+
+
+def test_an_empty_generator_is_an_empty_fixed_point_set():
+    with pytest.raises(ValueError, match="^fixed-point set must be nonempty$"):
+        FixedPointModel(2, (c for c in ()))
+
+
 def test_a_hamiltonian_model_has_one_minimum_and_one_maximum():
     curve = {"complex_dim": 1, "betti": (1, 0, 1), "signature": 0, "chi_minus_y": YPolynomial.one()}
     cases = [

@@ -30,7 +30,7 @@ FIELDS = {
     ),
     SurfaceInequality: ("label", "lhs", "rhs", "holds", "equality"),
     CurvatureBoundReport: ("n", "lhs", "rhs", "holds", "equality", "surface"),
-    KTable: ("n", "k_polys"),
+    KTable: ("k_polys",),
     ClosedFormCheck: ("j", "matches"),
     SpanCheck: ("odd_index", "in_span", "combination"),
     IsolatedConsistencyReport: ("odd_novikov_vanish", "substitution_matches", "chi_positive"),
