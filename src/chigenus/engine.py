@@ -54,7 +54,8 @@ class ManifoldData:
     stored in the reverse-lexicographic order of ``iter_partitions`` whatever
     order they were given in, each a ``Fraction``: a given ``Fraction`` is
     kept as it is and an ``int`` is converted once. ``betti.dim`` is twice
-    that dimension and ``action.n`` equals it.
+    that dimension, the Betti numbers' alternating sum, the Euler number, is
+    the top Chern number, and ``action.n`` equals the dimension.
     Builders and readers pass every field to the constructor, so each is
     checked once. Instances compare by value but define no hash.
     """
@@ -89,8 +90,13 @@ class ManifoldData:
             )
         if known is None:
             _PARTITIONS[dimension] = tuple(numbers)
-        if betti is not None and betti.dim != 2 * dimension:
-            raise ValueError(f"betti.dim {betti.dim} is not twice the dimension {dimension}")
+        if betti is not None:
+            if betti.dim != 2 * dimension:
+                raise ValueError(f"betti.dim {betti.dim} is not twice the dimension {dimension}")
+            euler = sum(betti.betti[0::2]) - sum(betti.betti[1::2])
+            top = numbers[(dimension,) if dimension else ()]
+            if euler != top:
+                raise ValueError(f"betti has Euler number {euler}, but the top Chern number is {top}")
         if action is not None and action.n != dimension:
             raise ValueError(f"action.n {action.n} is not the dimension {dimension}")
         self.dimension = dimension

@@ -129,14 +129,9 @@ def miyaoka_yau_check(manifold: ManifoldData) -> CurvatureBoundReport:
     numbers = manifold.chern_numbers
     mixed: Partition = tuple(sorted([2] + [1] * (n - 2), reverse=True))
     powers: Partition = tuple([1] * n)
-    try:
-        c2_c1 = numbers[mixed]
-        c1_n = numbers[powers]
-    except KeyError as exc:
-        raise ValueError(f"missing Chern number for partition {exc.args[0]}") from None
     sign = Fraction(-1) ** n
-    lhs = sign * c2_c1
-    rhs = Fraction(n, 2 * (n + 1)) * sign * c1_n
+    lhs = sign * numbers[mixed]
+    rhs = Fraction(n, 2 * (n + 1)) * sign * numbers[powers]
     surface: tuple[SurfaceInequality, ...] = ()
     if n == 2:
         c2 = numbers[(2,)]

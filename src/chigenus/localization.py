@@ -89,6 +89,8 @@ class FixedComponent:
                 raise ValueError("component needs weights or an explicit d_f")
             require_counts("d_f", (d_f,))
             self.d_f = d_f
+        if chi_minus_y is not None:
+            require_exact("modified genus", [chi_minus_y], (YPolynomial,))
         if complex_dim == 0:
             if betti is not None and tuple(betti) != _POINT[0]:
                 raise ValueError("a fixed point has Betti numbers (1,)")
@@ -106,12 +108,10 @@ class FixedComponent:
             require_exact("signature", [signature], (int,))
             if complex_dim % 2 and signature:
                 raise ValueError("signature must vanish in dimensions not divisible by 4")
-        if chi_minus_y is not None:
-            require_exact("modified genus", [chi_minus_y], (YPolynomial,))
-            if chi_minus_y.degree > complex_dim:
-                raise ValueError(
-                    f"modified genus of degree {chi_minus_y.degree} exceeds the component dimension {complex_dim}"
-                )
+        if chi_minus_y is not None and chi_minus_y.degree > complex_dim:
+            raise ValueError(
+                f"modified genus of degree {chi_minus_y.degree} exceeds the component dimension {complex_dim}"
+            )
         self.betti = betti
         self.signature = signature
         self.chi_minus_y = chi_minus_y
@@ -230,7 +230,7 @@ def consistency_isolated(model: FixedPointModel) -> IsolatedConsistencyReport:
     chi = localized_chi_minus_y(model)
     novikov = novikov_polynomial(model)
     odd_vanish = not any(novikov.row[1::2])
-    matches = chi.stretch(2) == novikov
+    matches = odd_vanish and novikov.row[0::2] == chi.row and novikov.denominator == chi.denominator
     positive = len(chi.row) == model.n + 1 and all(c > 0 for c in chi.row)
     return IsolatedConsistencyReport(odd_vanish, matches, positive)
 

@@ -6,16 +6,16 @@ short witness naming the failing instance, such as ``"n=6 j=3"``, which
 ``genus verify-paper`` writes to stderr. The computation is deterministic,
 so two runs of the command produce byte-identical output: the inertia
 suite draws its matrices from a seeded stream, so its draws and witnesses
-depend only on the seed.
+depend only on the seed, and it enumerates its Betti profiles.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import betti as betti_mod
 from . import catalog, engine, inequalities, kexpansion, localization
@@ -212,36 +212,23 @@ def congruent(
     ]
 
 
-def random_alternating_profile(rng: random.Random) -> betti_mod.BettiProfile:
-    """A random connected Poincare-dual signature-alternating profile.
+def alternating_profiles() -> Iterator[betti_mod.BettiProfile]:
+    """Every small signature-alternating profile of dimension 4m, 1 <= m <= 4.
 
-    The dimension is 4m with 1 <= m <= 4. b^+ and b^- are chosen first; one
-    free even Betti number is then adjusted so the alternating sum
-    reproduces the signature. In dimension 4 the constraints force b^+ = 1.
+    b_0 = 1 and the odd Betti numbers vanish; b_2..b_{2m-2} run over 0..3,
+    the upper half mirrors them, and the middle b_{2m} runs over 1..6. sigma
+    is the alternating sum of the even Betti numbers, which has the parity
+    of b_{2m} by duality. A profile is kept when its middle form can exist,
+    |sigma| <= b_{2m}, and has b^+ = (b_{2m} + sigma) / 2 >= 1.
     """
-    m = rng.randint(1, 4)
-    b_plus = 1 if m == 1 else rng.randint(1, 5)
-    b_minus = rng.randint(0, 5)
-    sigma = b_plus - b_minus
-    middle = b_plus + b_minus
-    # required value of sum_{j=1}^{m-1} (-1)^j E_j, with E_j = b_{2j}
-    target = (sigma - (-1) ** m * middle) // 2 - 1
-    lower = [1] + [rng.randint(0, 6) for _ in range(m - 1)]
-    if m > 1:
-        current = sum((-1) ** j * lower[j] for j in range(1, m))
-        delta = target - current
-        # for m = 2 the new E_1 - delta is b^- + 1, so it never goes negative
-        if delta > 0 and m >= 3:
-            lower[2] += delta
-        else:
-            lower[1] -= delta
-    even = lower + [middle] + list(reversed(lower))
-    betti = []
-    for j, value in enumerate(even):
-        betti.append(value)
-        if j < len(even) - 1:
-            betti.append(0)
-    return betti_mod.BettiProfile(4 * m, tuple(betti), sigma)
+    for m in range(1, 5):
+        for lower in product(range(4), repeat=m - 1):
+            for middle in range(1, 7):
+                betti = [0] * (4 * m + 1)
+                betti[0::2] = (1, *lower, middle, *reversed(lower), 1)
+                sigma = betti_mod.even_alternating_sum(betti)
+                if -middle < sigma <= middle:
+                    yield betti_mod.BettiProfile(4 * m, betti, sigma)
 
 
 def _check_inertia_suite() -> str | None:
@@ -259,10 +246,9 @@ def _check_inertia_suite() -> str | None:
     ):
         if tuple(betti_mod.cs_classification(triple)) != expected:
             return f"classification of {tuple(triple)}"
-    for _ in range(50):
-        profile = random_alternating_profile(rng)
+    for profile in alternating_profiles():
         report = betti_mod.betti_inequality_check(profile)
-        if not (betti_mod.signature_alternating(profile) and report.alternating):
+        if not report.alternating:
             return f"profile {profile.betti} sigma={profile.sigma} not alternating"
         status = betti_mod.cs_classification(
             betti_mod.InertiaTriple(report.b_plus, report.b_minus, 0)

@@ -29,7 +29,8 @@ class YPolynomial:
     """A polynomial in y over the rationals, ``sum_d row[d] y^d / denominator``.
 
     Instances are immutable by convention: every operation returns a new
-    object and neither slot is rebound after construction.
+    object and neither slot is rebound after construction. A polynomial
+    equals only a ``YPolynomial``, never a scalar, so equal values hash alike.
     """
 
     __slots__ = ("denominator", "row")
@@ -130,8 +131,6 @@ class YPolynomial:
         return result
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = YPolynomial.constant(other)
         if isinstance(other, YPolynomial):
             return self.denominator == other.denominator and self.row == other.row
         return NotImplemented
@@ -152,14 +151,6 @@ class YPolynomial:
     def negate_y(self) -> "YPolynomial":
         """Substitute y -> -y."""
         row = [-c if d % 2 else c for d, c in enumerate(self.row)]
-        return YPolynomial.from_row(self.denominator, row)
-
-    def stretch(self, factor: int) -> "YPolynomial":
-        """Substitute y -> y**factor."""
-        if factor <= 0:
-            raise ValueError("stretch factor must be positive")
-        row = [0] * (factor * self.degree + 1)
-        row[::factor] = self.row
         return YPolynomial.from_row(self.denominator, row)
 
     def coefficients_dense(self, length: int | None = None) -> list[Fraction]:

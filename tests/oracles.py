@@ -184,7 +184,8 @@ def reference_consistency_isolated(model: FixedPointModel) -> IsolatedConsistenc
     chi = reference_chi_minus_y(model)
     novikov = reference_novikov_polynomial(model)
     odd_vanish = all(d % 2 == 0 for d, _ in novikov.items())
-    matches = chi.stretch(2) == novikov
+    # y -> y^2, substituted in Fractions
+    matches = YPolynomial({2 * d: c for d, c in chi.items()}) == novikov
     positive = all(chi.coefficient(i) > 0 for i in range(model.n + 1))
     return IsolatedConsistencyReport(odd_vanish, matches, positive)
 

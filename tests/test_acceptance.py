@@ -103,6 +103,30 @@ def test_check_returns_witness_when_broken(monkeypatch, key):
     assert isinstance(witness, str) and witness, witness
 
 
+def test_the_inertia_suite_reaches_every_dimension_and_both_equality_cases():
+    profiles = list(verify.alternating_profiles())
+    reports = [betti.betti_inequality_check(p) for p in profiles]
+    assert len(set(profiles)) == len(profiles) == 268
+    assert all(r.alternating for r in reports)
+    assert sum(r.b_plus == 1 for r in reports) == 77
+    assert sum(r.b_minus == 0 for r in reports) == 89
+    for dim in (4, 8, 12, 16):
+        cases = [(r.upper.equality, r.lower.equality) for p, r in zip(profiles, reports) if p.dim == dim]
+        assert any(upper for upper, _ in cases) and any(lower for _, lower in cases), dim
+
+
+def test_the_inertia_suite_catches_swapped_equality_cases(monkeypatch):
+    real = betti.betti_inequality_check
+
+    def swapped(profile):
+        report = real(profile)
+        return report._replace(upper=report.lower, lower=report.upper)
+
+    monkeypatch.setattr(betti, "betti_inequality_check", swapped)
+    check = {c[0]: c[2] for c in verify.CHECKS}["inertia-suite"]
+    assert check() == "profile (1, 0, 2, 0, 1) sigma=0"
+
+
 def test_inequality_optimality_reads_lhs_and_rhs_by_different_routes(monkeypatch):
     # the left-hand side goes through the transform and the right-hand side does not,
     # so a wrong transform already shows on P^1

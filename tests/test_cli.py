@@ -348,6 +348,44 @@ def test_degree_cap(capsys, monkeypatch):
     assert code == 2 and "GENUS_MAX_N" in err
 
 
+# argv, GENUS_MAX_N, the one stderr line
+INPUT_ERRORS = {
+    "cap-not-an-integer": (["chi", "--n", "2"], "x", "GENUS_MAX_N must be an integer, got 'x'"),
+    "negative-degree": (["chi", "--n", "-1"], None, "degree must be non-negative"),
+    "at-without-manifold": (["chi", "--at", "euler", "--n", "2"], None, "--at needs --manifold"),
+    "kcoeffs-of-a-point": (["kcoeffs", "--n", "0"], None, "kcoeffs needs --n >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_each_input_error_exits_2_with_its_own_message(capsys, monkeypatch, case):
+    argv, cap, message = INPUT_ERRORS[case]
+    if cap is not None:
+        monkeypatch.setenv("GENUS_MAX_N", cap)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == "" and err == f"genus: {message}\n"
+
+
+def test_the_table_of_a_point_is_the_constant_1(capsys):
+    code, out, err = run(capsys, ["chi", "--n", "0"])
+    assert code == 0 and err == ""
+    assert out == '{"grade":0,"terms":[{"partition":[],"coeff":{"0":"1"}}]}\n'
+
+
+def test_a_manifold_file_that_is_not_json_is_an_input_error(capsys, tmp_path):
+    path = write(tmp_path, "bad.json", "nope")
+    code, out, err = run(capsys, ["chi", "--manifold", path])
+    assert code == 2 and out == ""
+    assert err == f"genus: {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_a_component_with_the_wrong_number_of_weights_is_an_input_error(capsys, tmp_path):
+    # a curve in a 3-fold has n - 1 = 2 normal weights
+    doc = {"n": 3, "components": [{"complexDim": 1, "weights": [1, -1, 2]}, {"weights": [-1, -1, -1]}]}
+    code, out, err = run(capsys, ["localize", "--model", write(tmp_path, "doc.json", doc)])
+    assert code == 2 and out == "" and err == "genus: model: component of dimension 1 needs 2 weights\n"
+
+
 @pytest.mark.parametrize(
     "key",
     ["pn: 3", "pn:+3", "pn:\u0663", "pn:03", "pn:3_0", "product:pn:1,,pn:1", "product:pn:1,pn:1,"],
@@ -900,7 +938,7 @@ def test_an_unknown_key_is_refused_with_its_path(capsys, tmp_path, kind):
     assert code == 2 and out == "" and err == f"genus: {message}\n", err
 
 
-# a pn:1 document that carries another manifold's Betti profile or circle action
+# a pn:1 or pn:2 document that carries another manifold's Betti profile, circle action or Chern numbers
 MISMATCHED_DOCS = {
     "betti": (
         _with(P1, ["betti"], {"dim": 4, "betti": [1, 0, 5, 0, 1], "sigma": -3}),
@@ -916,6 +954,15 @@ MISMATCHED_DOCS = {
             {"complexDim": 10**20, "dF": 0, "chiMinusY": {str(10**20): "1"}}
         ]}),
         f"manifold: action.n {10**20} is not the dimension 1",
+    ),
+    # P^2's Betti numbers, signature and action with K3's Chern numbers c_2 = 24, c_1^2 = 0
+    "euler": (
+        _with(
+            serialize.manifold_to_json(catalog.projective_space(2)),
+            ["chernNumbers"],
+            [{"partition": [2], "value": "24"}, {"partition": [1, 1], "value": "0"}],
+        ),
+        "manifold: betti has Euler number 3, but the top Chern number is 24",
     ),
 }
 
@@ -944,8 +991,8 @@ def test_a_fixed_point_has_the_invariants_of_a_point(capsys, tmp_path, invariant
 
 def test_malformed_json_names_field(capsys, tmp_path):
     bad = write(tmp_path, "bad.json", {"dimension": 2, "chernNumbers": "nope"})
-    code, _, err = run(capsys, ["ineq", "--manifold", bad])
-    assert code == 2 and "chernNumbers" in err
+    code, out, err = run(capsys, ["ineq", "--manifold", bad])
+    assert code == 2 and out == "" and err == "genus: manifold.chernNumbers: expected an array\n"
 
 
 @pytest.mark.parametrize("value", ["1\n", "\u0663"])

@@ -56,6 +56,13 @@ def test_closed_forms_small_and_large():
         assert all(c.matches for c in checks), (n, checks)
 
 
+def test_closed_forms_vanish_above_the_dimension():
+    # every monomial of K_j has an index n + 1 or more once j > n, and c_0 counts as 1
+    for j in range(2, 5):
+        for n in range(1, j):
+            assert closed_form_k(j, n) == ChernPolynomial(n), (j, n)
+
+
 def test_closed_form_k3_on_threefolds():
     # cross-checked on P^3: K_3 must evaluate to -1 there
     poly = closed_form_k(3, 3)

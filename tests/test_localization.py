@@ -284,6 +284,15 @@ def test_a_fixed_point_has_the_invariants_of_a_point():
             FixedComponent(complex_dim=0, d_f=0, **given)
 
 
+def test_a_modified_genus_that_is_not_a_ypolynomial_is_refused():
+    # a scalar is not a constant polynomial, so it cannot pass for a point's genus 1
+    assert YPolynomial.constant(5) != 5 and YPolynomial.one() != Fraction(1)
+    assert len({YPolynomial.constant(5), 5}) == 2
+    for complex_dim in (0, 1):
+        with pytest.raises(ValueError, match="^modified genus must be YPolynomial, got int$"):
+            FixedComponent(complex_dim, d_f=0, chi_minus_y=1)
+
+
 def test_fixed_points_share_one_set_of_invariants():
     # a point builds none of its own: every one holds the same three objects
     first = FixedComponent(d_f=0)

@@ -91,6 +91,13 @@ def test_records_keep_their_fields_defaults_properties_and_checks():
         ((2, {(2,): 1, (1, 1, 1): 1}), {}, "Chern numbers must cover all partitions of 2; missing [1, 1]"),
         ((1, {(1,): 2}), {"betti": projective_space(2).betti}, "betti.dim 4 is not twice the dimension 1"),
         ((1, {(1,): 2}), {"action": projective_space(2).action}, "action.n 2 is not the dimension 1"),
+        # P^2's Betti numbers with K3's Chern numbers, and a point's with c_0 = 2
+        (
+            (2, {(2,): 24, (1, 1): 0}),
+            {"betti": projective_space(2).betti},
+            "betti has Euler number 3, but the top Chern number is 24",
+        ),
+        ((0, {(): 2}), {"betti": BettiProfile(0, (1,), 1)}, "betti has Euler number 1, but the top Chern number is 2"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             ManifoldData(*args, **kwargs)

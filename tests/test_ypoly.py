@@ -63,9 +63,8 @@ def test_add_into_pads_past_the_end():
     assert total == [2, 3, 0, 0, 6, 0, 8]
 
 
-def test_stretch_and_negate():
+def test_negate_y():
     p = YPolynomial({0: 1, 1: 2, 2: 3})
-    assert p.stretch(2) == YPolynomial({0: 1, 2: 2, 4: 3})
     assert p.negate_y() == YPolynomial({0: 1, 1: -2, 2: 3})
 
 
