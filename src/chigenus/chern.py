@@ -28,7 +28,7 @@ from operator import mul
 from typing import Mapping, Union
 
 from .partitions import Partition, merge
-from .ypoly import YPolynomial, add_into, clear, convolve, slots_equal
+from .ypoly import YPolynomial, add_into, clear, convolve, require_exact, slots_equal
 
 Scalar = Union[int, Fraction, YPolynomial]
 
@@ -108,12 +108,13 @@ class ChernPolynomial:
         The sum runs on Python ints over the cleared form. With the values
         read as ``ypoly.clear`` gives them, ints v_i over one E, the y^d
         coefficient is sum_i columns[d][i] * v_i / (D * E), so the result is
-        one integer row over D * E.
+        one integer row over D * E. The values must be ``int`` or ``Fraction``.
         """
         try:
             picked = [values[part] for part in self.partitions]
         except KeyError as exc:
             raise ValueError(f"missing Chern number for partition {list(exc.args[0])}") from None
+        require_exact("Chern numbers", picked)
         e, scaled = clear(picked)
         totals = [sum(map(mul, column, scaled)) for column in self.columns]
         return YPolynomial.from_row(self.denominator * e, totals)

@@ -8,10 +8,13 @@ chi^p = eps^n (-1)^p for all p >= 2i. Since K_{2i} is a Taylor coefficient
 at y = -1, both sides are read off chi-vectors: the left-hand side is the
 binomial transform of the manifold's chi-vector, and chi_y(P^n) =
 sum_p (-y)^p gives the right-hand side K_{2i}(P^n) = C(n+1, 2i+1) in
-closed form. Reports use the cleared integer form: both sides are
-multiplied by the denominator D of K_{2i}'s cleared form (reported as
-``scale``), so the i = 0 line reads eps^n c_n >= n + 1 and the i = 1 line
-has right-hand side 2(n-1)n(n+1).
+closed form. The manifold's chi-vector is the genus polynomial's integer
+row over its denominator E, so the sign test, the equality criterion and
+the transform (``kexpansion.binomial_row``) all run on ints, and each
+left-hand side is one ``Fraction`` over E. Reports use the cleared integer
+form: both sides are multiplied by the denominator D of K_{2i}'s cleared
+form (reported as ``scale``), so the i = 0 line reads eps^n c_n >= n + 1
+and the i = 1 line has right-hand side 2(n-1)n(n+1).
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .engine import ManifoldData, chi_vector
-from .kexpansion import binomial_transform, k_coefficients
+from .engine import ManifoldData, genus_polynomial
+from .kexpansion import binomial_row, k_coefficients
 from .partitions import Partition
+from .ypoly import require_exact
 
 
 class InequalityReport(NamedTuple):
@@ -54,42 +58,48 @@ def check_inequalities(manifold: ManifoldData, epsilon: int = 1) -> list[Inequal
     off by the binomial transform, and the right is K_{2i}(P^n) =
     C(n+1, 2i+1), since chi_y(P^n) = sum_p (-y)^p. The table of K's supplies
     only each scale. The i = 1 right-hand side is cross-checked against
-    2(n-1)n(n+1), which guards K_2's cleared denominator.
+    2(n-1)n(n+1), which guards K_2's cleared denominator. ``epsilon`` must
+    be the ``int`` 1 or -1.
     """
+    require_exact("epsilon", [epsilon], (int,))
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 (chi-positive) or -1 (signed chi-positive)")
     n = manifold.dimension
     if n < 1:
         raise ValueError("need a manifold of positive dimension")
     sign = epsilon**n
-    chi = chi_vector(manifold)
+    genus = genus_polynomial(manifold)
+    den = genus.denominator
+    row = [*genus.row, *[0] * (n + 1 - len(genus.row))]
+    # E eps^n (-1)^p chi^p, which has the sign of eps^n (-1)^p chi^p since E > 0
+    signed = [sign * (-1) ** p * c for p, c in enumerate(row)]
     # the integrality tests run only once the sign test has passed, so data that
-    # fails it, as most does, pays nothing for them
+    # fails it, as most does, pays nothing for them; E == 1 is an integral chi-vector
     hypothesis = (
-        all(sign * (-1) ** p * chi[p] > 0 for p in range(n + 1))
-        and all(v.denominator == 1 for v in chi)
+        all(s > 0 for s in signed)
+        and den == 1
         and all(v.denominator == 1 for v in manifold.chern_numbers.values())
     )
-    k_values = binomial_transform(chi)
+    k_row = binomial_row(row)
     k_polys = k_coefficients(n).k_polys
     reports = []
     for i in range(n // 2 + 1):
         scale = k_polys[2 * i].denominator
-        rhs = Fraction(comb(n + 1, 2 * i + 1) * scale)
+        rhs = comb(n + 1, 2 * i + 1) * scale
         if i == 1 and rhs != 2 * (n - 1) * n * (n + 1):
             raise ArithmeticError(
                 f"cleared i=1 bound {rhs} disagrees with 2(n-1)n(n+1) = {2 * (n - 1) * n * (n + 1)}"
             )
-        lhs = sign * k_values[2 * i] * scale
+        lhs = sign * k_row[2 * i] * scale  # E times the left-hand side
         witness = tuple(range(2 * i, n + 1))
-        equality = all(chi[p] == sign * (-1) ** p for p in witness)
+        equality = all(signed[p] == den for p in witness)
         reports.append(
             InequalityReport(
                 index=i,
-                lhs=lhs,
-                rhs=rhs,
+                lhs=Fraction(lhs, den),
+                rhs=Fraction(rhs),
                 scale=scale,
-                holds=lhs >= rhs,
+                holds=lhs >= rhs * den,
                 equality=equality,
                 equality_witness=witness,
                 hypothesis_met=hypothesis,

@@ -7,8 +7,9 @@ transform of the universal genus polynomial's integer columns over its
 denominator, so each K_j comes out in the same cleared form. It also checks
 the classical closed forms for K_0..K_4, writes each odd K_j as the
 combination of the even ones that Serre duality fixes and checks it on the
-table, and implements the binomial transform between the chi^p and the K_j;
-both checks return one result per index. The Eulerian identity, which only
+table, and implements the binomial transform between the chi^p and the K_j
+(:func:`binomial_row` on an integer row, which the inequality reports read
+too); both checks return one result per index. The Eulerian identity, which only
 ``genus verify-paper`` checks, lives in :mod:`chigenus.verify`.
 """
 
@@ -140,18 +141,27 @@ def verify_closed_forms(n: int) -> tuple[ClosedFormCheck, ...]:
     )
 
 
+def binomial_row(row: Sequence[int]) -> list[int]:
+    """The sums sum_{p>=j} (-1)^{p-j} C(p, j) row[p], j = 0..len(row)-1, on ints.
+
+    On D times a chi-vector this is D times K_0..K_n, over the same D.
+    """
+    return [
+        sum(comb(p, j) * (-1) ** (p - j) * row[p] for p in range(j, len(row)))
+        for j in range(len(row))
+    ]
+
+
 def binomial_transform(chi: Sequence[Fraction | int]) -> list[Fraction]:
     """K_0..K_n from the chi-vector: K_j = sum_{p>=j} (-1)^{p-j} chi^p C(p, j).
 
-    Entries must be ``int`` or ``Fraction``; each sum runs on Python ints
-    over the one denominator D that ``ypoly.clear`` gives the chi-vector.
+    Entries must be ``int`` or ``Fraction``. The chi-vector is put over one
+    denominator D by ``ypoly.clear`` and transformed by :func:`binomial_row`,
+    so each K_j is one ``Fraction`` over D.
     """
     require_exact("chi-vector", chi)
     d, row = clear(chi)
-    return [
-        Fraction(sum(comb(p, j) * (-1) ** (p - j) * row[p] for p in range(j, len(row))), d)
-        for j in range(len(row))
-    ]
+    return [Fraction(k, d) for k in binomial_row(row)]
 
 
 class SpanCheck(NamedTuple):

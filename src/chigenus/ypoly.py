@@ -199,10 +199,12 @@ def slots_equal(self: object, other: object) -> bool:
 
 def clear(values: Sequence[Scalar]) -> tuple[int, list[int]]:
     """(D, ints): D is the lcm of the denominators and ``values[i] == ints[i] / D``."""
+    # one as_integer_ratio() call per value, not three Fraction property reads
+    ratios = [v.as_integer_ratio() for v in values]
     # a list, not a generator: CPython sizes the argument tuple of f(*generator) by
     # resizing, and each such tuple ends in the interpreter's free list for its length
-    den = lcm(*[v.denominator for v in values])
-    return den, [v.numerator * (den // v.denominator) for v in values]
+    den = lcm(*[q for _, q in ratios])
+    return den, [p * (den // q) for p, q in ratios]
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

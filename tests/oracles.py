@@ -6,7 +6,8 @@ Schur-complement elimination over the rationals, polynomial sums built one
 component at a time (each shifted up by :func:`shift_degree`), the graded
 exponential on ``YPolynomial`` coefficients and the binomial transform term
 by term; the two localization reports read their coefficients as
-``Fraction`` values. A Gauss-Jordan rank over the rationals checks that
+``Fraction`` values, and the inequality reports read both sides off the
+``Fraction`` chi-vector. A Gauss-Jordan rank over the rationals checks that
 test matrices have full rank, :func:`point` is the zero-dimensional
 manifold, :func:`synthetic_manifold` a seeded manifold document, and
 :func:`positivity` the two positivity predicates of the modified genus.
@@ -20,7 +21,9 @@ from math import comb
 
 from chigenus.betti import BettiProfile, InertiaTriple
 from chigenus.chern import ChernPolynomial
-from chigenus.engine import ManifoldData
+from chigenus.engine import ManifoldData, chi_vector
+from chigenus.inequalities import InequalityReport
+from chigenus.kexpansion import k_coefficients
 from chigenus.localization import (
     FixedPointModel,
     IsolatedConsistencyReport,
@@ -133,6 +136,28 @@ def reference_binomial_transform(chi) -> list[Fraction]:
             total += Fraction(-1) ** (p - j) * Fraction(chi[p]) * comb(p, j)
         out.append(total)
     return out
+
+
+def reference_check_inequalities(manifold: ManifoldData, epsilon: int) -> list[InequalityReport]:
+    """The inequality reports on Fractions: the chi-vector, its transform, then Fraction products."""
+    n = manifold.dimension
+    sign = epsilon**n
+    chi = chi_vector(manifold)
+    hypothesis = (
+        all(sign * (-1) ** p * chi[p] > 0 for p in range(n + 1))
+        and all(v.denominator == 1 for v in chi)
+        and all(Fraction(v).denominator == 1 for v in manifold.chern_numbers.values())
+    )
+    k_values = reference_binomial_transform(chi)
+    reports = []
+    for i in range(n // 2 + 1):
+        scale = k_coefficients(n).k_polys[2 * i].denominator
+        rhs = Fraction(comb(n + 1, 2 * i + 1) * scale)
+        lhs = sign * k_values[2 * i] * scale
+        witness = tuple(range(2 * i, n + 1))
+        equality = all(chi[p] == sign * (-1) ** p for p in witness)
+        reports.append(InequalityReport(i, lhs, rhs, scale, lhs >= rhs, equality, witness, hypothesis))
+    return reports
 
 
 def shift_degree(poly: YPolynomial, k: int) -> YPolynomial:

@@ -7,14 +7,23 @@ from math import comb, lcm
 import pytest
 
 from chigenus import inequalities, serialize
-from chigenus.catalog import CohomologyModel, ManifoldData, hypersurface, projective_space, standard_catalog
+from chigenus.catalog import (
+    CATALOG_KEYS,
+    CohomologyModel,
+    ManifoldData,
+    hypersurface,
+    make_manifold,
+    product,
+    projective_space,
+    standard_catalog,
+)
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import chi_vector, chi_y_chern_polynomial
 from chigenus.inequalities import check_inequalities, miyaoka_yau_check
 from chigenus.kexpansion import KTable, k_coefficients
 from chigenus.partitions import iter_partitions
 
-from oracles import positivity, synthetic_manifold
+from oracles import positivity, reference_check_inequalities, synthetic_manifold
 
 
 def synthetic(n: int, seed: int) -> ManifoldData:
@@ -127,13 +136,13 @@ def test_rhs_agrees_with_catalog_integration():
             assert report.rhs == k_poly.evaluate(numbers).constant_value() * report.scale, n
 
 
-def fractional_synthetic(n: int, seed: int) -> ManifoldData:
+def fractional_synthetic(n: int, seed: int, denominators=(1, 2, 3, 5, 12)) -> ManifoldData:
     """Arbitrary rational Chern numbers, most of them not integers, on every partition of n."""
     rng = random.Random(seed)
     return ManifoldData(
         n,
         {
-            part: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 12)))
+            part: Fraction(rng.randint(-40, 40), rng.choice(denominators))
             for part in iter_partitions(n)
         },
     )
@@ -147,6 +156,50 @@ def test_lhs_agrees_with_evaluating_each_k_polynomial():
             for report in check_inequalities(m, epsilon):
                 k_value = k_polys[2 * report.index].evaluate(m.chern_numbers).constant_value()
                 assert report.lhs == epsilon**n * k_value * report.scale, (n, epsilon, report.index)
+
+
+SIXTHS = (1, 2, 3, 6)
+
+
+def oracle_manifolds() -> list[ManifoldData]:
+    """The catalog, seeded products of its small members, seeded sixths on n = 1..8
+    (Chern numbers over 1, 2, 3 and 6), and
+    P^4 + (P^2 x P^2 - (P^1)^4) / 2, whose chi-vector (1, 0, -1/2, 0, 1) is over 2 yet
+    meets the i = 2 equality criterion."""
+    manifolds = [make_manifold(key) for key in CATALOG_KEYS]
+    p1, p2, p4 = projective_space(1), projective_space(2), projective_space(4)
+    p22, p1111 = product(p2, p2), product(product(p1, p1), product(p1, p1))
+    numbers = {
+        part: p4.chern_numbers[part] + (p22.chern_numbers[part] - p1111.chern_numbers[part]) / 2
+        for part in iter_partitions(4)
+    }
+    manifolds.append(ManifoldData(4, numbers))
+    small = [m for m in manifolds if m.dimension <= 4]
+    rng = random.Random(5)
+    for _ in range(12):
+        a, b = rng.choice(small), rng.choice(small)
+        manifolds.append(product(a, b))
+        manifolds.append(product(a, fractional_synthetic(rng.randint(1, 3), rng.randint(0, 10**6), SIXTHS)))
+    for n in range(1, 9):
+        manifolds += [fractional_synthetic(n, 1000 * n + seed, SIXTHS) for seed in range(3)]
+    return manifolds
+
+
+def test_reports_equal_the_fraction_route_field_by_field():
+    integral = set()
+    for m in oracle_manifolds():
+        integral.add(all(v.denominator == 1 for v in chi_vector(m)))
+        for epsilon in (1, -1):
+            reports = check_inequalities(m, epsilon)
+            assert reports == reference_check_inequalities(m, epsilon), (m.dimension, epsilon)
+            assert all(type(r.lhs) is Fraction and type(r.rhs) is Fraction for r in reports)
+    assert integral == {True, False}
+
+
+@pytest.mark.parametrize("epsilon", [1.0, -1.0, True, Fraction(1)])
+def test_epsilon_must_be_the_int_one_or_minus_one(epsilon):
+    with pytest.raises(ValueError, match=f"^epsilon must be int, got {type(epsilon).__name__}$"):
+        check_inequalities(projective_space(2), epsilon)
 
 
 def test_one_report_run_evaluates_only_the_genus_table(monkeypatch):

@@ -107,6 +107,8 @@ def test_convolve_is_the_product_of_evaluations(a, b):
 
 
 @given(st.lists(st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4)), max_size=8))
+@example([])
+@example([3, Fraction(-1, 6), Fraction(5, 4), 0])
 def test_clear_puts_values_over_their_lcm_denominator(values):
     den, ints = clear(values)
     assert den == lcm(*[Fraction(v).denominator for v in values])

@@ -123,6 +123,10 @@ CURVE = {"d_f": 0, "betti": (1, 0, 1), "signature": 0}
         (lambda: FixedComponent(1, chi_minus_y={0: 1}, **CURVE), "modified genus must be YPolynomial, got dict"),
         (lambda: FixedComponent(1, chi_minus_y=5, **CURVE), "modified genus must be YPolynomial, got int"),
         (lambda: YPolynomial({1.5: 1}), "degrees must be int, got float"),
+        (
+            lambda: ChernPolynomial(1, {(1,): 1}).evaluate({(1,): 0.5}),
+            "Chern numbers must be int or Fraction, got float",
+        ),
         # a bool is an int to Python, but a writer would emit it as true or "True"
         (lambda: ManifoldData(True, {(1,): 2}), "dimension must be int, got bool"),
         (lambda: ManifoldData(1, {(1,): True}), "Chern numbers must be int or Fraction, got bool"),
@@ -136,7 +140,7 @@ CURVE = {"d_f": 0, "betti": (1, 0, 1), "signature": 0}
     ],
     ids=[
         "manifold-dimension", "component-dimension", "d_f", "profile-dimension", "model-n",
-        "chi-vector", "modified-genus-dict", "modified-genus-int", "degree",
+        "chi-vector", "modified-genus-dict", "modified-genus-int", "degree", "chern-evaluate",
         "manifold-dimension-bool", "chern-number-bool", "profile-signature-bool", "betti-number-bool",
         "d_f-bool", "weight-bool", "zero-weight-bool", "component-signature-bool", "coefficient-bool",
     ],

@@ -81,6 +81,14 @@ def test_degree_and_constant():
         YPolynomial.variable().constant_value()
 
 
+def test_repr_reads_each_term_by_increasing_degree():
+    assert repr(YPolynomial.constant(Fraction(-2, 3))) == "-2/3"
+    assert repr(YPolynomial({1: 1, 3: Fraction(1, 2)})) == "1*y + 1/2*y^3"
+    # the one place a user meets it: the refusal of a non-constant polynomial
+    with pytest.raises(ValueError, match=r"^1/2 \+ -3/2\*y\^2 is not a constant polynomial$"):
+        YPolynomial.from_row(2, (1, 0, -3)).constant_value()
+
+
 def test_shift_degree():
     p = YPolynomial({0: 1, 1: 1})
     assert shift_degree(p, 2) == YPolynomial({2: 1, 3: 1})
