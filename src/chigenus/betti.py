@@ -233,12 +233,12 @@ def betti_inequality_check(profile: BettiProfile) -> BettiInequalityReport:
     b^{+-} are (b_{2m} +- sigma) / 2, whole and non-negative because the
     profile's constructor bounds sigma by b_{2m} and gives it b_{2m}'s
     parity. The equality cases are only meaningful when the profile is
-    signature-alternating, which the report records.
+    signature-alternating, which the report records; a profile without a
+    signature is refused by :func:`signature_alternating`.
     """
     if profile.dim % 4 != 0:
         raise ValueError("need dimension divisible by 4")
-    if profile.sigma is None:
-        raise ValueError("profile has no signature")
+    alternating = signature_alternating(profile)
     m = profile.dim // 4
     even = profile.even_betti()
     middle = even[m]
@@ -255,7 +255,7 @@ def betti_inequality_check(profile: BettiProfile) -> BettiInequalityReport:
     rhs2 = sum(even[2 * i] for i in range(k_lower))
     lower = BettiInequality(k_lower, lhs2, rhs2, lhs2 >= rhs2, lhs2 == rhs2)
 
-    return BettiInequalityReport(b_plus, b_minus, signature_alternating(profile), upper, lower)
+    return BettiInequalityReport(b_plus, b_minus, alternating, upper, lower)
 
 
 UNIMODALITY_LABEL = "conjecture diagnostic"

@@ -59,6 +59,8 @@ def _load_json(path: str) -> Any:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
     except ValueError:  # an integer literal over the interpreter's limit on digits converted
         raise InputError(f"{path} holds a number with too many digits") from None
+    except RecursionError:
+        raise InputError(f"{path} is nested too deeply") from None
 
 
 def _load_capped(path: str, key: str, reader: Callable[[Any], Any]) -> Any:
@@ -161,9 +163,9 @@ def _cmd_kcoeffs(args: argparse.Namespace) -> int:
         _emit(payload)
         return EXIT_OK
     closed = kexpansion.verify_closed_forms(args.n)
-    ok = all(c.matches for c in closed)
+    ok = all(closed)
     payload["closedForms"] = {
-        "checks": [{"j": c.j, "match": c.matches} for c in closed],
+        "checks": [{"j": j, "match": match} for j, match in enumerate(closed)],
         "allMatch": ok,
     }
     if args.n >= 3:
@@ -172,11 +174,11 @@ def _cmd_kcoeffs(args: argparse.Namespace) -> int:
         payload["oddSpan"] = {
             "checks": [
                 {
-                    "j": c.odd_index,
+                    "j": 2 * k + 1,
                     "inSpan": c.in_span,
                     "combination": [str(v) for v in c.combination],
                 }
-                for c in span
+                for k, c in enumerate(span)
             ],
             "allInSpan": in_span,
         }

@@ -2,15 +2,16 @@
 
 Writing chi_y(M) = sum_j K_j(M) * (y+1)^j defines Chern polynomials
 K_0..K_n; K_0 is the top Chern class and the even K_{2i} carry the
-inequality content. This module computes the K_j by one binomial
-transform of the universal genus polynomial's integer columns over its
-denominator, so each K_j comes out in the same cleared form. It also checks
-the classical closed forms for K_0..K_4, writes each odd K_j as the
-combination of the even ones that Serre duality fixes and checks it on the
-table, and implements the binomial transform between the chi^p and the K_j
-(:func:`binomial_row` on an integer row, which the inequality reports read
-too); both checks return one result per index. The Eulerian identity, which only
-``genus verify-paper`` checks, lives in :mod:`chigenus.verify`.
+inequality content. One transform owns the shift to y = -1:
+:func:`binomial_row`, the Taylor shift of an integer row. It builds every
+K_j from the universal genus polynomial's integer y-rows over its
+denominator, so each K_j comes out in the same cleared form, and the
+inequality reports and :func:`binomial_transform` run it on a chi-vector.
+The module also checks the classical closed forms for K_0..K_4 and writes
+each odd K_j as the combination of the even ones that Serre duality fixes,
+checked on the table; both checks return one result per index, in index
+order. The Eulerian identity, which only ``genus verify-paper`` checks,
+lives in :mod:`chigenus.verify`.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ def k_coefficients(n: int) -> KTable:
     """Expand the universal genus polynomial in powers of (y + 1).
 
     The table is held as integer columns over one denominator D (see
-    :class:`~chigenus.chern.ChernPolynomial`), so the shift to y = -1 is a
-    binomial transform of those columns on ints: the K_j column is
-    sum_{d >= j} C(d, j) * (-1)^(d - j) * column_d, over the same D.
-    Memoized per argument for the life of the process.
+    :class:`~chigenus.chern.ChernPolynomial`), so each partition's y-row of
+    ints goes through :func:`binomial_row`, the Taylor shift to y = -1, once;
+    entry j of the result is that partition's coefficient in K_j, over the
+    same D. Memoized per argument for the life of the process.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -50,12 +51,9 @@ def k_coefficients(n: int) -> KTable:
         excess = columns[n + 1 :]
         i = next(i for i in range(len(parts)) if any(column[i] for column in excess))
         raise ArithmeticError(f"coefficient of {parts[i]} has y-degree above {n}")
-    k_polys = []
-    for j in range(n + 1):
-        weights = [(comb(d, j) * (-1) ** (d - j), columns[d]) for d in range(j, len(columns))]
-        rows = {part: [sum(w * column[i] for w, column in weights)] for i, part in enumerate(parts)}
-        k_polys.append(ChernPolynomial._from_rows(n, table.denominator, rows))
-    return KTable(tuple(k_polys))
+    shifted = [binomial_row([column[i] for column in columns]) for i in range(len(parts))]
+    k_rows = [{part: row[j : j + 1] for part, row in zip(parts, shifted)} for j in range(n + 1)]
+    return KTable(tuple(ChernPolynomial._from_rows(n, table.denominator, rows) for rows in k_rows))
 
 
 def _chern_monomial(indices: Sequence[int], n: int) -> Partition | None:
@@ -128,28 +126,24 @@ def closed_form_k(j: int, n: int) -> ChernPolynomial:
     )
 
 
-class ClosedFormCheck(NamedTuple):
-    j: int
-    matches: bool
-
-
-def verify_closed_forms(n: int) -> tuple[ClosedFormCheck, ...]:
-    """Compare computed K_j with the closed forms, for j <= min(n, 4)."""
+def verify_closed_forms(n: int) -> tuple[bool, ...]:
+    """Whether each computed K_j equals its closed form, for j = 0..min(n, 4) in order."""
     table = k_coefficients(n)
-    return tuple(
-        ClosedFormCheck(j, table.k_polys[j] == closed_form_k(j, n)) for j in range(min(n, 4) + 1)
-    )
+    return tuple(table.k_polys[j] == closed_form_k(j, n) for j in range(min(n, 4) + 1))
 
 
 def binomial_row(row: Sequence[int]) -> list[int]:
-    """The sums sum_{p>=j} (-1)^{p-j} C(p, j) row[p], j = 0..len(row)-1, on ints.
+    """The Taylor shift to y = -1: sum_p row[p] y^p in powers of (y + 1), on ints.
 
-    On D times a chi-vector this is D times K_0..K_n, over the same D.
+    Entry j is sum_{p>=j} (-1)^{p-j} C(p, j) row[p], found by repeated
+    differencing. On D times a chi-vector this is D times K_0..K_n, over the
+    same D; on a y-row of the universal table, that partition's K_j coefficients.
     """
-    return [
-        sum(comb(p, j) * (-1) ** (p - j) * row[p] for p in range(j, len(row)))
-        for j in range(len(row))
-    ]
+    out = list(row)
+    for i in range(len(out) - 1):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] -= out[k + 1]
+    return out
 
 
 def binomial_transform(chi: Sequence[Fraction | int]) -> list[Fraction]:
@@ -165,7 +159,6 @@ def binomial_transform(chi: Sequence[Fraction | int]) -> list[Fraction]:
 
 
 class SpanCheck(NamedTuple):
-    odd_index: int
     in_span: bool
     combination: tuple[Fraction, ...] = ()
 
@@ -179,6 +172,8 @@ def odd_k_span_check(n: int) -> tuple[SpanCheck, ...]:
     gives each odd K as an explicit rational combination of the even ones
     (K_1 = -(n/2) K_0 first), which is then checked on every partition of
     the universal table; a failure would mean the table breaks duality.
+    Entry i of the result checks K_{2i+1}: ``combination`` holds the
+    coefficients of K_0, K_2, ..., K_{2i} when ``in_span`` holds.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -201,6 +196,6 @@ def odd_k_span_check(n: int) -> tuple[SpanCheck, ...]:
             for part, v in even.items():
                 combined[part] = combined.get(part, 0) + c * v
         in_span = {part: v for part, v in combined.items() if v} == values[j]
-        checks.append(SpanCheck(j, True, tuple(combination)) if in_span else SpanCheck(j, False))
+        checks.append(SpanCheck(True, tuple(combination)) if in_span else SpanCheck(False))
     return tuple(checks)
 

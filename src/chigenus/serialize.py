@@ -255,8 +255,6 @@ def component_from_json(obj: Any, field: str) -> FixedComponent:
     obj = _object(obj, field, ("complexDim", "weights", "dF", "betti", "signature", "chiMinusY"))
     r = _field(obj, field, "complexDim", "a non-negative integer", 0)
     weights = _field(obj, field, "weights", "an array of integers", None)
-    if weights is not None and 0 in weights:
-        raise SchemaError(f"{field}.weights", "rotation weights must be nonzero")
     d_f = _field(obj, field, "dF", "an integer", None)
     betti = _field(obj, field, "betti", "an array of integers", None)
     signature = _field(obj, field, "signature", "an integer", None)

@@ -71,32 +71,38 @@ def _diagonal_inertia(matrix):
     )
 
 
-# One package function per check, replaced by a wrong one the check must catch.
+# One package function per check, replaced by a wrong one the check must catch,
+# and the witness the check then names.
 BREAKAGES = {
-    "k-closed-forms": (kexpansion, "closed_form_k", lambda j, n: ChernPolynomial(n)),
-    "projective-genus": (catalog, "projective_space", lambda n: catalog.hypersurface(n, 2)),
-    "duality": (engine, "chi_vector", lambda m: [Fraction(1)] + [Fraction(0)] * m.dimension),
-    "inequality-optimality": (inequalities, "genus_polynomial", lambda m: YPolynomial.zero()),
-    "binomial-transform": (kexpansion, "binomial_transform", lambda chi: list(chi)),
-    "localization": (localization, "novikov_polynomial", lambda model: YPolynomial.one()),
-    "signature-chain": (localization, "localized_signature", lambda model: 0),
-    "k3-cross-check": (catalog, "hypersurface", lambda n, d: catalog.projective_space(n)),
+    "k-closed-forms": (kexpansion, "closed_form_k", lambda j, n: ChernPolynomial(n), "n=4 j=0"),
+    "projective-genus": (catalog, "projective_space", lambda n: catalog.hypersurface(n, 2), "n=2"),
+    "duality": (engine, "chi_vector", lambda m: [Fraction(1)] + [Fraction(0)] * m.dimension, "pn:1"),
+    "inequality-optimality": (inequalities, "genus_polynomial", lambda m: YPolynomial.zero(), "n=1 i=0"),
+    "binomial-transform": (kexpansion, "binomial_transform", lambda chi: list(chi), "pn:1"),
+    "localization": (
+        localization,
+        "novikov_polynomial",
+        lambda model: YPolynomial.one(),
+        "n=1 Novikov polynomial",
+    ),
+    "signature-chain": (localization, "localized_signature", lambda model: 0, "n=2 signature 0"),
+    "k3-cross-check": (catalog, "hypersurface", lambda n, d: catalog.projective_space(n), "chi-vector"),
     "eulerian-identity": (
         engine,
         "eulerian_polynomials",
         lambda up_to: [YPolynomial.one()] * up_to,
+        "order 8",
     ),
-    "inertia-suite": (betti, "inertia", _diagonal_inertia),
+    "inertia-suite": (betti, "inertia", _diagonal_inertia, "congruence trial 1 size=2"),
 }
 
 
 @pytest.mark.parametrize("key", [c[0] for c in verify.CHECKS])
 def test_check_returns_witness_when_broken(monkeypatch, key):
-    module, name, wrong = BREAKAGES[key]
+    module, name, wrong, expected = BREAKAGES[key]
     monkeypatch.setattr(module, name, wrong)
     check = {c[0]: c[2] for c in verify.CHECKS}[key]
-    witness = check()
-    assert isinstance(witness, str) and witness, witness
+    assert check() == expected
 
 
 def test_the_inertia_suite_reaches_every_dimension_and_both_equality_cases():

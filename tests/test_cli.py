@@ -98,7 +98,7 @@ def test_kcoeffs_verify_reports_an_odd_k_outside_the_span(capsys, monkeypatch):
     broken, build = kexpansion.KTable(tuple(k_polys)), kexpansion.k_coefficients
     monkeypatch.setattr(kexpansion, "k_coefficients", lambda m: broken if m == n else build(m))
     checks = kexpansion.odd_k_span_check(n)
-    assert [(c.odd_index, c.in_span) for c in checks] == [(1, True), (3, True), (5, False)]
+    assert [c.in_span for c in checks] == [True, True, False]
     assert checks[2].combination == ()
     code, out, _ = run(capsys, ["kcoeffs", "--n", str(n), "--verify"])
     doc = json.loads(out)
@@ -354,6 +354,7 @@ INPUT_ERRORS = {
     "negative-degree": (["chi", "--n", "-1"], None, "degree must be non-negative"),
     "at-without-manifold": (["chi", "--at", "euler", "--n", "2"], None, "--at needs --manifold"),
     "kcoeffs-of-a-point": (["kcoeffs", "--n", "0"], None, "kcoeffs needs --n >= 1"),
+    "kcoeffs-over-the-cap": (["kcoeffs", "--n", "13"], None, "degree 13 exceeds GENUS_MAX_N=12"),
 }
 
 
@@ -377,6 +378,18 @@ def test_a_manifold_file_that_is_not_json_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, ["chi", "--manifold", path])
     assert code == 2 and out == ""
     assert err == f"genus: {path} is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["chi", "--manifold"], ["ineq", "--manifold"], ["localize", "--model"], ["betti", "--profile"], ["betti", "--form"]],
+    ids=["chi", "ineq", "localize", "betti-profile", "betti-form"],
+)
+def test_a_document_nested_too_deeply_is_an_input_error(capsys, tmp_path, option):
+    depth = 100_000
+    path = write(tmp_path, "deep.json", '{"a":' * depth + "1" + "}" * depth)
+    code, out, err = run(capsys, [*option, path])
+    assert (code, out, err) == (2, "", f"genus: {path} is nested too deeply\n")
 
 
 def test_a_component_with_the_wrong_number_of_weights_is_an_input_error(capsys, tmp_path):
@@ -415,6 +428,13 @@ def test_a_malformed_key_is_refused_before_the_cap(capsys):
     ):
         code, out, err = run(capsys, ["catalog", "--make", key])
         assert (code, out, err) == (2, "", f"genus: {lead}\n"), key
+
+
+def test_a_key_integer_over_the_digit_limit_is_malformed(capsys):
+    key = "pn:" + "1" * 5000
+    message = f"malformed catalog key {key!r}"
+    code, out, err = run(capsys, ["catalog", "--make", key])
+    assert (code, out, err) == (2, "", f"genus: {message[:200]}... ({len(message)} characters)\n")
 
 
 def test_an_action_key_with_a_colon_needs_exponents(capsys):

@@ -52,8 +52,7 @@ def test_reassembly_identity():
 def test_closed_forms_small_and_large():
     for n in (2, 4, 6, 8):
         checks = verify_closed_forms(n)
-        assert [c.j for c in checks] == list(range(min(n, 4) + 1)), (n, checks)
-        assert all(c.matches for c in checks), (n, checks)
+        assert checks == (True,) * (min(n, 4) + 1), (n, checks)
 
 
 def test_closed_forms_vanish_above_the_dimension():
@@ -108,21 +107,20 @@ def test_point_transform():
 def test_odd_span_membership():
     for n in range(3, 13):
         checks = odd_k_span_check(n)
-        assert [c.odd_index for c in checks] == list(range(1, n + 1, 2)), (n, checks)
+        assert len(checks) == (n + 1) // 2, (n, checks)
         assert all(c.in_span for c in checks), (n, checks)
         table = k_coefficients(n)
-        for check in checks:
-            i = (check.odd_index - 1) // 2
+        for i, check in enumerate(checks):
+            odd = 2 * i + 1
             combo: dict = {}
             for j, coeff in enumerate(check.combination):
                 for part, c in table.k_polys[2 * j].items():
                     combo[part] = combo.get(part, 0) + coeff * c.constant_value()
-            assert ChernPolynomial(n, combo) == table.k_polys[check.odd_index], (n, check.odd_index)
+            assert ChernPolynomial(n, combo) == table.k_polys[odd], (n, odd)
 
 
 def test_k1_span_ratio():
     first = odd_k_span_check(4)[0]
-    assert first.odd_index == 1
     assert first.combination == (Fraction(-2),)  # -n/2 at n = 4
 
 

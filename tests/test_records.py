@@ -8,11 +8,19 @@ from pathlib import Path
 import pytest
 
 from chigenus import ypoly
-from chigenus.betti import BettiInequality, BettiInequalityReport, BettiProfile
-from chigenus.catalog import CohomologyModel, ManifoldData, projective_space
+from chigenus.betti import BettiInequality, BettiInequalityReport, BettiProfile, betti_inequality_check
+from chigenus.catalog import (
+    CohomologyModel,
+    ManifoldData,
+    hypersurface,
+    make_action,
+    make_manifold,
+    projective_space,
+    standard_pn_action,
+)
 from chigenus.chern import ChernPolynomial
-from chigenus.inequalities import CurvatureBoundReport, InequalityReport, SurfaceInequality
-from chigenus.kexpansion import ClosedFormCheck, KTable, SpanCheck, binomial_transform
+from chigenus.inequalities import CurvatureBoundReport, InequalityReport, SurfaceInequality, check_inequalities
+from chigenus.kexpansion import KTable, SpanCheck, binomial_transform, closed_form_k, k_coefficients
 from chigenus.localization import (
     FixedComponent,
     FixedPointModel,
@@ -21,6 +29,8 @@ from chigenus.localization import (
 )
 from chigenus.series import TruncatedSeries
 from chigenus.ypoly import YPolynomial
+
+from oracles import point
 
 FIELDS = {
     BettiInequality: ("k", "lhs", "rhs", "holds", "equality"),
@@ -31,8 +41,7 @@ FIELDS = {
     SurfaceInequality: ("label", "lhs", "rhs", "holds", "equality"),
     CurvatureBoundReport: ("n", "lhs", "rhs", "holds", "equality", "surface"),
     KTable: ("k_polys",),
-    ClosedFormCheck: ("j", "matches"),
-    SpanCheck: ("odd_index", "in_span", "combination"),
+    SpanCheck: ("in_span", "combination"),
     IsolatedConsistencyReport: ("odd_novikov_vanish", "substitution_matches", "chi_positive"),
     SignatureIdentityReport: ("applicable", "signature", "alternating_sum"),
 }
@@ -46,7 +55,7 @@ def test_records_keep_their_fields_defaults_properties_and_checks():
     k, lhs, *_ = check
     assert (k, lhs) == (1, 2)
 
-    assert SpanCheck(3, False).combination == ()
+    assert SpanCheck(False).combination == ()
     assert IsolatedConsistencyReport(True, True, False).consistent
     assert not IsolatedConsistencyReport(True, False, True).consistent
     assert SignatureIdentityReport(True, 1, 1).holds
@@ -148,6 +157,43 @@ CURVE = {"d_f": 0, "betti": (1, 0, 1), "signature": 0}
 def test_every_record_field_refuses_what_is_not_exact(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FixedPointModel(1, [FixedComponent(2, d_f=0)]), "component dimension exceeds the manifold's"),
+        (
+            lambda: betti_inequality_check(BettiProfile(6, (1, 0, 1, 0, 1, 0, 1), 0)),
+            "need dimension divisible by 4",
+        ),
+        (lambda: betti_inequality_check(BettiProfile(4, (1, 0, 2, 0, 1))), "profile has no signature"),
+        (lambda: projective_space(0), "need n >= 1"),
+        (lambda: hypersurface(1, 0), "need n >= 1 and d >= 1"),
+        (lambda: standard_pn_action(2, (0, 1)), "need exactly 3 exponents for n = 2"),
+        (lambda: make_action("pn:2"), "unknown action key 'pn:2'"),
+        (lambda: make_manifold("pnaction:2"), "unknown catalog key 'pnaction:2'"),
+        (lambda: YPolynomial.from_row(0, (1,)), "denominator must be positive"),
+        (lambda: YPolynomial.one() ** -1, "negative exponent"),
+        (lambda: ChernPolynomial(-1), "grade must be non-negative"),
+        (lambda: closed_form_k(5, 6), "closed forms are implemented for j <= 4 only"),
+        (lambda: check_inequalities(point(), 1), "need a manifold of positive dimension"),
+    ],
+    ids=[
+        "model-component-dimension", "betti-check-dimension", "betti-check-signature", "projective-space",
+        "hypersurface", "action-exponents", "action-key", "manifold-key", "row-denominator",
+        "negative-power", "chern-grade", "closed-form-index", "inequalities-of-a-point",
+    ],
+)
+def test_every_builder_and_record_guard_keeps_its_message(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_chern_polynomial_reads_as_its_terms():
+    # the README's quick start displays this form
+    assert repr(k_coefficients(2).k_polys[2]) == "(1/12)*c2 + (1/12)*c1c1"
+    assert repr(ChernPolynomial(2)) == "0"
 
 
 def test_the_exact_records_share_one_slot_wise_equality():

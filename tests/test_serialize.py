@@ -198,10 +198,13 @@ def test_model_round_trip():
 def test_model_schema_errors():
     with pytest.raises(SchemaError, match="components"):
         serialize.model_from_json({"n": 2, "components": []})
-    with pytest.raises(SchemaError, match=r"components\[0\].weights"):
+    with pytest.raises(SchemaError, match=r"^model\.components\[0\]: rotation weights must be nonzero$"):
         serialize.model_from_json(
             {"n": 1, "components": [{"complexDim": 0, "weights": [0]}]}
         )
+    message = r"^model\.components\[0\]\.chiMinusY: expected an object mapping degree to coefficient$"
+    with pytest.raises(SchemaError, match=message):
+        serialize.model_from_json({"n": 1, "components": [{"complexDim": 1, "dF": 0, "chiMinusY": []}]})
 
 
 def test_model_n_is_bounded_before_any_row_is_built(monkeypatch):
