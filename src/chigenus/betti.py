@@ -104,15 +104,23 @@ def inertia(matrix: Sequence[Sequence[Fraction | int]]) -> InertiaTriple:
     return InertiaTriple(plus, minus, zero)
 
 
+def require_signature(dim: int, sigma: object) -> None:
+    """Refuse a signature that is not an ``int``, or that is nonzero in a real dimension not divisible by 4."""
+    if sigma.__class__ is not int:
+        require_exact("signature", [sigma], (int,))
+    if dim % 4 and sigma:
+        raise ValueError("signature must vanish in dimensions not divisible by 4")
+
+
 class BettiProfile:
     """Betti numbers b_0..b_dim of a closed oriented manifold, maybe with sigma.
 
     This is the one check of a (Betti row, signature) pair. Poincare duality
-    (b_i = b_{dim-i}) is enforced. A sigma must vanish when the dimension is
-    not divisible by 4; in dimension 4m it is b^+ - b^- of a nondegenerate
-    middle form of rank b_{2m} = b^+ + b^-, so |sigma| <= b_{2m} and sigma
-    has the parity of b_{2m}. Profiles are immutable values: equal fields
-    compare equal and hash alike.
+    (b_i = b_{dim-i}) is enforced. A sigma passes :func:`require_signature`,
+    so it vanishes when the dimension is not divisible by 4; in dimension 4m
+    it is b^+ - b^- of a nondegenerate middle form of rank b_{2m} = b^+ + b^-,
+    so |sigma| <= b_{2m} and sigma has the parity of b_{2m}. Profiles are
+    immutable values: equal fields compare equal and hash alike.
     """
 
     __slots__ = ("dim", "betti", "sigma")
@@ -125,20 +133,16 @@ class BettiProfile:
         if len(betti) != dim + 1:
             raise ValueError(f"need Betti numbers b_0..b_{dim}")
         require_counts("Betti numbers", betti)
-        if sigma is not None and sigma.__class__ is not int:
-            require_exact("signature", [sigma], (int,))
+        if sigma is not None:
+            require_signature(dim, sigma)
         if any(betti[i] != betti[dim - i] for i in range(dim + 1)):
             raise ValueError("Betti numbers must satisfy Poincare duality")
-        if sigma is not None:
-            if dim % 4:
-                if sigma:
-                    raise ValueError("signature must vanish in dimensions not divisible by 4")
-            else:
-                middle = betti[dim // 2]
-                if abs(sigma) > middle:
-                    raise ValueError(f"signature {sigma} exceeds the middle Betti number {middle}")
-                if (sigma - middle) % 2:
-                    raise ValueError("middle Betti number and signature have different parity")
+        if sigma is not None and not dim % 4:
+            middle = betti[dim // 2]
+            if abs(sigma) > middle:
+                raise ValueError(f"signature {sigma} exceeds the middle Betti number {middle}")
+            if (sigma - middle) % 2:
+                raise ValueError("middle Betti number and signature have different parity")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "betti", betti)
         object.__setattr__(self, "sigma", sigma)

@@ -2,10 +2,11 @@
 
 A monomial c_{l_1} * ... * c_{l_k} is indexed by the partition
 (l_1 >= ... >= l_k); a :class:`ChernPolynomial` is a homogeneous linear
-combination of such monomials with coefficients in Q[y], held in one
-cleared integer form: a denominator D, the lcm of the reduced coefficient
-denominators, over one column of ints per y-degree. Evaluation on Chern
-numbers is then a dot product of those columns with the values as
+combination of such monomials with coefficients in Q[y], held in the one
+y-polynomial form of :mod:`chigenus.ypoly`: one integer row per partition,
+in ``YPolynomial.row``'s convention, over one shared denominator D, put in
+canonical form by :func:`chigenus.ypoly.reduce_rows`. Evaluation on Chern
+numbers sums those rows, degree by degree, weighted by the values as
 :func:`chigenus.ypoly.clear` puts them over one denominator; the
 exponential's rows are multiplied and summed by ``ypoly`` too.
 
@@ -14,21 +15,21 @@ The module also provides the power sums of the Chern roots in this basis
 combination, both computed on integer coefficients. The exponential takes
 its exponent factored, one piece l_k(y) p_k(c) per weight k with l_k a
 :class:`~chigenus.ypoly.YPolynomial` and p_k an integer Chern polynomial,
-reads each l_k's integer row over its denominator, holds each weight of the
-result as integer rows over its own reduced scale, and hands the top weight
-to the cleared form.
+reads each l_k's integer row over its denominator and holds each weight of
+the result as a :class:`ChernPolynomial`, whose rows the next weights read.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import zip_longest
+from math import lcm
 from operator import mul
 from typing import Mapping, Union
 
 from .partitions import Partition, merge
-from .ypoly import YPolynomial, add_into, clear, convolve, require_exact, slots_equal
+from .ypoly import YPolynomial, add_into, clear, convolve, reduce_rows, require_exact, slots_equal
 
 Scalar = Union[int, Fraction, YPolynomial]
 
@@ -43,26 +44,26 @@ class ChernPolynomial:
     The polynomial is held in one cleared integer form: ``denominator`` D,
     the lcm of the reduced denominators of its coefficients (1 for the zero
     polynomial); ``partitions``, those with a nonzero coefficient, in
-    reverse-lexicographic order; and ``columns``, one tuple of ints per
-    y-degree, with ``columns[d][i]`` equal to D times the y^d coefficient of
-    ``partitions[i]``. Trailing all-zero degrees are dropped, so equal
+    reverse-lexicographic order; and ``rows``, one tuple of ints per
+    partition, with ``rows[i][d]`` equal to D times the y^d coefficient of
+    ``partitions[i]``. No row ends in 0, as no ``YPolynomial.row`` does, and
+    ``ypoly.reduce_rows`` leaves D and the rows coprime, so equal
     polynomials have equal forms.
     """
 
-    __slots__ = ("grade", "denominator", "partitions", "columns")
+    __slots__ = ("grade", "denominator", "partitions", "rows")
 
     def __init__(self, grade: int, terms: Mapping[Partition, Scalar] | None = None) -> None:
         if grade < 0:
             raise ValueError("grade must be non-negative")
         polys: dict[Partition, YPolynomial] = {}
-        if terms:
-            for part, coeff in terms.items():
-                part = tuple(part)
-                if sum(part) != grade:
-                    raise ValueError(f"partition {part} does not have weight {grade}")
-                if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
-                    raise ValueError(f"partition {part} is not sorted non-increasingly")
-                polys[part] = coeff if isinstance(coeff, YPolynomial) else YPolynomial.constant(coeff)
+        for part, coeff in (terms or {}).items():
+            part = tuple(part)
+            if sum(part) != grade:
+                raise ValueError(f"partition {part} does not have weight {grade}")
+            if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
+                raise ValueError(f"partition {part} is not sorted non-increasingly")
+            polys[part] = coeff if isinstance(coeff, YPolynomial) else YPolynomial.constant(coeff)
         d = lcm(*[poly.denominator for poly in polys.values()])
         rows = {part: [c * (d // poly.denominator) for c in poly.row] for part, poly in polys.items()}
         self._store(grade, d, rows)
@@ -71,9 +72,10 @@ class ChernPolynomial:
     def _from_rows(cls, grade: int, scale: int, rows: Mapping[Partition, list[int]]) -> "ChernPolynomial":
         """The polynomial sum_p (sum_d rows[p][d] y^d) / scale, for partitions of weight grade.
 
-        ``scale`` may be any common multiple of the denominators: the form is
-        divided by the gcd of ``scale`` and every entry, which leaves the lcm
-        of the reduced denominators.
+        ``scale`` may be any common multiple of the denominators, and a row may
+        be all zeros or end in zeros: ``ypoly.reduce_rows`` trims the rows and
+        divides ``scale`` and every entry by their common divisor, which leaves
+        the lcm of the reduced denominators.
         """
         poly = cls.__new__(cls)
         poly._store(grade, scale, rows)
@@ -81,23 +83,13 @@ class ChernPolynomial:
 
     def _store(self, grade: int, scale: int, rows: Mapping[Partition, list[int]]) -> None:
         parts = sorted([part for part, row in rows.items() if any(row)], reverse=True)
-        width = max([len(rows[part]) for part in parts], default=0)
-        columns = [[rows[p][d] if d < len(rows[p]) else 0 for p in parts] for d in range(width)]
-        while columns and not any(columns[-1]):
-            columns.pop()
-        g = gcd(scale, *[x for column in columns for x in column])
-        self.grade = grade
-        self.denominator = scale // g
-        self.partitions = tuple(parts)
-        self.columns = tuple(tuple([x // g for x in column]) for column in columns)
+        self.grade, self.partitions = grade, tuple(parts)
+        self.denominator, self.rows = reduce_rows(scale, [rows[part] for part in parts])
 
     def items(self) -> list[tuple[Partition, YPolynomial]]:
-        """Terms in canonical (reverse-lexicographic) partition order, read off the columns."""
+        """Terms in canonical (reverse-lexicographic) partition order, each row read as a ``YPolynomial``."""
         d = self.denominator
-        return [
-            (part, YPolynomial.from_row(d, [column[i] for column in self.columns]))
-            for i, part in enumerate(self.partitions)
-        ]
+        return [(part, YPolynomial.from_row(d, row)) for part, row in zip(self.partitions, self.rows)]
 
     def __len__(self) -> int:
         return len(self.partitions)
@@ -107,8 +99,9 @@ class ChernPolynomial:
 
         The sum runs on Python ints over the cleared form. With the values
         read as ``ypoly.clear`` gives them, ints v_i over one E, the y^d
-        coefficient is sum_i columns[d][i] * v_i / (D * E), so the result is
-        one integer row over D * E. The values must be ``int`` or ``Fraction``.
+        coefficient is sum_i rows[i][d] * v_i / (D * E), a row past its end
+        counting as 0, so the result is one integer row over D * E. The
+        values must be ``int`` or ``Fraction``.
         """
         try:
             picked = [values[part] for part in self.partitions]
@@ -116,7 +109,7 @@ class ChernPolynomial:
             raise ValueError(f"missing Chern number for partition {list(exc.args[0])}") from None
         require_exact("Chern numbers", picked)
         e, scaled = clear(picked)
-        totals = [sum(map(mul, column, scaled)) for column in self.columns]
+        totals = [sum(map(mul, column, scaled)) for column in zip_longest(*self.rows, fillvalue=0)]
         return YPolynomial.from_row(self.denominator * e, totals)
 
     __eq__ = slots_equal
@@ -170,34 +163,34 @@ def graded_exponential(pieces: Mapping[int, Piece], cap: int) -> ChernPolynomial
 
     Uses the grading derivative: if E = exp(A) then m*E_m is the weight-m
     part of (sum_k k*A_k) * E. The recurrence runs on dense lists of Python
-    ints, indexed by y-degree. Each weight m is held as integer rows R_m
-    over its own scale s_m, E_m = R_m / s_m, with s_0 = 1 and R_0 = 1. With
-    l_k = row_k / d_k (its ``row`` over its ``denominator``) and
-    L = m * lcm_k(d_k * s_{m-k}),
+    ints, indexed by y-degree. Each weight m is held as a grade-m
+    :class:`ChernPolynomial`, integer rows R_m over its denominator s_m,
+    E_m = R_m / s_m, with s_0 = 1 and R_0 = 1. With l_k = row_k / d_k (its
+    ``row`` over its ``denominator``) and L = m * lcm_k(d_k * s_{m-k}),
 
         L E_m = sum_k k * L / (m d_k s_{m-k}) * row_k * p_k * R_{m-k}
 
     has integer terms only. A piece is factored, so row_k is convolved with
     each row of R_{m-k} once and the result is added into every partition of
-    p_k times its coefficient and that factor. R_m and L are then divided by
-    their gcd, which keeps every scale near the true denominator of its weight.
+    p_k times its coefficient and that factor. The rows over L become the
+    weight-m polynomial, whose cleared form divides them and L by their
+    greatest common divisor, so s_m is the true denominator of its weight.
     Weights add, so a product never exceeds the cap and none is tested
-    against it. The weight-cap rows become the cleared form directly.
+    against it. The weight-cap polynomial is the result.
     """
     if 0 in pieces:
         raise ValueError("exponential requires vanishing constant term")
-    buckets: list[tuple[int, dict[Partition, list[int]]]] = [(1, {(): [1]})]
+    weights = [ChernPolynomial._from_rows(0, 1, {(): [1]})]
     for m in range(1, cap + 1):
         used = [(k, ell.denominator, ell.row, c) for k, (ell, c) in pieces.items() if k <= m]
-        scale = m * lcm(*[den * buckets[m - k][0] for k, den, _, _ in used])
+        scale = m * lcm(*[den * weights[m - k].denominator for k, den, _, _ in used])
         acc: dict[Partition, list[int]] = defaultdict(list)
         for k, den, row, chern in used:
-            s, bucket = buckets[m - k]
-            factor = k * scale // (m * den * s)
-            for pb, cb in bucket.items():
+            lower = weights[m - k]
+            factor = k * scale // (m * den * lower.denominator)
+            for pb, cb in zip(lower.partitions, lower.rows):
                 conv = convolve(row, cb)
                 for pa, c in chern.items():
                     add_into(acc[merge(pa, pb)], conv, factor * c)
-        g = gcd(scale, *[x for out in acc.values() for x in out])
-        buckets.append((scale // g, {part: [x // g for x in out] for part, out in acc.items() if any(out)}))
-    return ChernPolynomial._from_rows(cap, *buckets[cap])
+        weights.append(ChernPolynomial._from_rows(m, scale, acc))
+    return weights[cap]

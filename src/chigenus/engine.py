@@ -189,9 +189,9 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
     paired with the x^k coefficients l_k of log Q in the closed form of
     Hirzebruch section 1.8, each an integer row over a denominator, so no
     series or ``Fraction`` arithmetic runs. The exponential
-    of sum_k l_k p_k keeps each weight m as integer rows over its own scale,
-    reduced by their gcd, and returns its weight-n bucket as the table's
-    cleared form (see :func:`~chigenus.chern.graded_exponential`).
+    of sum_k l_k p_k keeps each weight m as a grade-m Chern polynomial in
+    its cleared form and returns the weight-n one as the table (see
+    :func:`~chigenus.chern.graded_exponential`).
     Memoized per argument for the life of the process.
     """
     if n < 0:

@@ -37,48 +37,31 @@ class KTable(NamedTuple):
 def k_coefficients(n: int) -> KTable:
     """Expand the universal genus polynomial in powers of (y + 1).
 
-    The table is held as integer columns over one denominator D (see
-    :class:`~chigenus.chern.ChernPolynomial`), so each partition's y-row of
-    ints goes through :func:`binomial_row`, the Taylor shift to y = -1, once;
-    entry j of the result is that partition's coefficient in K_j, over the
-    same D. Memoized per argument for the life of the process.
+    The table holds one integer y-row per partition over one denominator D
+    (see :class:`~chigenus.chern.ChernPolynomial`), so each stored row goes
+    through :func:`binomial_row`, the Taylor shift to y = -1, once; entry j
+    of the result is that partition's coefficient in K_j, over the same D.
+    A row longer than n + 1 entries would mean a y-degree above n and is
+    refused. Memoized per argument for the life of the process.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     table = chi_y_chern_polynomial(n)
-    parts, columns = table.partitions, table.columns
-    if len(columns) > n + 1:
-        excess = columns[n + 1 :]
-        i = next(i for i in range(len(parts)) if any(column[i] for column in excess))
-        raise ArithmeticError(f"coefficient of {parts[i]} has y-degree above {n}")
-    shifted = [binomial_row([column[i] for column in columns]) for i in range(len(parts))]
-    k_rows = [{part: row[j : j + 1] for part, row in zip(parts, shifted)} for j in range(n + 1)]
+    for part, row in zip(table.partitions, table.rows):
+        if len(row) > n + 1:
+            raise ArithmeticError(f"coefficient of {part} has y-degree above {n}")
+    shifted = [binomial_row(row) for row in table.rows]
+    k_rows = [{part: row[j : j + 1] for part, row in zip(table.partitions, shifted)} for j in range(n + 1)]
     return KTable(tuple(ChernPolynomial._from_rows(n, table.denominator, rows) for rows in k_rows))
 
 
-def _chern_monomial(indices: Sequence[int], n: int) -> Partition | None:
-    """Partition for c_{i_1}...c_{i_k}, or None when some class vanishes.
-
-    An index 0 contributes the unit class; indices outside 1..n kill the
-    whole monomial.
-    """
-    parts = []
-    for i in indices:
-        if i < 0 or i > n:
-            return None
-        if i == 0:
-            continue
-        parts.append(i)
-    return tuple(sorted(parts, reverse=True))
-
-
 def _combination(n: int, pieces: list[tuple[Fraction, Sequence[int]]]) -> ChernPolynomial:
+    """sum coeff * c_{i_1}...c_{i_k}: an index 0 is the unit class, one outside 0..n kills its monomial."""
     terms: dict[Partition, Fraction] = {}
     for coeff, indices in pieces:
-        part = _chern_monomial(indices, n)
-        if part is None:
-            continue
-        terms[part] = terms.get(part, Fraction(0)) + coeff
+        if all(0 <= i <= n for i in indices):
+            part = tuple(sorted([i for i in indices if i], reverse=True))
+            terms[part] = terms.get(part, Fraction(0)) + coeff
     return ChernPolynomial(n, terms)
 
 
@@ -177,9 +160,9 @@ def odd_k_span_check(n: int) -> tuple[SpanCheck, ...]:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    # read each K's terms off its cleared column once, not once per combination
+    # read each K's terms off its cleared rows once, not once per combination
     values = [
-        {part: Fraction(c, poly.denominator) for part, c in zip(poly.partitions, poly.columns[0])}
+        {part: Fraction(row[0], poly.denominator) for part, row in zip(poly.partitions, poly.rows)}
         for poly in k_coefficients(n).k_polys
     ]
     # lower_odd[l][k]: coefficient of K_{2k} in the odd K_l

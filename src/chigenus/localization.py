@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .betti import BettiProfile, even_alternating_sum
+from .betti import BettiProfile, even_alternating_sum, require_signature
 from .ypoly import YPolynomial, add_into, require_counts, require_exact, shifted_sum, slots_equal
 
 
@@ -61,7 +61,7 @@ class FixedComponent:
     refused. Betti numbers, with the signature if one is given, must make a
     ``betti.BettiProfile`` of dimension 2k, which states the rules and their
     messages; a component is connected, so b_0 must also be 1. A signature
-    given without Betti numbers must vanish when 2k is not divisible by 4.
+    given without Betti numbers meets ``betti.require_signature`` alone.
     A modified genus must have degree at most k.
     """
 
@@ -105,9 +105,7 @@ class FixedComponent:
             if betti[0] != 1:
                 raise ValueError("a fixed component is connected, so b_0 must be 1")
         elif signature is not None:
-            require_exact("signature", [signature], (int,))
-            if complex_dim % 2 and signature:
-                raise ValueError("signature must vanish in dimensions not divisible by 4")
+            require_signature(2 * complex_dim, signature)
         if chi_minus_y is not None and chi_minus_y.degree > complex_dim:
             raise ValueError(
                 f"modified genus of degree {chi_minus_y.degree} exceeds the component dimension {complex_dim}"

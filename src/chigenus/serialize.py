@@ -65,10 +65,21 @@ _DEGREE_RE = re.compile(r"0|[1-9][0-9]*")
 _KEY_INT_RE = re.compile(_INT)
 
 
+_QUOTE_CHARS = 60  # a refusal quotes input of up to this many characters whole, and a prefix of longer input
+
+
+def _quote(value: Any) -> str:
+    """``repr(value)``, or past _QUOTE_CHARS characters the repr of a prefix and the length, for a refusal."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= _QUOTE_CHARS:
+        return repr(value)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: Any, field: str = "value") -> Fraction:
     """A rational as the writers emit it: canonical numerator, lowest terms, q > 1."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise SchemaError(field, f"expected 'p' or 'p/q' with q > 0, got {text!r}")
+        raise SchemaError(field, f"expected 'p' or 'p/q' with q > 0, got {_quote(text)}")
     numerator, _, denominator = text.partition("/")
     try:
         p = int(numerator)
@@ -76,7 +87,7 @@ def parse_rational(text: Any, field: str = "value") -> Fraction:
     except ValueError:  # over the interpreter's limit on digits converted to int
         raise SchemaError(field, f"too many digits ({len(text)} characters)") from None
     if denominator and (q == 1 or gcd(p, q) != 1):
-        raise SchemaError(field, f"expected lowest terms with q > 1, got {text!r}")
+        raise SchemaError(field, f"expected lowest terms with q > 1, got {_quote(text)}")
     return Fraction(p, q)
 
 
@@ -108,11 +119,11 @@ class CatalogKey(NamedTuple):
 def _key_int(text: str, key: str) -> int:
     """An integer field of a catalog key: ASCII digits, an optional minus sign, no leading zero."""
     if not _KEY_INT_RE.fullmatch(text):
-        raise ValueError(f"malformed catalog key {key!r}")
+        raise ValueError(f"malformed catalog key {_quote(key)}")
     try:
         return int(text)
     except ValueError:  # over the interpreter's limit on digits converted to int
-        raise ValueError(f"malformed catalog key {key!r}") from None
+        raise ValueError(f"malformed catalog key {_quote(key)}") from None
 
 
 def parse_key(key: str) -> CatalogKey:
@@ -123,17 +134,17 @@ def parse_key(key: str) -> CatalogKey:
     """
     kind, _, rest = key.partition(":")
     if kind not in KEY_GRAMMAR:
-        raise ValueError(f"unknown catalog key {key!r}")
+        raise ValueError(f"unknown catalog key {_quote(key)}")
     if kind == "product":
         factors = rest.split(",") if rest else []
         for factor in factors:
             if not factor:
-                raise ValueError(f"empty product factor in {rest!r}")
+                raise ValueError(f"empty product factor in {_quote(rest)}")
             if factor.partition(":")[0] not in ("pn", "hyp"):
-                raise ValueError(f"product factors must be pn or hyp keys, got {factor!r}")
+                raise ValueError(f"product factors must be pn or hyp keys, got {_quote(factor)}")
         parsed = tuple([parse_key(factor) for factor in factors])
         if len(parsed) < 2:
-            raise ValueError(f"product needs at least two factors: {key!r}")
+            raise ValueError(f"product needs at least two factors: {_quote(key)}")
         return CatalogKey(kind, sum([factor.dimension for factor in parsed]), parsed)
     if kind == "pn":
         n = _key_int(rest, key)
@@ -157,7 +168,7 @@ def ypoly_from_json(obj: Any, field: str, max_degree: int) -> YPolynomial:
     coeffs = {}
     for key, value in obj.items():
         if not _DEGREE_RE.fullmatch(key):
-            raise SchemaError(field, f"bad degree {key!r}")
+            raise SchemaError(field, f"bad degree {_quote(key)}")
         try:
             degree = int(key)
         except ValueError:  # over the interpreter's limit on digits converted to int
@@ -179,7 +190,7 @@ def _object(obj: Any, field: str, keys: Container[str]) -> dict[str, Any]:
         raise SchemaError(field, "expected an object")
     for key in obj:
         if key not in keys:
-            raise SchemaError(field, f"unknown key {key!r}")
+            raise SchemaError(field, f"unknown key {_quote(key)}")
     return obj
 
 

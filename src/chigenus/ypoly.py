@@ -7,13 +7,16 @@ and prints as ``"0"``. Arithmetic runs on Python ints and coefficients are
 read out as ``fractions.Fraction`` values; nothing ever rounds.
 
 The module is the one home of that cleared-row arithmetic, which the Chern
-tables, the K-expansion and the inertia use too: :func:`clear`,
-:func:`convolve` and :func:`add_into`. It is also the one home of the guards
-of the exact-data records (manifolds, Chern polynomials, fixed-point data,
-Betti profiles): :func:`require_exact` refuses, by type, every value that is
-not exact data (a ``bool`` is not, though Python counts it an ``int``),
-:func:`require_counts` every value that is not a non-negative ``int``, and
-:func:`slots_equal` is their one ``__eq__``.
+tables, the K-expansion and the inertia use too: :func:`reduce_rows`, the
+one normalizer, puts rows over one scale in that canonical form (a
+``YPolynomial`` is one such row, a ``ChernPolynomial`` one per partition);
+:func:`clear`, :func:`convolve` and :func:`add_into` build them. It is also
+the one home of the guards of the exact-data records (manifolds, Chern
+polynomials, fixed-point data, Betti profiles): :func:`require_exact`
+refuses, by type, every value that is not exact data (a ``bool`` is not,
+though Python counts it an ``int``), :func:`require_counts` every value
+that is not a non-negative ``int``, and :func:`slots_equal` is their one
+``__eq__``.
 """
 
 from __future__ import annotations
@@ -53,12 +56,7 @@ class YPolynomial:
         return poly
 
     def _store(self, denominator: int, row: Sequence[int]) -> None:
-        end = len(row)
-        while end and not row[end - 1]:
-            end -= 1
-        g = gcd(denominator, *row[:end])
-        self.denominator = denominator // g
-        self.row = tuple([c // g for c in row[:end]])
+        self.denominator, (self.row,) = reduce_rows(denominator, (row,))
 
     @classmethod
     def zero(cls) -> "YPolynomial":
@@ -205,6 +203,18 @@ def clear(values: Sequence[Scalar]) -> tuple[int, list[int]]:
     # resizing, and each such tuple ends in the interpreter's free list for its length
     den = lcm(*[q for _, q in ratios])
     return den, [p * (den // q) for p, q in ratios]
+
+
+def reduce_rows(scale: int, rows: Iterable[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Rows over ``scale`` made canonical: trailing zeros trimmed, then all divided by the gcd of scale and entries."""
+    g, trimmed = scale, []
+    for row in rows:
+        end = len(row)
+        while end and not row[end - 1]:
+            end -= 1
+        trimmed.append(row[:end])
+        g = gcd(g, *trimmed[-1])
+    return scale // g, tuple([tuple([c // g for c in row]) for row in trimmed])
 
 
 def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -148,17 +148,25 @@ def test_cleared_form_is_canonical():
         assert poly.denominator == lcm(*denominators)
         assert len(poly) == len(poly.items())
         assert ChernPolynomial(grade, dict(poly.items())) == poly
-        # integer rows over a larger common multiple, padded with zeros, clear to the same form
+        # every stored row is one YPolynomial.row: nonempty, with no trailing zero
+        assert len(poly.rows) == len(poly.partitions) and all(row and row[-1] for row in poly.rows)
+        # integer rows over a larger common multiple, each padded with its own run of zeros, clear to the same form
         k = rng.randint(2, 40)
         rows = {
-            part: [k * int(c * poly.denominator) for c in coeff.coefficients_dense()] + [0] * 2
+            part: [k * int(c * poly.denominator) for c in coeff.coefficients_dense()] + [0] * rng.randint(0, 3)
             for part, coeff in poly.items()
         }
-        rows.update({part: [0, 0] for part in iter_partitions(grade) if part not in rows})
+        rows.update({part: [0] * rng.randint(0, 3) for part in iter_partitions(grade) if part not in rows})
         assert ChernPolynomial._from_rows(grade, k * poly.denominator, rows) == poly
+        # one partition's row is normalized as YPolynomial.from_row normalizes it
+        for part, coeff in poly.items():
+            row = [k * int(c * poly.denominator) for c in coeff.coefficients_dense()] + [0]
+            single = ChernPolynomial._from_rows(grade, k * poly.denominator, {part: row})
+            expected = YPolynomial.from_row(k * poly.denominator, row)
+            assert (single.denominator, single.rows) == (expected.denominator, (expected.row,)) and expected == coeff
     zero = ChernPolynomial(4, {(4,): 0, (2, 2): YPolynomial.zero()})
-    assert (zero.denominator, zero.partitions, zero.columns, len(zero)) == (1, (), (), 0)
-    assert ChernPolynomial._from_rows(4, 360, {(4,): [0, 0]}) == zero
+    assert (zero.denominator, zero.partitions, zero.rows, len(zero)) == (1, (), (), 0)
+    assert ChernPolynomial._from_rows(4, 360, {(4,): [0, 0], (2, 2): [], (1, 1, 1, 1): [0]}) == zero
 
 
 def test_canonical_term_order():

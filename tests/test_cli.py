@@ -432,9 +432,8 @@ def test_a_malformed_key_is_refused_before_the_cap(capsys):
 
 def test_a_key_integer_over_the_digit_limit_is_malformed(capsys):
     key = "pn:" + "1" * 5000
-    message = f"malformed catalog key {key!r}"
     code, out, err = run(capsys, ["catalog", "--make", key])
-    assert (code, out, err) == (2, "", f"genus: {message[:200]}... ({len(message)} characters)\n")
+    assert (code, out, err) == (2, "", f"genus: malformed catalog key {key[:60]!r}... (5003 characters)\n")
 
 
 def test_an_action_key_with_a_colon_needs_exponents(capsys):

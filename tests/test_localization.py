@@ -207,6 +207,9 @@ def test_component_validation():
         ),
         ({"complex_dim": 1, "d_f": 0, "betti": (Fraction(1), 0, 1)}, "Betti numbers must be int, got Fraction"),
         ({"complex_dim": 1, "d_f": 0, "betti": (1, 0, 1), "signature": 0.5}, "signature must be int, got float"),
+        # without Betti numbers the signature meets the same rule, by type first
+        ({"complex_dim": 2, "d_f": 0, "signature": True}, "signature must be int, got bool"),
+        ({"complex_dim": 1, "d_f": 0, "signature": 0.0}, "signature must be int, got float"),
     ],
 )
 def test_component_numbers_must_be_ints(given, message):

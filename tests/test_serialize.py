@@ -187,6 +187,36 @@ def test_parse_key_refuses_what_breaks_the_grammar(key, message):
         serialize.parse_key(key)
 
 
+DEEP_LIST = json.loads("[" * 900 + "]" * 900)
+
+
+@pytest.mark.parametrize(
+    "read, value, lead, length",
+    [
+        (serialize.parse_key, "pn:" + "9" * 5000, "malformed catalog key 'pn:999", 5003),
+        (serialize.parse_key, "hyp:2:" + "x" * 5000, "malformed catalog key 'hyp:2:xxx", 5006),
+        (serialize.parse_key, "x" * 5000, "unknown catalog key 'xxx", 5000),
+        (serialize.parse_key, "product:pn:1," + "x" * 5000, "product factors must be pn or hyp keys, got 'xxx", 5000),
+        (serialize.parse_key, "product:pn:1" + "," * 5000, "empty product factor in 'pn:1,,,", 5004),
+        (serialize.parse_key, "product:pn:" + "1" * 4000, "product needs at least two factors: 'product:pn:111", 4011),
+        (serialize.parse_rational, DEEP_LIST, "value: expected 'p' or 'p/q' with q > 0, got '[[[", 1800),
+        (serialize.parse_rational, "1/" + "0" * 3000, "value: expected 'p' or 'p/q' with q > 0, got '1/000", 3002),
+        (serialize.parse_rational, "2/" + "4" * 3000, "value: expected lowest terms with q > 1, got '2/444", 3002),
+        (lambda key: serialize.ypoly_from_json({key: "1"}, "poly", 3), "x" * 5000, "poly: bad degree 'xxx", 5000),
+        (lambda key: serialize.manifold_from_json({key: 1}), "k" * 5000, "manifold: unknown key 'kkk", 5000),
+    ],
+    ids=[
+        "key-integer", "key-hyp-degree", "key-kind", "key-factor-kind", "key-empty-factor", "key-one-factor",
+        "rational-deep-list", "rational-zero-denominator", "rational-lowest-terms", "degree", "object-key",
+    ],
+)
+def test_a_refusal_quotes_long_input_by_a_prefix_and_its_length(read, value, lead, length):
+    with pytest.raises(ValueError) as refusal:
+        read(value)
+    message = str(refusal.value)
+    assert message.startswith(lead) and message.endswith(f"'... ({length} characters)") and len(message) < 200
+
+
 def test_model_round_trip():
     model = standard_pn_action(3)
     doc = serialize.model_to_json(model)
