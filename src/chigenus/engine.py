@@ -19,7 +19,12 @@ every weight over its own reduced scale. :func:`normalized_series` builds Q
 itself, as the reference route the tests check the closed form against.
 :class:`ManifoldData` is the one manifold record; it takes Chern numbers as
 ``int`` or ``Fraction`` only, and names the ``betti`` and ``localization``
-classes in annotations only, so this module loads neither. Serre duality
+classes in annotations only, so this module loads neither. A record is
+immutable by convention, like a ``YPolynomial``, and keeps its chi_y
+polynomial: :func:`genus_polynomial` evaluates the table on the first read
+only, so :func:`chi_vector`, :func:`chi_minus_y`, :func:`specialize` and
+both inequality reports share one evaluation, and ``slots_equal`` skips
+that memo slot. Serre duality
 has one predicate, :func:`duality_holds`, on a bare chi-vector.
 """
 
@@ -57,10 +62,11 @@ class ManifoldData:
     that dimension, the Betti numbers' alternating sum, the Euler number, is
     the top Chern number, and ``action.n`` equals the dimension.
     Builders and readers pass every field to the constructor, so each is
-    checked once. Instances compare by value but define no hash.
+    checked once, and no field is rebound after it. Instances compare by
+    value but define no hash; the genus kept in ``_genus`` is not compared.
     """
 
-    __slots__ = ("dimension", "chern_numbers", "betti", "action")
+    __slots__ = ("dimension", "chern_numbers", "betti", "action", "_genus")
 
     def __init__(
         self,
@@ -103,8 +109,15 @@ class ManifoldData:
         self.chern_numbers = numbers
         self.betti = betti
         self.action = action
+        self._genus: YPolynomial | None = None
 
     __eq__ = slots_equal
+
+    def _kept_genus(self) -> YPolynomial:
+        """The chi_y polynomial, evaluated through :func:`evaluate_genus` on the first call and kept."""
+        if self._genus is None:
+            self._genus = evaluate_genus(chi_y_chern_polynomial(self.dimension), self)
+        return self._genus
 
 
 SPECIAL_VALUES = {"euler": Fraction(-1), "todd": Fraction(0), "signature": Fraction(1)}
@@ -211,7 +224,8 @@ def evaluate_genus(table: ChernPolynomial, manifold: ManifoldData) -> YPolynomia
 
 
 def genus_polynomial(manifold: ManifoldData) -> YPolynomial:
-    return evaluate_genus(chi_y_chern_polynomial(manifold.dimension), manifold)
+    """chi_y polynomial of a manifold, evaluated once per record and kept on it."""
+    return manifold._kept_genus()
 
 
 def chi_vector(manifold: ManifoldData) -> list[Fraction]:

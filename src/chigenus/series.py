@@ -21,7 +21,7 @@ Coefficient = Union[YPolynomial, int, Fraction]
 
 
 class TruncatedSeries:
-    __slots__ = ("order", "_coeffs")
+    __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: Sequence[Coefficient], order: int | None = None) -> None:
         polys = [c if isinstance(c, YPolynomial) else YPolynomial.constant(c) for c in coeffs]
@@ -33,12 +33,12 @@ class TruncatedSeries:
             polys = polys[:order]
         polys.extend(YPolynomial.zero() for _ in range(order - len(polys)))
         self.order = order
-        self._coeffs = polys
+        self.coeffs = polys
 
     def coefficient(self, k: int) -> YPolynomial:
         if not 0 <= k < self.order:
             raise IndexError(f"coefficient x^{k} outside truncation order {self.order}")
-        return self._coeffs[k]
+        return self.coeffs[k]
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -48,11 +48,11 @@ class TruncatedSeries:
         """Cauchy product, truncated at the common order."""
         self._check_order(other)
         out = [YPolynomial.zero() for _ in range(self.order)]
-        for i, a in enumerate(self._coeffs):
+        for i, a in enumerate(self.coeffs):
             if a.is_zero():
                 continue
             for j in range(self.order - i):
-                b = other._coeffs[j]
+                b = other.coeffs[j]
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
         return TruncatedSeries(out, self.order)
@@ -62,9 +62,9 @@ class TruncatedSeries:
 
         From b' * a = a' one gets b_m = a_m - (1/m) * sum_{j<m} j b_j a_{m-j}.
         """
-        if self._coeffs[0] != YPolynomial.one():
+        if self.coeffs[0] != YPolynomial.one():
             raise ValueError("log requires constant coefficient 1")
-        a = self._coeffs
+        a = self.coeffs
         b = [YPolynomial.zero() for _ in range(self.order)]
         for m in range(1, self.order):
             acc = a[m]
@@ -75,9 +75,9 @@ class TruncatedSeries:
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires constant coefficient exactly 1."""
-        if self._coeffs[0] != YPolynomial.one():
+        if self.coeffs[0] != YPolynomial.one():
             raise ValueError("inverse requires constant coefficient 1")
-        a = self._coeffs
+        a = self.coeffs
         b = [YPolynomial.zero() for _ in range(self.order)]
         b[0] = YPolynomial.one()
         for m in range(1, self.order):

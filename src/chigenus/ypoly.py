@@ -121,7 +121,7 @@ class YPolynomial:
         result = YPolynomial.one()
         base = self
         e = exponent
-        while e:
+        while e > 0:
             if e & 1:
                 result = result * base
             base = base * base
@@ -188,10 +188,15 @@ def require_counts(field: str, values: Iterable[object]) -> None:
 
 
 def slots_equal(self: object, other: object) -> bool:
-    """The ``__eq__`` of the exact-data records: same class and every slot equal."""
+    """The ``__eq__`` of the exact-data records: same class and every slot equal.
+
+    A slot whose name starts with an underscore holds a memo, data derived
+    from the others, and is skipped, so a record equals its copy whether or
+    not either has filled it.
+    """
     if other.__class__ is not self.__class__:
         return NotImplemented
-    fields = self.__slots__
+    fields = [f for f in self.__slots__ if f[0] != "_"]
     return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
 
 

@@ -10,6 +10,7 @@ from chigenus import engine
 from chigenus.catalog import hypersurface, product, projective_space
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import (
+    ManifoldData,
     chi_minus_y,
     chi_vector,
     chi_y_chern_polynomial,
@@ -29,14 +30,6 @@ from oracles import fraction_rank, point
 from test_chern import substitute_roots
 from test_cli import DIGESTS
 from test_series import bernoulli_plus
-
-
-class RawManifold:
-    """Bare dimension + Chern numbers, for synthetic inputs."""
-
-    def __init__(self, dimension, chern_numbers):
-        self.dimension = dimension
-        self.chern_numbers = chern_numbers
 
 
 def test_series_constant_term():
@@ -311,5 +304,5 @@ def test_duality_symbolic_via_evaluation():
             for lam in part:
                 v *= es[lam]
             values[part] = v
-        manifold = RawManifold(n, values)
+        manifold = ManifoldData(n, values)
         assert duality_holds(chi_vector(manifold)), roots

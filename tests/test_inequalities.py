@@ -18,7 +18,7 @@ from chigenus.catalog import (
     standard_catalog,
 )
 from chigenus.chern import ChernPolynomial
-from chigenus.engine import chi_vector, chi_y_chern_polynomial
+from chigenus.engine import chi_minus_y, chi_vector, chi_y_chern_polynomial, specialize
 from chigenus.inequalities import check_inequalities, miyaoka_yau_check
 from chigenus.kexpansion import KTable, k_coefficients
 from chigenus.partitions import iter_partitions
@@ -202,7 +202,8 @@ def test_epsilon_must_be_the_int_one_or_minus_one(epsilon):
         check_inequalities(projective_space(2), epsilon)
 
 
-def test_one_report_run_evaluates_only_the_genus_table(monkeypatch):
+def test_one_genus_evaluation_per_manifold(monkeypatch):
+    # every read of a manifold's genus after the first returns the polynomial it keeps
     evaluated = []
     original = ChernPolynomial.evaluate
 
@@ -211,12 +212,18 @@ def test_one_report_run_evaluates_only_the_genus_table(monkeypatch):
         return original(self, values)
 
     for n in (2, 7, 12):
+        check_inequalities(fractional_synthetic(n, n), 1)  # build and cache the tables first
         m = fractional_synthetic(n, n)
-        check_inequalities(m, 1)  # build and cache the tables first
         monkeypatch.setattr(ChernPolynomial, "evaluate", counting)
-        check_inequalities(m, 1)
+        chi = chi_vector(m)
+        assert chi_minus_y(m).coefficients_dense(n + 1) == [(-1) ** p * c for p, c in enumerate(chi)]
+        assert [specialize(m, at) for at in ("euler", "todd", "signature")] == [
+            sum((-1) ** p * c for p, c in enumerate(chi)), chi[0], sum(chi)
+        ]
+        reports = {eps: check_inequalities(m, eps) for eps in (1, -1)}
         monkeypatch.undo()
         assert len(evaluated) == 1 and evaluated.pop() is chi_y_chern_polynomial(n), n
+        assert reports == {eps: check_inequalities(fractional_synthetic(n, n), eps) for eps in (1, -1)}
 
 
 def test_failed_hypothesis_is_flagged_not_rejected():

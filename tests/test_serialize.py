@@ -188,6 +188,9 @@ def test_parse_key_refuses_what_breaks_the_grammar(key, message):
 
 
 DEEP_LIST = json.loads("[" * 900 + "]" * 900)
+DEEPER_LIST: list = []  # 5000 levels, deeper than the recursion limit: no decoder builds it
+for _ in range(4999):
+    DEEPER_LIST = [DEEPER_LIST]
 
 
 @pytest.mark.parametrize(
@@ -200,6 +203,8 @@ DEEP_LIST = json.loads("[" * 900 + "]" * 900)
         (serialize.parse_key, "product:pn:1" + "," * 5000, "empty product factor in 'pn:1,,,", 5004),
         (serialize.parse_key, "product:pn:" + "1" * 4000, "product needs at least two factors: 'product:pn:111", 4011),
         (serialize.parse_rational, DEEP_LIST, "value: expected 'p' or 'p/q' with q > 0, got '[[[", 1800),
+        (serialize.parse_rational, DEEPER_LIST, "value: expected 'p' or 'p/q' with q > 0, got '[[[", 10000),
+        (serialize.parse_rational, [0] * 10**6, "value: expected 'p' or 'p/q' with q > 0, got '[0,", "more than 10000"),
         (serialize.parse_rational, "1/" + "0" * 3000, "value: expected 'p' or 'p/q' with q > 0, got '1/000", 3002),
         (serialize.parse_rational, "2/" + "4" * 3000, "value: expected lowest terms with q > 1, got '2/444", 3002),
         (lambda key: serialize.ypoly_from_json({key: "1"}, "poly", 3), "x" * 5000, "poly: bad degree 'xxx", 5000),
@@ -207,7 +212,8 @@ DEEP_LIST = json.loads("[" * 900 + "]" * 900)
     ],
     ids=[
         "key-integer", "key-hyp-degree", "key-kind", "key-factor-kind", "key-empty-factor", "key-one-factor",
-        "rational-deep-list", "rational-zero-denominator", "rational-lowest-terms", "degree", "object-key",
+        "rational-deep-list", "rational-deeper-list", "rational-wide-list", "rational-zero-denominator",
+        "rational-lowest-terms", "degree", "object-key",
     ],
 )
 def test_a_refusal_quotes_long_input_by_a_prefix_and_its_length(read, value, lead, length):
@@ -215,6 +221,18 @@ def test_a_refusal_quotes_long_input_by_a_prefix_and_its_length(read, value, lea
         read(value)
     message = str(refusal.value)
     assert message.startswith(lead) and message.endswith(f"'... ({length} characters)") and len(message) < 200
+
+
+def test_a_library_value_of_any_depth_or_size_is_refused_as_a_schema_error():
+    # a repr of these would recurse past the limit or print 10^5000 in decimal
+    for value, quoted in (
+        (DEEPER_LIST + [1], repr("[" * 60) + "... (more than 10000 characters)"),
+        ({"a": (DEEPER_LIST,)}, repr("{'a': (" + "[" * 53) + "... (more than 10000 characters)"),
+        ([10**5000], "[<int too large to print>]"),
+    ):
+        with pytest.raises(SchemaError) as refusal:
+            serialize.parse_rational(value)
+        assert str(refusal.value) == f"value: expected 'p' or 'p/q' with q > 0, got {quoted}"
 
 
 def test_model_round_trip():
