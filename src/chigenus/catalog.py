@@ -29,10 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Mapping, Sequence
 
 from .betti import BettiProfile
-from .engine import ManifoldData, chi_y_chern_polynomial
+from .engine import ManifoldData
 from .localization import FixedComponent, FixedPointModel
 from .partitions import Partition, iter_partitions, merge
 from .serialize import ACTION_KEYS, CATALOG_KEYS, CatalogKey, parse_key
@@ -139,7 +138,7 @@ def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
     n = a.dimension + b.dimension
     betti = None
     if a.betti is not None and b.betti is not None:
-        betti = _profile(n, numbers, convolve(a.betti.betti, b.betti.betti))
+        betti = BettiProfile(2 * n, convolve(a.betti.betti, b.betti.betti))
     return ManifoldData(n, numbers, betti=betti)
 
 
@@ -173,25 +172,20 @@ def _splits(dim_a: int, dim_b: int) -> list[tuple[Partition, list[tuple[int, int
     return table
 
 
-def _profile(n: int, numbers: Mapping[Partition, Fraction | int], betti: Sequence[int]) -> BettiProfile:
-    """The Betti profile of an n-fold, with the signature read off its genus at y = 1."""
-    return BettiProfile(2 * n, betti, int(chi_y_chern_polynomial(n).evaluate(numbers).evaluate(1)))
-
-
 def _one_generator(
     n: int, total: list[int], degree: int, action: FixedPointModel | None = None
 ) -> ManifoldData:
     """An n-fold with cohomology Q[h]/(h^{n+1}), total Chern class sum_j total[j] h^j.
 
-    The integral of h^n is ``degree``, and ``action`` goes to the constructor.
-    Betti numbers agree with those of P^n away from the middle degree, where
-    the Euler number ``degree * total[n]`` pins the remaining one.
+    The integral of h^n is ``degree``, and ``action`` goes to the constructor,
+    which fills in sigma. Betti numbers agree with those of P^n away from the
+    middle degree, where the Euler number ``degree * total[n]`` pins the last.
     """
     numbers = one_generator_chern_numbers(total, degree)
     euler = degree * total[n]
     betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
     betti[n] = euler - n if n % 2 == 0 else (n + 1) - euler
-    return ManifoldData(n, numbers, betti=_profile(n, numbers, betti), action=action)
+    return ManifoldData(n, numbers, betti=BettiProfile(2 * n, betti), action=action)
 
 
 def hypersurface(n: int, d: int) -> ManifoldData:

@@ -18,14 +18,12 @@ exponential takes the exponent factored as the pieces l_j p_j and keeps
 every weight over its own reduced scale. :func:`normalized_series` builds Q
 itself, as the reference route the tests check the closed form against.
 :class:`ManifoldData` is the one manifold record; it takes Chern numbers as
-``int`` or ``Fraction`` only, and names the ``betti`` and ``localization``
-classes in annotations only, so this module loads neither. A record is
-immutable by convention, like a ``YPolynomial``, and keeps its chi_y
-polynomial: :func:`genus_polynomial` evaluates the table on the first read
-only, so :func:`chi_vector`, :func:`chi_minus_y`, :func:`specialize` and
-both inequality reports share one evaluation, and ``slots_equal`` skips
-that memo slot. Serre duality
-has one predicate, :func:`duality_holds`, on a bare chi-vector.
+``int`` or ``Fraction`` only, evaluates its chi_y polynomial once as it is
+built, and checks a given signature and action against it. It rebuilds a
+profile through the profile's own type and imports ``localization`` only
+for an action, so loading this module loads neither ``betti`` nor
+``localization``. Serre duality has one predicate, :func:`duality_holds`,
+on a bare chi-vector.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from .chern import ChernPolynomial, graded_exponential, integer_power_sums
@@ -55,18 +54,21 @@ _PARTITIONS: dict[int, tuple[Partition, ...]] = {}
 class ManifoldData:
     """Exact Chern numbers of a closed almost-complex manifold, plus extras.
 
-    ``chern_numbers`` has one entry per partition of the complex dimension,
-    stored in the reverse-lexicographic order of ``iter_partitions`` whatever
-    order they were given in, each a ``Fraction``: a given ``Fraction`` is
-    kept as it is and an ``int`` is converted once. ``betti.dim`` is twice
-    that dimension, the Betti numbers' alternating sum, the Euler number, is
-    the top Chern number, and ``action.n`` equals the dimension.
-    Builders and readers pass every field to the constructor, so each is
-    checked once, and no field is rebound after it. Instances compare by
-    value but define no hash; the genus kept in ``_genus`` is not compared.
+    ``chern_numbers`` is a read-only mapping with one entry per partition of
+    the complex dimension, in the reverse-lexicographic order of
+    ``iter_partitions`` whatever order they were given in, each a
+    ``Fraction``: a given ``Fraction`` is kept as it is and an ``int`` is
+    converted once. ``betti.dim`` is twice that dimension, the Betti
+    numbers' alternating sum, the Euler number, is the top Chern number, and
+    ``action.n`` equals the dimension. Past those checks, ``genus`` holds the
+    chi_y polynomial. A profile's sigma must be chi_y(1), and is filled in
+    when absent; an action whose components all carry their modified genus
+    must localize chi_{-y}. Builders and readers pass every field to the
+    constructor, so each is checked once, and no field is rebound after it.
+    Instances compare by value, every field included, but define no hash.
     """
 
-    __slots__ = ("dimension", "chern_numbers", "betti", "action", "_genus")
+    __slots__ = ("dimension", "chern_numbers", "betti", "action", "genus")
 
     def __init__(
         self,
@@ -106,18 +108,28 @@ class ManifoldData:
         if action is not None and action.n != dimension:
             raise ValueError(f"action.n {action.n} is not the dimension {dimension}")
         self.dimension = dimension
-        self.chern_numbers = numbers
+        self.chern_numbers = MappingProxyType(numbers)
+        self.genus = genus = evaluate_genus(chi_y_chern_polynomial(dimension), self)
+        if betti is not None:
+            sigma = genus.evaluate(1)
+            if sigma.denominator != 1:
+                raise ValueError(f"chi_y(1) = {sigma} is not an integer signature")
+            if betti.sigma is None:
+                betti = type(betti)(betti.dim, betti.betti, int(sigma))
+            elif betti.sigma != sigma:
+                raise ValueError(f"signature {betti.sigma} is not chi_y(1) = {sigma}")
+        if action is not None and all(c.chi_minus_y is not None for c in action.components):
+            from .localization import localized_chi_minus_y
+
+            localized, expected = localized_chi_minus_y(action), genus.negate_y()
+            if localized != expected:
+                raise ValueError(
+                    f"action localizes chi_-y = {localized}, but the Chern numbers give {expected}"
+                )
         self.betti = betti
         self.action = action
-        self._genus: YPolynomial | None = None
 
     __eq__ = slots_equal
-
-    def _kept_genus(self) -> YPolynomial:
-        """The chi_y polynomial, evaluated through :func:`evaluate_genus` on the first call and kept."""
-        if self._genus is None:
-            self._genus = evaluate_genus(chi_y_chern_polynomial(self.dimension), self)
-        return self._genus
 
 
 SPECIAL_VALUES = {"euler": Fraction(-1), "todd": Fraction(0), "signature": Fraction(1)}
@@ -224,8 +236,8 @@ def evaluate_genus(table: ChernPolynomial, manifold: ManifoldData) -> YPolynomia
 
 
 def genus_polynomial(manifold: ManifoldData) -> YPolynomial:
-    """chi_y polynomial of a manifold, evaluated once per record and kept on it."""
-    return manifold._kept_genus()
+    """chi_y polynomial of a manifold, the one its record evaluated as it was built."""
+    return manifold.genus
 
 
 def chi_vector(manifold: ManifoldData) -> list[Fraction]:

@@ -188,16 +188,10 @@ def require_counts(field: str, values: Iterable[object]) -> None:
 
 
 def slots_equal(self: object, other: object) -> bool:
-    """The ``__eq__`` of the exact-data records: same class and every slot equal.
-
-    A slot whose name starts with an underscore holds a memo, data derived
-    from the others, and is skipped, so a record equals its copy whether or
-    not either has filled it.
-    """
+    """The ``__eq__`` of the exact-data records: same class and every slot equal."""
     if other.__class__ is not self.__class__:
         return NotImplemented
-    fields = [f for f in self.__slots__ if f[0] != "_"]
-    return [getattr(self, f) for f in fields] == [getattr(other, f) for f in fields]
+    return [getattr(self, f) for f in self.__slots__] == [getattr(other, f) for f in self.__slots__]
 
 
 def clear(values: Sequence[Scalar]) -> tuple[int, list[int]]:

@@ -871,6 +871,12 @@ def _with(doc, path, value):
 P1 = serialize.manifold_to_json(catalog.projective_space(1))
 P1_ACTION = P1["action"]
 P2_PROFILE = serialize.profile_to_json(catalog.projective_space(2).betti)
+P2 = serialize.manifold_to_json(catalog.projective_space(2))
+P1_SQUARED_ACTION = {
+    "n": 2,
+    "hamiltonian": True,
+    "components": [{"weights": [a, b]} for a in (1, -1) for b in (1, -1)],
+}
 
 # field -> command, option, a document that is valid once its true/false reads as 1/0
 BOOLEAN_DOCS = {
@@ -982,6 +988,15 @@ MISMATCHED_DOCS = {
             [{"partition": [2], "value": "24"}, {"partition": [1, 1], "value": "0"}],
         ),
         "manifold: betti has Euler number 3, but the top Chern number is 24",
+    ),
+    # P^2's document with sigma = -1, and with the four-point action of P^1 x P^1
+    "sigma": (
+        _with(P2, ["betti", "sigma"], -1),
+        "manifold: signature -1 is not chi_y(1) = 1",
+    ),
+    "localization": (
+        _with(P2, ["action"], P1_SQUARED_ACTION),
+        "manifold: action localizes chi_-y = 1 + 2*y + 1*y^2, but the Chern numbers give 1 + 1*y + 1*y^2",
     ),
 }
 

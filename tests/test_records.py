@@ -19,7 +19,6 @@ from chigenus.catalog import (
     standard_pn_action,
 )
 from chigenus.chern import ChernPolynomial
-from chigenus.engine import genus_polynomial
 from chigenus.inequalities import CurvatureBoundReport, InequalityReport, SurfaceInequality, check_inequalities
 from chigenus.kexpansion import KTable, SpanCheck, binomial_transform, closed_form_k, k_coefficients
 from chigenus.localization import (
@@ -46,6 +45,9 @@ FIELDS = {
     IsolatedConsistencyReport: ("odd_novikov_vanish", "substitution_matches", "chi_positive"),
     SignatureIdentityReport: ("applicable", "signature", "alternating_sum"),
 }
+
+
+P2_NUMBERS, P2_ROW = {(2,): 3, (1, 1): 9}, (1, 0, 1, 0, 1)
 
 
 def test_records_keep_their_fields_defaults_properties_and_checks():
@@ -106,9 +108,31 @@ def test_records_keep_their_fields_defaults_properties_and_checks():
             "betti has Euler number 3, but the top Chern number is 24",
         ),
         ((0, {(): 2}), {"betti": BettiProfile(0, (1,), 1)}, "betti has Euler number 1, but the top Chern number is 2"),
+        # P^2's numbers with the opposite signature, and with the P^1 x P^1 action of four points
+        ((2, P2_NUMBERS), {"betti": BettiProfile(4, P2_ROW, -1)}, "signature -1 is not chi_y(1) = 1"),
+        (
+            (2, P2_NUMBERS),
+            {"action": FixedPointModel(2, [FixedComponent(weights=(a, b)) for a in (1, -1) for b in (1, -1)])},
+            "action localizes chi_-y = 1 + 2*y + 1*y^2, but the Chern numbers give 1 + 1*y + 1*y^2",
+        ),
+        # c_2 = 3 on P^2's row: chi_y(1) = (c_1^2 - 2 c_2) / 3 is 4/3 at c_1^2 = 10, and 2 > b_2 at 12
+        ((2, {(2,): 3, (1, 1): 10}), {"betti": BettiProfile(4, P2_ROW)}, "chi_y(1) = 4/3 is not an integer"),
+        ((2, {(2,): 3, (1, 1): 12}), {"betti": BettiProfile(4, P2_ROW)}, "signature 2 exceeds the middle Betti number 1"),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             ManifoldData(*args, **kwargs)
+
+
+def test_a_record_fills_in_its_signature_and_keeps_its_numbers_read_only():
+    p2 = projective_space(2)
+    doc = serialize.manifold_to_json(p2)
+    del doc["betti"]["sigma"]
+    read = serialize.manifold_from_json(doc)
+    assert read.betti.sigma == 1 == p2.genus.evaluate(1) and read == p2
+    assert serialize.manifold_to_json(read) == serialize.manifold_to_json(p2) != doc
+    with pytest.raises(TypeError):
+        p2.chern_numbers[(2,)] = 4
+    assert p2.chern_numbers == P2_NUMBERS and p2 == projective_space(2)
 
 
 EXACT_RECORDS = (ManifoldData, ChernPolynomial, FixedComponent, FixedPointModel, BettiProfile, TruncatedSeries)
@@ -205,13 +229,11 @@ def test_the_exact_records_share_one_slot_wise_equality():
     # every slot counts: the same d_f with and without its weights are different records
     assert FixedComponent(d_f=1) == FixedComponent(d_f=1) != FixedComponent(weights=(-1,))
     assert line != (1, {(1,): Fraction(1, 2)}) and FixedComponent(d_f=0) != 0
-    # a kept genus is derived data: reading it changes no comparison, round trip included
-    read = make_manifold("product:pn:2,pn:2")
-    genus_polynomial(read)
-    fresh = make_manifold("product:pn:2,pn:2")
-    assert read == fresh == serialize.manifold_from_json(serialize.manifold_to_json(read)) == read
-    assert fresh == serialize.manifold_from_json(serialize.manifold_to_json(fresh)) == read
-    assert read != make_manifold("pn:4")
+    # a manifold equals its round trip, its genus included
+    built = make_manifold("product:pn:2,pn:2")
+    back = serialize.manifold_from_json(serialize.manifold_to_json(built))
+    assert built == make_manifold("product:pn:2,pn:2") == back == built
+    assert built != make_manifold("pn:4")
 
 
 def test_no_other_module_writes_its_own_equality():
