@@ -135,7 +135,7 @@ class BettiProfile:
         require_counts("Betti numbers", betti)
         if sigma is not None:
             require_signature(dim, sigma)
-        if any(betti[i] != betti[dim - i] for i in range(dim + 1)):
+        if betti != betti[::-1]:
             raise ValueError("Betti numbers must satisfy Poincare duality")
         if sigma is not None and not dim % 4:
             middle = betti[dim // 2]

@@ -9,6 +9,10 @@ two manifolds multiply, whether built here or loaded from JSON. No floating
 point: the numbers are summed as ints, and each number of a product is one
 exact division of its integer sum by the factors' common denominators.
 
+A factor stays numbers until the last step: :func:`_fold` multiplies
+(dimension, Chern numbers, Betti row) triples, so each build constructs one
+record, and a factor of a product builds no record, genus or action.
+
 :func:`make_manifold` and :func:`make_action` build from what
 :func:`chigenus.serialize.parse_key`, the one reader of catalog keys, returns.
 The builders return ``engine``'s :class:`ManifoldData`, importable from here.
@@ -29,6 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb
+from typing import Mapping, Sequence
 
 from .betti import BettiProfile
 from .engine import ManifoldData
@@ -112,34 +117,53 @@ def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Par
     return numbers
 
 
+# a factor as numbers: (dimension, Chern numbers in ``iter_partitions`` order, Betti row or None)
+Factor = tuple[int, Mapping[Partition, Fraction | int], Sequence[int] | None]
+
+
 def projective_space(n: int) -> ManifoldData:
     """P^n: total Chern class (1+h)^{n+1}, integral of h^n is 1, with its standard action."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    total = [comb(n + 1, j) for j in range(n + 1)]
-    return _one_generator(n, total, 1, action=standard_pn_action(n))
+    return _fold([_pn_factor(n)], standard_pn_action(n))
+
+
+def hypersurface(n: int, d: int) -> ManifoldData:
+    """Smooth degree-d hypersurface of dimension n: adjunction in Q[h]/(h^{n+1}).
+
+    The total Chern class is (1+h)^{n+2} * (1+dh)^{-1}, expanded as a
+    geometric series in the nilpotent quotient, and the integral of h^n is d.
+    """
+    return _fold([_hyp_factor(n, d)])
 
 
 def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
-    """The product manifold A x B, from the Chern numbers of its factors.
+    """The product manifold A x B, from the Chern numbers of its factors (:func:`_fold`)."""
+    factors = [(m.dimension, m.chern_numbers, m.betti.betti if m.betti is not None else None) for m in (a, b)]
+    return _fold(factors)
+
+
+def _fold(factors: list[Factor], action: FixedPointModel | None = None) -> ManifoldData:
+    """The one record of the product of the factors, folded left to right as numbers.
 
     Each factor's numbers are cleared once to ints over their lcm, read by
-    position in ``iter_partitions`` order (the order ``ManifoldData`` stores
-    them in), and summed over the Whitney splits of :func:`_splits`; each
-    number of the product is then one ``Fraction`` over the two lcms.
+    position in ``iter_partitions`` order, and summed over the Whitney splits
+    of :func:`_splits`; each number of a product is then one exact division
+    by the two lcms, left an int when both are 1. Betti rows convolve when
+    every factor has one. ``action`` goes to the constructor, which fills in
+    sigma.
     """
-    ea, va = clear(list(a.chern_numbers.values()))
-    eb, vb = clear(list(b.chern_numbers.values()))
-    den = ea * eb
-    numbers = {
-        part: Fraction(sum([count * va[i] * vb[j] for count, i, j in splits]), den)
-        for part, splits in _splits(a.dimension, b.dimension)
-    }
-    n = a.dimension + b.dimension
-    betti = None
-    if a.betti is not None and b.betti is not None:
-        betti = BettiProfile(2 * n, convolve(a.betti.betti, b.betti.betti))
-    return ManifoldData(n, numbers, betti=betti)
+    n, numbers, betti = factors[0]
+    for m, other, other_betti in factors[1:]:
+        ea, va = clear(list(numbers.values()))
+        eb, vb = clear(list(other.values()))
+        den = ea * eb
+        numbers = {}
+        for part, splits in _splits(n, m):
+            total = sum([count * va[i] * vb[j] for count, i, j in splits])
+            numbers[part] = total if den == 1 else Fraction(total, den)
+        betti = convolve(betti, other_betti) if betti is not None and other_betti is not None else None
+        n += m
+    profile = BettiProfile(2 * n, betti) if betti is not None else None
+    return ManifoldData(n, numbers, betti=profile, action=action)
 
 
 @cache
@@ -172,32 +196,30 @@ def _splits(dim_a: int, dim_b: int) -> list[tuple[Partition, list[tuple[int, int
     return table
 
 
-def _one_generator(
-    n: int, total: list[int], degree: int, action: FixedPointModel | None = None
-) -> ManifoldData:
-    """An n-fold with cohomology Q[h]/(h^{n+1}), total Chern class sum_j total[j] h^j.
-
-    The integral of h^n is ``degree``, and ``action`` goes to the constructor,
-    which fills in sigma. Betti numbers agree with those of P^n away from the
-    middle degree, where the Euler number ``degree * total[n]`` pins the last.
-    """
-    numbers = one_generator_chern_numbers(total, degree)
-    euler = degree * total[n]
-    betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
-    betti[n] = euler - n if n % 2 == 0 else (n + 1) - euler
-    return ManifoldData(n, numbers, betti=BettiProfile(2 * n, betti), action=action)
+def _pn_factor(n: int) -> Factor:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _one_generator(n, [comb(n + 1, j) for j in range(n + 1)], 1)
 
 
-def hypersurface(n: int, d: int) -> ManifoldData:
-    """Smooth degree-d hypersurface of dimension n: adjunction in Q[h]/(h^{n+1}).
-
-    The total Chern class is (1+h)^{n+2} * (1+dh)^{-1}, expanded as a
-    geometric series in the nilpotent quotient, and the integral of h^n is d.
-    """
+def _hyp_factor(n: int, d: int) -> Factor:
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     total = [sum([comb(n + 2, i) * (-d) ** (j - i) for i in range(j + 1)]) for j in range(n + 1)]
     return _one_generator(n, total, d)
+
+
+def _one_generator(n: int, total: list[int], degree: int) -> Factor:
+    """An n-fold with cohomology Q[h]/(h^{n+1}), total Chern class sum_j total[j] h^j.
+
+    The integral of h^n is ``degree``. Betti numbers agree with those of P^n
+    away from the middle degree, where the Euler number ``degree * total[n]``
+    pins the last.
+    """
+    euler = degree * total[n]
+    betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
+    betti[n] = euler - n if n % 2 == 0 else (n + 1) - euler
+    return n, one_generator_chern_numbers(total, degree), betti
 
 
 def standard_pn_action(n: int, exponents: tuple[int, ...] | None = None) -> FixedPointModel:
@@ -229,10 +251,7 @@ def make_manifold(key: str | CatalogKey) -> ManifoldData:
     if parsed.kind == "hyp":
         return hypersurface(*parsed.args)
     if parsed.kind == "product":
-        data = make_manifold(parsed.args[0])
-        for factor in parsed.args[1:]:
-            data = product(data, make_manifold(factor))
-        return data
+        return _fold([_pn_factor(*f.args) if f.kind == "pn" else _hyp_factor(*f.args) for f in parsed.args])
     raise ValueError(f"unknown catalog key {key!r}")
 
 

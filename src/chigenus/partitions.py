@@ -34,10 +34,11 @@ def _descending(n: int, largest: int) -> Iterator[Partition]:
 
 
 def as_partition(parts: Iterable[int]) -> Partition:
-    """Canonicalize a sequence of positive parts, rejecting bad input."""
-    result = tuple(sorted(parts, reverse=True))
-    if any(p <= 0 for p in result):
-        raise ValueError(f"partition parts must be positive: {list(parts)}")
+    """Canonicalize positive parts, read once from any iterable; a refusal quotes them as given."""
+    given = list(parts)
+    result = tuple(sorted(given, reverse=True))
+    if result and result[-1] <= 0:
+        raise ValueError(f"partition parts must be positive: {given}")
     return result
 
 

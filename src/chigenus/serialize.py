@@ -31,10 +31,10 @@ import json
 import re
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Any, Callable, Container, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
 
 from .partitions import Partition, as_partition
-from .ypoly import YPolynomial
+from .ypoly import YPolynomial, clear
 
 if TYPE_CHECKING:
     from .betti import BettiProfile
@@ -141,7 +141,7 @@ def parse_rational(text: Any, field: str = "value") -> Fraction:
         raise SchemaError(field, f"too many digits ({len(text)} characters)") from None
     if denominator and (q == 1 or gcd(p, q) != 1):
         raise SchemaError(field, f"expected lowest terms with q > 1, got {_quote(text)}")
-    return Fraction(p, q)
+    return Fraction(p, q) if denominator else Fraction(p)
 
 
 # kind -> the grammar line `genus catalog --list` prints
@@ -231,19 +231,19 @@ def ypoly_from_json(obj: Any, field: str, max_degree: int) -> YPolynomial:
     top = max([d for d, c in coeffs.items() if c], default=0)
     if top > max_degree:
         raise SchemaError(field, f"degree {top} exceeds the largest allowed, {max_degree}")
-    return YPolynomial(coeffs)
+    return YPolynomial.from_row(*clear([coeffs.get(d, 0) for d in range(top + 1)]))
 
 
 _REQUIRED: Any = object()  # the default of a field that must be present
 
 
-def _object(obj: Any, field: str, keys: Container[str]) -> dict[str, Any]:
+def _object(obj: Any, field: str, keys: frozenset[str]) -> dict[str, Any]:
     """``obj`` as an object whose keys are all in ``keys``; the first other key is refused."""
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected an object")
-    for key in obj:
-        if key not in keys:
-            raise SchemaError(field, f"unknown key {_quote(key)}")
+    if not obj.keys() <= keys:
+        other = next(key for key in obj if key not in keys)
+        raise SchemaError(field, f"unknown key {_quote(other)}")
     return obj
 
 
@@ -251,7 +251,9 @@ def _object(obj: Any, field: str, keys: Container[str]) -> dict[str, Any]:
 _KINDS: dict[str, Callable[[Any], bool]] = {
     "an integer": is_json_int,
     "a non-negative integer": lambda v: is_json_int(v) and v >= 0,
-    "an array of integers": lambda v: isinstance(v, list) and all(is_json_int(x) for x in v),
+    # a plain int passes on its class alone, the common case, before is_json_int's two checks
+    "an array of integers":
+        lambda v: isinstance(v, list) and all([x.__class__ is int or is_json_int(x) for x in v]),
     "a boolean": lambda v: isinstance(v, bool),
 }
 
@@ -290,8 +292,11 @@ def profile_to_json(profile: BettiProfile) -> dict[str, Any]:
     return out
 
 
+_PROFILE_KEYS = frozenset(["dim", "betti", "sigma"])
+
+
 def profile_from_json(obj: Any, field: str = "profile") -> BettiProfile:
-    obj = _object(obj, field, ("dim", "betti", "sigma"))
+    obj = _object(obj, field, _PROFILE_KEYS)
     dim = _field(obj, field, "dim", "an integer")
     betti = _field(obj, field, "betti", "an array of integers")
     sigma = _field(obj, field, "sigma", "an integer", None)
@@ -315,8 +320,11 @@ def component_to_json(comp: FixedComponent) -> dict[str, Any]:
     return out
 
 
+_COMPONENT_KEYS = frozenset(["complexDim", "weights", "dF", "betti", "signature", "chiMinusY"])
+
+
 def component_from_json(obj: Any, field: str) -> FixedComponent:
-    obj = _object(obj, field, ("complexDim", "weights", "dF", "betti", "signature", "chiMinusY"))
+    obj = _object(obj, field, _COMPONENT_KEYS)
     r = _field(obj, field, "complexDim", "a non-negative integer", 0)
     weights = _field(obj, field, "weights", "an array of integers", None)
     d_f = _field(obj, field, "dF", "an integer", None)
@@ -343,8 +351,11 @@ def model_to_json(model: FixedPointModel) -> dict[str, Any]:
 MAX_MODEL_N = 10_000
 
 
+_MODEL_KEYS = frozenset(["n", "hamiltonian", "components"])
+
+
 def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
-    obj = _object(obj, field, ("n", "hamiltonian", "components"))
+    obj = _object(obj, field, _MODEL_KEYS)
     n = _field(obj, field, "n", "a non-negative integer")
     if n > MAX_MODEL_N:
         raise SchemaError(f"{field}.n", f"exceeds the largest allowed, {MAX_MODEL_N}")
@@ -377,8 +388,12 @@ def manifold_to_json(data: ManifoldData) -> dict[str, Any]:
     return out
 
 
+_MANIFOLD_KEYS = frozenset(["dimension", "chernNumbers", "betti", "action"])
+_ENTRY_KEYS = frozenset(["partition", "value"])
+
+
 def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
-    obj = _object(obj, field, ("dimension", "chernNumbers", "betti", "action"))
+    obj = _object(obj, field, _MANIFOLD_KEYS)
     dimension = _field(obj, field, "dimension", "a non-negative integer")
     raw = obj.get("chernNumbers")
     if not isinstance(raw, list):
@@ -386,7 +401,7 @@ def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
     numbers: dict[Partition, Fraction] = {}
     for idx, entry in enumerate(raw):
         where = f"{field}.chernNumbers[{idx}]"
-        entry = _object(entry, where, ("partition", "value"))
+        entry = _object(entry, where, _ENTRY_KEYS)
         parts = _field(entry, where, "partition", "an array of integers")
         part = _build(f"{where}.partition", as_partition, parts)
         if part in numbers:

@@ -213,6 +213,8 @@ def reduce_rows(scale: int, rows: Iterable[Sequence[int]]) -> tuple[int, tuple[t
             end -= 1
         trimmed.append(row[:end])
         g = gcd(g, *trimmed[-1])
+    if g == 1:
+        return scale, tuple([tuple(row) for row in trimmed])
     return scale // g, tuple([tuple([c // g for c in row]) for row in trimmed])
 
 

@@ -4,7 +4,7 @@ import hashlib
 import json
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product as tuples
 from math import comb
 from pathlib import Path
 
@@ -23,6 +23,7 @@ from chigenus.catalog import (
     standard_catalog,
     standard_pn_action,
 )
+from chigenus.chern import ChernPolynomial
 from chigenus.engine import chi_vector, duality_holds, genus_polynomial, specialize
 from chigenus.partitions import iter_partitions
 from chigenus.ypoly import YPolynomial
@@ -337,6 +338,49 @@ def test_product_with_seeded_chern_numbers_matches_the_ring_model():
                 expected[lam] += weight * value
         assert any(value.denominator > 1 for value in expected.values())
         assert product(_manifold(_HALF_P2), target).chern_numbers == expected, n
+
+
+# every 2- and 3-factor product of these, folded as numbers, is the product of their records
+_FOLD_FACTORS = [f"pn:{n}" for n in range(1, 5)] + [f"hyp:{a}:{d}" for a in range(1, 4) for d in range(1, 4)]
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_a_folded_product_key_equals_the_product_of_its_factor_records(size):
+    records = {key: make_manifold(key) for key in _FOLD_FACTORS}
+    for factors in tuples(_FOLD_FACTORS, repeat=size):
+        expected = records[factors[0]]
+        for factor in factors[1:]:
+            expected = product(expected, records[factor])
+        built = make_manifold("product:" + ",".join(factors))
+        assert built == expected and built.action is None, factors
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("product:pn:0,pn:1", "need n >= 1"), ("product:pn:2,hyp:2:0", "need n >= 1 and d >= 1")],
+)
+def test_a_product_key_keeps_its_factor_refusal(key, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_manifold(key)
+
+
+def test_a_product_key_builds_one_record_and_no_factor_action(monkeypatch):
+    evaluated = []
+    original = ChernPolynomial.evaluate
+
+    def counting(self, values):
+        evaluated.append(self.grade)
+        return original(self, values)
+
+    def refuse(*args):
+        raise AssertionError("a product key built a factor's action")
+
+    key = "product:pn:2,hyp:3:2,pn:3"
+    expected = make_manifold(key)  # the n = 8 table is built outside the count
+    monkeypatch.setattr(ChernPolynomial, "evaluate", counting)
+    monkeypatch.setattr(catalog, "standard_pn_action", refuse)
+    assert make_manifold(key) == expected
+    assert evaluated == [8]
 
 
 def test_factors_of_the_same_dimensions_share_one_split_table():

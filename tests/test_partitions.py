@@ -88,3 +88,12 @@ def test_as_partition():
     assert as_partition([1, 3, 2]) == (3, 2, 1)
     with pytest.raises(ValueError):
         as_partition([2, 0])
+
+
+def test_as_partition_reads_an_iterator_once_and_quotes_it_as_given():
+    assert as_partition(iter([1, 3, 2])) == (3, 2, 1)
+    assert as_partition(p for p in (2, 2)) == (2, 2)
+    with pytest.raises(ValueError, match=r"^partition parts must be positive: \[2, -1\]$"):
+        as_partition(iter([2, -1]))
+    with pytest.raises(ValueError, match=r"^partition parts must be positive: \[0, 3, 1\]$"):
+        as_partition(p for p in (0, 3, 1))

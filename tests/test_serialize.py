@@ -125,6 +125,67 @@ def test_manifold_schema_error_names_field():
         )
 
 
+REFUSAL_DOCUMENTS = ("pn:3", "product:pn:2,hyp:2:3")  # the first carries an action, the second is 4-dimensional
+ENTRY = ("chernNumbers", 0)
+POINT = ("action", "components", 0)
+
+# (path into the document, the value put there, the refusal); a DUPLICATE value is the
+# first entry's partition, and every case but the action's runs on both documents
+DUPLICATE = object()
+REFUSALS = [
+    (ENTRY, 5, "manifold.chernNumbers[0]: expected an object"),
+    (ENTRY, None, "manifold.chernNumbers[0]: expected an object"),
+    (("x",), 1, "manifold: unknown key 'x'"),
+    ((*ENTRY, "x"), 1, "manifold.chernNumbers[0]: unknown key 'x'"),
+    (ENTRY, {"y": 1, "partition": [1], "x": 1}, "manifold.chernNumbers[0]: unknown key 'y'"),
+    (("betti", "x"), 1, "manifold.betti: unknown key 'x'"),
+    (("betti", "betti"), [1, True, 1], "manifold.betti.betti: expected an array of integers"),
+    (("betti", "betti", -1), 2, "manifold.betti: Betti numbers must satisfy Poincare duality"),
+    ((*ENTRY, "partition"), "3", "manifold.chernNumbers[0].partition: expected an array of integers"),
+    ((*ENTRY, "partition"), [True, 2], "manifold.chernNumbers[0].partition: expected an array of integers"),
+    ((*ENTRY, "partition"), [2, 1.0], "manifold.chernNumbers[0].partition: expected an array of integers"),
+    ((*ENTRY, "partition"), [0, 3], "manifold.chernNumbers[0].partition: partition parts must be positive: [0, 3]"),
+    ((*ENTRY, "partition"), [4, -1], "manifold.chernNumbers[0].partition: partition parts must be positive: [4, -1]"),
+    (("chernNumbers", 1, "partition"), DUPLICATE, "manifold.chernNumbers[1].partition: duplicate partition {}"),
+    ((*ENTRY, "value"), 2, "manifold.chernNumbers[0].value: expected 'p' or 'p/q' with q > 0, got 2"),
+    ((*ENTRY, "value"), "02", "manifold.chernNumbers[0].value: expected 'p' or 'p/q' with q > 0, got '02'"),
+    ((*ENTRY, "value"), "2/4", "manifold.chernNumbers[0].value: expected lowest terms with q > 1, got '2/4'"),
+    (("action", "x"), 1, "manifold.action: unknown key 'x'"),
+    ((*POINT, "x"), 1, "manifold.action.components[0]: unknown key 'x'"),
+    ((*POINT, "betti"), [2], "manifold.action.components[0]: a fixed point has Betti numbers (1,)"),
+    ((*POINT, "signature"), -1, "manifold.action.components[0]: a fixed point has signature 1"),
+    ((*POINT, "chiMinusY"), {"0": "2"}, "manifold.action.components[0]: a fixed point has modified genus 1"),
+    (
+        (*POINT, "chiMinusY"), {"1": "1"},
+        "manifold.action.components[0].chiMinusY: degree 1 exceeds the largest allowed, 0",
+    ),
+    ((*POINT, "chiMinusY"), {"01": "1"}, "manifold.action.components[0].chiMinusY: bad degree '01'"),
+    ((*POINT, "weights"), [True, 2, 3], "manifold.action.components[0].weights: expected an array of integers"),
+    ((*POINT, "weights"), [0, 2, 3], "manifold.action.components[0]: rotation weights must be nonzero"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, path, value, message",
+    [
+        pytest.param(key, path, value, message, id=f"{key}-{'.'.join(map(str, path))}={value!r}")
+        for key in REFUSAL_DOCUMENTS
+        for path, value, message in REFUSALS
+        if path[0] != "action" or key.startswith("pn:")
+    ],
+)
+def test_every_reader_refusal_of_a_malformed_catalog_document(key, path, value, message):
+    doc = serialize.manifold_to_json(make_manifold(key))
+    first = doc["chernNumbers"][0]["partition"]
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = list(first) if value is DUPLICATE else value
+    with pytest.raises(SchemaError) as refusal:
+        serialize.manifold_from_json(doc)
+    assert str(refusal.value) == message.format(first)
+
+
 def test_a_claimed_dimension_is_refused_before_its_partitions_are_listed():
     # p(60) = 966467 partitions took seconds to list; the walk stops at the first missing one
     message = r"^manifold: Chern numbers must cover all partitions of 60; missing \[60\]$"
