@@ -33,7 +33,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import comb
-from typing import Mapping, Sequence
 
 from .betti import BettiProfile
 from .engine import ManifoldData
@@ -117,10 +116,6 @@ def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Par
     return numbers
 
 
-# a factor as numbers: (dimension, Chern numbers in ``iter_partitions`` order, Betti row or None)
-Factor = tuple[int, Mapping[Partition, Fraction | int], Sequence[int] | None]
-
-
 def projective_space(n: int) -> ManifoldData:
     """P^n: total Chern class (1+h)^{n+1}, integral of h^n is 1, with its standard action."""
     return _fold([_pn_factor(n)], standard_pn_action(n))
@@ -141,15 +136,15 @@ def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
     return _fold(factors)
 
 
-def _fold(factors: list[Factor], action: FixedPointModel | None = None) -> ManifoldData:
+def _fold(factors: list[tuple], action: FixedPointModel | None = None) -> ManifoldData:
     """The one record of the product of the factors, folded left to right as numbers.
 
-    Each factor's numbers are cleared once to ints over their lcm, read by
-    position in ``iter_partitions`` order, and summed over the Whitney splits
-    of :func:`_splits`; each number of a product is then one exact division
-    by the two lcms, left an int when both are 1. Betti rows convolve when
-    every factor has one. ``action`` goes to the constructor, which fills in
-    sigma.
+    A factor is (dimension, Chern numbers in ``iter_partitions`` order, Betti
+    row or None). Each factor's numbers are cleared once to ints over their
+    lcm, read by position, and summed over the Whitney splits of
+    :func:`_splits`; each number of a product is then one exact division by
+    the two lcms, left an int when both are 1. Betti rows convolve when every
+    factor has one. ``action`` goes to the constructor, which fills in sigma.
     """
     n, numbers, betti = factors[0]
     for m, other, other_betti in factors[1:]:
@@ -196,20 +191,20 @@ def _splits(dim_a: int, dim_b: int) -> list[tuple[Partition, list[tuple[int, int
     return table
 
 
-def _pn_factor(n: int) -> Factor:
+def _pn_factor(n: int) -> tuple:
     if n < 1:
         raise ValueError("need n >= 1")
     return _one_generator(n, [comb(n + 1, j) for j in range(n + 1)], 1)
 
 
-def _hyp_factor(n: int, d: int) -> Factor:
+def _hyp_factor(n: int, d: int) -> tuple:
     if n < 1 or d < 1:
         raise ValueError("need n >= 1 and d >= 1")
     total = [sum([comb(n + 2, i) * (-d) ** (j - i) for i in range(j + 1)]) for j in range(n + 1)]
     return _one_generator(n, total, d)
 
 
-def _one_generator(n: int, total: list[int], degree: int) -> Factor:
+def _one_generator(n: int, total: list[int], degree: int) -> tuple:
     """An n-fold with cohomology Q[h]/(h^{n+1}), total Chern class sum_j total[j] h^j.
 
     The integral of h^n is ``degree``. Betti numbers agree with those of P^n
@@ -220,6 +215,9 @@ def _one_generator(n: int, total: list[int], degree: int) -> Factor:
     betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
     betti[n] = euler - n if n % 2 == 0 else (n + 1) - euler
     return n, one_generator_chern_numbers(total, degree), betti
+
+
+_FACTORS = {"pn": _pn_factor, "hyp": _hyp_factor}
 
 
 def standard_pn_action(n: int, exponents: tuple[int, ...] | None = None) -> FixedPointModel:
@@ -251,7 +249,7 @@ def make_manifold(key: str | CatalogKey) -> ManifoldData:
     if parsed.kind == "hyp":
         return hypersurface(*parsed.args)
     if parsed.kind == "product":
-        return _fold([_pn_factor(*f.args) if f.kind == "pn" else _hyp_factor(*f.args) for f in parsed.args])
+        return _fold([_FACTORS[f.kind](*f.args) for f in parsed.args])
     raise ValueError(f"unknown catalog key {key!r}")
 
 

@@ -52,7 +52,7 @@ class SchemaError(ValueError):
 
 def is_json_int(value: Any) -> bool:
     """Whether a decoded JSON value is an integer; ``true``/``false`` are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return value.__class__ is int
 
 
 def dumps(payload: Any) -> str:
@@ -251,9 +251,7 @@ def _object(obj: Any, field: str, keys: frozenset[str]) -> dict[str, Any]:
 _KINDS: dict[str, Callable[[Any], bool]] = {
     "an integer": is_json_int,
     "a non-negative integer": lambda v: is_json_int(v) and v >= 0,
-    # a plain int passes on its class alone, the common case, before is_json_int's two checks
-    "an array of integers":
-        lambda v: isinstance(v, list) and all([x.__class__ is int or is_json_int(x) for x in v]),
+    "an array of integers": lambda v: isinstance(v, list) and all([is_json_int(x) for x in v]),
     "a boolean": lambda v: isinstance(v, bool),
 }
 

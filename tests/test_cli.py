@@ -411,10 +411,12 @@ def test_catalog_key_integers_are_ascii_and_canonical(capsys, key):
 
 
 def test_over_cap_catalog_key_is_rejected_before_building(capsys, monkeypatch):
-    def build(n):
-        raise AssertionError(f"built P^{n}")
+    def build(*args):
+        raise AssertionError(f"built {args}")
 
-    monkeypatch.setattr(catalog, "projective_space", build)
+    # every manifold build, products included, goes through the fold
+    for name in ("projective_space", "_fold", "standard_pn_action"):
+        monkeypatch.setattr(catalog, name, build)
     for key in ("pn:40", "product:pn:30,pn:10", "hyp:13:2", "pnaction:40"):
         code, out, err = run(capsys, ["catalog", "--make", key])
         assert code == 2 and out == "" and "exceeds GENUS_MAX_N=12" in err, key
