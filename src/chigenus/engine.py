@@ -20,10 +20,10 @@ itself, as the reference route the tests check the closed form against.
 :class:`ManifoldData` is the one manifold record; it takes Chern numbers as
 ``int`` or ``Fraction`` only, evaluates its chi_y polynomial once as it is
 built, and checks a given signature and action against it. It rebuilds a
-profile through the profile's own type and imports ``localization`` only
-for an action, so loading this module loads neither ``betti`` nor
-``localization``. Serre duality has one predicate, :func:`duality_holds`,
-on a bare chi-vector.
+profile through the profile's own type and reads an action's chi_{-y} off
+the model, which localized it as it was built, so loading this module
+loads neither ``betti`` nor ``localization``. Serre duality has one
+predicate, :func:`duality_holds`, on a bare chi-vector.
 """
 
 from __future__ import annotations
@@ -118,14 +118,11 @@ class ManifoldData:
                 betti = type(betti)(betti.dim, betti.betti, int(sigma))
             elif betti.sigma != sigma:
                 raise ValueError(f"signature {betti.sigma} is not chi_y(1) = {sigma}")
-        if action is not None and all(c.chi_minus_y is not None for c in action.components):
-            from .localization import localized_chi_minus_y
-
-            localized, expected = localized_chi_minus_y(action), genus.negate_y()
-            if localized != expected:
-                raise ValueError(
-                    f"action localizes chi_-y = {localized}, but the Chern numbers give {expected}"
-                )
+        localized = action.chi_minus_y if action is not None else None
+        if localized is not None and localized != genus.negate_y():
+            raise ValueError(
+                f"action localizes chi_-y = {localized}, but the Chern numbers give {genus.negate_y()}"
+            )
         self.betti = betti
         self.action = action
 

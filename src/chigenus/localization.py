@@ -7,6 +7,11 @@ the count d_F of negative weights drives every formula here: the modified
 genus localizes as sum_F chi_{-y}(F) y^{d_F}, the Novikov numbers as
 sum_F P_y(F) y^{2 d_F}, and the signature as sum_F sigma(F) (-1)^{d_F}.
 
+A ``FixedPointModel`` localizes once, as it is built: after its checks it
+sums its components into ``chi_minus_y``, ``novikov`` and ``signature``,
+each None when a component lacks the invariant it sums. The module
+functions return those fields, and refuse a None by naming what is missing.
+
 Each localized polynomial is built in one pass: the components' shifted
 rows are added into one integer row, which is reduced once. Summing them
 pairwise would build and reduce a new row per component, quadratic in n for
@@ -123,11 +128,13 @@ class FixedComponent:
 class FixedPointModel:
     """Nonempty list of fixed components of a circle action.
 
-    A Hamiltonian model has exactly one component with d_F = 0 and exactly
-    one with d_F = n - dim_C F, the moment map's minimum and maximum.
+    ``hamiltonian`` must be a ``bool``. A Hamiltonian model has exactly one
+    component with d_F = 0 and exactly one with d_F = n - dim_C F, the
+    moment map's minimum and maximum. ``chi_minus_y``, ``novikov`` and
+    ``signature`` are the localized sums, functions of the other fields.
     """
 
-    __slots__ = ("n", "components", "hamiltonian")
+    __slots__ = ("n", "components", "hamiltonian", "chi_minus_y", "novikov", "signature")
 
     def __init__(
         self,
@@ -136,6 +143,8 @@ class FixedPointModel:
         hamiltonian: bool = False,
     ) -> None:
         require_counts("n", (n,))
+        if hamiltonian.__class__ is not bool:
+            raise ValueError(f"hamiltonian must be bool, got {type(hamiltonian).__name__}")
         components = tuple(components)
         if not components:
             raise ValueError("fixed-point set must be nonempty")
@@ -152,8 +161,8 @@ class FixedPointModel:
                 )
         self.n = n
         self.components = components
-        self.hamiltonian = bool(hamiltonian)
-        if self.hamiltonian:
+        self.hamiltonian = hamiltonian
+        if hamiltonian:
             # a component has d_F negative weights and n - dim F - d_F positive ones; the
             # moment map attains its minimum and maximum on a closed manifold, and each is
             # connected (Atiyah 1982), so exactly one component has no negative weight and
@@ -167,6 +176,23 @@ class FixedPointModel:
                     "a Hamiltonian action has one minimum and one maximum; "
                     f"got {minima} components with d_f = 0 and {maxima} with d_f = n - dim F"
                 )
+        self.chi_minus_y = (
+            shifted_sum([(c.chi_minus_y, c.d_f) for c in components])
+            if all(c.chi_minus_y is not None for c in components)
+            else None
+        )
+        novikov = None
+        if all(c.betti is not None for c in components):
+            total: list[int] = []
+            for c in components:
+                add_into(total, c.betti, 1, 2 * c.d_f)
+            novikov = YPolynomial.from_row(1, total)
+        self.novikov = novikov
+        self.signature = (
+            sum([-c.signature if c.d_f & 1 else c.signature for c in components])
+            if all(c.signature is not None for c in components)
+            else None
+        )
 
     __eq__ = slots_equal
 
@@ -176,9 +202,9 @@ class FixedPointModel:
 
 def localized_chi_minus_y(model: FixedPointModel) -> YPolynomial:
     """chi_{-y} of the total space: sum over components of chi_{-y}(F) y^{d_F}."""
-    if any(comp.chi_minus_y is None for comp in model.components):
+    if model.chi_minus_y is None:
         raise ValueError("positive-dimensional component lacks its modified genus")
-    return shifted_sum([(c.chi_minus_y, c.d_f) for c in model.components])
+    return model.chi_minus_y
 
 
 def novikov_polynomial(model: FixedPointModel) -> YPolynomial:
@@ -186,22 +212,16 @@ def novikov_polynomial(model: FixedPointModel) -> YPolynomial:
 
     For a Hamiltonian action these are the Betti numbers of the total space.
     """
-    if any(comp.betti is None for comp in model.components):
+    if model.novikov is None:
         raise ValueError("component has no Betti numbers")
-    total: list[int] = []
-    for c in model.components:
-        add_into(total, c.betti, 1, 2 * c.d_f)
-    return YPolynomial.from_row(1, total)
+    return model.novikov
 
 
 def localized_signature(model: FixedPointModel) -> int:
     """Signature of the total space: sum_F sigma(F) (-1)^{d_F}."""
-    total = 0
-    for comp in model.components:
-        if comp.signature is None:
-            raise ValueError("component lacks a signature")
-        total += comp.signature * (-1) ** comp.d_f
-    return total
+    if model.signature is None:
+        raise ValueError("component lacks a signature")
+    return model.signature
 
 
 class IsolatedConsistencyReport(NamedTuple):

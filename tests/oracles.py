@@ -28,7 +28,6 @@ from chigenus.localization import (
     FixedPointModel,
     IsolatedConsistencyReport,
     SignatureIdentityReport,
-    localized_signature,
 )
 from chigenus.partitions import Partition, iter_partitions, merge
 from chigenus.ypoly import YPolynomial
@@ -188,6 +187,13 @@ def reference_novikov_polynomial(model: FixedPointModel) -> YPolynomial:
     return total
 
 
+def reference_signature(model: FixedPointModel) -> int:
+    """sum_F sigma(F) (-1)^{d_F}, one power of -1 per component."""
+    if any(comp.signature is None for comp in model.components):
+        raise ValueError("component lacks a signature")
+    return sum(comp.signature * (-1) ** comp.d_f for comp in model.components)
+
+
 def reference_signature_identity_check(model: FixedPointModel) -> SignatureIdentityReport:
     """The signature identity report, each b_{2i}(xi) read as a Fraction coefficient of the reference sum."""
     applicable = all(
@@ -196,7 +202,7 @@ def reference_signature_identity_check(model: FixedPointModel) -> SignatureIdent
         and c.signature == sum((-1) ** i * c.betti[2 * i] for i in range(c.complex_dim + 1))
         for c in model.components
     )
-    signature = localized_signature(model)
+    signature = reference_signature(model)
     novikov = reference_novikov_polynomial(model)
     alternating = sum((-1) ** i * int(novikov.coefficient(2 * i)) for i in range(model.n + 1))
     return SignatureIdentityReport(applicable, signature, alternating)

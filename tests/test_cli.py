@@ -348,19 +348,39 @@ def test_degree_cap(capsys, monkeypatch):
     assert code == 2 and "GENUS_MAX_N" in err
 
 
-# argv, GENUS_MAX_N, the one stderr line
+def _curve(without):
+    """A model of one fixed curve, chi_{-y} = 1 + y, whose component lacks the key ``without``."""
+    component = {"complexDim": 1, "dF": 0, "betti": [1, 0, 1], "signature": 0, "chiMinusY": {"0": "1", "1": "1"}}
+    del component[without]
+    return {"n": 1, "components": [component]}
+
+
+# argv (a dict in it is a document, written to a file), GENUS_MAX_N, the one stderr line
 INPUT_ERRORS = {
     "cap-not-an-integer": (["chi", "--n", "2"], "x", "GENUS_MAX_N must be an integer, got 'x'"),
     "negative-degree": (["chi", "--n", "-1"], None, "degree must be non-negative"),
     "at-without-manifold": (["chi", "--at", "euler", "--n", "2"], None, "--at needs --manifold"),
     "kcoeffs-of-a-point": (["kcoeffs", "--n", "0"], None, "kcoeffs needs --n >= 1"),
     "kcoeffs-over-the-cap": (["kcoeffs", "--n", "13"], None, "degree 13 exceeds GENUS_MAX_N=12"),
+    # a model lacking an invariant is still read; only the sum that needs it is refused
+    "localize-without-chi-minus-y": (
+        ["localize", "--model", _curve("chiMinusY")],
+        None,
+        "positive-dimensional component lacks its modified genus",
+    ),
+    "localize-without-betti": (["localize", "--model", _curve("betti")], None, "component has no Betti numbers"),
+    "localize-without-signature": (
+        ["localize", "--model", _curve("signature")],
+        None,
+        "component lacks a signature",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", INPUT_ERRORS)
-def test_each_input_error_exits_2_with_its_own_message(capsys, monkeypatch, case):
+def test_each_input_error_exits_2_with_its_own_message(capsys, monkeypatch, tmp_path, case):
     argv, cap, message = INPUT_ERRORS[case]
+    argv = [write(tmp_path, "doc.json", arg) if isinstance(arg, dict) else arg for arg in argv]
     if cap is not None:
         monkeypatch.setenv("GENUS_MAX_N", cap)
     code, out, err = run(capsys, argv)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from chigenus import localization, serialize
 from chigenus.catalog import projective_space, standard_pn_action
 from chigenus.engine import chi_minus_y
 from chigenus.localization import (
@@ -18,11 +19,12 @@ from chigenus.localization import (
     novikov_polynomial,
     signature_identity_check,
 )
-from chigenus.ypoly import YPolynomial
+from chigenus.ypoly import YPolynomial, shifted_sum
 from oracles import (
     reference_chi_minus_y,
     reference_consistency_isolated,
     reference_novikov_polynomial,
+    reference_signature,
     reference_signature_identity_check,
 )
 
@@ -50,6 +52,17 @@ def test_negative_weight_count():
 def test_negative_weight_count_refusals(weights, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         negative_weight_count(weights)
+
+
+def test_hamiltonian_must_be_a_bool():
+    # a flag coerced with bool() would make "no" Hamiltonian, and refuse this valid
+    # model for its two maxima
+    components = [isolated(d_f=0), isolated(d_f=1), isolated(d_f=1)]
+    assert not FixedPointModel(1, components).hamiltonian
+    for value, kind in (("no", "str"), (1, "int"), (0, "int"), (None, "NoneType")):
+        with pytest.raises(ValueError, match=f"^hamiltonian must be bool, got {kind}$"):
+            FixedPointModel(1, components, hamiltonian=value)
+    assert FixedPointModel(1, components[:2], hamiltonian=True).hamiltonian is True
 
 
 def test_rotation_of_the_line():
@@ -460,16 +473,42 @@ def test_one_pass_sums_match_reference_route():
 def test_one_pass_sums_keep_reference_errors():
     no_genus = FixedComponent(complex_dim=1, weights=(1,), betti=(1, 0, 1))
     no_betti = FixedComponent(complex_dim=1, weights=(1,), chi_minus_y=YPolynomial.one())
-    for comp, route, reference in (
-        (no_genus, localized_chi_minus_y, reference_chi_minus_y),
-        (no_betti, novikov_polynomial, reference_novikov_polynomial),
+    for comp, field, route, reference in (
+        (no_genus, "chi_minus_y", localized_chi_minus_y, reference_chi_minus_y),
+        (no_betti, "novikov", novikov_polynomial, reference_novikov_polynomial),
+        (no_genus, "signature", localized_signature, reference_signature),
     ):
+        # the model is built all the same: only the sum that needs the missing data is refused
         model = FixedPointModel(2, [isolated(weights=(1, 2)), comp])
+        assert getattr(model, field) is None
         with pytest.raises(ValueError) as got:
             route(model)
         with pytest.raises(ValueError) as want:
             reference(model)
         assert str(got.value) == str(want.value)
+
+
+def test_one_localization_per_model(monkeypatch):
+    # a model sums its fixed points once, as it is built, and no report sums them again
+    summed = []
+
+    def counting(terms):
+        summed.append(len(terms))
+        return shifted_sum(terms)
+
+    monkeypatch.setattr(localization, "shifted_sum", counting)
+    # the four calls of a forms-actions action batch
+    model = standard_pn_action(8)
+    assert localized_chi_minus_y(model).items() == [(p, 1) for p in range(9)]
+    assert novikov_polynomial(model).items() == [(2 * p, 1) for p in range(9)]
+    assert signature_identity_check(model) == (True, 1, 1)
+    assert consistency_isolated(model) == (True, True, True)
+    assert summed == [9]
+    # a catalog build and its read-back: one model each, one sum each
+    summed.clear()
+    built = projective_space(4)
+    assert serialize.manifold_from_json(serialize.manifold_to_json(built)) == built
+    assert summed == [5, 5]
 
 
 def test_reports_on_rows_match_the_fraction_routes():
@@ -485,8 +524,9 @@ def test_reports_on_rows_match_the_fraction_routes():
             model = FixedPointModel(n, [isolated(d_f=rng.randint(0, n)) for _ in range(size)])
         else:
             model = FixedPointModel(n, [random_component(rng, n, signed=True) for _ in range(size)])
-        assert novikov_polynomial(model) == reference_novikov_polynomial(model)
-        assert localized_chi_minus_y(model) == reference_chi_minus_y(model)
+        assert novikov_polynomial(model) == reference_novikov_polynomial(model) == model.novikov
+        assert localized_chi_minus_y(model) == reference_chi_minus_y(model) == model.chi_minus_y
+        assert localized_signature(model) == reference_signature(model) == model.signature
         identity = signature_identity_check(model)
         assert identity == reference_signature_identity_check(model)
         seen.add(("applicable", identity.applicable, identity.holds))
@@ -504,5 +544,8 @@ def test_reports_on_rows_match_the_fraction_routes():
     assert {("isolated", True, True, True), ("isolated", True, True, False)} <= seen
     for n in range(0, 13):
         model = standard_pn_action(n)
+        assert model.chi_minus_y == reference_chi_minus_y(model)
+        assert model.novikov == reference_novikov_polynomial(model)
+        assert model.signature == reference_signature(model) == (1 if n % 2 == 0 else 0)
         assert signature_identity_check(model) == reference_signature_identity_check(model)
         assert consistency_isolated(model) == reference_consistency_isolated(model) == (True, True, True)
