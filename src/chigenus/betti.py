@@ -158,9 +158,6 @@ class BettiProfile:
     def __repr__(self) -> str:
         return f"BettiProfile(dim={self.dim}, betti={self.betti}, sigma={self.sigma})"
 
-    def even_betti(self) -> tuple[int, ...]:
-        return tuple(self.betti[2 * i] for i in range(self.dim // 2 + 1))
-
 
 def with_middle_form(profile: BettiProfile, triple: InertiaTriple) -> BettiProfile:
     """``profile`` checked against the inertia of its middle intersection form, sigma filled in.
@@ -231,6 +228,13 @@ class BettiInequalityReport(NamedTuple):
     lower: BettiInequality  # sum b_{2+4i} >= sum b_{4i};   equality iff b^- = 0
 
 
+def _betti_sums(betti: tuple[int, ...], k: int, start: int, at_most: bool) -> BettiInequality:
+    """sum b_{2+4i} against sum b_{start+4i} over i < k: at most it if ``at_most``, else at least."""
+    lhs = sum(betti[2 : 4 * k : 4])
+    rhs = sum(betti[start : start + 4 * k : 4])
+    return BettiInequality(k, lhs, rhs, lhs <= rhs if at_most else lhs >= rhs, lhs == rhs)
+
+
 def betti_inequality_check(profile: BettiProfile) -> BettiInequalityReport:
     """Both Betti-sum inequalities for a 4m-dimensional profile.
 
@@ -244,21 +248,11 @@ def betti_inequality_check(profile: BettiProfile) -> BettiInequalityReport:
         raise ValueError("need dimension divisible by 4")
     alternating = signature_alternating(profile)
     m = profile.dim // 4
-    even = profile.even_betti()
-    middle = even[m]
+    middle = profile.betti[2 * m]
     b_plus = (middle + profile.sigma) // 2
     b_minus = (middle - profile.sigma) // 2
-
-    k_upper = m // 2
-    lhs = sum(even[1 + 2 * i] for i in range(k_upper))
-    rhs = sum(even[2 + 2 * i] for i in range(k_upper))
-    upper = BettiInequality(k_upper, lhs, rhs, lhs <= rhs, lhs == rhs)
-
-    k_lower = (m + 1) // 2
-    lhs2 = sum(even[1 + 2 * i] for i in range(k_lower))
-    rhs2 = sum(even[2 * i] for i in range(k_lower))
-    lower = BettiInequality(k_lower, lhs2, rhs2, lhs2 >= rhs2, lhs2 == rhs2)
-
+    upper = _betti_sums(profile.betti, m // 2, 4, True)
+    lower = _betti_sums(profile.betti, (m + 1) // 2, 0, False)
     return BettiInequalityReport(b_plus, b_minus, alternating, upper, lower)
 
 
@@ -271,7 +265,5 @@ def tolman_unimodality_report(profile: BettiProfile) -> bool:
     This inequality chain is an open question, not a theorem; writers label it
     :data:`UNIMODALITY_LABEL` and it must never be asserted.
     """
-    n = profile.dim // 2
-    even = profile.even_betti()
-    chain = [even[j] for j in range(1, n // 2 + 1)]
-    return all(chain[idx] <= chain[idx + 1] for idx in range(len(chain) - 1))
+    chain = profile.betti[2 : profile.dim // 2 + 1 : 2]
+    return all([a <= b for a, b in zip(chain, chain[1:])])

@@ -148,27 +148,25 @@ class FixedPointModel:
         components = tuple(components)
         if not components:
             raise ValueError("fixed-point set must be nonempty")
+        # a component has d_F negative weights and n - dim F - d_F positive ones
+        minima = maxima = 0
         for comp in components:
-            if comp.complex_dim > n:
+            rank = n - comp.complex_dim
+            if rank < 0:
                 raise ValueError("component dimension exceeds the manifold's")
-            if comp.d_f > n - comp.complex_dim:
-                raise ValueError(
-                    f"d_f={comp.d_f} exceeds the normal rank {n - comp.complex_dim}"
-                )
-            if comp.weights is not None and len(comp.weights) != n - comp.complex_dim:
-                raise ValueError(
-                    f"component of dimension {comp.complex_dim} needs {n - comp.complex_dim} weights"
-                )
+            if comp.d_f > rank:
+                raise ValueError(f"d_f={comp.d_f} exceeds the normal rank {rank}")
+            if comp.weights is not None and len(comp.weights) != rank:
+                raise ValueError(f"component of dimension {comp.complex_dim} needs {rank} weights")
+            minima += comp.d_f == 0
+            maxima += comp.d_f == rank
         self.n = n
         self.components = components
         self.hamiltonian = hamiltonian
         if hamiltonian:
-            # a component has d_F negative weights and n - dim F - d_F positive ones; the
-            # moment map attains its minimum and maximum on a closed manifold, and each is
-            # connected (Atiyah 1982), so exactly one component has no negative weight and
-            # exactly one has no positive weight
-            minima = [c.d_f for c in self.components].count(0)
-            maxima = [n - c.complex_dim - c.d_f for c in self.components].count(0)
+            # the moment map attains its minimum and maximum on a closed manifold, and each
+            # is connected (Atiyah 1982), so exactly one component has no negative weight
+            # and exactly one has no positive weight
             if not minima or not maxima:
                 raise ValueError("a Hamiltonian action must attain d_f = 0 and d_f = n - dim F")
             if minima > 1 or maxima > 1:

@@ -31,7 +31,7 @@ import json
 import re
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .partitions import Partition, as_partition
 from .ypoly import YPolynomial, clear
@@ -66,67 +66,30 @@ _KEY_INT_RE = re.compile(_INT)
 
 
 _QUOTE_CHARS = 60  # a refusal quotes input of up to this many characters whole, and a prefix of longer input
-_MEASURE_CHARS = 10_000  # the repr of a non-string is measured up to this many characters, and no further
-_BRACKETS = {list: "[]", tuple: "()", dict: "{}"}
 
 
 def _quote(value: Any) -> str:
     """``repr(value)``, or past _QUOTE_CHARS characters the repr of a prefix and the length, for a refusal.
 
-    A non-string's repr is built without recursion (:func:`_repr_pieces`)
-    and only up to _MEASURE_CHARS characters, so quoting costs the same for
-    a value of any size or depth; a longer one reads "more than" that many.
+    A list, tuple or dict is named by its JSON kind, "an array" or "an
+    object", so quoting costs the same for a value of any size or depth; an
+    int over the interpreter's limit on digits converted to str is named by
+    its type.
     """
+    if isinstance(value, (list, tuple, dict)):
+        return "an object" if isinstance(value, dict) else "an array"
     if isinstance(value, str):
         if len(value) <= _QUOTE_CHARS:
             return repr(value)
-        text, size = value, len(value)
+        text = value
     else:
-        text = ""
-        for piece in _repr_pieces(value):
-            text += piece
-            if len(text) > _MEASURE_CHARS:
-                break
+        try:
+            text = repr(value)
+        except ValueError:  # over the interpreter's limit on digits converted to str
+            return f"<{type(value).__name__} too large to print>"
         if len(text) <= _QUOTE_CHARS:
             return text
-        size = len(text) if len(text) <= _MEASURE_CHARS else f"more than {_MEASURE_CHARS}"
-    return f"{text[:_QUOTE_CHARS]!r}... ({size} characters)"
-
-
-def _repr_pieces(value: Any) -> Iterator[str]:
-    """``repr(value)`` in pieces, walking lists, tuples and dicts nested to any depth.
-
-    A stack of :func:`_members` iterators stands in for recursion. Every
-    other value is one piece, its ``repr``: a string's is cut to
-    _MEASURE_CHARS characters, and an int over the interpreter's limit on
-    digits converted to str is named by its type.
-    """
-    stack = [iter([[value]])]
-    while stack:
-        piece = next(stack[-1], None)
-        if piece is None:
-            stack.pop()
-        elif piece.__class__ is str:
-            yield piece
-        elif piece[0].__class__ in _BRACKETS:
-            stack.append(_members(piece[0]))
-        else:
-            leaf = piece[0][:_MEASURE_CHARS] if piece[0].__class__ is str else piece[0]
-            try:
-                text = repr(leaf)
-            except ValueError:  # over the interpreter's limit on digits converted to str
-                text = f"<{type(leaf).__name__} too large to print>"
-            yield text
-
-
-def _members(container: list | tuple | dict) -> Iterator[str | list]:
-    """A container's repr: its punctuation as strings, each member as a one-item list to expand."""
-    kind = container.__class__
-    yield _BRACKETS[kind][0]
-    for i, member in enumerate(container.items() if kind is dict else container):
-        yield ", " if i else ""
-        yield from ([member[0]], ": ", [member[1]]) if kind is dict else ([member],)
-    yield ",)" if kind is tuple and len(container) == 1 else _BRACKETS[kind][1]
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 def parse_rational(text: Any, field: str = "value") -> Fraction:
@@ -220,7 +183,7 @@ def ypoly_from_json(obj: Any, field: str, max_degree: int) -> YPolynomial:
         raise SchemaError(field, "expected an object mapping degree to coefficient")
     coeffs = {}
     for key, value in obj.items():
-        if not _DEGREE_RE.fullmatch(key):
+        if not isinstance(key, str) or not _DEGREE_RE.fullmatch(key):
             raise SchemaError(field, f"bad degree {_quote(key)}")
         try:
             degree = int(key)

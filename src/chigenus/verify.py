@@ -68,8 +68,6 @@ def _check_inequality_optimality() -> str | None:
 
 def _check_binomial_transform() -> str | None:
     for key, data in catalog.standard_catalog():
-        if data.dimension < 1:
-            continue
         chi = engine.chi_vector(data)
         table = kexpansion.k_coefficients(data.dimension)
         evaluated = [

@@ -310,7 +310,9 @@ def test_catalog_uses_no_ring_model(monkeypatch):
     monkeypatch.setattr(CohomologyModel, "chern_numbers", refuse)
     monkeypatch.setattr(CohomologyModel, "multiply", refuse)
     for key in CATALOG_KEYS:
-        assert make_manifold(key).dimension == serialize.parse_key(key).dimension
+        # verify-paper's checks run on every entry, so none may be a point
+        dimension = make_manifold(key).dimension
+        assert dimension == serialize.parse_key(key).dimension and 1 <= dimension <= 8, key
 
 
 def test_product_matches_the_ring_model_for_every_factor_pair():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import chigenus
 from chigenus import catalog, engine, kexpansion, serialize, verify
 from chigenus.chern import ChernPolynomial
 from chigenus.ypoly import YPolynomial
@@ -306,9 +307,9 @@ ENTRY_POINT = ["-c", "from chigenus.cli import entry; entry()"]
 
 
 def python_process(args, stdout):
-    """``python ARGS`` in a fresh interpreter that imports this checkout, under the default cap."""
+    """``python ARGS`` in a fresh interpreter that imports the package under test, under the default cap."""
     env = {k: v for k, v in os.environ.items() if k != "GENUS_MAX_N"}
-    env["PYTHONPATH"] = str(Path(__file__).parent.parent / "src")
+    env["PYTHONPATH"] = str(Path(chigenus.__file__).parent.parent)
     return subprocess.Popen(
         [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env
     )
@@ -374,6 +375,20 @@ INPUT_ERRORS = {
         None,
         "component lacks a signature",
     ),
+    # a point carrying all three invariants of a curve: the first one checked is named
+    "localize-point-with-curve-invariants": (
+        [
+            "localize",
+            "--model",
+            {"n": 1, "components": [
+                {"complexDim": 0, "dF": 0, "chiMinusY": {"0": "2"}, "betti": [3], "signature": -5},
+                {"complexDim": 0, "dF": 1},
+            ]},
+        ],
+        None,
+        "model.components[0]: a fixed point has Betti numbers (1,)",
+    ),
+    "product-factor-refusal": (["catalog", "--make", "product:pn:2,hyp:2:0"], None, "need n >= 1 and d >= 1"),
 }
 
 
@@ -526,10 +541,21 @@ RATIONAL_MODEL = {
 }
 
 
+# documents that no catalog key writes, by name
+DOCUMENTS = {
+    "rational": RATIONAL_MODEL,
+    # a curve with c_1 = 2 and neither Betti numbers nor an action
+    "bare": {"dimension": 1, "chernNumbers": [{"partition": [1], "value": "2"}]},
+    # half-integral Chern numbers: no hypothesis of the inequalities is met
+    "half": {
+        "dimension": 2,
+        "chernNumbers": [{"partition": [2], "value": "3/2"}, {"partition": [1, 1], "value": "9/2"}],
+    },
+}
 
 REPORT_CASES = [
     f"localize {key}{check}"
-    for key in catalog.ACTION_KEYS + ("rational",)
+    for key in catalog.ACTION_KEYS + ("pnaction:6", "rational")
     for check in ("", " --check mainapp4")
 ] + [
     f"{command} {key}{flags}"
@@ -537,10 +563,16 @@ REPORT_CASES = [
     for command, flags in (
         ("chi", ""), ("chi", " --at signature"), ("ineq", " --epsilon 1"), ("ineq", " --epsilon -1")
     )
-] + [f"ineq synthetic:{n} --epsilon {epsilon}" for n in range(9, 13) for epsilon in (1, -1)]
+] + [f"ineq synthetic:{n} --epsilon {epsilon}" for n in range(9, 13) for epsilon in (1, -1)] + [
+    "chi bare",
+    "ineq half",
+    "ineq half --epsilon -1",
+    "chi product:pn:1,hyp:2:3,pn:2",
+    "ineq product:hyp:2:4,pn:2",
+]
 
 # SHA-256 of stdout for each case: COMMAND KEY FLAGS runs COMMAND on the document
-# that `catalog --make KEY` writes (RATIONAL_MODEL for the key "rational" and
+# that `catalog --make KEY` writes (DOCUMENTS[KEY] for a key named there and
 # synthetic_manifold(N) for the key "synthetic:N")
 REPORT_DIGESTS = {
     "localize pnaction:1:0,1": "45a739ef761533d69dd07084babdccd5be10b3db9627fd0c8f7afc4c5bfab9dc",
@@ -555,6 +587,8 @@ REPORT_DIGESTS = {
     "localize pnaction:5:0,1,2,3,4,5 --check mainapp4": "5f8cae65ea7c90212768c1b7e80aef6636fe0369f081359a019e69d5945392bf",
     "localize pnaction:6:0,1,2,3,4,5,6": "364a7a22d3f15af6604a56ed517e80616c6bb88b904eb3b0792cc42f105bf129",
     "localize pnaction:6:0,1,2,3,4,5,6 --check mainapp4": "b1282c0f1e951f9100048dfaa041af76119294050b43d8cb6e90abc2621b7cbb",
+    "localize pnaction:6": "364a7a22d3f15af6604a56ed517e80616c6bb88b904eb3b0792cc42f105bf129",
+    "localize pnaction:6 --check mainapp4": "b1282c0f1e951f9100048dfaa041af76119294050b43d8cb6e90abc2621b7cbb",
     "localize rational": "c5713c4c44b720ccc55be13582b76f9c55d53e866f6f620454e931b83c79b354",
     "localize rational --check mainapp4": "f3579174c01568c1ac18694fd519f55db4452a340b760da9d1d41e82b95578a4",
     "chi pn:1": "081c667c2afcc22d397f7ebc0f72bd5956932715f9a62e4d44d838fbf9e9d20f",
@@ -641,14 +675,19 @@ REPORT_DIGESTS = {
     "ineq synthetic:11 --epsilon -1": "00351359b27386cde2084d297967c9ef6804abdc13d8b07f36c8a5c3350d9d7f",
     "ineq synthetic:12 --epsilon 1": "60d4fe1c7cff324ed25d38e4b4d35e57154daccec5a221868a2ef5b3a4e053de",
     "ineq synthetic:12 --epsilon -1": "60d4fe1c7cff324ed25d38e4b4d35e57154daccec5a221868a2ef5b3a4e053de",
+    "chi bare": "081c667c2afcc22d397f7ebc0f72bd5956932715f9a62e4d44d838fbf9e9d20f",
+    "ineq half": "f2049f1cacfe28e64d2559eebb3f3513f7b2980aaa4a3e339a13a9cb9e9fcaf3",
+    "ineq half --epsilon -1": "f2049f1cacfe28e64d2559eebb3f3513f7b2980aaa4a3e339a13a9cb9e9fcaf3",
+    "chi product:pn:1,hyp:2:3,pn:2": "839032d436b39779e764e23c5fa5c255e64d7b89bc056422894461d2aa281124",
+    "ineq product:hyp:2:4,pn:2": "4bf2044cef64638a749b71cf554ec8fefcd553efd7a41c4fd75ae480cbbfeff4",
 }
 
 
 @pytest.mark.parametrize("case", REPORT_CASES)
 def test_report_output_is_byte_identical(capsys, tmp_path, case):
     command, key, *flags = case.split()
-    if key == "rational":
-        path = write(tmp_path, "input.json", RATIONAL_MODEL)
+    if key in DOCUMENTS:
+        path = write(tmp_path, "input.json", DOCUMENTS[key])
     elif key.startswith("synthetic:"):
         path = write(tmp_path, "input.json", synthetic_manifold(int(key.partition(":")[2])))
     else:

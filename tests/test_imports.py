@@ -19,6 +19,7 @@ import chigenus
 from chigenus import catalog, engine, serialize
 
 ROOT = Path(__file__).parent.parent
+PACKAGE = Path(chigenus.__file__).parent  # the checkout's src/chigenus, or an installed copy
 
 # Runs genus in-process and prints, after its output, the modules the run added.
 PROBE = """
@@ -31,7 +32,7 @@ print(json.dumps({"code": code, "loaded": sorted(set(sys.modules) - before)}))
 
 
 def python(code, *args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     done = subprocess.run(
         [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
     )
@@ -122,7 +123,7 @@ def test_a_subcommand_loads_only_what_it_runs(tmp_path, case):
 
 
 def test_no_module_imports_dataclasses():
-    for path in sorted((ROOT / "src" / "chigenus").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path.name
 
 
@@ -268,7 +269,7 @@ def traced_names(tree):
 def test_every_public_name_has_a_caller_outside_the_tests():
     """Used in its own module, imported or read as ``<module>.<name>`` by another module or by
     perfbench, traced by perfbench, or run as the console script."""
-    sources = {path.stem: ast.parse(path.read_text()) for path in (ROOT / "src" / "chigenus").glob("*.py")}
+    sources = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
     called = set()
     for module, tree in sources.items():
         called |= imported_names(tree)

@@ -19,6 +19,7 @@ from chigenus.catalog import (
     standard_pn_action,
 )
 from chigenus.chern import ChernPolynomial
+from chigenus.engine import chi_vector
 from chigenus.inequalities import CurvatureBoundReport, InequalityReport, SurfaceInequality, check_inequalities
 from chigenus.kexpansion import KTable, SpanCheck, binomial_transform, closed_form_k, k_coefficients
 from chigenus.localization import (
@@ -144,6 +145,7 @@ CURVE = {"d_f": 0, "betti": (1, 0, 1), "signature": 0}
     "build, message",
     [
         (lambda: ManifoldData(1.0, {(1,): 2}), "dimension must be int, got float"),
+        (lambda: ManifoldData(1, {(1,): 0.1}), "Chern numbers must be int or Fraction, got float"),
         (
             lambda: FixedComponent(complex_dim=1.0, chi_minus_y=YPolynomial.one(), **CURVE),
             "component dimension must be int, got float",
@@ -155,6 +157,7 @@ CURVE = {"d_f": 0, "betti": (1, 0, 1), "signature": 0}
         (lambda: FixedComponent(1, chi_minus_y={0: 1}, **CURVE), "modified genus must be YPolynomial, got dict"),
         (lambda: FixedComponent(1, chi_minus_y=5, **CURVE), "modified genus must be YPolynomial, got int"),
         (lambda: YPolynomial({1.5: 1}), "degrees must be int, got float"),
+        (lambda: YPolynomial({0: 1, 1: 1}).evaluate(0.1), "evaluation point must be int or Fraction, got float"),
         (
             lambda: ChernPolynomial(1, {(1,): 1}).evaluate({(1,): 0.5}),
             "Chern numbers must be int or Fraction, got float",
@@ -171,8 +174,8 @@ CURVE = {"d_f": 0, "betti": (1, 0, 1), "signature": 0}
         (lambda: YPolynomial({0: True}), "coefficients must be int or Fraction, got bool"),
     ],
     ids=[
-        "manifold-dimension", "component-dimension", "d_f", "profile-dimension", "model-n",
-        "chi-vector", "modified-genus-dict", "modified-genus-int", "degree", "chern-evaluate",
+        "manifold-dimension", "chern-number", "component-dimension", "d_f", "profile-dimension", "model-n",
+        "chi-vector", "modified-genus-dict", "modified-genus-int", "degree", "evaluation-point", "chern-evaluate",
         "manifold-dimension-bool", "chern-number-bool", "profile-signature-bool", "betti-number-bool",
         "d_f-bool", "weight-bool", "zero-weight-bool", "component-signature-bool", "coefficient-bool",
     ],
@@ -229,10 +232,12 @@ def test_the_exact_records_share_one_slot_wise_equality():
     # every slot counts: the same d_f with and without its weights are different records
     assert FixedComponent(d_f=1) == FixedComponent(d_f=1) != FixedComponent(weights=(-1,))
     assert line != (1, {(1,): Fraction(1, 2)}) and FixedComponent(d_f=0) != 0
-    # a manifold equals its round trip, its genus included
-    built = make_manifold("product:pn:2,pn:2")
-    back = serialize.manifold_from_json(serialize.manifold_to_json(built))
-    assert built == make_manifold("product:pn:2,pn:2") == back == built
+    # a manifold equals its round trip, its genus included, after reports have read it
+    for key in ("pn:3", "product:pn:2,pn:2"):
+        built = make_manifold(key)
+        chi_vector(built), check_inequalities(built, 1)
+        back = serialize.manifold_from_json(serialize.manifold_to_json(built))
+        assert built == make_manifold(key) == back == built, key
     assert built != make_manifold("pn:4")
 
 
