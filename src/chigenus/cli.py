@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Machine-readable JSON goes to stdout, diagnostics to stderr, and the exit
-code separates input problems (2) from mathematical check failures (1).
+code separates bad input (2: a usage error or a ``ValueError``) from
+failed mathematical checks (1: an ``ArithmeticError``).
 The environment variable GENUS_MAX_N (default 12) caps the symbolic degree
 so a typo cannot start an enormous expansion.
 
@@ -31,20 +32,16 @@ DEFAULT_MAX_N = 12
 _MAX_MESSAGE_CHARS = 200
 
 
-class InputError(Exception):
-    pass
-
-
 def _check_cap(n: int) -> None:
     raw = os.environ.get("GENUS_MAX_N", "")
     try:
         cap = int(raw) if raw else DEFAULT_MAX_N
     except ValueError:
-        raise InputError(f"GENUS_MAX_N must be an integer, got {raw!r}") from None
+        raise ValueError(f"GENUS_MAX_N must be an integer, got {raw!r}") from None
     if n > cap:
-        raise InputError(f"degree {n} exceeds GENUS_MAX_N={cap}")
+        raise ValueError(f"degree {n} exceeds GENUS_MAX_N={cap}")
     if n < 0:
-        raise InputError("degree must be non-negative")
+        raise ValueError("degree must be non-negative")
 
 
 def _load_json(path: str) -> Any:
@@ -52,15 +49,15 @@ def _load_json(path: str) -> Any:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
     except ValueError:  # an integer literal over the interpreter's limit on digits converted
-        raise InputError(f"{path} holds a number with too many digits") from None
+        raise ValueError(f"{path} holds a number with too many digits") from None
     except RecursionError:
-        raise InputError(f"{path} is nested too deeply") from None
+        raise ValueError(f"{path} is nested too deeply") from None
 
 
 def _load_capped(path: str, key: str, reader: Callable[[Any], Any]) -> Any:
@@ -89,35 +86,42 @@ def build_parser() -> argparse.ArgumentParser:
         prog="genus",
         description="Exact chi_y-genus, Chern number inequalities, and circle-action localization.",
     )
+    # the dest names the missing subcommand in argparse's usage error
     sub = parser.add_subparsers(dest="command", required=True)
 
     chi = sub.add_parser("chi", help="symbolic genus table or its evaluation on a manifold")
     chi.add_argument("--n", type=int, default=None, help="complex dimension")
     chi.add_argument("--manifold", metavar="FILE.json", default=None)
     chi.add_argument("--at", choices=("euler", "todd", "signature"), default=None)
+    chi.set_defaults(handler=_cmd_chi)
 
     kco = sub.add_parser("kcoeffs", help="Taylor coefficients of the genus at y = -1")
     kco.add_argument("--n", type=int, required=True)
     kco.add_argument("--verify", action="store_true", help="also check closed forms and odd spans")
+    kco.set_defaults(handler=_cmd_kcoeffs)
 
     ineq = sub.add_parser("ineq", help="Chern number inequality reports for a manifold")
     ineq.add_argument("--manifold", metavar="FILE.json", required=True)
     ineq.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
+    ineq.set_defaults(handler=_cmd_ineq)
 
     loc = sub.add_parser("localize", help="fixed-point localization of a circle action")
     loc.add_argument("--model", metavar="FILE.json", required=True)
     loc.add_argument("--check", choices=("mainapp4",), default=None)
+    loc.set_defaults(handler=_cmd_localize)
 
     bet = sub.add_parser("betti", help="Betti inequalities and intersection-form inertia")
     bet.add_argument("--profile", metavar="FILE.json", default=None)
     bet.add_argument("--form", metavar="FILE.json", default=None)
+    bet.set_defaults(handler=_cmd_betti)
 
     cat = sub.add_parser("catalog", help="built-in manifolds and circle actions")
     group = cat.add_mutually_exclusive_group(required=True)
     group.add_argument("--list", action="store_true")
     group.add_argument("--make", metavar="KEY", default=None)
+    cat.set_defaults(handler=_cmd_catalog)
 
-    sub.add_parser("verify-paper", help="run the whole verification battery")
+    sub.add_parser("verify-paper", help="run the whole verification battery").set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -128,13 +132,13 @@ def _cmd_chi(args: argparse.Namespace) -> int:
     n = args.n
     if n is None:
         if manifold is None:
-            raise InputError("chi needs --n or --manifold")
+            raise ValueError("chi needs --n or --manifold")
         n = manifold.dimension
     if manifold is not None and manifold.dimension != n:
-        raise InputError(f"--n {n} does not match manifold dimension {manifold.dimension}")
+        raise ValueError(f"--n {n} does not match manifold dimension {manifold.dimension}")
     _check_cap(n)
     if args.at is not None and manifold is None:
-        raise InputError("--at needs --manifold")
+        raise ValueError("--at needs --manifold")
     from . import engine
 
     if args.at is not None:
@@ -151,7 +155,7 @@ def _cmd_chi(args: argparse.Namespace) -> int:
 def _cmd_kcoeffs(args: argparse.Namespace) -> int:
     _check_cap(args.n)
     if args.n < 1:
-        raise InputError("kcoeffs needs --n >= 1")
+        raise ValueError("kcoeffs needs --n >= 1")
     from . import kexpansion
 
     table = kexpansion.k_coefficients(args.n)
@@ -237,7 +241,7 @@ def _cmd_localize(args: argparse.Namespace) -> int:
 
 def _cmd_betti(args: argparse.Namespace) -> int:
     if args.profile is None and args.form is None:
-        raise InputError("betti needs --profile and/or --form")
+        raise ValueError("betti needs --profile and/or --form")
     from . import betti as betti_mod
 
     payload: dict[str, Any] = {}
@@ -308,17 +312,6 @@ def _cmd_verify(_: argparse.Namespace) -> int:
     return EXIT_OK if all(r["pass"] for r in results) else EXIT_CHECK_FAILED
 
 
-_HANDLERS = {
-    "chi": _cmd_chi,
-    "kcoeffs": _cmd_kcoeffs,
-    "ineq": _cmd_ineq,
-    "localize": _cmd_localize,
-    "betti": _cmd_betti,
-    "catalog": _cmd_catalog,
-    "verify-paper": _cmd_verify,
-}
-
-
 def _report(problem: Exception | str) -> None:
     """Print an error message, cut to _MAX_MESSAGE_CHARS: some echo their input."""
     message = str(problem)
@@ -338,8 +331,8 @@ def main(argv: list[str] | None = None) -> int:
         _report("an option was given '--' in place of its value")
         return EXIT_INPUT_ERROR
     try:
-        return _HANDLERS[args.command](args)
-    except (InputError, ValueError) as exc:
+        return args.handler(args)
+    except ValueError as exc:
         _report(exc)
         return EXIT_INPUT_ERROR
     except ArithmeticError as exc:

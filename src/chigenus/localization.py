@@ -9,8 +9,10 @@ sum_F P_y(F) y^{2 d_F}, and the signature as sum_F sigma(F) (-1)^{d_F}.
 
 A ``FixedPointModel`` localizes once, as it is built: after its checks it
 sums its components into ``chi_minus_y``, ``novikov`` and ``signature``,
-each None when a component lacks the invariant it sums. The module
-functions return those fields, and refuse a None by naming what is missing.
+each None when a component lacks the invariant it sums; a Hamiltonian
+model's Novikov row and signature must make a ``betti.BettiProfile`` of
+dimension 2n with every even entry at least 1. The module functions return
+those fields, and refuse a None by naming what is missing.
 
 Each localized polynomial is built in one pass: the components' shifted
 rows are added into one integer row, which is reduced once. Summing them
@@ -121,17 +123,15 @@ class FixedComponent:
 
     __eq__ = slots_equal
 
-    def is_isolated(self) -> bool:
-        return self.complex_dim == 0
-
 
 class FixedPointModel:
     """Nonempty list of fixed components of a circle action.
 
     ``hamiltonian`` must be a ``bool``. A Hamiltonian model has exactly one
     component with d_F = 0 and exactly one with d_F = n - dim_C F, the
-    moment map's minimum and maximum. ``chi_minus_y``, ``novikov`` and
-    ``signature`` are the localized sums, functions of the other fields.
+    moment map's minimum and maximum, and its Novikov numbers are its Betti
+    numbers. ``chi_minus_y``, ``novikov`` and ``signature`` are the localized
+    sums, functions of the other fields.
     """
 
     __slots__ = ("n", "components", "hamiltonian", "chi_minus_y", "novikov", "signature")
@@ -191,11 +191,21 @@ class FixedPointModel:
             if all(c.signature is not None for c in components)
             else None
         )
+        if hamiltonian and novikov is not None and self.signature is not None:
+            # the moment map is a perfect Morse-Bott function (Frankel 1959, Kirwan 1984), so the
+            # Novikov numbers are the Betti numbers, and b_2p >= 1 as [omega]^p is nonzero
+            row = novikov.row + (0,) * (2 * n + 1 - len(novikov.row))
+            try:
+                BettiProfile(2 * n, row, self.signature)
+                if not all(row[0::2]):
+                    raise ValueError(f"b_0, b_2, ..., b_{2 * n} must be positive")
+            except ValueError as exc:
+                raise ValueError(f"a Hamiltonian action's Novikov numbers are its Betti numbers: {exc}") from None
 
     __eq__ = slots_equal
 
     def all_isolated(self) -> bool:
-        return all(c.is_isolated() for c in self.components)
+        return all(c.complex_dim == 0 for c in self.components)
 
 
 def localized_chi_minus_y(model: FixedPointModel) -> YPolynomial:

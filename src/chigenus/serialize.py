@@ -214,6 +214,8 @@ def _object(obj: Any, field: str, keys: frozenset[str]) -> dict[str, Any]:
 _KINDS: dict[str, Callable[[Any], bool]] = {
     "an integer": is_json_int,
     "a non-negative integer": lambda v: is_json_int(v) and v >= 0,
+    "an array": lambda v: isinstance(v, list),
+    "a nonempty array": lambda v: isinstance(v, list) and len(v) > 0,
     "an array of integers": lambda v: isinstance(v, list) and all([is_json_int(x) for x in v]),
     "a boolean": lambda v: isinstance(v, bool),
 }
@@ -321,9 +323,7 @@ def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
     if n > MAX_MODEL_N:
         raise SchemaError(f"{field}.n", f"exceeds the largest allowed, {MAX_MODEL_N}")
     hamiltonian = _field(obj, field, "hamiltonian", "a boolean", False)
-    raw = obj.get("components")
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError(f"{field}.components", "expected a nonempty array")
+    raw = _field(obj, field, "components", "a nonempty array")
     for entry in raw:
         r = entry.get("complexDim") if isinstance(entry, dict) else None
         if is_json_int(r) and r > n:  # before any component's polynomial of degree up to r is built
@@ -356,9 +356,7 @@ _ENTRY_KEYS = frozenset(["partition", "value"])
 def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
     obj = _object(obj, field, _MANIFOLD_KEYS)
     dimension = _field(obj, field, "dimension", "a non-negative integer")
-    raw = obj.get("chernNumbers")
-    if not isinstance(raw, list):
-        raise SchemaError(f"{field}.chernNumbers", "expected an array")
+    raw = _field(obj, field, "chernNumbers", "an array")
     numbers: dict[Partition, Fraction] = {}
     for idx, entry in enumerate(raw):
         where = f"{field}.chernNumbers[{idx}]"

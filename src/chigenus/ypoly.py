@@ -16,7 +16,7 @@ polynomials, fixed-point data, Betti profiles): :func:`require_exact`
 refuses, by type, every value that is not exact data (a ``bool`` is not,
 though Python counts it an ``int``), :func:`require_counts` every value
 that is not a non-negative ``int``, and :func:`slots_equal` is their one
-``__eq__``.
+``__eq__``, and ``YPolynomial``'s.
 """
 
 from __future__ import annotations
@@ -26,6 +26,13 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
+
+
+def slots_equal(self: object, other: object) -> bool:
+    """The ``__eq__`` of the exact-data records: same class and every slot equal."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return [getattr(self, f) for f in self.__slots__] == [getattr(other, f) for f in self.__slots__]
 
 
 class YPolynomial:
@@ -116,22 +123,18 @@ class YPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "YPolynomial":
+        require_exact("exponent", [exponent], (int,))
         if exponent < 0:
             raise ValueError("negative exponent")
-        result = YPolynomial.one()
-        base = self
-        e = exponent
-        while e > 0:
-            if e & 1:
+        result, base = YPolynomial.one(), self
+        while exponent:
+            if exponent & 1:
                 result = result * base
             base = base * base
-            e >>= 1
+            exponent >>= 1
         return result
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, YPolynomial):
-            return self.denominator == other.denominator and self.row == other.row
-        return NotImplemented
+    __eq__ = slots_equal
 
     def __hash__(self) -> int:
         return hash((self.denominator, self.row))
@@ -185,13 +188,6 @@ def require_counts(field: str, values: Iterable[object]) -> None:
             require_exact(field, [value], (int,))
             if value < 0:
                 raise ValueError(f"{field} must be non-negative")
-
-
-def slots_equal(self: object, other: object) -> bool:
-    """The ``__eq__`` of the exact-data records: same class and every slot equal."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return [getattr(self, f) for f in self.__slots__] == [getattr(other, f) for f in self.__slots__]
 
 
 def clear(values: Sequence[Scalar]) -> tuple[int, list[int]]:

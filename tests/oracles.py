@@ -7,8 +7,10 @@ component at a time (each shifted up by :func:`shift_degree`), the graded
 exponential on ``YPolynomial`` coefficients and the binomial transform term
 by term; the two localization reports read their coefficients as
 ``Fraction`` values, and the inequality reports read both sides off the
-``Fraction`` chi-vector. A Gauss-Jordan rank over the rationals checks that
-test matrices have full rank, :func:`point` is the zero-dimensional
+``Fraction`` chi-vector. One Gauss-Jordan elimination over the rationals,
+:func:`fraction_reduce`, gives the rank that checks test matrices have full
+rank and the solve of an invertible system; :func:`fraction_inertia` stays a
+separate congruence route for the inertia. :func:`point` is the zero-dimensional
 manifold, :func:`synthetic_manifold` a seeded manifold document, and
 :func:`positivity` the two positivity predicates of the modified genus.
 """
@@ -105,8 +107,8 @@ def fraction_inertia(matrix) -> InertiaTriple:
     return InertiaTriple(plus, minus, zero)
 
 
-def fraction_rank(matrix) -> int:
-    """Number of pivots of a rational matrix by Gauss-Jordan elimination."""
+def fraction_reduce(matrix) -> tuple[list[list[Fraction]], int]:
+    """The reduced row echelon form of a rational matrix by Gauss-Jordan elimination, and its rank."""
     work = [[Fraction(v) for v in row] for row in matrix]
     cols = len(work[0]) if work else 0
     r = 0
@@ -122,7 +124,19 @@ def fraction_rank(matrix) -> int:
                 factor = work[i][c]
                 work[i] = [v - factor * w for v, w in zip(work[i], work[r])]
         r += 1
-    return r
+    return work, r
+
+
+def fraction_rank(matrix) -> int:
+    """Number of pivots of a rational matrix by Gauss-Jordan elimination."""
+    return fraction_reduce(matrix)[1]
+
+
+def fraction_solve(matrix, rhs) -> list[Fraction]:
+    """x with matrix x = rhs for an invertible square matrix: the last column of the reduced augmented matrix."""
+    work, _ = fraction_reduce([[*row, b] for row, b in zip(matrix, rhs)])
+    assert all(row[i] == 1 for i, row in enumerate(work)), "matrix is singular"
+    return [row[-1] for row in work]
 
 
 def reference_binomial_transform(chi) -> list[Fraction]:

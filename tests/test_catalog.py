@@ -28,7 +28,7 @@ from chigenus.engine import chi_vector, duality_holds, genus_polynomial, special
 from chigenus.partitions import iter_partitions
 from chigenus.ypoly import YPolynomial
 
-from oracles import point, synthetic_manifold
+from oracles import fraction_solve, point, synthetic_manifold
 
 
 def test_projective_plane_numbers():
@@ -265,19 +265,6 @@ def _manifold(model):
     return ManifoldData(n, model.chern_numbers(n))
 
 
-def _solve(matrix, rhs):
-    """x with matrix x = rhs for an invertible square matrix, by Gauss-Jordan elimination over Q."""
-    rows = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(len(rows)):
-        pivot = next(r for r in range(col, len(rows)) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [v / rows[col][col] for v in rows[col]]
-        for r, row in enumerate(rows):
-            if r != col and row[col]:
-                rows[r] = [v - row[col] * w for v, w in zip(row, rows[col])]
-    return [row[-1] for row in rows]
-
-
 # half of P^2, and a threefold whose total Chern class and top integral are fractions
 _HALF_P2 = CohomologyModel(("h",), (2,), Fraction(1, 2), _ring_model("pn:2").total_chern)
 _FRACTIONAL = CohomologyModel(
@@ -333,7 +320,7 @@ def test_product_with_seeded_chern_numbers_matches_the_ring_model():
         basis = [_tensor([_ring_model(f"pn:{m}") for m in mu]) for mu in iter_partitions(n)]
         columns = [model.chern_numbers(n) for model in basis]
         matrix = [[column[lam] for column in columns] for lam in iter_partitions(n)]
-        weights = _solve(matrix, list(target.chern_numbers.values()))
+        weights = fraction_solve(matrix, list(target.chern_numbers.values()))
         expected = dict.fromkeys(iter_partitions(n + 2), Fraction(0))
         for weight, model in zip(weights, basis):
             for lam, value in _tensor([_HALF_P2, model]).chern_numbers(n + 2).items():

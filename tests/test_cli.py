@@ -389,6 +389,17 @@ INPUT_ERRORS = {
         "model.components[0]: a fixed point has Betti numbers (1,)",
     ),
     "product-factor-refusal": (["catalog", "--make", "product:pn:2,hyp:2:0"], None, "need n >= 1 and d >= 1"),
+    # Novikov numbers 1 + y^4 with sigma = 2 are no Betti numbers of a 4-manifold
+    "localize-hamiltonian-two-points": (
+        [
+            "localize",
+            "--model",
+            {"n": 2, "hamiltonian": True, "components": [{"weights": [1, 1]}, {"weights": [-1, -1]}]},
+        ],
+        None,
+        "model: a Hamiltonian action's Novikov numbers are its Betti numbers: "
+        "signature 2 exceeds the middle Betti number 0",
+    ),
 }
 
 

@@ -242,14 +242,7 @@ def test_cobordism_basis_oracle():
         assert fraction_rank(rows) == len(basis), n
 
 
-@pytest.fixture()
-def cleared_tables():
-    """Drop the chi_y tables a test cached, so later tests keep the usual cache."""
-    yield
-    chi_y_chern_polynomial.cache_clear()
-
-
-def test_tables_past_the_cli_cap(cleared_tables):
+def test_tables_past_the_cli_cap():
     """The kernel at n = 13 and 14, beyond GENUS_MAX_N, on P^n and on products P^a x P^b.
 
     chi_y(P^n) = sum_p (-y)^p; on a product the genus is multiplicative and
@@ -257,7 +250,8 @@ def test_tables_past_the_cli_cap(cleared_tables):
     the signature off the cached table, so each dimension is built twice:
     cold here and once through the cache. Time budget: well under 0.5 s in
     all (about 0.25 s on a 2-vCPU Xeon guest: about 0.1 s for the four
-    builds, the rest building the products' Chern numbers).
+    builds, the rest building the products' Chern numbers). The module-scoped
+    fixture in ``conftest.py`` drops the cached tables after this module.
     """
 
     def chi_pn(k):

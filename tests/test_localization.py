@@ -380,6 +380,28 @@ def test_a_hamiltonian_model_has_one_minimum_and_one_maximum():
         assert not FixedPointModel(2, components).hamiltonian
 
 
+@pytest.mark.parametrize(
+    "n, d_fs, rule",
+    [
+        # two points, weights (1, 1) and (-1, -1): Novikov 1 + y^4 and sigma = 2
+        (2, (0, 2), "signature 2 exceeds the middle Betti number 0"),
+        (3, (0, 2, 3), "signature must vanish in dimensions not divisible by 4"),
+        (4, (0, 1, 2, 3, 3, 4), "Betti numbers must satisfy Poincare duality"),
+        # 1 + y^6 with sigma = 0 is a Betti profile, but [omega] would square to 0
+        (3, (0, 3), "b_0, b_2, ..., b_6 must be positive"),
+    ],
+)
+def test_a_hamiltonian_models_novikov_numbers_are_its_betti_numbers(n, d_fs, rule):
+    components = [isolated(d_f=d_f) for d_f in d_fs]
+    message = f"a Hamiltonian action's Novikov numbers are its Betti numbers: {rule}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FixedPointModel(n, components, hamiltonian=True)
+    assert not FixedPointModel(n, components).hamiltonian
+    # a Hamiltonian model that lacks the Novikov numbers or the signature is not checked
+    curve = FixedComponent(1, d_f=n - 1, betti=(1, 0, 1), chi_minus_y=YPolynomial.one())
+    assert FixedPointModel(n, [*components[:-1], curve], hamiltonian=True).signature is None
+
+
 def test_standard_actions_keep_one_minimum_and_one_maximum():
     # the forms-actions models: distinct exponents in any order, n up to 60
     rng = random.Random(7)

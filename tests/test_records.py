@@ -136,7 +136,9 @@ def test_a_record_fills_in_its_signature_and_keeps_its_numbers_read_only():
     assert p2.chern_numbers == P2_NUMBERS and p2 == projective_space(2)
 
 
-EXACT_RECORDS = (ManifoldData, ChernPolynomial, FixedComponent, FixedPointModel, BettiProfile, TruncatedSeries)
+EXACT_RECORDS = (
+    ManifoldData, ChernPolynomial, FixedComponent, FixedPointModel, BettiProfile, TruncatedSeries, YPolynomial
+)
 
 CURVE = {"d_f": 0, "betti": (1, 0, 1), "signature": 0}
 
@@ -201,6 +203,8 @@ def test_every_record_field_refuses_what_is_not_exact(build, message):
         (lambda: make_manifold("pnaction:2"), "unknown catalog key 'pnaction:2'"),
         (lambda: YPolynomial.from_row(0, (1,)), "denominator must be positive"),
         (lambda: YPolynomial.one() ** -1, "negative exponent"),
+        (lambda: YPolynomial.one() ** 2.0, "exponent must be int, got float"),
+        (lambda: YPolynomial.one() ** True, "exponent must be int, got bool"),
         (lambda: ChernPolynomial(-1), "grade must be non-negative"),
         (lambda: closed_form_k(5, 6), "closed forms are implemented for j <= 4 only"),
         (lambda: check_inequalities(point(), 1), "need a manifold of positive dimension"),
@@ -208,7 +212,7 @@ def test_every_record_field_refuses_what_is_not_exact(build, message):
     ids=[
         "model-component-dimension", "betti-check-dimension", "betti-check-signature", "projective-space",
         "hypersurface", "action-exponents", "action-key", "manifold-key", "row-denominator",
-        "negative-power", "chern-grade", "closed-form-index", "inequalities-of-a-point",
+        "negative-power", "float-power", "bool-power", "chern-grade", "closed-form-index", "inequalities-of-a-point",
     ],
 )
 def test_every_builder_and_record_guard_keeps_its_message(build, message):
@@ -232,6 +236,10 @@ def test_the_exact_records_share_one_slot_wise_equality():
     # every slot counts: the same d_f with and without its weights are different records
     assert FixedComponent(d_f=1) == FixedComponent(d_f=1) != FixedComponent(weights=(-1,))
     assert line != (1, {(1,): Fraction(1, 2)}) and FixedComponent(d_f=0) != 0
+    # a polynomial equals only a polynomial, and equal ones hash alike
+    half = YPolynomial({0: Fraction(1, 2), 2: 1})
+    assert half == YPolynomial.from_row(4, (2, 0, 4)) and hash(half) == hash(YPolynomial.from_row(2, (1, 0, 2)))
+    assert YPolynomial.constant(5) != 5 and half != YPolynomial({0: Fraction(1, 2)})
     # a manifold equals its round trip, its genus included, after reports have read it
     for key in ("pn:3", "product:pn:2,pn:2"):
         built = make_manifold(key)
@@ -242,7 +250,7 @@ def test_the_exact_records_share_one_slot_wise_equality():
 
 
 def test_no_other_module_writes_its_own_equality():
-    # YPolynomial keeps its own __eq__: it compares equal to the numbers it coerces
+    # every record, YPolynomial included, compares through ypoly.slots_equal
     src = Path(ypoly.__file__).parent
     defined = sorted(
         (path.stem, cls.name)
@@ -252,4 +260,4 @@ def test_no_other_module_writes_its_own_equality():
         for node in cls.body
         if isinstance(node, ast.FunctionDef) and node.name == "__eq__"
     )
-    assert defined == [("ypoly", "YPolynomial")]
+    assert defined == []

@@ -129,9 +129,14 @@ REFUSAL_DOCUMENTS = ("pn:3", "product:pn:2,hyp:2:3")  # the first carries an act
 ENTRY = ("chernNumbers", 0)
 POINT = ("action", "components", 0)
 
+class _Duplicate:
+    def __repr__(self) -> str:  # a fixed repr, so the test ids are the same in every process
+        return "DUPLICATE"
+
+
 # (path into the document, the value put there, the refusal); a DUPLICATE value is the
 # first entry's partition, and every case but the action's runs on both documents
-DUPLICATE = object()
+DUPLICATE = _Duplicate()
 REFUSALS = [
     (ENTRY, 5, "manifold.chernNumbers[0]: expected an object"),
     (ENTRY, None, "manifold.chernNumbers[0]: expected an object"),
