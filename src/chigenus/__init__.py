@@ -8,7 +8,7 @@ action, and classifies intersection forms by their inertia. Every result is
 an exact rational, and the hot paths run on Python integers over one common
 denominator; there is no floating point anywhere.
 
-The top-level namespace is the README's quick start: the twelve names below.
+The top-level namespace is the README's quick start: the eleven names below.
 Everything else is imported from the submodule that defines it, such as
 ``chigenus.engine.ManifoldData`` (also importable from ``chigenus.catalog``)
 or ``chigenus.betti.BettiProfile``.
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "betti": ("inertia",),
     "catalog": ("hypersurface", "product", "projective_space", "standard_pn_action"),
-    "engine": ("chi_vector", "chi_y_chern_polynomial", "genus_polynomial", "specialize"),
+    "engine": ("chi_vector", "chi_y_chern_polynomial", "specialize"),
     "inequalities": ("check_inequalities",),
     "kexpansion": ("k_coefficients",),
     "localization": ("localized_chi_minus_y",),

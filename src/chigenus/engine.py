@@ -63,8 +63,10 @@ class ManifoldData:
     ``action.n`` equals the dimension. Past those checks, ``genus`` holds the
     chi_y polynomial. A profile's sigma must be chi_y(1), and is filled in
     when absent; an action whose components all carry their modified genus
-    must localize chi_{-y}. Builders and readers pass every field to the
-    constructor, so each is checked once, and no field is rebound after it.
+    must localize chi_{-y}, and a Hamiltonian action whose components all
+    carry their Betti numbers must have the profile's as Novikov numbers.
+    Builders and readers pass every field to the constructor, so each is
+    checked once, and no field is rebound after it.
     Instances compare by value, every field included, but define no hash.
     """
 
@@ -122,6 +124,14 @@ class ManifoldData:
         if localized is not None and localized != genus.negate_y():
             raise ValueError(
                 f"action localizes chi_-y = {localized}, but the Chern numbers give {genus.negate_y()}"
+            )
+        # a Hamiltonian model's Novikov row ends in b_2n = 1, so it has the profile's length
+        novikov = action.novikov if action is not None and action.hamiltonian else None
+        if novikov is not None and betti is not None and novikov.row != betti.betti:
+            i = next(i for i, (a, b) in enumerate(zip(novikov.row, betti.betti)) if a != b)
+            raise ValueError(
+                "a Hamiltonian action's Novikov numbers are its Betti numbers, "
+                f"but the action gives b_{i} = {novikov.row[i]} and betti has b_{i} = {betti.betti[i]}"
             )
         self.betti = betti
         self.action = action
@@ -232,19 +242,14 @@ def evaluate_genus(table: ChernPolynomial, manifold: ManifoldData) -> YPolynomia
     return table.evaluate(manifold.chern_numbers)
 
 
-def genus_polynomial(manifold: ManifoldData) -> YPolynomial:
-    """chi_y polynomial of a manifold, the one its record evaluated as it was built."""
-    return manifold.genus
-
-
 def chi_vector(manifold: ManifoldData) -> list[Fraction]:
     """The indices chi^0, ..., chi^n read off the genus polynomial."""
-    return genus_polynomial(manifold).coefficients_dense(manifold.dimension + 1)
+    return [manifold.genus.coefficient(p) for p in range(manifold.dimension + 1)]
 
 
 def chi_minus_y(manifold: ManifoldData) -> YPolynomial:
     """The modified genus: coefficient of y^p is (-1)^p chi^p."""
-    return genus_polynomial(manifold).negate_y()
+    return manifold.genus.negate_y()
 
 
 def specialize(manifold: ManifoldData, at: str) -> Fraction:
@@ -257,7 +262,7 @@ def specialize(manifold: ManifoldData, at: str) -> Fraction:
         point = SPECIAL_VALUES[at]
     except KeyError:
         raise ValueError(f"unknown specialization {at!r}; expected euler, todd or signature") from None
-    value = genus_polynomial(manifold).evaluate(point)
+    value = manifold.genus.evaluate(point)
     if at == "euler":
         top: Partition = (manifold.dimension,) if manifold.dimension else ()
         expected = manifold.chern_numbers[top]

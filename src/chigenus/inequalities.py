@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .engine import ManifoldData, genus_polynomial
+from .engine import ManifoldData
 from .kexpansion import binomial_row, k_coefficients
 from .partitions import Partition
 from .ypoly import require_exact
@@ -68,7 +68,7 @@ def check_inequalities(manifold: ManifoldData, epsilon: int = 1) -> list[Inequal
     if n < 1:
         raise ValueError("need a manifold of positive dimension")
     sign = epsilon**n
-    genus = genus_polynomial(manifold)
+    genus = manifold.genus
     den = genus.denominator
     row = [*genus.row, *[0] * (n + 1 - len(genus.row))]
     # E eps^n (-1)^p chi^p, which has the sign of eps^n (-1)^p chi^p since E > 0

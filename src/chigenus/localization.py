@@ -204,9 +204,6 @@ class FixedPointModel:
 
     __eq__ = slots_equal
 
-    def all_isolated(self) -> bool:
-        return all(c.complex_dim == 0 for c in self.components)
-
 
 def localized_chi_minus_y(model: FixedPointModel) -> YPolynomial:
     """chi_{-y} of the total space: sum over components of chi_{-y}(F) y^{d_F}."""
@@ -251,7 +248,7 @@ def consistency_isolated(model: FixedPointModel) -> IsolatedConsistencyReport:
     the modified genus with y replaced by y^2; the manifold is chi-positive
     exactly when every even Novikov number is positive.
     """
-    if not model.all_isolated():
+    if any(c.complex_dim for c in model.components):
         raise ValueError("all components must be isolated points")
     chi = localized_chi_minus_y(model)
     novikov = novikov_polynomial(model)

@@ -36,7 +36,7 @@ def _check_k_closed_forms() -> str | None:
 def _check_projective_genus() -> str | None:
     for n in range(1, 11):
         expected = YPolynomial({p: (-1) ** p for p in range(n + 1)})
-        if engine.genus_polynomial(catalog.projective_space(n)) != expected:
+        if catalog.projective_space(n).genus != expected:
             return f"n={n}"
     return None
 

@@ -154,11 +154,6 @@ class YPolynomial:
         row = [-c if d % 2 else c for d, c in enumerate(self.row)]
         return YPolynomial.from_row(self.denominator, row)
 
-    def coefficients_dense(self, length: int | None = None) -> list[Fraction]:
-        """Dense coefficient list for degrees 0..length-1 (default degree+1)."""
-        size = len(self.row) if length is None else length
-        return [self.coefficient(d) for d in range(size)]
-
     def __repr__(self) -> str:
         if not self.row:
             return "0"

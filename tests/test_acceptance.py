@@ -77,7 +77,7 @@ BREAKAGES = {
     "k-closed-forms": (kexpansion, "closed_form_k", lambda j, n: ChernPolynomial(n), "n=4 j=0"),
     "projective-genus": (catalog, "projective_space", lambda n: catalog.hypersurface(n, 2), "n=2"),
     "duality": (engine, "chi_vector", lambda m: [Fraction(1)] + [Fraction(0)] * m.dimension, "pn:1"),
-    "inequality-optimality": (inequalities, "genus_polynomial", lambda m: YPolynomial.zero(), "n=1 i=0"),
+    "inequality-optimality": (inequalities, "binomial_row", lambda row: [0] * len(row), "n=1 i=0"),
     "binomial-transform": (kexpansion, "binomial_transform", lambda chi: list(chi), "pn:1"),
     "localization": (
         localization,

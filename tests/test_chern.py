@@ -153,14 +153,15 @@ def test_cleared_form_is_canonical():
         # integer rows over a larger common multiple, each padded with its own run of zeros, clear to the same form
         k = rng.randint(2, 40)
         rows = {
-            part: [k * int(c * poly.denominator) for c in coeff.coefficients_dense()] + [0] * rng.randint(0, 3)
+            part: [k * int(coeff.coefficient(d) * poly.denominator) for d in range(len(coeff.row))]
+            + [0] * rng.randint(0, 3)
             for part, coeff in poly.items()
         }
         rows.update({part: [0] * rng.randint(0, 3) for part in iter_partitions(grade) if part not in rows})
         assert ChernPolynomial._from_rows(grade, k * poly.denominator, rows) == poly
         # one partition's row is normalized as YPolynomial.from_row normalizes it
         for part, coeff in poly.items():
-            row = [k * int(c * poly.denominator) for c in coeff.coefficients_dense()] + [0]
+            row = [k * int(coeff.coefficient(d) * poly.denominator) for d in range(len(coeff.row))] + [0]
             single = ChernPolynomial._from_rows(grade, k * poly.denominator, {part: row})
             expected = YPolynomial.from_row(k * poly.denominator, row)
             assert (single.denominator, single.rows) == (expected.denominator, (expected.row,)) and expected == coeff

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import chigenus
-from chigenus import catalog, engine, kexpansion, serialize, verify
+from chigenus import catalog, engine, kexpansion, localization, serialize, verify
 from chigenus.chern import ChernPolynomial
 from chigenus.ypoly import YPolynomial
 from chigenus.cli import build_parser, main
@@ -60,11 +60,13 @@ def test_chi_specialized(capsys, p2_file):
         assert code == 0 and out.strip() == expected
 
 
-def test_failed_cross_check_is_a_check_failure(capsys, monkeypatch, p2_file):
-    monkeypatch.setattr(engine, "genus_polynomial", lambda manifold: YPolynomial({0: 4}))
-    code, out, err = run(capsys, ["chi", "--manifold", p2_file, "--at", "euler"])
+def test_failed_cross_check_is_a_check_failure(capsys, monkeypatch, tmp_path):
+    # a wrong genus on a document with no Betti numbers and no action to refuse it
+    monkeypatch.setattr(engine, "evaluate_genus", lambda table, manifold: YPolynomial({0: 4}))
+    bare = write(tmp_path, "bare.json", DOCUMENTS["bare"])
+    code, out, err = run(capsys, ["chi", "--manifold", bare, "--at", "euler"])
     assert code == 1 and out == ""
-    assert "Euler specialization 4 disagrees with top Chern number 3" in err
+    assert "Euler specialization 4 disagrees with top Chern number 2" in err
 
 
 def test_chi_dimension_mismatch(capsys, p2_file):
@@ -300,6 +302,22 @@ def test_verify_paper_reports_failure(capsys, monkeypatch):
     first, second = err.splitlines()
     assert first == "genus: verify-paper: always-false: n=0"
     assert second.startswith("genus: verify-paper: long-witness: xxx") and len(second) < 300
+
+
+def test_verify_paper_reports_a_check_that_raises_as_its_failure(capsys, monkeypatch):
+    # every localized chi_-y one too large: each pn: build with its action is refused, as bad
+    # input would be, but verify-paper reads no input, so the rows that build one fail
+    shifted_sum = localization.shifted_sum
+    monkeypatch.setattr(localization, "shifted_sum", lambda terms: shifted_sum(terms) + YPolynomial.one())
+    code, out, err = run(capsys, ["verify-paper"])
+    assert code == 1
+    failed = [r["key"] for r in json.loads(out) if not r["pass"]]
+    assert failed == [
+        "projective-genus", "duality", "inequality-optimality",
+        "binomial-transform", "localization", "signature-chain",
+    ]
+    raised = "raised action localizes chi_-y = 2 + 1*y, but the Chern numbers give 1 + 1*y"
+    assert err.splitlines()[:5] == [f"genus: verify-paper: {key}: {raised}" for key in failed[:5]]
 
 
 # what the `genus` console script runs
@@ -1069,6 +1087,13 @@ MISMATCHED_DOCS = {
     "localization": (
         _with(P2, ["action"], P1_SQUARED_ACTION),
         "manifold: action localizes chi_-y = 1 + 2*y + 1*y^2, but the Chern numbers give 1 + 1*y + 1*y^2",
+    ),
+    # P^2's document with b_1 = b_3 = 1 and b_2 = 3: the same Euler number and signature, but
+    # its Hamiltonian action has Novikov numbers (1, 0, 1, 0, 1)
+    "novikov": (
+        _with(P2, ["betti"], {"dim": 4, "betti": [1, 1, 3, 1, 1], "sigma": 1}),
+        "manifold: a Hamiltonian action's Novikov numbers are its Betti numbers, "
+        "but the action gives b_1 = 0 and betti has b_1 = 1",
     ),
 }
 

@@ -16,7 +16,6 @@ from chigenus.engine import (
     chi_y_chern_polynomial,
     duality_holds,
     evaluate_genus,
-    genus_polynomial,
     log_q_coefficients,
     normalized_series,
     specialize,
@@ -108,17 +107,17 @@ def test_table_surface():
 
 
 def test_evaluate_projective_plane():
-    assert genus_polynomial(projective_space(2)) == YPolynomial({0: 1, 1: -1, 2: 1})
+    assert projective_space(2).genus == YPolynomial({0: 1, 1: -1, 2: 1})
 
 
 def test_evaluate_product_of_lines():
     p1p1 = product(projective_space(1), projective_space(1))
-    assert genus_polynomial(p1p1) == YPolynomial({0: 1, 1: -2, 2: 1})
+    assert p1p1.genus == YPolynomial({0: 1, 1: -2, 2: 1})
 
 
 def test_evaluate_quartic_surface():
     k3 = hypersurface(2, 4)
-    assert genus_polynomial(k3) == YPolynomial({0: 2, 1: -20, 2: 2})
+    assert k3.genus == YPolynomial({0: 2, 1: -20, 2: 2})
     assert chi_minus_y(k3) == YPolynomial({0: 2, 1: 20, 2: 2})
 
 
@@ -203,7 +202,7 @@ def test_euler_specialization_symbolic():
 def test_projective_space_law():
     for n in range(1, 11):
         expected = YPolynomial({p: (-1) ** p for p in range(n + 1)})
-        assert genus_polynomial(projective_space(n)) == expected, n
+        assert projective_space(n).genus == expected, n
 
 
 def test_multiplicativity_on_products():
@@ -214,8 +213,8 @@ def test_multiplicativity_on_products():
         (projective_space(1), hypersurface(2, 4)),
     ]
     for a, b in pairs:
-        combined = genus_polynomial(product(a, b))
-        assert combined == genus_polynomial(a) * genus_polynomial(b)
+        combined = product(a, b).genus
+        assert combined == a.genus * b.genus
 
 
 def test_cobordism_basis_oracle():
@@ -263,7 +262,7 @@ def test_tables_past_the_cli_cap():
         for a in (1, n // 2):
             chi = evaluate_genus(table, product(projective_space(a), projective_space(n - a)))
             assert chi == chi_pn(a) * chi_pn(n - a), (a, n - a)
-            assert duality_holds(chi.coefficients_dense(n + 1)), (a, n - a)
+            assert duality_holds([chi.coefficient(p) for p in range(n + 1)]), (a, n - a)
 
 
 def test_split_manifold_oracle():

@@ -150,7 +150,8 @@ def test_eulerian_shape():
 
     polys = eulerian_polynomials(8)
     for i, poly in enumerate(polys, start=1):
-        dense = poly.coefficients_dense()
+        assert poly.denominator == 1
+        dense = poly.row
         assert len(dense) == i  # degree i - 1
         assert all(c > 0 for c in dense)
         assert dense == dense[::-1]  # palindromic
