@@ -39,7 +39,7 @@ from .engine import ManifoldData
 from .localization import FixedComponent, FixedPointModel
 from .partitions import Partition, iter_partitions, merge
 from .serialize import ACTION_KEYS, CATALOG_KEYS, CatalogKey, parse_key
-from .ypoly import clear, convolve
+from .ypoly import clear, convolve, require_exact
 
 Monomial = tuple[int, ...]
 PolyDict = dict[Monomial, Fraction]
@@ -231,13 +231,14 @@ def standard_pn_action(n: int, exponents: tuple[int, ...] | None = None) -> Fixe
         exponents = tuple(range(n + 1))
     if len(exponents) != n + 1:
         raise ValueError(f"need exactly {n + 1} exponents for n = {n}")
+    require_exact("exponents", exponents, (int,))
     if len(set(exponents)) != len(exponents):
         raise ValueError("exponents must be pairwise distinct")
     components = []
     for j, a_j in enumerate(exponents):
         weights = [a - a_j for a in exponents]
         del weights[j]
-        components.append(FixedComponent(complex_dim=0, weights=weights))
+        components.append(FixedComponent(0, weights))
     return FixedPointModel(n, tuple(components), hamiltonian=True)
 
 

@@ -14,20 +14,21 @@ model's Novikov row and signature must make a ``betti.BettiProfile`` of
 dimension 2n with every even entry at least 1. The module functions return
 those fields, and refuse a None by naming what is missing.
 
-Each localized polynomial is built in one pass: the components' shifted
-rows are added into one integer row, which is reduced once. Summing them
-pairwise would build and reduce a new row per component, quadratic in n for
-the n + 1 fixed points of an action on P^n. The modified genus goes through
-``ypoly.shifted_sum``, which scales each row to the lcm of the denominators.
-Betti numbers are integers, so the Novikov sum adds each component's Betti
-row itself with ``ypoly.add_into``, over the denominator 1, and builds no
-polynomial per component. The reports read those rows too: a Novikov
-coefficient is its row entry, and a coefficient of the modified genus has
-the sign of its row entry, the denominator being positive. The records'
-count and type checks and their ``__eq__`` are the shared guards of
-``ypoly``. ``betti.BettiProfile`` checks a component's Betti numbers and
-signature, and ``betti.even_alternating_sum`` gives the sum
-b_0 - b_2 + b_4 - ... of a component's row and of the Novikov row.
+Each localized polynomial is built in one pass into one integer row,
+reduced once. A fixed point adds y^{d_F}, y^{2 d_F} and (-1)^{d_F} to the
+three sums, so the points enter each as one row N, N_p counting the points
+with d_F = p: the n + 1 points of an action on P^n are one term, not n + 1.
+Positive-dimensional components are added row by row: their genera with N
+in one ``ypoly.shifted_sum``, which scales each row to the lcm of the
+denominators, and their Betti rows with ``ypoly.add_into`` into the Novikov
+row, which holds N on its even entries, over the denominator 1. The
+reports read those rows too: a Novikov coefficient is its row entry, and a
+coefficient of the modified genus has the sign of its row entry, the
+denominator being positive. The records' count and type checks and their
+``__eq__`` are the shared guards of ``ypoly``. ``betti.BettiProfile``
+checks a component's Betti numbers and signature, and
+``betti.even_alternating_sum`` gives the sum b_0 - b_2 + b_4 - ... of a
+positive-dimensional component's row and of the Novikov row.
 """
 
 from __future__ import annotations
@@ -148,8 +149,10 @@ class FixedPointModel:
         components = tuple(components)
         if not components:
             raise ValueError("fixed-point set must be nonempty")
-        # a component has d_F negative weights and n - dim F - d_F positive ones
+        # a component has d_F negative weights and n - dim F - d_F positive ones; points[p]
+        # counts the fixed points with d_F = p
         minima = maxima = 0
+        points, others = [0] * (n + 1), []
         for comp in components:
             rank = n - comp.complex_dim
             if rank < 0:
@@ -160,6 +163,10 @@ class FixedPointModel:
                 raise ValueError(f"component of dimension {comp.complex_dim} needs {rank} weights")
             minima += comp.d_f == 0
             maxima += comp.d_f == rank
+            if comp.complex_dim:
+                others.append(comp)
+            else:
+                points[comp.d_f] += 1
         self.n = n
         self.components = components
         self.hamiltonian = hamiltonian
@@ -174,23 +181,23 @@ class FixedPointModel:
                     "a Hamiltonian action has one minimum and one maximum; "
                     f"got {minima} components with d_f = 0 and {maxima} with d_f = n - dim F"
                 )
-        self.chi_minus_y = (
-            shifted_sum([(c.chi_minus_y, c.d_f) for c in components])
-            if all(c.chi_minus_y is not None for c in components)
-            else None
-        )
+        # a point adds y^{d_F}, y^{2 d_F} and (-1)^{d_F} to the three sums, so points enter as counts
+        self.chi_minus_y = None
+        if all(c.chi_minus_y is not None for c in others):
+            terms = [(c.chi_minus_y, c.d_f) for c in others]
+            self.chi_minus_y = shifted_sum([(YPolynomial.from_row(1, points), 0), *terms])
         novikov = None
-        if all(c.betti is not None for c in components):
-            total: list[int] = []
-            for c in components:
+        if all(c.betti is not None for c in others):
+            total = [0] * (2 * n + 1)
+            total[0::2] = points
+            for c in others:
                 add_into(total, c.betti, 1, 2 * c.d_f)
             novikov = YPolynomial.from_row(1, total)
         self.novikov = novikov
-        self.signature = (
-            sum([-c.signature if c.d_f & 1 else c.signature for c in components])
-            if all(c.signature is not None for c in components)
-            else None
-        )
+        self.signature = None
+        if all(c.signature is not None for c in others):
+            signs = [-c.signature if c.d_f & 1 else c.signature for c in others]
+            self.signature = sum(points[0::2]) - sum(points[1::2]) + sum(signs)
         if hamiltonian and novikov is not None and self.signature is not None:
             # the moment map is a perfect Morse-Bott function (Frankel 1959, Kirwan 1984), so the
             # Novikov numbers are the Betti numbers, and b_2p >= 1 as [omega]^p is nonzero
@@ -277,8 +284,11 @@ class SignatureIdentityReport(NamedTuple):
 
 def signature_identity_check(model: FixedPointModel) -> SignatureIdentityReport:
     """Check sigma(M) = sum_i (-1)^i b_{2i}(xi) via both localizations."""
+    # a point is signature-alternating: sigma = b_0 = 1
     applicable = all(
-        c.betti is not None and c.signature == even_alternating_sum(c.betti) for c in model.components
+        c.betti is not None and c.signature == even_alternating_sum(c.betti)
+        for c in model.components
+        if c.complex_dim
     )
     signature = localized_signature(model)
     alternating = even_alternating_sum(novikov_polynomial(model).row)

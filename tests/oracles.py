@@ -208,14 +208,19 @@ def reference_signature(model: FixedPointModel) -> int:
     return sum(comp.signature * (-1) ** comp.d_f for comp in model.components)
 
 
-def reference_signature_identity_check(model: FixedPointModel) -> SignatureIdentityReport:
-    """The signature identity report, each b_{2i}(xi) read as a Fraction coefficient of the reference sum."""
-    applicable = all(
+def reference_applicable(model: FixedPointModel) -> bool:
+    """Whether every component, points included, has sigma(F) = sum_i (-1)^i b_{2i}(F)."""
+    return all(
         c.betti is not None
         and c.signature is not None
         and c.signature == sum((-1) ** i * c.betti[2 * i] for i in range(c.complex_dim + 1))
         for c in model.components
     )
+
+
+def reference_signature_identity_check(model: FixedPointModel) -> SignatureIdentityReport:
+    """The signature identity report, each b_{2i}(xi) read as a Fraction coefficient of the reference sum."""
+    applicable = reference_applicable(model)
     signature = reference_signature(model)
     novikov = reference_novikov_polynomial(model)
     alternating = sum((-1) ** i * int(novikov.coefficient(2 * i)) for i in range(model.n + 1))

@@ -21,6 +21,7 @@ from chigenus.localization import (
 )
 from chigenus.ypoly import YPolynomial, shifted_sum
 from oracles import (
+    reference_applicable,
     reference_chi_minus_y,
     reference_consistency_isolated,
     reference_novikov_polynomial,
@@ -438,6 +439,22 @@ def test_repeated_exponents_rejected():
         standard_pn_action(2, (0, 1, 1))
 
 
+@pytest.mark.parametrize(
+    "exponents, message",
+    [
+        ((True, 0, 2), "exponents must be int, got bool"),
+        (("a", "b", "c"), "exponents must be int, got str"),
+        ((0, 1.5, 3), "exponents must be int, got float"),
+    ],
+    ids=["bool", "str", "float"],
+)
+def test_exponents_that_are_not_int_are_refused_by_name(exponents, message):
+    # refused before a weight is formed: True would act as exponent 1, "a" - "b" raises
+    # TypeError, and 1.5 - 0 would be refused only as a rotation weight
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        standard_pn_action(2, exponents)
+
+
 def test_missing_data_errors():
     comp = FixedComponent(complex_dim=1, weights=(1,), betti=(1, 0, 1))
     model = FixedPointModel(2, [comp, isolated(weights=(1, 2))])
@@ -479,6 +496,13 @@ def random_component(rng, n, signed=False):
     return FixedComponent(complex_dim=r, d_f=d_f, betti=betti, signature=signature, chi_minus_y=chi)
 
 
+def assert_sums_match_reference_route(model):
+    assert localized_chi_minus_y(model) == reference_chi_minus_y(model)
+    assert novikov_polynomial(model) == reference_novikov_polynomial(model)
+    assert localized_signature(model) == reference_signature(model)
+    assert signature_identity_check(model).applicable == reference_applicable(model)
+
+
 def test_one_pass_sums_match_reference_route():
     rng = random.Random(60)
     for _ in range(200):
@@ -487,9 +511,30 @@ def test_one_pass_sums_match_reference_route():
         assert localized_chi_minus_y(model) == reference_chi_minus_y(model)
         assert novikov_polynomial(model) == reference_novikov_polynomial(model)
     for n in range(1, 13):
-        model = standard_pn_action(n)
-        assert localized_chi_minus_y(model) == reference_chi_minus_y(model)
-        assert novikov_polynomial(model) == reference_novikov_polynomial(model)
+        assert_sums_match_reference_route(standard_pn_action(n))
+    # the forms-actions sizes: distinct exponents, negative ones among them, n up to 60
+    for n in (*range(13, 25), 30, 41, 59, 60):
+        exponents = tuple(rng.sample(range(-4 * n - 8, 4 * n + 9), n + 1))
+        assert min(exponents) < 0
+        assert_sums_match_reference_route(standard_pn_action(n, exponents))
+    # many points at one d_F, at d_F = 0 and d_F = n too: alone, mixed with
+    # positive-dimensional components, and those components with no points at all
+    seen = set()
+    for case in range(150):
+        n = rng.randint(1, 12)
+        stacked = [rng.choice((0, n, rng.randint(0, n))) for _ in range(rng.randint(1, 3))]
+        points = [isolated(d_f=d_f) for d_f in stacked for _ in range(rng.randint(1, 20))]
+        others, size = [], rng.randint(1, 4)
+        while len(others) < size:
+            comp = random_component(rng, n, signed=True)
+            if comp.complex_dim:
+                others.append(comp)
+        components = [points, points + others, others][case % 3]
+        rng.shuffle(components)
+        model = FixedPointModel(n, components)
+        assert_sums_match_reference_route(model)
+        seen.add((case % 3, reference_applicable(model)))
+    assert seen == {(0, True), (1, True), (1, False), (2, True), (2, False)}
 
 
 def test_one_pass_sums_keep_reference_errors():
@@ -519,18 +564,22 @@ def test_one_localization_per_model(monkeypatch):
         return shifted_sum(terms)
 
     monkeypatch.setattr(localization, "shifted_sum", counting)
-    # the four calls of a forms-actions action batch
+    # the four calls of a forms-actions action batch: the model sums once, the reports never
     model = standard_pn_action(8)
+    assert len(summed) == 1
     assert localized_chi_minus_y(model).items() == [(p, 1) for p in range(9)]
     assert novikov_polynomial(model).items() == [(2 * p, 1) for p in range(9)]
     assert signature_identity_check(model) == (True, 1, 1)
     assert consistency_isolated(model) == (True, True, True)
-    assert summed == [9]
+    assert len(summed) == 1
+    # the points enter as their counts per d_F, so the terms do not grow with n
+    standard_pn_action(40)
+    assert len(summed) == 2 and summed[0] == summed[1]
     # a catalog build and its read-back: one model each, one sum each
     summed.clear()
     built = projective_space(4)
     assert serialize.manifold_from_json(serialize.manifold_to_json(built)) == built
-    assert summed == [5, 5]
+    assert len(summed) == 2
 
 
 def test_reports_on_rows_match_the_fraction_routes():
