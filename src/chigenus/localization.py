@@ -52,8 +52,10 @@ def negative_weight_count(weights: Sequence[int]) -> int:
     return count
 
 
-# a point's Betti numbers, signature and modified genus, shared by every fixed point
-_POINT = ((1,), 1, YPolynomial.one())
+# a point's Betti numbers, signature and modified genus, shared by every fixed point; the
+# JSON reader passes POINT_GENUS itself for a point's {"0": "1"}
+POINT_GENUS = YPolynomial.one()
+_POINT = ((1,), 1, POINT_GENUS)
 
 
 class FixedComponent:
@@ -97,14 +99,16 @@ class FixedComponent:
                 raise ValueError("component needs weights or an explicit d_f")
             require_counts("d_f", (d_f,))
             self.d_f = d_f
-        if chi_minus_y is not None:
+        # the shared point genus passes by identity; any other is checked by type, and a point's by value
+        given = chi_minus_y is not None and chi_minus_y is not POINT_GENUS
+        if given:
             require_exact("modified genus", [chi_minus_y], (YPolynomial,))
         if complex_dim == 0:
             if betti is not None and tuple(betti) != _POINT[0]:
                 raise ValueError("a fixed point has Betti numbers (1,)")
             if signature is not None and signature != _POINT[1]:
                 raise ValueError("a fixed point has signature 1")
-            if chi_minus_y is not None and chi_minus_y != _POINT[2]:
+            if given and chi_minus_y != POINT_GENUS:
                 raise ValueError("a fixed point has modified genus 1")
             self.betti, self.signature, self.chi_minus_y = _POINT
             return

@@ -10,6 +10,12 @@ is byte-identical. Every object is read through one core (:func:`_object`,
 with the object's path, a field of the wrong kind with the field's path and
 the kind it expected, and a constructor's ValueError becomes a
 :class:`SchemaError` on that path.
+A y-polynomial's coefficients are read once each into an int pair (p, q)
+by the one rational parser that :func:`parse_rational` wraps, and its row
+is cleared over the lcm of the q's by ``ypoly.clear_pairs``, with no
+``Fraction``. A component's ``chiMinusY`` equal to the writers' value for
+a point, ``{"0": "1"}``, is recognized and read as the one shared point
+genus of ``localization``; any other spelling is parsed in full.
 Two formats go one way only: Chern polynomials are written (``genus chi
 --n``) but never read back, and intersection forms (``genus betti --form``)
 are read but never written.
@@ -33,8 +39,8 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from .partitions import Partition, as_partition
-from .ypoly import YPolynomial, clear
+from .partitions import Partition, as_partition, quote_parts
+from .ypoly import YPolynomial, clear_pairs
 
 if TYPE_CHECKING:
     from .betti import BettiProfile
@@ -92,8 +98,8 @@ def _quote(value: Any) -> str:
     return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
-def parse_rational(text: Any, field: str = "value") -> Fraction:
-    """A rational as the writers emit it: canonical numerator, lowest terms, q > 1."""
+def _rational_pair(text: Any, field: str) -> tuple[int, int]:
+    """(p, q) of a rational as the writers emit it: canonical numerator, lowest terms, q > 1 or absent (q = 1)."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise SchemaError(field, f"expected 'p' or 'p/q' with q > 0, got {_quote(text)}")
     numerator, _, denominator = text.partition("/")
@@ -104,7 +110,13 @@ def parse_rational(text: Any, field: str = "value") -> Fraction:
         raise SchemaError(field, f"too many digits ({len(text)} characters)") from None
     if denominator and (q == 1 or gcd(p, q) != 1):
         raise SchemaError(field, f"expected lowest terms with q > 1, got {_quote(text)}")
-    return Fraction(p, q) if denominator else Fraction(p)
+    return p, q
+
+
+def parse_rational(text: Any, field: str = "value") -> Fraction:
+    """A rational as the writers emit it: canonical numerator, lowest terms, q > 1."""
+    p, q = _rational_pair(text, field)
+    return Fraction(p, q) if q != 1 else Fraction(p)
 
 
 # kind -> the grammar line `genus catalog --list` prints
@@ -181,7 +193,7 @@ def ypoly_from_json(obj: Any, field: str, max_degree: int) -> YPolynomial:
     """A nonzero coefficient above ``max_degree`` is refused before the polynomial's dense row is built."""
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected an object mapping degree to coefficient")
-    coeffs = {}
+    pairs = {}
     for key, value in obj.items():
         if not isinstance(key, str) or not _DEGREE_RE.fullmatch(key):
             raise SchemaError(field, f"bad degree {_quote(key)}")
@@ -190,11 +202,11 @@ def ypoly_from_json(obj: Any, field: str, max_degree: int) -> YPolynomial:
         except ValueError:  # over the interpreter's limit on digits converted to int
             message = f"degree has too many digits ({len(key)} characters)"
             raise SchemaError(field, message) from None
-        coeffs[degree] = parse_rational(value, f"{field}[{key}]")
-    top = max([d for d, c in coeffs.items() if c], default=0)
+        pairs[degree] = _rational_pair(value, f"{field}[{key}]")
+    top = max([d for d, (p, _) in pairs.items() if p], default=0)
     if top > max_degree:
         raise SchemaError(field, f"degree {top} exceeds the largest allowed, {max_degree}")
-    return YPolynomial.from_row(*clear([coeffs.get(d, 0) for d in range(top + 1)]))
+    return YPolynomial.from_row(*clear_pairs([pairs.get(d, (0, 1)) for d in range(top + 1)]))
 
 
 _REQUIRED: Any = object()  # the default of a field that must be present
@@ -284,6 +296,7 @@ def component_to_json(comp: FixedComponent) -> dict[str, Any]:
 
 
 _COMPONENT_KEYS = frozenset(["complexDim", "weights", "dF", "betti", "signature", "chiMinusY"])
+_POINT_GENUS_JSON = ypoly_to_json(YPolynomial.one())  # {"0": "1"}, as every writer emits it
 
 
 def component_from_json(obj: Any, field: str) -> FixedComponent:
@@ -294,10 +307,13 @@ def component_from_json(obj: Any, field: str) -> FixedComponent:
     betti = _field(obj, field, "betti", "an array of integers", None)
     signature = _field(obj, field, "signature", "an integer", None)
     chi = obj.get("chiMinusY")
-    chi_poly = ypoly_from_json(chi, f"{field}.chiMinusY", r) if chi is not None else None
-    from .localization import FixedComponent
+    from .localization import POINT_GENUS, FixedComponent
 
-    return _build(field, FixedComponent, r, weights, d_f, betti, signature, chi_poly)
+    if chi == _POINT_GENUS_JSON:  # the writers' genus of a point: the shared polynomial, not a parse
+        chi = POINT_GENUS
+    elif chi is not None:
+        chi = ypoly_from_json(chi, f"{field}.chiMinusY", r)
+    return _build(field, FixedComponent, r, weights, d_f, betti, signature, chi)
 
 
 def model_to_json(model: FixedPointModel) -> dict[str, Any]:
@@ -364,7 +380,7 @@ def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
         parts = _field(entry, where, "partition", "an array of integers")
         part = _build(f"{where}.partition", as_partition, parts)
         if part in numbers:
-            raise SchemaError(f"{where}.partition", f"duplicate partition {list(part)}")
+            raise SchemaError(f"{where}.partition", f"duplicate partition {quote_parts(list(part))}")
         numbers[part] = parse_rational(entry.get("value"), f"{where}.value")
     betti, action = obj.get("betti"), obj.get("action")
     n = action.get("n") if isinstance(action, dict) else None

@@ -10,7 +10,8 @@ The module is the one home of that cleared-row arithmetic, which the Chern
 tables, the K-expansion and the inertia use too: :func:`reduce_rows`, the
 one normalizer, puts rows over one scale in that canonical form (a
 ``YPolynomial`` is one such row, a ``ChernPolynomial`` one per partition);
-:func:`clear`, :func:`convolve` and :func:`add_into` build them. It is also
+:func:`clear` (of values, or of int pairs by :func:`clear_pairs`),
+:func:`convolve` and :func:`add_into` build them. It is also
 the one home of the guards of the exact-data records (manifolds, Chern
 polynomials, fixed-point data, Betti profiles): :func:`require_exact`
 refuses, by type, every value that is not exact data (a ``bool`` is not,
@@ -188,7 +189,11 @@ def require_counts(field: str, values: Iterable[object]) -> None:
 def clear(values: Sequence[Scalar]) -> tuple[int, list[int]]:
     """(D, ints): D is the lcm of the denominators and ``values[i] == ints[i] / D``."""
     # one as_integer_ratio() call per value, not three Fraction property reads
-    ratios = [v.as_integer_ratio() for v in values]
+    return clear_pairs([v.as_integer_ratio() for v in values])
+
+
+def clear_pairs(ratios: Sequence[tuple[int, int]]) -> tuple[int, list[int]]:
+    """:func:`clear` of the rationals p/q given as int pairs (p, q) with q > 0."""
     # a list, not a generator: CPython sizes the argument tuple of f(*generator) by
     # resizing, and each such tuple ends in the interpreter's free list for its length
     den = lcm(*[q for _, q in ratios])

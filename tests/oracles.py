@@ -11,8 +11,10 @@ by term; the two localization reports read their coefficients as
 :func:`fraction_reduce`, gives the rank that checks test matrices have full
 rank and the solve of an invertible system; :func:`fraction_inertia` stays a
 separate congruence route for the inertia. :func:`point` is the zero-dimensional
-manifold, :func:`synthetic_manifold` a seeded manifold document, and
-:func:`positivity` the two positivity predicates of the modified genus.
+manifold, :func:`synthetic_manifold` a seeded manifold document,
+:func:`positivity` the two positivity predicates of the modified genus, and
+:func:`descending_partitions` the recursive partition walk that the
+iterative ``iter_partitions`` replaced.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 from chigenus.betti import BettiProfile, InertiaTriple
 from chigenus.chern import ChernPolynomial
@@ -33,6 +36,16 @@ from chigenus.localization import (
 )
 from chigenus.partitions import Partition, iter_partitions, merge
 from chigenus.ypoly import YPolynomial
+
+
+def descending_partitions(n: int, largest: int) -> Iterator[Partition]:
+    """The partitions of ``n`` into parts at most ``largest``, by recursion, in reverse-lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in descending_partitions(n - first, first):
+            yield (first,) + rest
 
 
 def point() -> ManifoldData:

@@ -4,7 +4,9 @@ from functools import lru_cache
 
 import pytest
 
+from chigenus.engine import ManifoldData
 from chigenus.partitions import as_partition, iter_partitions, merge
+from oracles import descending_partitions
 
 
 @lru_cache(maxsize=None)
@@ -65,6 +67,20 @@ def test_iter_partitions_is_lazy_and_in_list_order():
         iter_partitions(-1)
 
 
+def test_the_walk_lists_what_the_recursive_walk_lists():
+    # p(30) = 5604
+    for n in range(31):
+        assert list(iter_partitions(n)) == list(descending_partitions(n, n)), n
+    assert len(list(iter_partitions(30))) == 5604
+
+
+def test_a_huge_n_costs_its_first_partition_only():
+    # a walk over an array of n entries would fail here, or allocate n words
+    assert next(iter_partitions(10**20)) == (10**20,)
+    with pytest.raises(ValueError, match=r"missing \[100000000000000000000\]$"):
+        ManifoldData(10**20, {})
+
+
 def test_reverse_lexicographic_order():
     for n in range(1, 12):
         listing = list(iter_partitions(n))
@@ -97,3 +113,14 @@ def test_as_partition_reads_an_iterator_once_and_quotes_it_as_given():
         as_partition(iter([2, -1]))
     with pytest.raises(ValueError, match=r"^partition parts must be positive: \[0, 3, 1\]$"):
         as_partition(p for p in (0, 3, 1))
+
+
+def test_a_refusal_quotes_a_long_partition_by_a_prefix_and_its_part_count():
+    with pytest.raises(ValueError) as refusal:
+        as_partition([0] * 100_000)
+    message = "partition parts must be positive: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ...] (100000 parts)"
+    assert str(refusal.value) == message
+    # twelve parts, as many as a partition of the command line's default cap, are quoted whole
+    with pytest.raises(ValueError) as refusal:
+        as_partition([1] * 11 + [0])
+    assert str(refusal.value) == f"partition parts must be positive: {[1] * 11 + [0]}"

@@ -1,6 +1,7 @@
 """Wire formats: canonical strings, round trips, schema errors."""
 
 import json
+import random
 import re
 import time
 from fractions import Fraction
@@ -189,6 +190,88 @@ def test_every_reader_refusal_of_a_malformed_catalog_document(key, path, value, 
     with pytest.raises(SchemaError) as refusal:
         serialize.manifold_from_json(doc)
     assert str(refusal.value) == message.format(first)
+
+
+def test_a_duplicate_partition_is_quoted_by_a_prefix_and_its_part_count():
+    entry = {"partition": [1] * 100_000, "value": "1"}
+    with pytest.raises(SchemaError) as refusal:
+        serialize.manifold_from_json({"dimension": 100_000, "chernNumbers": [entry, entry]})
+    message = f"manifold.chernNumbers[1].partition: duplicate partition {str([1] * 12)[:-1]}, ...] (100000 parts)"
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("genus", [{"0": "1"}, {"0": "1", "1": "0"}, None], ids=["canonical", "zero-term", "absent"])
+def test_a_point_genus_of_one_reads_in_any_spelling(genus):
+    built = make_manifold("pn:3")
+    doc = serialize.manifold_to_json(built)["action"]
+    for component in doc["components"]:
+        if genus is None:
+            del component["chiMinusY"]
+        else:
+            component["chiMinusY"] = genus
+    model = serialize.model_from_json(doc)
+    assert model == built.action
+    assert all([c.chi_minus_y == YPolynomial.one() for c in model.components])
+
+
+def test_the_writers_point_genus_is_read_without_a_parse(monkeypatch):
+    from chigenus.localization import POINT_GENUS
+
+    parsed = []
+    parse = serialize.ypoly_from_json
+    monkeypatch.setattr(serialize, "ypoly_from_json", lambda *args: parsed.append(args[0]) or parse(*args))
+    doc = serialize.model_to_json(make_action("pnaction:3"))
+    model = serialize.model_from_json(doc)
+    assert parsed == [] and all([c.chi_minus_y is POINT_GENUS for c in model.components])
+    # any other spelling of 1 takes the general parse, once per point
+    for component in doc["components"]:
+        component["chiMinusY"] = {"0": "1", "1": "0"}
+    assert serialize.model_from_json(doc) == model
+    assert len(parsed) == len(model.components)
+
+
+@pytest.mark.parametrize(
+    "genus, message",
+    [
+        ({"0": "2"}, "model.components[2]: a fixed point has modified genus 1"),
+        ({"0": "1/1"}, "model.components[2].chiMinusY[0]: expected lowest terms with q > 1, got '1/1'"),
+        ({"1": "1"}, "model.components[2].chiMinusY: degree 1 exceeds the largest allowed, 0"),
+    ],
+    ids=["two", "one-over-one", "degree-one"],
+)
+def test_a_point_genus_other_than_one_keeps_its_refusal(genus, message):
+    doc = serialize.manifold_to_json(make_manifold("pn:3"))["action"]
+    doc["components"][2]["chiMinusY"] = genus
+    with pytest.raises(SchemaError) as refusal:
+        serialize.model_from_json(doc)
+    assert str(refusal.value) == message
+
+
+def test_a_rational_genus_reads_over_the_lcm_of_its_denominators():
+    poly = serialize.ypoly_from_json({"2": "0", "1": "-3/4", "0": "1/6"}, "g", 2)
+    assert poly == YPolynomial({0: Fraction(1, 6), 1: Fraction(-3, 4)})
+    assert (poly.denominator, poly.row) == (12, (2, -9))
+    assert serialize.ypoly_from_json({"0": "0", "3": "0"}, "g", 0) == YPolynomial.zero()
+
+
+def _sweep_key(rng: random.Random, kind: str, dim: int) -> str:
+    """A pn:, hyp: or product: key of complex dimension ``dim``, of the shapes the catalog sweep reads."""
+    if kind == "pn":
+        return f"pn:{dim}"
+    if kind == "hyp":
+        return f"hyp:{dim}:{rng.randint(1, 7)}"
+    count = 2 if dim < 3 else rng.randint(2, 3)
+    cuts = sorted(rng.sample(range(1, dim), count - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [dim])]
+    return "product:" + ",".join([f"pn:{a}" if rng.random() < 0.6 else f"hyp:{a}:{rng.randint(1, 5)}" for a in parts])
+
+
+def test_seeded_sweep_documents_read_back_equal_to_their_build():
+    rng = random.Random(47)
+    keys = [_sweep_key(rng, rng.choice(("pn", "hyp", "product")), rng.randint(2, 8)) for _ in range(200)]
+    for key in keys:
+        data = make_manifold(key)
+        assert serialize.manifold_from_json(json.loads(serialize.dumps(serialize.manifold_to_json(data)))) == data, key
 
 
 def test_a_claimed_dimension_is_refused_before_its_partitions_are_listed():
