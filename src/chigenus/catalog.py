@@ -10,8 +10,10 @@ point: the numbers are summed as ints, and each number of a product is one
 exact division of its integer sum by the factors' common denominators.
 
 A factor stays numbers until the last step: :func:`_fold` multiplies
-(dimension, Chern numbers, Betti row) triples, so each build constructs one
-record, and a factor of a product builds no record, genus or action.
+(dimension, scale, Chern row, Betti row) factors, each row cleared over its
+scale in ``iter_partitions`` order as a record holds it, so each build
+constructs one record, and a factor of a product builds no record, genus or
+action.
 
 :func:`make_manifold` and :func:`make_action` build from what
 :func:`chigenus.serialize.parse_key`, the one reader of catalog keys, returns.
@@ -39,7 +41,7 @@ from .engine import ManifoldData
 from .localization import FixedComponent, FixedPointModel
 from .partitions import Partition, iter_partitions, merge
 from .serialize import ACTION_KEYS, CATALOG_KEYS, CatalogKey, parse_key
-from .ypoly import clear, convolve, require_exact
+from .ypoly import convolve, require_exact
 
 Monomial = tuple[int, ...]
 PolyDict = dict[Monomial, Fraction]
@@ -105,7 +107,7 @@ def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Par
 
     ``total_chern`` lists a_0..a_n, the total Chern class being
     sum_j a_j h^j; then c_lambda = degree * prod_i a_{lambda_i}, returned as
-    an int: the ``ManifoldData`` built from it makes the one ``Fraction``.
+    an int, which the ``ManifoldData`` built from it holds as it is.
     """
     numbers = {}
     for part in iter_partitions(len(total_chern) - 1):
@@ -118,7 +120,8 @@ def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Par
 
 def projective_space(n: int) -> ManifoldData:
     """P^n: total Chern class (1+h)^{n+1}, integral of h^n is 1, with its standard action."""
-    return _fold([_pn_factor(n)], standard_pn_action(n))
+    n, numbers, betti = _pn_factor(n)
+    return ManifoldData(n, numbers, BettiProfile(2 * n, betti), standard_pn_action(n))
 
 
 def hypersurface(n: int, d: int) -> ManifoldData:
@@ -127,38 +130,35 @@ def hypersurface(n: int, d: int) -> ManifoldData:
     The total Chern class is (1+h)^{n+2} * (1+dh)^{-1}, expanded as a
     geometric series in the nilpotent quotient, and the integral of h^n is d.
     """
-    return _fold([_hyp_factor(n, d)])
+    n, numbers, betti = _hyp_factor(n, d)
+    return ManifoldData(n, numbers, BettiProfile(2 * n, betti))
 
 
 def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
     """The product manifold A x B, from the Chern numbers of its factors (:func:`_fold`)."""
-    factors = [(m.dimension, m.chern_numbers, m.betti.betti if m.betti is not None else None) for m in (a, b)]
+    factors = [(m.dimension, m.scale, m.chern_row, m.betti.betti if m.betti is not None else None) for m in (a, b)]
     return _fold(factors)
 
 
-def _fold(factors: list[tuple], action: FixedPointModel | None = None) -> ManifoldData:
-    """The one record of the product of the factors, folded left to right as numbers.
+def _fold(factors: list[tuple]) -> ManifoldData:
+    """The one record of the product of two or more factors, folded left to right as numbers.
 
-    A factor is (dimension, Chern numbers in ``iter_partitions`` order, Betti
-    row or None). Each factor's numbers are cleared once to ints over their
-    lcm, read by position, and summed over the Whitney splits of
-    :func:`_splits`; each number of a product is then one exact division by
-    the two lcms, left an int when both are 1. Betti rows convolve when every
-    factor has one. ``action`` goes to the constructor, which fills in sigma.
+    A factor is (dimension, scale, row, Betti row or None), its Chern numbers
+    ``row[i] / scale`` in ``iter_partitions`` order, as a record holds them.
+    The rows are read by position and summed over the Whitney splits of
+    :func:`_splits`, and the product's row is over the product of the
+    scales; each number is then one exact division by that scale, left an
+    int when it is 1. Betti rows convolve when every factor has one.
     """
-    n, numbers, betti = factors[0]
-    for m, other, other_betti in factors[1:]:
-        ea, va = clear(list(numbers.values()))
-        eb, vb = clear(list(other.values()))
-        den = ea * eb
-        numbers = {}
-        for part, splits in _splits(n, m):
-            total = sum([count * va[i] * vb[j] for count, i, j in splits])
-            numbers[part] = total if den == 1 else Fraction(total, den)
+    n, scale, row, betti = factors[0]
+    for m, other_scale, other, other_betti in factors[1:]:
+        table = _splits(n, m)
+        row = [sum([count * row[i] * other[j] for count, i, j in splits]) for _, splits in table]
+        scale *= other_scale
         betti = convolve(betti, other_betti) if betti is not None and other_betti is not None else None
         n += m
-    profile = BettiProfile(2 * n, betti) if betti is not None else None
-    return ManifoldData(n, numbers, betti=profile, action=action)
+    numbers = {part: total if scale == 1 else Fraction(total, scale) for (part, _), total in zip(table, row)}
+    return ManifoldData(n, numbers, BettiProfile(2 * n, betti) if betti is not None else None)
 
 
 @cache
@@ -250,7 +250,8 @@ def make_manifold(key: str | CatalogKey) -> ManifoldData:
     if parsed.kind == "hyp":
         return hypersurface(*parsed.args)
     if parsed.kind == "product":
-        return _fold([_FACTORS[f.kind](*f.args) for f in parsed.args])
+        factors = [_FACTORS[f.kind](*f.args) for f in parsed.args]
+        return _fold([(n, 1, list(numbers.values()), betti) for n, numbers, betti in factors])
     raise ValueError(f"unknown catalog key {key!r}")
 
 

@@ -7,8 +7,9 @@ y-polynomial form of :mod:`chigenus.ypoly`: one integer row per partition,
 in ``YPolynomial.row``'s convention, over one shared denominator D, put in
 canonical form by :func:`chigenus.ypoly.reduce_rows`. Evaluation on Chern
 numbers sums those rows, degree by degree, weighted by the values as
-:func:`chigenus.ypoly.clear` puts them over one denominator; the
-exponential's rows are multiplied and summed by ``ypoly`` too.
+:func:`chigenus.ypoly.clear` puts them over one denominator, or as a
+manifold record already holds them; the exponential's rows are multiplied
+and summed by ``ypoly`` too.
 
 The module also provides the power sums of the Chern roots in this basis
 (Newton's identities) and the truncated exponential of an inhomogeneous
@@ -26,7 +27,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import lcm
 from operator import mul
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .partitions import Partition, merge
 from .ypoly import YPolynomial, add_into, clear, convolve, reduce_rows, require_exact, slots_equal
@@ -108,9 +109,12 @@ class ChernPolynomial:
         except KeyError as exc:
             raise ValueError(f"missing Chern number for partition {list(exc.args[0])}") from None
         require_exact("Chern numbers", picked)
-        e, scaled = clear(picked)
-        totals = [sum(map(mul, column, scaled)) for column in zip_longest(*self.rows, fillvalue=0)]
-        return YPolynomial.from_row(self.denominator * e, totals)
+        return self.evaluate_cleared(*clear(picked))
+
+    def evaluate_cleared(self, scale: int, values: Sequence[int]) -> YPolynomial:
+        """:meth:`evaluate` on values given cleared: ``values[i] / scale`` for ``partitions[i]``."""
+        totals = [sum(map(mul, column, values)) for column in zip_longest(*self.rows, fillvalue=0)]
+        return YPolynomial.from_row(self.denominator * scale, totals)
 
     __eq__ = slots_equal
 

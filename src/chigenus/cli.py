@@ -4,7 +4,9 @@ Machine-readable JSON goes to stdout, diagnostics to stderr, and the exit
 code separates bad input (2: a usage error or a ``ValueError``) from
 failed mathematical checks (1: an ``ArithmeticError``).
 The environment variable GENUS_MAX_N (default 12) caps the symbolic degree
-so a typo cannot start an enormous expansion.
+so a typo cannot start an enormous expansion, and MAX_FORM_SIZE and
+MAX_FORM_DIGITS bound the intersection form that ``betti --form``
+eliminates.
 
 Only ``serialize`` is imported with this module. Each subcommand imports the
 modules it runs, after it has checked its input and the cap, so a process
@@ -30,6 +32,13 @@ DEFAULT_MAX_N = 12
 
 # at most 4 UTF-8 bytes a character, so a cut message stays under 1 KiB of stderr
 _MAX_MESSAGE_CHARS = 200
+
+# the largest form `betti --form` eliminates: its size, and the digits of its entries'
+# numerators and denominators in total. Bareiss minors grow with both, most with many
+# distinct denominators: 24 x 24 forms of 1/q entries, q distinct primes, near the digit
+# bound took up to 0.8 s in betti.inertia on a 2-vCPU Xeon, and 2.2 s at 2300 digits.
+MAX_FORM_SIZE = 24
+MAX_FORM_DIGITS = 1600
 
 
 def _check_cap(n: int) -> None:
@@ -247,7 +256,14 @@ def _cmd_betti(args: argparse.Namespace) -> int:
     payload: dict[str, Any] = {}
     triple = None
     if args.form is not None:
-        matrix = serialize.form_from_json(_load_json(args.form))
+        raw = _load_json(args.form)
+        matrix = serialize.form_from_json(raw)
+        if len(matrix) > MAX_FORM_SIZE:
+            raise ValueError(f"form has {len(matrix)} rows, over the largest allowed, {MAX_FORM_SIZE}")
+        # form_from_json has read every entry as a canonical "p" or "p/q"
+        digits = sum([len(text) - text.startswith("-") - ("/" in text) for row in raw for text in row])
+        if digits > MAX_FORM_DIGITS:
+            raise ValueError(f"form entries have {digits} digits, over the largest allowed, {MAX_FORM_DIGITS}")
         triple = betti_mod.inertia(matrix)
         payload["inertia"] = {
             "bPlus": triple.b_plus,

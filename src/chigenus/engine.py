@@ -18,12 +18,16 @@ exponential takes the exponent factored as the pieces l_j p_j and keeps
 every weight over its own reduced scale. :func:`normalized_series` builds Q
 itself, as the reference route the tests check the closed form against.
 :class:`ManifoldData` is the one manifold record; it takes Chern numbers as
-``int`` or ``Fraction`` only, evaluates its chi_y polynomial once as it is
-built, and checks a given signature and action against it. It rebuilds a
-profile through the profile's own type and reads an action's chi_{-y} off
-the model, which localized it as it was built, so loading this module
-loads neither ``betti`` nor ``localization``. Serre duality has one
-predicate, :func:`duality_holds`, on a bare chi-vector.
+``int`` or ``Fraction`` only and holds them cleared, the way a
+``YPolynomial`` holds its coefficients: one int row in ``iter_partitions``
+order over one positive ``scale``. It evaluates its chi_y polynomial once
+as it is built, reading the row by position, and checks a given signature
+and action against it; the ``chern_numbers`` mapping of ``Fraction`` values
+is made only when it is read. It rebuilds a profile through the profile's
+own type and reads an action's chi_{-y} off the model, which localized it
+as it was built, so loading this module loads neither ``betti`` nor
+``localization``. Serre duality has one predicate, :func:`duality_holds`,
+on a bare chi-vector.
 """
 
 from __future__ import annotations
@@ -32,11 +36,11 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 from types import MappingProxyType
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .chern import ChernPolynomial, graded_exponential, integer_power_sums
 from .partitions import Partition, iter_partitions
-from .ypoly import YPolynomial, require_exact, slots_equal
+from .ypoly import YPolynomial, clear, require_exact, slots_equal
 
 if TYPE_CHECKING:
     from .betti import BettiProfile
@@ -50,32 +54,49 @@ if TYPE_CHECKING:
 # document that claims a huge dimension costs nothing
 _PARTITIONS: dict[int, tuple[Partition, ...]] = {}
 
+# grade -> (a table's partitions, their positions among the partitions of the
+# grade), so evaluate_genus reads a record's row by position; rebuilt when a table
+# with other partitions comes in, as after its cache is cleared
+_POSITIONS: dict[int, tuple[tuple[Partition, ...], list[int]]] = {}
+
+
+def _partitions(n: int) -> tuple[Partition, ...]:
+    """The partitions of n in ``iter_partitions`` order, walked once and kept."""
+    parts = _PARTITIONS.get(n)
+    if parts is None:
+        parts = _PARTITIONS[n] = tuple(iter_partitions(n))
+    return parts
+
 
 class ManifoldData:
     """Exact Chern numbers of a closed almost-complex manifold, plus extras.
 
-    ``chern_numbers`` is a read-only mapping with one entry per partition of
-    the complex dimension, in the reverse-lexicographic order of
-    ``iter_partitions`` whatever order they were given in, each a
-    ``Fraction``: a given ``Fraction`` is kept as it is and an ``int`` is
-    converted once. ``betti.dim`` is twice that dimension, the Betti
-    numbers' alternating sum, the Euler number, is the top Chern number, and
-    ``action.n`` equals the dimension. Past those checks, ``genus`` holds the
-    chi_y polynomial. A profile's sigma must be chi_y(1), and is filled in
-    when absent; an action whose components all carry their modified genus
-    must localize chi_{-y}, and a Hamiltonian action whose components all
-    carry their Betti numbers must have the profile's as Novikov numbers.
-    Builders and readers pass every field to the constructor, so each is
-    checked once, and no field is rebound after it.
-    Instances compare by value, every field included, but define no hash.
+    The Chern numbers are held in one cleared form, as ``ypoly.clear``
+    gives it: ``chern_row``, one int per partition of the complex dimension
+    in the reverse-lexicographic order of ``iter_partitions``, over
+    ``scale``, the lcm of their denominators, so the row and the scale have
+    gcd 1 and equal numbers have equal forms, given as ``int`` or as
+    ``Fraction`` in any order. ``chern_numbers`` reads them as a fresh
+    read-only mapping, partition -> ``Fraction``, in that order, and
+    ``partitions`` names the row's entries. ``betti.dim`` is twice that
+    dimension, the Betti numbers' alternating sum, the Euler number, is the
+    top Chern number, and ``action.n`` equals the dimension. Past those
+    checks, ``genus`` holds the chi_y polynomial. A profile's sigma must be
+    chi_y(1), and is filled in when absent; an action whose components all
+    carry their modified genus must localize chi_{-y}, and a Hamiltonian
+    action whose components all carry their Betti numbers must have the
+    profile's as Novikov numbers. Builders and readers pass every field to
+    the constructor, so each is checked once, and no field is rebound after
+    it. Instances compare by value, every field included, but define no
+    hash.
     """
 
-    __slots__ = ("dimension", "chern_numbers", "betti", "action", "genus")
+    __slots__ = ("dimension", "scale", "chern_row", "betti", "action", "genus")
 
     def __init__(
         self,
         dimension: int,
-        chern_numbers: dict[Partition, Fraction | int],
+        chern_numbers: Mapping[Partition, Fraction | int],
         betti: BettiProfile | None = None,
         action: FixedPointModel | None = None,
     ) -> None:
@@ -83,34 +104,35 @@ class ManifoldData:
         require_exact("Chern numbers", chern_numbers.values())
         # the walk stops at the first missing partition, so it visits at most one
         # partition more than were given: a dimension costs nothing to claim, and
-        # only a dimension whose walk completed is kept in _PARTITIONS
+        # only a dimension whose numbers are all there is kept in _PARTITIONS
         known = _PARTITIONS.get(dimension)
-        numbers = {}
-        for part in known or iter_partitions(dimension):
-            if part not in chern_numbers:
-                raise ValueError(
-                    f"Chern numbers must cover all partitions of {dimension}; missing {list(part)}"
-                )
-            value = chern_numbers[part]
-            numbers[part] = value if value.__class__ is Fraction else Fraction(value)
-        if len(numbers) != len(chern_numbers):
+        try:
+            values = [chern_numbers[part] for part in known or iter_partitions(dimension)]
+        except KeyError as exc:
+            raise ValueError(
+                f"Chern numbers must cover all partitions of {dimension}; missing {list(exc.args[0])}"
+            ) from None
+        if len(values) != len(chern_numbers):
             raise ValueError(
                 f"Chern numbers must cover all partitions of {dimension}; "
-                f"got {len(chern_numbers)}, but p({dimension}) = {len(numbers)}"
+                f"got {len(chern_numbers)}, but p({dimension}) = {len(values)}"
             )
         if known is None:
-            _PARTITIONS[dimension] = tuple(numbers)
+            _partitions(dimension)
+        scale, row = clear(values)
         if betti is not None:
             if betti.dim != 2 * dimension:
                 raise ValueError(f"betti.dim {betti.dim} is not twice the dimension {dimension}")
             euler = sum(betti.betti[0::2]) - sum(betti.betti[1::2])
-            top = numbers[(dimension,) if dimension else ()]
-            if euler != top:
+            # the top partition, (dimension,) or (), comes first
+            if euler * scale != row[0]:
+                top = Fraction(row[0], scale)
                 raise ValueError(f"betti has Euler number {euler}, but the top Chern number is {top}")
         if action is not None and action.n != dimension:
             raise ValueError(f"action.n {action.n} is not the dimension {dimension}")
         self.dimension = dimension
-        self.chern_numbers = MappingProxyType(numbers)
+        self.scale = scale
+        self.chern_row = tuple(row)
         self.genus = genus = evaluate_genus(chi_y_chern_polynomial(dimension), self)
         if betti is not None:
             sigma = genus.evaluate(1)
@@ -135,6 +157,18 @@ class ManifoldData:
             )
         self.betti = betti
         self.action = action
+
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        """The partitions of the dimension in ``iter_partitions`` order, one per entry of ``chern_row``."""
+        return _partitions(self.dimension)
+
+    @property
+    def chern_numbers(self) -> MappingProxyType[Partition, Fraction]:
+        """partition -> Chern number as a ``Fraction``, in ``iter_partitions`` order, made on each read."""
+        scale = self.scale
+        numbers = {part: Fraction(v, scale) for part, v in zip(self.partitions, self.chern_row)}
+        return MappingProxyType(numbers)
 
     __eq__ = slots_equal
 
@@ -234,12 +268,21 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
 
 
 def evaluate_genus(table: ChernPolynomial, manifold: ManifoldData) -> YPolynomial:
-    """chi_y polynomial of a manifold: pair the table with its Chern numbers."""
+    """chi_y polynomial of a manifold: pair the table with its Chern numbers.
+
+    The table's partitions are read off the record's cleared row by their
+    positions in ``iter_partitions`` order, so no ``Fraction`` is made.
+    """
     if manifold.dimension != table.grade:
         raise ValueError(
             f"dimension mismatch: table is for n={table.grade}, manifold has n={manifold.dimension}"
         )
-    return table.evaluate(manifold.chern_numbers)
+    kept = _POSITIONS.get(table.grade)
+    if kept is None or kept[0] is not table.partitions:
+        index = {part: i for i, part in enumerate(_partitions(table.grade))}
+        kept = _POSITIONS[table.grade] = (table.partitions, [index[part] for part in table.partitions])
+    row = manifold.chern_row
+    return table.evaluate_cleared(manifold.scale, [row[i] for i in kept[1]])
 
 
 def chi_vector(manifold: ManifoldData) -> list[Fraction]:
@@ -263,13 +306,12 @@ def specialize(manifold: ManifoldData, at: str) -> Fraction:
     except KeyError:
         raise ValueError(f"unknown specialization {at!r}; expected euler, todd or signature") from None
     value = manifold.genus.evaluate(point)
-    if at == "euler":
-        top: Partition = (manifold.dimension,) if manifold.dimension else ()
-        expected = manifold.chern_numbers[top]
-        if value != expected:
-            raise ArithmeticError(
-                f"Euler specialization {value} disagrees with top Chern number {expected}"
-            )
+    # the top Chern number is the row's first entry over the scale
+    top, scale = manifold.chern_row[0], manifold.scale
+    if at == "euler" and value.numerator * scale != top * value.denominator:
+        raise ArithmeticError(
+            f"Euler specialization {value} disagrees with top Chern number {Fraction(top, scale)}"
+        )
     return value
 
 

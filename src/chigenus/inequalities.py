@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from .engine import ManifoldData
 from .kexpansion import binomial_row, k_coefficients
-from .partitions import Partition
 from .ypoly import require_exact
 
 
@@ -75,11 +74,7 @@ def check_inequalities(manifold: ManifoldData, epsilon: int = 1) -> list[Inequal
     signed = [sign * (-1) ** p * c for p, c in enumerate(row)]
     # the integrality tests run only once the sign test has passed, so data that
     # fails it, as most does, pays nothing for them; E == 1 is an integral chi-vector
-    hypothesis = (
-        all(s > 0 for s in signed)
-        and den == 1
-        and all(v.denominator == 1 for v in manifold.chern_numbers.values())
-    )
+    hypothesis = all(s > 0 for s in signed) and den == 1 and manifold.scale == 1
     k_row = binomial_row(row)
     k_polys = k_coefficients(n).k_polys
     reports = []
@@ -136,16 +131,15 @@ def miyaoka_yau_check(manifold: ManifoldData) -> CurvatureBoundReport:
     n = manifold.dimension
     if n < 2:
         raise ValueError("need n >= 2")
-    numbers = manifold.chern_numbers
-    mixed: Partition = tuple(sorted([2] + [1] * (n - 2), reverse=True))
-    powers: Partition = tuple([1] * n)
+    row, scale = manifold.chern_row, manifold.scale
+    # in iter_partitions order, c_2 c_1^{n-2} is the last number but one and c_1^n the last
     sign = Fraction(-1) ** n
-    lhs = sign * numbers[mixed]
-    rhs = Fraction(n, 2 * (n + 1)) * sign * numbers[powers]
+    lhs = sign * Fraction(row[-2], scale)
+    rhs = Fraction(n, 2 * (n + 1)) * sign * Fraction(row[-1], scale)
     surface: tuple[SurfaceInequality, ...] = ()
     if n == 2:
-        c2 = numbers[(2,)]
-        c1_sq = numbers[(1, 1)]
+        c2 = Fraction(row[0], scale)
+        c1_sq = Fraction(row[1], scale)
         surface = (
             SurfaceInequality("3*c2 >= c1^2", 3 * c2, c1_sq, 3 * c2 >= c1_sq, 3 * c2 == c1_sq),
             SurfaceInequality(

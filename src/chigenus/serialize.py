@@ -3,19 +3,25 @@
 Rationals travel as strings, as ``str`` prints an int or a Fraction ("p/q"
 in lowest terms, or "p" when the denominator is 1), so no consumer can lose
 precision; partitions as arrays of integers; y-polynomials as degree ->
-coefficient objects. Readers accept the canonical form that the writers
-emit, in any key order and with optional fields left out, and re-emission
-is byte-identical. Every object is read through one core (:func:`_object`,
-:func:`_field`, :func:`_build`): a key the writers do not emit is refused
-with the object's path, a field of the wrong kind with the field's path and
-the kind it expected, and a constructor's ValueError becomes a
-:class:`SchemaError` on that path.
+coefficient objects. The writers print a rational from the int pair a
+record holds, a y-polynomial's row entry over its denominator or a
+manifold's Chern row entry over its scale, reduced by one ``gcd``, so no
+``Fraction`` is made, and write a fixed point, whose invariants are fixed,
+as one literal; :func:`dumps` is one shared encoder. Readers accept the
+canonical form that the writers emit, in any key order and with optional
+fields left out, and re-emission is byte-identical. Every object is read
+through one core (:func:`_object`, :func:`_field`, :func:`_build`): a key
+the writers do not emit is refused with the object's path, a field of the
+wrong kind with the field's path and the kind it expected, and a
+constructor's ValueError becomes a :class:`SchemaError` on that path.
 A y-polynomial's coefficients are read once each into an int pair (p, q)
 by the one rational parser that :func:`parse_rational` wraps, and its row
 is cleared over the lcm of the q's by ``ypoly.clear_pairs``, with no
 ``Fraction``. A component's ``chiMinusY`` equal to the writers' value for
 a point, ``{"0": "1"}``, is recognized and read as the one shared point
-genus of ``localization``; any other spelling is parsed in full.
+genus of ``localization``; any other spelling is parsed in full. A
+manifold's Chern numbers are read to an ``int`` where whole, and to a
+``Fraction`` only where not.
 Two formats go one way only: Chern polynomials are written (``genus chi
 --n``) but never read back, and intersection forms (``genus betti --form``)
 are read but never written.
@@ -61,8 +67,12 @@ def is_json_int(value: Any) -> bool:
     return value.__class__ is int
 
 
+# the writers build trees, never cycles, so the encoder skips its cycle check
+_ENCODER = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def dumps(payload: Any) -> str:
-    return json.dumps(payload, separators=(",", ":"))
+    return _ENCODER.encode(payload)
 
 
 _INT = r"0|-?[1-9][0-9]*"
@@ -111,6 +121,14 @@ def _rational_pair(text: Any, field: str) -> tuple[int, int]:
     if denominator and (q == 1 or gcd(p, q) != 1):
         raise SchemaError(field, f"expected lowest terms with q > 1, got {_quote(text)}")
     return p, q
+
+
+def _rational_text(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for ints p and q > 0, made without the ``Fraction``."""
+    if q == 1:
+        return str(p)
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def parse_rational(text: Any, field: str = "value") -> Fraction:
@@ -186,7 +204,8 @@ def parse_key(key: str) -> CatalogKey:
 
 
 def ypoly_to_json(poly: YPolynomial) -> dict[str, str]:
-    return {str(d): str(c) for d, c in poly.items()}
+    den = poly.denominator
+    return {str(d): _rational_text(c, den) for d, c in enumerate(poly.row) if c}
 
 
 def ypoly_from_json(obj: Any, field: str, max_degree: int) -> YPolynomial:
@@ -228,7 +247,7 @@ _KINDS: dict[str, Callable[[Any], bool]] = {
     "a non-negative integer": lambda v: is_json_int(v) and v >= 0,
     "an array": lambda v: isinstance(v, list),
     "a nonempty array": lambda v: isinstance(v, list) and len(v) > 0,
-    "an array of integers": lambda v: isinstance(v, list) and all([is_json_int(x) for x in v]),
+    "an array of integers": lambda v: isinstance(v, list) and all([x.__class__ is int for x in v]),
     "a boolean": lambda v: isinstance(v, bool),
 }
 
@@ -281,6 +300,11 @@ def profile_from_json(obj: Any, field: str = "profile") -> BettiProfile:
 
 
 def component_to_json(comp: FixedComponent) -> dict[str, Any]:
+    if not comp.complex_dim:  # a point's Betti numbers, signature and genus are fixed
+        if comp.weights is not None:
+            weights = list(comp.weights)
+            return {"complexDim": 0, "weights": weights, "betti": [1], "signature": 1, "chiMinusY": {"0": "1"}}
+        return {"complexDim": 0, "dF": comp.d_f, "betti": [1], "signature": 1, "chiMinusY": {"0": "1"}}
     out: dict[str, Any] = {"complexDim": comp.complex_dim}
     if comp.weights is not None:
         out["weights"] = list(comp.weights)
@@ -353,9 +377,10 @@ def model_from_json(obj: Any, field: str = "model") -> FixedPointModel:
 
 
 def manifold_to_json(data: ManifoldData) -> dict[str, Any]:
+    scale = data.scale
     numbers = [
-        {"partition": list(part), "value": str(value)}
-        for part, value in data.chern_numbers.items()
+        {"partition": list(part), "value": _rational_text(value, scale)}
+        for part, value in zip(data.partitions, data.chern_row)
     ]
     out: dict[str, Any] = {"dimension": data.dimension, "chernNumbers": numbers}
     if data.betti is not None:
@@ -373,7 +398,7 @@ def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
     obj = _object(obj, field, _MANIFOLD_KEYS)
     dimension = _field(obj, field, "dimension", "a non-negative integer")
     raw = _field(obj, field, "chernNumbers", "an array")
-    numbers: dict[Partition, Fraction] = {}
+    numbers: dict[Partition, Fraction | int] = {}
     for idx, entry in enumerate(raw):
         where = f"{field}.chernNumbers[{idx}]"
         entry = _object(entry, where, _ENTRY_KEYS)
@@ -381,7 +406,8 @@ def manifold_from_json(obj: Any, field: str = "manifold") -> ManifoldData:
         part = _build(f"{where}.partition", as_partition, parts)
         if part in numbers:
             raise SchemaError(f"{where}.partition", f"duplicate partition {quote_parts(list(part))}")
-        numbers[part] = parse_rational(entry.get("value"), f"{where}.value")
+        p, q = _rational_pair(entry.get("value"), f"{where}.value")
+        numbers[part] = p if q == 1 else Fraction(p, q)
     betti, action = obj.get("betti"), obj.get("action")
     n = action.get("n") if isinstance(action, dict) else None
     if is_json_int(n) and n != dimension:  # before any row of degree up to n is read

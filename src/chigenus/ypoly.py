@@ -188,6 +188,10 @@ def require_counts(field: str, values: Iterable[object]) -> None:
 
 def clear(values: Sequence[Scalar]) -> tuple[int, list[int]]:
     """(D, ints): D is the lcm of the denominators and ``values[i] == ints[i] / D``."""
+    # integral data, as the catalog's, is its own cleared form; a generator, so that a
+    # first Fraction ends the test
+    if all(v.__class__ is int for v in values):
+        return 1, list(values)
     # one as_integer_ratio() call per value, not three Fraction property reads
     return clear_pairs([v.as_integer_ratio() for v in values])
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from chigenus import catalog, serialize
+from chigenus import catalog, engine, serialize
 from chigenus.catalog import (
     CATALOG_KEYS,
     CohomologyModel,
@@ -23,7 +23,6 @@ from chigenus.catalog import (
     standard_catalog,
     standard_pn_action,
 )
-from chigenus.chern import ChernPolynomial
 from chigenus.engine import chi_vector, duality_holds, specialize
 from chigenus.partitions import iter_partitions
 from chigenus.ypoly import YPolynomial
@@ -355,18 +354,18 @@ def test_a_product_key_keeps_its_factor_refusal(key, message):
 
 def test_a_product_key_builds_one_record_and_no_factor_action(monkeypatch):
     evaluated = []
-    original = ChernPolynomial.evaluate
+    original = engine.evaluate_genus
 
-    def counting(self, values):
-        evaluated.append(self.grade)
-        return original(self, values)
+    def counting(table, manifold):
+        evaluated.append(table.grade)
+        return original(table, manifold)
 
     def refuse(*args):
         raise AssertionError("a product key built a factor's action")
 
     key = "product:pn:2,hyp:3:2,pn:3"
     expected = make_manifold(key)  # the n = 8 table is built outside the count
-    monkeypatch.setattr(ChernPolynomial, "evaluate", counting)
+    monkeypatch.setattr(engine, "evaluate_genus", counting)
     monkeypatch.setattr(catalog, "standard_pn_action", refuse)
     assert make_manifold(key) == expected
     assert evaluated == [8]

@@ -6,14 +6,18 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import chigenus
-from chigenus import catalog, engine, kexpansion, localization, serialize, verify
+from chigenus import betti, catalog, cli, engine, kexpansion, localization, serialize, verify
+from chigenus.betti import inertia
 from chigenus.chern import ChernPolynomial
 from chigenus.ypoly import YPolynomial
 from chigenus.cli import build_parser, main
@@ -242,6 +246,42 @@ def test_betti_sigma_from_form(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["signatureAlternating"] is True
+
+
+def _symmetric_form(size, entry):
+    rows = [[None] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            rows[i][j] = rows[j][i] = entry(i, j)
+    return rows
+
+
+def test_a_form_past_the_bounds_is_refused_before_any_elimination(capsys, tmp_path, monkeypatch):
+    # the 40 x 40 form of entries p/q, |p| <= 9, q <= 997, that took 4.4 s to eliminate
+    rng = random.Random(40)
+    big = _symmetric_form(40, lambda i, j: str(Fraction(rng.randint(-9, 9), rng.randint(1, 997))))
+    # 24 rows of 1/q, q odd near 10^6: 4608 digits
+    dense = _symmetric_form(24, lambda i, j: f"1/{1_000_003 + 2 * (24 * i + j)}")
+    eliminated = []
+
+    def counting(matrix):
+        eliminated.append(len(matrix))
+        return inertia(matrix)
+
+    monkeypatch.setattr(betti, "inertia", counting)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["betti", "--form", write(tmp_path, "big.json", big)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "") and err == "genus: form has 40 rows, over the largest allowed, 24\n"
+    code, out, err = run(capsys, ["betti", "--form", write(tmp_path, "dense.json", dense)])
+    assert (code, out) == (2, "")
+    assert err == "genus: form entries have 4608 digits, over the largest allowed, 1600\n"
+    assert eliminated == []
+    # a form at the size bound, with few digits, is eliminated
+    identity = _symmetric_form(cli.MAX_FORM_SIZE, lambda i, j: "1" if i == j else "0")
+    code, out, _ = run(capsys, ["betti", "--form", write(tmp_path, "identity.json", identity)])
+    assert code == 0 and json.loads(out)["inertia"] == {"bPlus": 24, "bMinus": 0, "bZero": 0}
+    assert eliminated == [24]
 
 
 def test_betti_needs_input(capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -177,12 +178,40 @@ def test_a_failed_manifold_leaves_the_partition_lists_untouched(monkeypatch):
     assert engine._PARTITIONS == {2: ((2,), (1, 1))}
 
 
-def test_a_given_fraction_is_kept_and_an_int_becomes_one():
-    half = Fraction(1, 2)
-    data = engine.ManifoldData(2, {(2,): half, (1, 1): 3})
-    assert data.chern_numbers[(2,)] is half
-    assert data.chern_numbers[(1, 1)] == 3 and type(data.chern_numbers[(1, 1)]) is Fraction
-    assert list(data.chern_numbers) == [(2,), (1, 1)]
+def test_numbers_are_held_as_one_cleared_row_and_read_as_fractions():
+    data = engine.ManifoldData(2, {(1, 1): 3, (2,): Fraction(1, 2)})
+    assert (data.scale, data.chern_row, data.partitions) == (2, (1, 6), ((2,), (1, 1)))
+    numbers = data.chern_numbers
+    assert type(numbers) is MappingProxyType and numbers is not data.chern_numbers
+    assert list(numbers.items()) == [((2,), Fraction(1, 2)), ((1, 1), Fraction(3))]
+    assert [type(v) for v in numbers.values()] == [Fraction, Fraction]
+    with pytest.raises(TypeError):
+        numbers[(2,)] = 1
+    # lowest terms: the scale is the lcm of the reduced denominators, and 1 for ints
+    assert engine.ManifoldData(2, {(2,): Fraction(4, 6), (1, 1): Fraction(1, 4)}).scale == 12
+    assert engine.ManifoldData(2, {(2,): 3, (1, 1): 9}).scale == 1
+
+
+def test_records_from_ints_and_from_equal_fractions_are_equal():
+    for n in range(0, 9):
+        ints = {part: (-1) ** len(part) * (7 * sum(part) + len(part)) for part in iter_partitions(n)}
+        fractions = {part: Fraction(3 * value, 3) for part, value in reversed(ints.items())}
+        assert engine.ManifoldData(n, ints) == engine.ManifoldData(n, fractions), n
+    assert projective_space(3) == engine.ManifoldData(
+        3, dict(projective_space(3).chern_numbers), projective_space(3).betti, projective_space(3).action
+    )
+
+
+def test_a_record_outlives_the_cleared_memos():
+    p3, k3 = projective_space(3), hypersurface(2, 4)
+    expected = [dict(p3.chern_numbers), dict(k3.chern_numbers)]
+    engine._PARTITIONS.clear()
+    engine._POSITIONS.clear()
+    engine.chi_y_chern_polynomial.cache_clear()
+    assert [dict(p3.chern_numbers), dict(k3.chern_numbers)] == expected
+    assert p3.partitions == tuple(iter_partitions(3)) and k3.partitions == tuple(iter_partitions(2))
+    # a rebuilt table has new partitions, so positions are taken again
+    assert projective_space(3) == p3 and engine.evaluate_genus(chi_y_chern_polynomial(3), p3) == p3.genus
 
 
 def test_duality():

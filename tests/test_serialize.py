@@ -25,6 +25,7 @@ from chigenus.partitions import iter_partitions
 from chigenus.serialize import SchemaError
 from chigenus.ypoly import YPolynomial
 from oracles import point
+from test_inequalities import fractional_synthetic
 
 
 def test_rational_strings():
@@ -47,6 +48,46 @@ def test_rational_strings_must_be_canonical():
             serialize.parse_rational(text, "entry")
     assert serialize.parse_rational("0") == 0
     assert serialize.parse_rational("-10/3") == Fraction(-10, 3)
+
+
+def _rational_pairs(rng, count):
+    """Seeded (p, q) pairs, q > 0: zero, negative and whole values, and some over 60 digits."""
+    pairs = [(0, 1), (0, 7), (-5, 1), (12, 4), (-12, 8), (10**70 + 1, 1), (-(10**65), 10**64)]
+    for _ in range(count):
+        digits = rng.choice((1, 3, 65, 90))
+        p = rng.choice((-1, 1, 0)) * rng.randrange(10**digits)
+        q = rng.choice((1, rng.randrange(1, 10**rng.choice((1, 3, 61)))))
+        pairs.append((p * rng.choice((1, q)), q))
+    return pairs
+
+
+def test_the_rational_writer_prints_an_int_pair_as_its_fraction():
+    rng = random.Random(48)
+    for p, q in _rational_pairs(rng, 400):
+        assert serialize._rational_text(p, q) == str(Fraction(p, q)), (p, q)
+
+
+def test_the_writers_print_rows_over_a_scale_as_their_fractions():
+    rng = random.Random(4848)
+    pairs = _rational_pairs(rng, 200)
+    for i in range(0, len(pairs) - 2, 3):
+        values = [Fraction(p, q) for p, q in pairs[i : i + 3]]
+        poly = YPolynomial(dict(enumerate(values)))
+        expected = {str(d): str(c) for d, c in enumerate(values) if c}
+        assert serialize.ypoly_to_json(poly) == expected, values
+        data = ManifoldData(2, {(2,): values[0], (1, 1): values[1]})
+        written = [entry["value"] for entry in serialize.manifold_to_json(data)["chernNumbers"]]
+        assert written == [str(values[0]), str(values[1])], values
+
+
+def test_dumps_writes_what_json_dumps_writes():
+    documents = [serialize.manifold_to_json(make_manifold(key)) for key in serialize.CATALOG_KEYS]
+    documents += [serialize.model_to_json(make_action(key)) for key in serialize.ACTION_KEYS]
+    for n in range(0, 13):
+        documents.append(serialize.manifold_to_json(fractional_synthetic(n, n)))
+        documents.append(serialize.chern_to_json(chi_y_chern_polynomial(n)))
+    for doc in documents:
+        assert serialize.dumps(doc) == json.dumps(doc, separators=(",", ":"))
 
 
 def test_ypoly_round_trip():
