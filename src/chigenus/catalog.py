@@ -3,17 +3,17 @@
 Chern numbers come from the total Chern class. P^n and the hypersurfaces
 have cohomology Q[h]/(h^{n+1}) with the integral of h^n equal to the degree
 d, so for c = sum_j a_j h^j the number c_lambda is d * prod_i a_{lambda_i}
-(:func:`one_generator_chern_numbers`). A product takes its numbers from its
-factors' numbers by the Whitney product formula (:func:`product`), so any
-two manifolds multiply, whether built here or loaded from JSON. No floating
-point: the numbers are summed as ints, and each number of a product is one
-exact division of its integer sum by the factors' common denominators.
+(:func:`_one_generator`). A product takes its numbers from its factors'
+numbers by the Whitney product formula, so any two manifolds multiply,
+whether built here or loaded from JSON. No floating point: the numbers are
+summed as ints, and each number of a product is one exact division of its
+integer sum by the factors' common denominators.
 
-A factor stays numbers until the last step: :func:`_fold` multiplies
-(dimension, scale, Chern row, Betti row) factors, each row cleared over its
-scale in ``iter_partitions`` order as a record holds it, so each build
-constructs one record, and a factor of a product builds no record, genus or
-action.
+Every record here is built by :func:`_fold` from one or more (dimension,
+scale, Chern row, Betti row) factors, each row cleared over its scale in
+``iter_partitions`` order as a record holds it. A factor stays numbers
+until the last step, so each build constructs one record, and a factor of
+a product builds no record, genus or action.
 
 :func:`make_manifold` and :func:`make_action` build from what
 :func:`chigenus.serialize.parse_key`, the one reader of catalog keys, returns.
@@ -37,7 +37,7 @@ from functools import cache
 from math import comb
 
 from .betti import BettiProfile
-from .engine import ManifoldData
+from .engine import ManifoldData, partition_index
 from .localization import FixedComponent, FixedPointModel
 from .partitions import Partition, iter_partitions, merge
 from .serialize import ACTION_KEYS, CATALOG_KEYS, CatalogKey, parse_key
@@ -102,26 +102,9 @@ class CohomologyModel:
         return numbers
 
 
-def one_generator_chern_numbers(total_chern: list[int], degree: int) -> dict[Partition, int]:
-    """c_lambda of an n-fold with cohomology Q[h]/(h^{n+1}) and integral of h^n equal to ``degree``.
-
-    ``total_chern`` lists a_0..a_n, the total Chern class being
-    sum_j a_j h^j; then c_lambda = degree * prod_i a_{lambda_i}, returned as
-    an int, which the ``ManifoldData`` built from it holds as it is.
-    """
-    numbers = {}
-    for part in iter_partitions(len(total_chern) - 1):
-        value = degree
-        for i in part:
-            value *= total_chern[i]
-        numbers[part] = value
-    return numbers
-
-
 def projective_space(n: int) -> ManifoldData:
     """P^n: total Chern class (1+h)^{n+1}, integral of h^n is 1, with its standard action."""
-    n, numbers, betti = _pn_factor(n)
-    return ManifoldData(n, numbers, BettiProfile(2 * n, betti), standard_pn_action(n))
+    return _fold([_pn_factor(n)], standard_pn_action(n))
 
 
 def hypersurface(n: int, d: int) -> ManifoldData:
@@ -130,8 +113,7 @@ def hypersurface(n: int, d: int) -> ManifoldData:
     The total Chern class is (1+h)^{n+2} * (1+dh)^{-1}, expanded as a
     geometric series in the nilpotent quotient, and the integral of h^n is d.
     """
-    n, numbers, betti = _hyp_factor(n, d)
-    return ManifoldData(n, numbers, BettiProfile(2 * n, betti))
+    return _fold([_hyp_factor(n, d)])
 
 
 def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
@@ -140,43 +122,43 @@ def product(a: ManifoldData, b: ManifoldData) -> ManifoldData:
     return _fold(factors)
 
 
-def _fold(factors: list[tuple]) -> ManifoldData:
-    """The one record of the product of two or more factors, folded left to right as numbers.
+def _fold(factors: list[tuple], action: FixedPointModel | None = None) -> ManifoldData:
+    """The one record of the product of one or more factors, folded left to right as numbers.
 
     A factor is (dimension, scale, row, Betti row or None), its Chern numbers
     ``row[i] / scale`` in ``iter_partitions`` order, as a record holds them.
     The rows are read by position and summed over the Whitney splits of
     :func:`_splits`, and the product's row is over the product of the
     scales; each number is then one exact division by that scale, left an
-    int when it is 1. Betti rows convolve when every factor has one.
+    int when it is 1. Betti rows convolve when every factor has one, and
+    ``action`` goes to the record as it is.
     """
     n, scale, row, betti = factors[0]
     for m, other_scale, other, other_betti in factors[1:]:
-        table = _splits(n, m)
-        row = [sum([count * row[i] * other[j] for count, i, j in splits]) for _, splits in table]
+        row = [sum([count * row[i] * other[j] for count, i, j in splits]) for splits in _splits(n, m)]
         scale *= other_scale
         betti = convolve(betti, other_betti) if betti is not None and other_betti is not None else None
         n += m
-    numbers = {part: total if scale == 1 else Fraction(total, scale) for (part, _), total in zip(table, row)}
-    return ManifoldData(n, numbers, BettiProfile(2 * n, betti) if betti is not None else None)
+    parts = partition_index(n)
+    numbers = {part: total if scale == 1 else Fraction(total, scale) for part, total in zip(parts, row)}
+    return ManifoldData(n, numbers, BettiProfile(2 * n, betti) if betti is not None else None, action)
 
 
 @cache
-def _splits(dim_a: int, dim_b: int) -> list[tuple[Partition, list[tuple[int, int, int]]]]:
+def _splits(dim_a: int, dim_b: int) -> list[list[tuple[int, int, int]]]:
     """For each partition of dim_a + dim_b, in ``iter_partitions`` order, its Whitney splits.
 
     c_k(A x B) = sum_{s+t=k} c_s(A) c_t(B) and the integral over A x B
     factors, so c_part[A x B] is the sum, over the ways to write each part
     lambda_i = s_i + t_i with sum s_i = dim A, of c_{sort(s)}[A] c_{sort(t)}[B]
     (zero parts dropped). Each split is a triple (count, i, j): its number of
-    ways and the positions of sort(s) and sort(t) among the partitions of
+    ways and the positions of sort(s) and sort(t) in ``partition_index`` of
     dim_a and dim_b. Splits are merged as the parts are read, keyed on the
     partial pair (s, t). Memoized per argument for the life of the process.
     """
-    index_a = {part: i for i, part in enumerate(iter_partitions(dim_a))}
-    index_b = {part: j for j, part in enumerate(iter_partitions(dim_b))}
+    index_a, index_b = partition_index(dim_a), partition_index(dim_b)
     table = []
-    for part in iter_partitions(dim_a + dim_b):
+    for part in partition_index(dim_a + dim_b):
         ways: dict[tuple[Partition, Partition], int] = {((), ()): 1}
         for p in part:
             step: dict[tuple[Partition, Partition], int] = {}
@@ -187,7 +169,7 @@ def _splits(dim_a: int, dim_b: int) -> list[tuple[Partition, list[tuple[int, int
                     key = (merge(s, (i,)) if i else s, merge(t, (p - i,)) if i < p else t)
                     step[key] = step.get(key, 0) + count
             ways = step
-        table.append((part, [(count, index_a[s], index_b[t]) for (s, t), count in ways.items()]))
+        table.append([(count, index_a[s], index_b[t]) for (s, t), count in ways.items()])
     return table
 
 
@@ -205,16 +187,23 @@ def _hyp_factor(n: int, d: int) -> tuple:
 
 
 def _one_generator(n: int, total: list[int], degree: int) -> tuple:
-    """An n-fold with cohomology Q[h]/(h^{n+1}), total Chern class sum_j total[j] h^j.
+    """The :func:`_fold` factor of an n-fold with cohomology Q[h]/(h^{n+1}), integral of h^n ``degree``.
 
-    The integral of h^n is ``degree``. Betti numbers agree with those of P^n
-    away from the middle degree, where the Euler number ``degree * total[n]``
-    pins the last.
+    ``total`` lists a_0..a_n, the total Chern class being sum_j a_j h^j;
+    then c_lambda = degree * prod_i a_{lambda_i}, an int, so the factor's
+    scale is 1. Betti numbers agree with those of P^n away from the middle
+    degree, where the Euler number ``degree * total[n]`` pins the last.
     """
+    row = []
+    for part in partition_index(n):
+        value = degree
+        for i in part:
+            value *= total[i]
+        row.append(value)
     euler = degree * total[n]
     betti = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
     betti[n] = euler - n if n % 2 == 0 else (n + 1) - euler
-    return n, one_generator_chern_numbers(total, degree), betti
+    return n, 1, row, betti
 
 
 _FACTORS = {"pn": _pn_factor, "hyp": _hyp_factor}
@@ -250,8 +239,7 @@ def make_manifold(key: str | CatalogKey) -> ManifoldData:
     if parsed.kind == "hyp":
         return hypersurface(*parsed.args)
     if parsed.kind == "product":
-        factors = [_FACTORS[f.kind](*f.args) for f in parsed.args]
-        return _fold([(n, 1, list(numbers.values()), betti) for n, numbers, betti in factors])
+        return _fold([_FACTORS[f.kind](*f.args) for f in parsed.args])
     raise ValueError(f"unknown catalog key {key!r}")
 
 

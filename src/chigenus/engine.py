@@ -20,8 +20,9 @@ itself, as the reference route the tests check the closed form against.
 :class:`ManifoldData` is the one manifold record; it takes Chern numbers as
 ``int`` or ``Fraction`` only and holds them cleared, the way a
 ``YPolynomial`` holds its coefficients: one int row in ``iter_partitions``
-order over one positive ``scale``. It evaluates its chi_y polynomial once
-as it is built, reading the row by position, and checks a given signature
+order over one positive ``scale``, each partition's position kept by
+:func:`partition_index`, the one owner of that order. It evaluates its
+chi_y polynomial once as it is built, and checks a given signature
 and action against it; the ``chern_numbers`` mapping of ``Fraction`` values
 is made only when it is read. It rebuilds a profile through the profile's
 own type and reads an action's chi_{-y} off the model, which localized it
@@ -48,24 +49,17 @@ if TYPE_CHECKING:
     from .series import TruncatedSeries
 
 
-# dimension -> its partitions in ``iter_partitions`` order, kept once a ManifoldData
-# of that dimension has been built, so later ones walk a tuple, not the generator;
-# a dict, not functools.cache, because only a walk that completed is kept, so a
-# document that claims a huge dimension costs nothing
-_PARTITIONS: dict[int, tuple[Partition, ...]] = {}
-
-# grade -> (a table's partitions, their positions among the partitions of the
-# grade), so evaluate_genus reads a record's row by position; rebuilt when a table
-# with other partitions comes in, as after its cache is cleared
-_POSITIONS: dict[int, tuple[tuple[Partition, ...], list[int]]] = {}
+# n -> {partition: position} in ``iter_partitions`` order; a dict, not functools.cache,
+# because only a walk that completed is kept, so claiming a huge dimension costs one partition
+_INDEX: dict[int, dict[Partition, int]] = {}
 
 
-def _partitions(n: int) -> tuple[Partition, ...]:
-    """The partitions of n in ``iter_partitions`` order, walked once and kept."""
-    parts = _PARTITIONS.get(n)
-    if parts is None:
-        parts = _PARTITIONS[n] = tuple(iter_partitions(n))
-    return parts
+def partition_index(n: int) -> dict[Partition, int]:
+    """partition -> position among the partitions of n, in ``iter_partitions`` order, walked once and kept."""
+    index = _INDEX.get(n)
+    if index is None:
+        index = _INDEX[n] = {part: i for i, part in enumerate(iter_partitions(n))}
+    return index
 
 
 class ManifoldData:
@@ -104,8 +98,8 @@ class ManifoldData:
         require_exact("Chern numbers", chern_numbers.values())
         # the walk stops at the first missing partition, so it visits at most one
         # partition more than were given: a dimension costs nothing to claim, and
-        # only a dimension whose numbers are all there is kept in _PARTITIONS
-        known = _PARTITIONS.get(dimension)
+        # only a dimension whose numbers are all there is kept in _INDEX
+        known = _INDEX.get(dimension)
         try:
             values = [chern_numbers[part] for part in known or iter_partitions(dimension)]
         except KeyError as exc:
@@ -118,7 +112,7 @@ class ManifoldData:
                 f"got {len(chern_numbers)}, but p({dimension}) = {len(values)}"
             )
         if known is None:
-            _partitions(dimension)
+            partition_index(dimension)
         scale, row = clear(values)
         if betti is not None:
             if betti.dim != 2 * dimension:
@@ -161,7 +155,7 @@ class ManifoldData:
     @property
     def partitions(self) -> tuple[Partition, ...]:
         """The partitions of the dimension in ``iter_partitions`` order, one per entry of ``chern_row``."""
-        return _partitions(self.dimension)
+        return tuple(partition_index(self.dimension))
 
     @property
     def chern_numbers(self) -> MappingProxyType[Partition, Fraction]:
@@ -270,19 +264,16 @@ def chi_y_chern_polynomial(n: int) -> ChernPolynomial:
 def evaluate_genus(table: ChernPolynomial, manifold: ManifoldData) -> YPolynomial:
     """chi_y polynomial of a manifold: pair the table with its Chern numbers.
 
-    The table's partitions are read off the record's cleared row by their
-    positions in ``iter_partitions`` order, so no ``Fraction`` is made.
+    Each of the table's partitions is read off the record's cleared row at
+    its position in :func:`partition_index`, so no ``Fraction`` is made and
+    any table of the grade reads the same row.
     """
     if manifold.dimension != table.grade:
         raise ValueError(
             f"dimension mismatch: table is for n={table.grade}, manifold has n={manifold.dimension}"
         )
-    kept = _POSITIONS.get(table.grade)
-    if kept is None or kept[0] is not table.partitions:
-        index = {part: i for i, part in enumerate(_partitions(table.grade))}
-        kept = _POSITIONS[table.grade] = (table.partitions, [index[part] for part in table.partitions])
-    row = manifold.chern_row
-    return table.evaluate_cleared(manifold.scale, [row[i] for i in kept[1]])
+    index, row = partition_index(table.grade), manifold.chern_row
+    return table.evaluate_cleared(manifold.scale, [row[index[part]] for part in table.partitions])
 
 
 def chi_vector(manifold: ManifoldData) -> list[Fraction]:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .engine import ManifoldData
+from .engine import ManifoldData, partition_index
 from .kexpansion import binomial_row, k_coefficients
 from .ypoly import require_exact
 
@@ -131,15 +131,15 @@ def miyaoka_yau_check(manifold: ManifoldData) -> CurvatureBoundReport:
     n = manifold.dimension
     if n < 2:
         raise ValueError("need n >= 2")
-    row, scale = manifold.chern_row, manifold.scale
-    # in iter_partitions order, c_2 c_1^{n-2} is the last number but one and c_1^n the last
+    row, scale, index = manifold.chern_row, manifold.scale, partition_index(n)
+    c2_c1 = Fraction(row[index[(2,) + (1,) * (n - 2)]], scale)  # c_2 c_1^{n-2}, c_2 at n = 2
+    c1_n = Fraction(row[index[(1,) * n]], scale)
     sign = Fraction(-1) ** n
-    lhs = sign * Fraction(row[-2], scale)
-    rhs = Fraction(n, 2 * (n + 1)) * sign * Fraction(row[-1], scale)
+    lhs = sign * c2_c1
+    rhs = Fraction(n, 2 * (n + 1)) * sign * c1_n
     surface: tuple[SurfaceInequality, ...] = ()
     if n == 2:
-        c2 = Fraction(row[0], scale)
-        c1_sq = Fraction(row[1], scale)
+        c2, c1_sq = c2_c1, c1_n
         surface = (
             SurfaceInequality("3*c2 >= c1^2", 3 * c2, c1_sq, 3 * c2 >= c1_sq, 3 * c2 == c1_sq),
             SurfaceInequality(

@@ -12,11 +12,9 @@ from chigenus import catalog, engine, kexpansion
 
 @pytest.fixture(autouse=True, scope="module")
 def cleared_tables():
-    """After each module, drop the chi_y and K tables, the Whitney splits, the partition walks and
-    the tables' positions among them."""
+    """After each module, drop the chi_y and K tables, the Whitney splits and the partition indexes."""
     yield
     engine.chi_y_chern_polynomial.cache_clear()
     kexpansion.k_coefficients.cache_clear()
     catalog._splits.cache_clear()
-    engine._PARTITIONS.clear()
-    engine._POSITIONS.clear()
+    engine._INDEX.clear()

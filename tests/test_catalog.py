@@ -371,12 +371,35 @@ def test_a_product_key_builds_one_record_and_no_factor_action(monkeypatch):
     assert evaluated == [8]
 
 
+def test_every_build_folds_once_and_evaluates_once(monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    a, b = projective_space(2), hypersurface(3, 2)
+    builds = {key: (lambda key=key: make_manifold(key)) for key in ("pn:3", "hyp:2:4", "product:pn:2,hyp:3:2")}
+    builds["product(a, b)"] = lambda: product(a, b)
+    expected = {name: build() for name, build in builds.items()}  # every table is built outside the count
+    monkeypatch.setattr(catalog, "_fold", counting("_fold", catalog._fold))
+    monkeypatch.setattr(engine, "evaluate_genus", counting("evaluate_genus", engine.evaluate_genus))
+    for name, build in builds.items():
+        calls.clear()
+        assert build() == expected[name]
+        assert calls == ["_fold", "evaluate_genus"], name
+
+
 def test_factors_of_the_same_dimensions_share_one_split_table():
     catalog._splits.cache_clear()
     product(projective_space(2), projective_space(3))
     table = catalog._splits(2, 3)
     product(hypersurface(2, 4), hypersurface(3, 5))
     assert catalog._splits.cache_info().currsize == 1 and catalog._splits(2, 3) is table
-    assert [part for part, _ in table] == list(iter_partitions(5))
+    # one list of (count, i, j) splits per partition of 5, c_5 splitting only as c_2 c_3
+    assert len(table) == len(list(iter_partitions(5))) and table[0] == [(1, 0, 0)]
     product(projective_space(3), projective_space(2))
     assert catalog._splits.cache_info().currsize == 2

@@ -8,7 +8,7 @@ from types import MappingProxyType
 import pytest
 
 from chigenus import engine
-from chigenus.catalog import hypersurface, product, projective_space
+from chigenus.catalog import hypersurface, product, projective_space, standard_catalog
 from chigenus.chern import ChernPolynomial
 from chigenus.engine import (
     ManifoldData,
@@ -162,20 +162,20 @@ def test_only_ints_and_fractions_are_exact_data(value):
 
 
 def test_a_failed_manifold_leaves_the_partition_lists_untouched(monkeypatch):
-    monkeypatch.setattr(engine, "_PARTITIONS", {})
+    monkeypatch.setattr(engine, "_INDEX", {})
     # a missing partition, then an extra one
     for dimension, numbers in ((3, {(3,): 1, (2, 1): 1}), (2, {(2,): 1, (1, 1): 1, (3,): 1})):
         with pytest.raises(ValueError, match=f"^Chern numbers must cover all partitions of {dimension}; "):
             engine.ManifoldData(dimension, numbers)
-        assert engine._PARTITIONS == {}
+        assert engine._INDEX == {}
     engine.ManifoldData(2, {(1, 1): 1, (2,): 1})
-    assert engine._PARTITIONS == {2: ((2,), (1, 1))}
-    # a kept list refuses the same numbers with the same messages
+    assert engine._INDEX == {2: {(2,): 0, (1, 1): 1}}
+    # a kept index refuses the same numbers with the same messages
     with pytest.raises(ValueError, match=r"^Chern numbers must cover all partitions of 2; missing \[1, 1\]$"):
         engine.ManifoldData(2, {(2,): 1})
     with pytest.raises(ValueError, match=r"^Chern numbers must cover all partitions of 2; got 3, but p\(2\) = 2$"):
         engine.ManifoldData(2, {(2,): 1, (1, 1): 1, (3,): 1})
-    assert engine._PARTITIONS == {2: ((2,), (1, 1))}
+    assert engine._INDEX == {2: {(2,): 0, (1, 1): 1}}
 
 
 def test_numbers_are_held_as_one_cleared_row_and_read_as_fractions():
@@ -205,13 +205,21 @@ def test_records_from_ints_and_from_equal_fractions_are_equal():
 def test_a_record_outlives_the_cleared_memos():
     p3, k3 = projective_space(3), hypersurface(2, 4)
     expected = [dict(p3.chern_numbers), dict(k3.chern_numbers)]
-    engine._PARTITIONS.clear()
-    engine._POSITIONS.clear()
+    engine._INDEX.clear()
     engine.chi_y_chern_polynomial.cache_clear()
     assert [dict(p3.chern_numbers), dict(k3.chern_numbers)] == expected
     assert p3.partitions == tuple(iter_partitions(3)) and k3.partitions == tuple(iter_partitions(2))
-    # a rebuilt table has new partitions, so positions are taken again
-    assert projective_space(3) == p3 and engine.evaluate_genus(chi_y_chern_polynomial(3), p3) == p3.genus
+    assert projective_space(3) == p3
+
+
+def test_a_table_is_read_by_partition_not_by_identity():
+    # a table of one monomial reads that monomial's number, c_1^2[P^2] = 9
+    assert engine.evaluate_genus(ChernPolynomial(2, {(1, 1): 1}), projective_space(2)) == YPolynomial({0: 9})
+    records = [record for _, record in standard_catalog()]
+    chi_y_chern_polynomial.cache_clear()
+    for record in records:
+        table = chi_y_chern_polynomial(record.dimension)  # a rebuilt table, a new object
+        assert engine.evaluate_genus(table, record) == record.genus
 
 
 def test_duality():
